@@ -19,8 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDegree, NegativeExponentResidue, NonzeroRemainder
-from .measure import _slice_moments_unchecked, ensure_stable, slice_inner_product
+from .errors import DegenerateDegree, NonzeroRemainder
+from .measure import (
+    _slice_moments_unchecked,
+    ensure_stable,
+    slice_inner_product,
+    w_slice,
+)
 from .poly import BivariateLaurentPoly, DegreePair
 from .schur_cohn import LaurentMatrixPoly, evaluate_on_circle, schur_cohn_matrix
 
@@ -56,30 +61,20 @@ def kernel_coefficients(
     """Coefficient family from the Schur-Cohn matrix route.
 
     ``a_j(z, w) = z^n * sum_i w^i T[i][j](z)``; the prefactor clears every
-    negative z-exponent, landing each ``a_j`` in [0, 2n] x [0, m-1].
+    negative z-exponent, so the coefficient of ``z^e w^i`` in ``a_j`` is
+    ``T.coeffs[i, j, e]`` and each ``a_j`` lands in [0, 2n] x [0, m-1].
     """
-    n, m = deg
+    m = deg.m
     if m == 0:
         raise DegenerateDegree("kernel needs degree at least 1 in w")
     if T is None:
         T = schur_cohn_matrix(p, deg)
-    out = []
-    for j in range(m):
-        coeffs: dict[tuple[int, int], complex] = {}
-        for i in range(m):
-            for (e, _), c in T.entries[i][j].items():
-                key = (e + n, i)
-                coeffs[key] = coeffs.get(key, 0j) + c
-        aj = BivariateLaurentPoly(coeffs)
-        if not aj.is_zero:
-            box = aj.support_box
-            if box[0] < 0 or box[1] > 2 * n or box[2] < 0 or box[3] > m - 1:
-                raise NegativeExponentResidue(
-                    f"a_{j} has support hull {box}, expected within "
-                    f"[0, {2 * n}] x [0, {m - 1}]"
-                )
-        out.append(aj)
-    return tuple(out)
+    return tuple(
+        BivariateLaurentPoly(
+            {(e, i): c for i in range(m) for e, c in enumerate(T.coeffs[i, j])}
+        )
+        for j in range(m)
+    )
 
 
 def kernel_by_divided_difference(
@@ -174,13 +169,6 @@ def cd_kernel_set(p: BivariateLaurentPoly, deg: DegreePair) -> CDKernelSet:
 # ----------------------------------------------------------------------
 
 
-def _w_polynomial_at(q: BivariateLaurentPoly, z: complex, m: int) -> np.ndarray:
-    out = np.zeros(m, dtype=complex)
-    for (i, j), c in q.items():
-        out[j] += c * z**i
-    return out
-
-
 def slice_norm_check(
     p: BivariateLaurentPoly,
     deg: DegreePair,
@@ -202,7 +190,7 @@ def slice_norm_check(
 
     section = np.zeros(m, dtype=complex)
     for j, aj in enumerate(ks.a):
-        section += eta_bar**j * _w_polynomial_at(aj, z, m)
+        section += eta_bar**j * w_slice(aj, z, m)
     sm = _slice_moments_unchecked(p, deg, theta, m - 1 if m > 1 else 0)
     lhs = slice_inner_product(section, section, sm)
 
@@ -235,7 +223,7 @@ def slice_gram_residual(
     if T is None:
         T = schur_cohn_matrix(p, deg)
     z = np.exp(1j * float(theta))
-    sections = [_w_polynomial_at(aj, z, m) for aj in ks.a]
+    sections = [w_slice(aj, z, m) for aj in ks.a]
     sm = _slice_moments_unchecked(p, deg, theta, m - 1 if m > 1 else 0)
     G = np.zeros((m, m), dtype=complex)
     for i in range(m):

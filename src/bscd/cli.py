@@ -6,19 +6,17 @@ Command shape:
          [--format json|csv] [...suite options]
 
 Exit codes: 0 all pass, 1 any fail, 2 config error, 3 inconclusive (stability
-could not be decided near the boundary).  BSCD_THREADS caps how many suites
-run concurrently; results are assembled in suite-name order either way, and
-identical configs produce byte-identical reports apart from wall times.
+could not be decided near the boundary).  Suites run one after another in
+dependency order, results are assembled in suite-name order, and identical
+configs produce byte-identical reports apart from wall times.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,6 +135,8 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigInvalid(f"bad polynomial: {exc}") from exc
     if poly.is_zero:
         raise ConfigInvalid("polynomial must be nonzero")
+    if not all(np.isfinite(c) for _, c in poly.items()):
+        raise ConfigInvalid("polynomial coefficients must be finite")
 
     suites = merged.get("suites", list(SUITE_ORDER))
     if not isinstance(suites, list) or not all(isinstance(s, str) for s in suites):
@@ -199,42 +199,37 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 # ----------------------------------------------------------------------
 
 
+ARTIFACT_BUILDERS = {
+    "stability": lambda cfg: measure.check_stability(cfg.polynomial, cfg.deg),
+    "moments": lambda cfg: measure.moments_from_grid(
+        cfg.polynomial, cfg.window, cfg.tolerances["moments"]
+    ),
+    "matrix": lambda cfg: schur_cohn.schur_cohn_matrix(cfg.polynomial, cfg.deg),
+    "kernelset": lambda cfg: cd_kernel.cd_kernel_set(cfg.polynomial, cfg.deg),
+}
+
+
 class Artifacts:
-    """Lazily built objects shared between suites of one run."""
+    """Lazily built objects shared between suites of one run.
+
+    A build that raises is remembered too: every later request re-raises the
+    same error instead of paying for the failed build again.
+    """
 
     def __init__(self, config: RunConfig):
         self.config = config
         self._cache: dict[str, object] = {}
 
-    def stability(self):
-        if "stability" not in self._cache:
-            self._cache["stability"] = measure.check_stability(
-                self.config.polynomial, self.config.deg
-            )
-        return self._cache["stability"]
-
-    def moments(self):
-        if "moments" not in self._cache:
-            self._cache["moments"] = measure.moments_from_grid(
-                self.config.polynomial,
-                self.config.window,
-                self.config.tolerances["moments"],
-            )
-        return self._cache["moments"]
-
-    def matrix(self):
-        if "matrix" not in self._cache:
-            self._cache["matrix"] = schur_cohn.schur_cohn_matrix(
-                self.config.polynomial, self.config.deg
-            )
-        return self._cache["matrix"]
-
-    def kernelset(self):
-        if "kernelset" not in self._cache:
-            self._cache["kernelset"] = cd_kernel.cd_kernel_set(
-                self.config.polynomial, self.config.deg
-            )
-        return self._cache["kernelset"]
+    def get(self, name: str):
+        if name not in self._cache:
+            try:
+                self._cache[name] = ARTIFACT_BUILDERS[name](self.config)
+            except BscdError as exc:
+                self._cache[name] = exc
+        value = self._cache[name]
+        if isinstance(value, BscdError):
+            raise value
+        return value
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +238,7 @@ class Artifacts:
 
 
 def _suite_stability(art: Artifacts, cfg: RunConfig):
-    report = art.stability()
+    report = art.get("stability")
     details = {
         "stable": report.stable,
         "witness": None
@@ -258,7 +253,7 @@ def _suite_stability(art: Artifacts, cfg: RunConfig):
 
 
 def _suite_moments(art: Artifacts, cfg: RunConfig):
-    grid_table = art.moments()
+    grid_table = art.get("moments")
     series_table = measure.moments_from_series(
         cfg.polynomial, cfg.deg, cfg.window
     )
@@ -276,7 +271,7 @@ def _suite_moments(art: Artifacts, cfg: RunConfig):
 
 
 def _suite_schur_cohn(art: Artifacts, cfg: RunConfig):
-    T = art.matrix()
+    T = art.get("matrix")
     m = cfg.deg.m
     rows = []
     violation = 0.0
@@ -308,7 +303,7 @@ def _suite_schur_cohn(art: Artifacts, cfg: RunConfig):
 
 
 def _suite_cd_kernel(art: Artifacts, cfg: RunConfig):
-    ks = art.kernelset()
+    ks = art.get("kernelset")
     n, m = cfg.deg
     rng = np.random.default_rng(cfg.seed)
     violation = 0.0
@@ -337,8 +332,8 @@ def _orth_pairs_json(report):
 
 
 def _suite_verify_orthogonality(art: Artifacts, cfg: RunConfig):
-    ks = art.kernelset()
-    moments = art.moments()
+    ks = art.get("kernelset")
+    moments = art.get("moments")
     scale = min(
         measure.norm(ak, moments) for ak in ks.a
     )
@@ -371,7 +366,7 @@ def _random_bidisk_points(rng, count, entries):
 
 
 def _suite_verify_cd(art: Artifacts, cfg: RunConfig):
-    moments = art.moments()
+    moments = art.get("moments")
     rng = np.random.default_rng(cfg.seed)
     points = _random_bidisk_points(rng, 100, 4)
     result = subspaces.cd_formula_residual(cfg.polynomial, cfg.deg, moments, points)
@@ -379,7 +374,7 @@ def _suite_verify_cd(art: Artifacts, cfg: RunConfig):
 
 
 def _suite_verify_kernel(art: Artifacts, cfg: RunConfig):
-    moments = art.moments()
+    moments = art.get("moments")
     rng = np.random.default_rng(cfg.seed)
     functions = subspaces.default_lshape_monomials(cfg.deg, count=10)
     functions.append(BivariateLaurentPoly.monomial(cfg.deg.n, cfg.deg.m))
@@ -398,7 +393,7 @@ def _suite_verify_kernel(art: Artifacts, cfg: RunConfig):
 
 def _suite_parametric(art: Artifacts, cfg: RunConfig):
     n, m = cfg.deg
-    T = art.matrix()
+    T = art.get("matrix")
     rows = []
     violation = 0.0
     for idx in range(cfg.theta_grid):
@@ -466,22 +461,7 @@ def _run_one(name: str, art: Artifacts, cfg: RunConfig) -> SuiteReport:
 def run(config: RunConfig) -> list[SuiteReport]:
     """Execute the configured suites and return their reports, name-ordered."""
     art = Artifacts(config)
-    ordered = [s for s in SUITE_ORDER if s in config.suites]
-    threads = int(os.environ.get("BSCD_THREADS", "1") or "1")
-    if threads > 1 and len(ordered) > 1:
-        # shared artifacts are built serially first so workers only read
-        try:
-            art.stability()
-            if any(s != "stability" for s in ordered):
-                art.moments()
-                art.matrix()
-                art.kernelset()
-        except BscdError:
-            pass
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda s: _run_one(s, art, config), ordered))
-    else:
-        reports = [_run_one(s, art, config) for s in ordered]
+    reports = [_run_one(s, art, config) for s in SUITE_ORDER if s in config.suites]
     return sorted(reports, key=lambda r: r.suite)
 
 

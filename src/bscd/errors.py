@@ -49,10 +49,6 @@ class DegenerateDegree(BscdError):
     """The declared degree is too small for the requested construction."""
 
 
-class NegativeExponentResidue(BscdError):
-    """Clearing the z-prefactor left negative exponents behind."""
-
-
 class NonzeroRemainder(BscdError):
     """Synthetic division left a remainder above tolerance."""
 

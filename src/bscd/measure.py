@@ -75,9 +75,15 @@ def torus_grid_values(p: BivariateLaurentPoly, size: int) -> np.ndarray:
     return np.fft.ifft2(grid) * (size * size)
 
 
-def _w_slice_values(p: BivariateLaurentPoly, m: int, z: complex) -> np.ndarray:
-    """Coefficients of ``w -> p(z, w)`` in ascending w-degree."""
-    out = np.zeros(m + 1, dtype=complex)
+def w_slice(p: BivariateLaurentPoly, z, size: int) -> np.ndarray:
+    """Coefficients of ``w -> p(z, w)`` in ascending w-degree, ``size`` of them.
+
+    ``z`` may be a scalar or an array; for an array the w-degree runs along
+    the first axis of the result, followed by the shape of ``z``.  The
+    w-support of ``p`` must lie in ``[0, size)``.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros((size,) + z.shape, dtype=complex)
     for (i, j), c in p.items():
         out[j] += c * z**i
     return out
@@ -115,10 +121,7 @@ def _cached_stability(p, n, m, grid):
     witness = None
 
     zs = np.exp(2j * np.pi * np.arange(grid) / grid)
-    # w-coefficient slices evaluated on the circle grid, vectorized per term
-    slice_vals = np.zeros((m + 1, grid), dtype=complex)
-    for (i, j), c in p.items():
-        slice_vals[j] += c * zs**i
+    slice_vals = w_slice(p, zs, m + 1)
 
     for k in range(grid):
         coeffs = slice_vals[:, k]
@@ -431,7 +434,7 @@ def slice_moments(
 
 
 def _slice_moments_unchecked(p, deg, theta, lag, tol=DEFAULT_SLICE_TOL):
-    w_coeffs = _w_slice_values(p, deg.m, np.exp(1j * theta))
+    w_coeffs = w_slice(p, np.exp(1j * theta), deg.m + 1)
     size = GRID_START
     prev = _slice_window(w_coeffs, size, lag)
     while True:

@@ -264,24 +264,3 @@ class BivariateLaurentPoly:
                 f"support hull {self._box} outside [0, {n}] x [0, {m}]"
             )
 
-
-def validate_declared_degree(p: BivariateLaurentPoly, deg: DegreePair) -> None:
-    """Check that ``deg`` is the genuine degree of ``p``.
-
-    The support must fit in ``[0, n] x [0, m]`` and both leading index lines
-    must actually be hit by a nonzero coefficient.
-    """
-    p._require_support_in_box(deg)
-    if p.is_zero:
-        return
-    n, m = deg
-    i0, i1, j0, j1 = p.support_box
-    if i1 != n or j1 != m:
-        raise ValueError(
-            f"declared degree ({n}, {m}) but support hull reaches ({i1}, {j1})"
-        )
-
-
-def difference(p: BivariateLaurentPoly, q: BivariateLaurentPoly) -> float:
-    """Largest coefficient magnitude of ``p - q``."""
-    return (p - q).max_abs()

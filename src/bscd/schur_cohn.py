@@ -8,8 +8,17 @@ conjugate-reciprocal transforms: entry ``(i, j)`` is
                        - pbar_{m-i+k}(1/z) * p_{m-j+k}(z)
 
 where ``pbar_j(1/z)`` has the conjugated coefficients of ``p_j`` with the
-z-exponents negated.  On ``|z| = 1`` the matrix is Hermitian, and for stable
-``p`` it is positive definite and inverts the sliced moment matrix.
+z-exponents negated.  Every entry is a Laurent polynomial with z-exponents
+in ``[-n, n]``, so the coefficients are stored as one dense tensor of shape
+``(m, m, 2n+1)``; each product above is a convolution of two coefficient
+vectors.  On ``|z| = 1`` the matrix is Hermitian, and for stable ``p`` it is
+positive definite and inverts the sliced moment matrix.
+
+Values on the circle come from a second route that shares no code with the
+tensor: with ``s_j = p_j(z)``, ``pbar_j(1/z) = conj(s_j)``, so the matrix is
+``A A^H - B^H B`` for the triangular Toeplitz factors ``A[i, l] = s_{i-l}``
+(``l <= i``) and ``B[k, j] = s_{m-j+k}`` (``k <= j``).  Checks that compare a
+circle value with the coefficients therefore also check the convolution.
 """
 
 from __future__ import annotations
@@ -25,21 +34,32 @@ from .poly import BivariateLaurentPoly, DegreePair
 class LaurentMatrixPoly:
     """Square matrix whose entries are Laurent polynomials in z only.
 
-    Entry ``(j, i)`` is the conjugate-reciprocal transform of entry
-    ``(i, j)``, so pointwise evaluation on the unit circle is Hermitian up to
-    roundoff.  All entry exponents lie in ``[-n, n]``.
+    ``coeffs[i, j, e + n]`` is the coefficient of ``z^e`` in entry
+    ``(i, j)`` for ``e = -n .. n``; the array is read-only.  Entry ``(j, i)``
+    is the conjugate-reciprocal transform of entry ``(i, j)``.  ``slices``
+    holds the ``m + 1`` z-polynomials ``p_0 .. p_m`` the matrix is built from,
+    which :func:`evaluate_on_circle` evaluates.
     """
 
-    __slots__ = ("m", "entries")
+    __slots__ = ("n", "m", "coeffs", "slices")
 
-    def __init__(self, entries):
-        self.m = len(entries)
-        self.entries = tuple(tuple(row) for row in entries)
-        if any(len(row) != self.m for row in self.entries):
-            raise ValueError("entry grid must be square")
+    def __init__(self, coeffs, slices):
+        coeffs = np.array(coeffs, dtype=complex)
+        shape = coeffs.shape
+        if len(shape) != 3 or shape[0] != shape[1] or shape[2] % 2 == 0:
+            raise ValueError("coefficient tensor must have shape (m, m, 2n+1)")
+        if len(slices) != shape[0] + 1:
+            raise ValueError("an m x m matrix needs m + 1 slices")
+        coeffs.setflags(write=False)
+        self.m = coeffs.shape[0]
+        self.n = coeffs.shape[2] // 2
+        self.coeffs = coeffs
+        self.slices = tuple(slices)
 
     def entry(self, i: int, j: int) -> BivariateLaurentPoly:
-        return self.entries[i][j]
+        return BivariateLaurentPoly(
+            {(e - self.n, 0): c for e, c in enumerate(self.coeffs[i, j])}
+        )
 
 
 @dataclass(frozen=True)
@@ -55,25 +75,27 @@ def schur_cohn_matrix(p: BivariateLaurentPoly, deg: DegreePair) -> LaurentMatrix
     if m == 0:
         raise DegenerateDegree("the construction needs degree at least 1 in w")
     p._require_support_in_box(deg)
-    slices = [p.w_coefficient(i) for i in range(m + 1)]
-    bars = [q.conj_reciprocal() for q in slices]
-    entries = []
+    # column i holds p_i(z) over z^0 .. z^n; its conjugate reversal holds
+    # pbar_i(1/z) over z^-n .. z^0, so each product lands on z^-n .. z^n
+    slices = p.coefficient_window((0, n, 0, m)).T
+    bars = slices[:, ::-1].conj()
+    coeffs = np.zeros((m, m, 2 * n + 1), dtype=complex)
     for i in range(m):
-        row = []
         for j in range(m):
-            acc = BivariateLaurentPoly.zero()
             for k in range(min(i, j) + 1):
-                acc = acc + slices[i - k] * bars[j - k]
-                acc = acc - bars[m - i + k] * slices[m - j + k]
-            row.append(acc)
-        entries.append(row)
-    return LaurentMatrixPoly(entries)
+                coeffs[i, j] += np.convolve(slices[i - k], bars[j - k])
+                coeffs[i, j] -= np.convolve(bars[m - i + k], slices[m - j + k])
+    return LaurentMatrixPoly(coeffs, [p.w_coefficient(i) for i in range(m + 1)])
 
 
 def evaluate_on_circle(T: LaurentMatrixPoly, theta: float) -> np.ndarray:
-    """Entrywise value at ``z = e^{i theta}``, symmetrized to exact Hermitian."""
+    """Value at ``z = e^{i theta}`` as ``A A^H - B^H B``, symmetrized to exact Hermitian."""
     z = np.exp(1j * float(theta))
-    M = np.array([[T.entries[i][j](z, 1.0) for j in range(T.m)] for i in range(T.m)])
+    s = np.array([q(z, 1.0) for q in T.slices])
+    lag = np.subtract.outer(np.arange(T.m), np.arange(T.m))
+    A = np.tril(s[lag])
+    B = np.triu(s[T.m + np.minimum(lag, 0)])
+    M = A @ A.conj().T - B.conj().T @ B
     return 0.5 * (M + M.conj().T)
 
 
@@ -110,14 +132,10 @@ def diagonal_average(T: LaurentMatrixPoly, k: int) -> float:
     Equals the constant Laurent coefficient of that entry, so no quadrature
     is involved.
     """
-    return T.entries[k][k].coefficient(0, 0).real
+    return float(T.coeffs[k, k, T.n].real)
 
 
 def hermitian_structure_defect(T: LaurentMatrixPoly) -> float:
     """Largest coefficient deviation of entry(j, i) from entry(i, j)*."""
-    worst = 0.0
-    for i in range(T.m):
-        for j in range(T.m):
-            delta = T.entries[j][i] - T.entries[i][j].conj_reciprocal()
-            worst = max(worst, delta.max_abs())
-    return worst
+    mirrored = T.coeffs.transpose(1, 0, 2)[:, :, ::-1].conj()
+    return float(np.max(np.abs(T.coeffs - mirrored)))

@@ -101,12 +101,15 @@ def gram_matrix(S, moments: MomentTable) -> np.ndarray:
     return 0.5 * (G + G.conj().T)
 
 
-def _checked_inverse(G: np.ndarray) -> np.ndarray:
+def _require_conditioned(G: np.ndarray, error: type, label: str) -> None:
+    """Raise ``error`` unless ``G`` is positive definite within the condition cap."""
     eigs = np.linalg.eigvalsh(G)
     if eigs[0] <= 0 or eigs[-1] / eigs[0] > GRAM_CONDITION_CAP:
-        raise IllConditionedGram(
-            f"Gram spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}]"
-        )
+        raise error(f"{label} spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}]")
+
+
+def _checked_inverse(G: np.ndarray) -> np.ndarray:
+    _require_conditioned(G, IllConditionedGram, "Gram")
     # Cholesky-based inverse keeps the result Hermitian
     L = np.linalg.cholesky(G)
     inv_L = np.linalg.inv(L)
@@ -169,9 +172,7 @@ def orthonormal_complement_basis(
     extra = [mu for mu in spec.S1 if mu not in set(spec.S2)]
     if spec.S2:
         G2 = gram_matrix(spec.S2, moments)
-        eigs = np.linalg.eigvalsh(G2)
-        if eigs[0] <= 0 or eigs[-1] / eigs[0] > GRAM_CONDITION_CAP:
-            raise IllConditionedGram("nested-span Gram is not invertible")
+        _require_conditioned(G2, IllConditionedGram, "nested-span Gram")
     for mu in extra:
         b = BivariateLaurentPoly.monomial(*mu)
         if spec.S2:
@@ -187,9 +188,7 @@ def orthonormal_complement_basis(
         for c in range(len(residuals)):
             Gb[r, c] = inner_product(residuals[c], residuals[r], moments)
     Gb = 0.5 * (Gb + Gb.conj().T)
-    eigs = np.linalg.eigvalsh(Gb)
-    if eigs[0] <= 0 or eigs[-1] / eigs[0] > GRAM_CONDITION_CAP:
-        raise IllConditionedGram("complement Gram is not invertible")
+    _require_conditioned(Gb, IllConditionedGram, "complement Gram")
     C = np.linalg.inv(np.linalg.cholesky(Gb)).conj().T
     basis = []
     for k in range(len(residuals)):
@@ -226,9 +225,7 @@ def reconstruct_kernel_coefficient(
         raise IndexOutOfRange(f"coefficient index {k} outside 0..{m - 1}")
     S = monomial_rect(0, 2 * n, 0, m - 1)
     G = gram_matrix(S, moments)
-    eigs = np.linalg.eigvalsh(G)
-    if eigs[0] <= 0 or eigs[-1] / eigs[0] > GRAM_CONDITION_CAP:
-        raise RankDeficient(f"box Gram spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}]")
+    _require_conditioned(G, RankDeficient, "box Gram")
     pivot = S.index((n, k))
     rhs = np.zeros(len(S), dtype=complex)
     rhs[pivot] = 1.0

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from bscd import cli
-from bscd.errors import ConfigInvalid
+from bscd.errors import ConfigInvalid, NoConvergence
 
 from conftest import WORKED, WORKED_DEG
 
@@ -42,6 +42,17 @@ def test_unknown_key_is_config_error(tmp_path):
 def test_missing_polynomial_is_config_error(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"suites": ["stability"]}))
+    assert cli.main(["stability", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_coefficient_is_config_error(tmp_path, bad):
+    polynomial = json.loads(json.dumps(WORKED_JSON))
+    polynomial["coeffs"][1][0][1] = bad  # json writes NaN / Infinity literals
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"polynomial": polynomial}))
+    with pytest.raises(ConfigInvalid, match="finite"):
+        cli.load_config(str(path))
     assert cli.main(["stability", "--config", str(path)]) == 2
 
 
@@ -216,14 +227,21 @@ def test_suite_error_is_recorded_as_failure(tmp_path):
     assert cli.exit_code(reports) == 1
 
 
-def test_thread_cap_keeps_reports_identical(tmp_path, monkeypatch):
-    path = write_config(
-        tmp_path, theta_grid=4, suites=["stability", "moments", "schur-cohn"]
-    )
-    serial = cli.run(cli.load_config(path))
-    monkeypatch.setenv("BSCD_THREADS", "3")
-    threaded = cli.run(cli.load_config(path))
-    strip = lambda reports: [
-        (r.suite, r.status, r.max_violation) for r in reports
-    ]
-    assert strip(serial) == strip(threaded)
+def test_failed_artifact_is_built_once(tmp_path, monkeypatch):
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise NoConvergence("moment window not stable")
+
+    monkeypatch.setattr(cli.measure, "moments_from_grid", refuse)
+    path = write_config(tmp_path, theta_grid=4)
+    reports = {r.suite: r for r in cli.run(cli.load_config(path))}
+    assert len(calls) == 1
+    for name in ("moments", "verify-orthogonality", "verify-cd", "verify-kernel"):
+        assert reports[name].status == "fail"
+        assert reports[name].details == {
+            "error": "NoConvergence",
+            "message": "moment window not stable",
+        }
+    assert reports["parametric"].status == "pass"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bscd.errors import DegenerateDegree
-from bscd.measure import slice_moments
+from bscd.measure import random_stable_poly, slice_moments
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair
 from bscd.schur_cohn import (
     diagonal_average,
@@ -15,9 +15,16 @@ from bscd.schur_cohn import (
     schur_cohn_matrix,
 )
 
-from conftest import WORKED, WORKED_DEG, make_random_family
+from conftest import RANDOM_SEED, WORKED, WORKED_DEG, make_random_family
 
 PRODUCT = Poly({(0, 0): 4, (1, 0): -2, (0, 1): -2, (1, 1): 1})  # (2-z)(2-w)
+
+
+@pytest.fixture(scope="module")
+def high_degree_family():
+    # random_family stops at (3,3); the dense tensor matters most above it
+    rng = np.random.default_rng(RANDOM_SEED)
+    return [random_stable_poly(n, m, rng) for (n, m) in [(6, 6), (8, 8)]]
 
 
 def test_worked_example_matrix():
@@ -41,8 +48,8 @@ def test_degree_zero_in_w_is_degenerate():
         schur_cohn_matrix(Poly({(0, 0): 2, (1, 0): -1}), DegreePair(1, 0))
 
 
-def test_hermitian_structure_for_random_polynomials(random_family):
-    for p, deg in random_family:
+def test_hermitian_structure_for_random_polynomials(random_family, high_degree_family):
+    for p, deg in random_family + high_degree_family:
         T = schur_cohn_matrix(p, deg)
         scale = max(1.0, max(T.entry(i, j).max_abs() for i in range(T.m) for j in range(T.m)))
         assert hermitian_structure_defect(T) <= 1e-13 * scale
@@ -96,9 +103,9 @@ def test_positivity_scan_values():
     assert report3.min_eig == pytest.approx(0.0, abs=1e-13)
 
 
-def test_matrix_inverts_slice_moment_matrix(random_family):
+def test_matrix_inverts_slice_moment_matrix(random_family, high_degree_family):
     # pins the basis-ordering convention M[i, j] = m_{j-i}
-    for p, deg in random_family:
+    for p, deg in random_family + high_degree_family:
         T = schur_cohn_matrix(p, deg)
         m = deg.m
         for theta in (0.0, 1.1, 4.4):
@@ -121,3 +128,30 @@ def test_reversed_ordering_convention_fails():
 def test_diagonal_average_reads_constant_coefficient():
     T = schur_cohn_matrix(WORKED, WORKED_DEG)
     assert diagonal_average(T, 0) == pytest.approx(9.0, abs=1e-14)
+
+
+def test_tensor_matches_laurent_products(random_family, high_degree_family):
+    # entry (i, j) rebuilt from the defining sum of slice products
+    for p, deg in random_family + high_degree_family:
+        n, m = deg
+        T = schur_cohn_matrix(p, deg)
+        slices = [p.w_coefficient(i) for i in range(m + 1)]
+        bars = [q.conj_reciprocal() for q in slices]
+        for i in range(m):
+            for j in range(m):
+                entry = Poly.zero()
+                for k in range(min(i, j) + 1):
+                    entry = entry + slices[i - k] * bars[j - k]
+                    entry = entry - bars[m - i + k] * slices[m - j + k]
+                assert (T.entry(i, j) - entry).max_abs() <= 1e-13 * max(1.0, entry.max_abs())
+
+
+def test_circle_values_match_the_tensor(random_family, high_degree_family):
+    # the slice-value route of evaluate_on_circle against the coefficient tensor
+    for p, deg in random_family + high_degree_family:
+        n = deg.n
+        T = schur_cohn_matrix(p, deg)
+        for theta in (0.0, 0.7, 3.5):
+            from_tensor = T.coeffs @ np.exp(1j * theta * np.arange(-n, n + 1))
+            scale = max(1.0, np.max(np.abs(from_tensor)))
+            assert np.max(np.abs(evaluate_on_circle(T, theta) - from_tensor)) <= 1e-13 * scale
