@@ -23,9 +23,9 @@ print("-------------")
 theta = 0.9
 op = parametric_polynomials(p, deg, theta)
 print(f"  phi_0 at theta={theta}: {op.phi[0][0].real:.6f}   (9 - 6 cos theta = {9 - 6 * np.cos(theta):.6f})")
-mv = moment_vanishing(p, deg, 0, [1, 2, 3, 4, 5])
-print("  angle-Fourier values I(k), vanishing bound k > n(m-j) = 1:")
-for k, v in zip(mv["k_list"], mv["values"]):
+mv = moment_vanishing(p, deg, {0: [1, 2, 3, 4, 5]})
+print(f"  angle-Fourier values I(k) on {mv['theta_grid']} angles, vanishing bound k > n(m-j) = 1:")
+for k, v in zip(mv["per_j"][0]["k_list"], mv["per_j"][0]["values"]):
     print(f"    I({k}) = {v.real:+.3e} {v.imag:+.3e}i")
 print("  (I(1) = -3 is the sharpness value at the bound)")
 print()
@@ -40,8 +40,8 @@ print(f"  off-diagonal slice inner products: max {check['offdiag_max']:.2e}")
 print(f"  diagonal law D[m-i]/D[m-i-1]     : residual {check['lu_law_residual']:.2e}")
 print(f"  variant subscript D[m-i]/D[m-i+1]: residual {check['variant_law_residual']:.2e}"
       f"  -> matches: {check['matches_variant_law']}")
-for j in range(m):
-    bound = n * (m - j)
-    mv = moment_vanishing(q, qdeg, j, [bound + 1, bound + 2])
-    mags = ", ".join(f"|I({k})|={abs(v):.1e}" for k, v in zip(mv["k_list"], mv["values"]))
-    print(f"  j={j}: bound n(m-j)={bound}; beyond it {mags}")
+mv = moment_vanishing(q, qdeg, {j: [n * (m - j) + 1, n * (m - j) + 2] for j in range(m)})
+print(f"  one sweep of {mv['theta_grid']} angles for every j:")
+for j, entry in mv["per_j"].items():
+    mags = ", ".join(f"|I({k})|={abs(v):.1e}" for k, v in zip(entry["k_list"], entry["values"]))
+    print(f"  j={j}: bound n(m-j)={n * (m - j)}; beyond it {mags}")

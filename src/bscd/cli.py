@@ -70,7 +70,6 @@ CONFIG_KEYS = {
     "theta_grid",
     "seed",
     "method",
-    "j",
     "k_max",
     "output",
     "format",
@@ -89,7 +88,6 @@ class RunConfig:
     theta_grid: int = 32
     seed: int = 0
     method: str = "grid"
-    j_index: int | None = None
     k_max: int | None = None
     output: str | None = None
     format: str = "json"
@@ -174,7 +172,6 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     theta_grid = int(merged.get("theta_grid", 32))
     if theta_grid < 1:
         raise ConfigInvalid("theta_grid must be positive")
-    j_index = merged.get("j")
     k_max = merged.get("k_max")
     return RunConfig(
         polynomial=poly,
@@ -187,7 +184,6 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         theta_grid=theta_grid,
         seed=int(merged.get("seed", 0)),
         method=method,
-        j_index=None if j_index is None else int(j_index),
         k_max=None if k_max is None else int(k_max),
         output=merged.get("output"),
         format=fmt,
@@ -271,6 +267,7 @@ def _suite_moments(art: Artifacts, cfg: RunConfig):
 
 
 def _suite_schur_cohn(art: Artifacts, cfg: RunConfig):
+    measure.ensure_stable(cfg.polynomial, cfg.deg)
     T = art.get("matrix")
     m = cfg.deg.m
     rows = []
@@ -412,18 +409,19 @@ def _suite_parametric(art: Artifacts, cfg: RunConfig):
                 "matches_variant_law": check["matches_variant_law"],
             }
         )
-    vanishing = {}
-    j_values = range(m) if cfg.j_index is None else [cfg.j_index]
-    for j in j_values:
+    k_lists = {}
+    for j in range(m):
         bound = n * (m - j)
         k_top = cfg.k_max if cfg.k_max is not None else bound + 3
-        k_list = list(range(bound + 1, max(k_top, bound + 1) + 1))
-        result = parametric.moment_vanishing(cfg.polynomial, cfg.deg, j, k_list)
-        for value in result["values"]:
+        k_lists[j] = list(range(bound + 1, max(k_top, bound + 1) + 1))
+    result = parametric.moment_vanishing(cfg.polynomial, cfg.deg, k_lists)
+    vanishing = {}
+    for j, entry in result["per_j"].items():
+        for value in entry["values"]:
             violation = max(violation, abs(value))
         vanishing[str(j)] = {
-            "k_list": result["k_list"],
-            "values": [[v.real, v.imag] for v in result["values"]],
+            "k_list": entry["k_list"],
+            "values": [[v.real, v.imag] for v in entry["values"]],
             "theta_grid": result["theta_grid"],
         }
     details = {"rows": rows, "vanishing": vanishing}
@@ -591,7 +589,6 @@ def main(argv=None) -> int:
     parser.add_argument("--margin", type=int)
     parser.add_argument("--shift-max", type=int)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--j", type=int)
     parser.add_argument("--k-max", type=int)
     args = parser.parse_args(argv)
 
@@ -603,7 +600,6 @@ def main(argv=None) -> int:
             "margin": args.margin,
             "shift_max": args.shift_max,
             "seed": args.seed,
-            "j": args.j,
             "k_max": args.k_max,
             "output": args.out,
         }

@@ -112,9 +112,13 @@ def check_stability(
     if deg is None:
         deg = DegreePair(box[1], box[3])
     p._require_support_in_box(deg)
-    return _cached_stability(p, deg.n, deg.m, grid)
+    verdict = _cached_stability(p, deg.n, deg.m, grid)
+    if isinstance(verdict, str):
+        raise InconclusiveNearBoundary(verdict)
+    return verdict
 
 
+# an inconclusive verdict is returned as its message, so that the cache keeps it
 @lru_cache(maxsize=128)
 def _cached_stability(p, n, m, grid):
     min_root = np.inf
@@ -156,9 +160,7 @@ def _cached_stability(p, n, m, grid):
         min_modulus = min(min_modulus, abs(p(*witness)))
         return StabilityReport(False, witness, min_modulus)
     if min_root < 1.0 + BOUNDARY_TOL:
-        raise InconclusiveNearBoundary(
-            f"root modulus {min_root!r} within {BOUNDARY_TOL} of the unit circle"
-        )
+        return f"root modulus {float(min_root)!r} within {BOUNDARY_TOL} of the unit circle"
     return StabilityReport(True, None, min_modulus)
 
 
@@ -444,7 +446,9 @@ def _slice_moments_unchecked(p, deg, theta, lag, tol=DEFAULT_SLICE_TOL):
         if err < tol:
             break
         if size >= GRID_CAP:
-            raise NoConvergence(f"slice moments not stable at grid {GRID_CAP}")
+            raise NoConvergence(
+                f"slice moments not stable at grid {GRID_CAP} (change {err:.3e})"
+            )
         prev = cur
     sym = 0.5 * (cur + np.conj(cur[::-1]))
     sym[lag] = sym[lag].real

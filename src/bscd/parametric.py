@@ -151,58 +151,57 @@ def orthogonality_check(
 def moment_vanishing(
     p: BivariateLaurentPoly,
     deg: DegreePair,
-    j: int,
-    k_list,
-    tol: float = 1e-11,
+    k_lists,
 ) -> dict:
-    """Angle-Fourier coefficients of the weighted squared slice norm.
+    """Angle-Fourier coefficients of the weighted squared slice norms.
 
-    Computes ``I(k) = (1/2pi) int e^{ik theta} D[m-j-1](theta)
-    <phi_j, phi_j>_theta d theta`` on a doubling uniform grid.  The weighted
-    integrand equals ``D[m-j](theta)``, a trigonometric polynomial of degree
-    at most ``n (m - j)``, so the integral vanishes beyond that frequency.
-    The variant weight ``D[m-j+1]`` is tabulated as well where defined.
+    ``k_lists`` maps each ``j`` to its frequencies ``k``.  Computes ``I_j(k) =
+    (1/2pi) int e^{ik theta} D[m-j-1](theta) <phi_j, phi_j>_theta d theta``; the
+    integrand equals ``D[m-j](theta)``, a trigonometric polynomial of degree at
+    most ``n (m - j)``, so ``I_j`` vanishes beyond that frequency.  With ``N``
+    the smallest power of two above every ``n (m - j) + |k|`` the N-angle sum
+    is free of aliasing.  The 2N angles are sampled once for all ``j``; the N
+    grid among them must give the same values to ``1e-11`` of the largest
+    integrand, else :class:`NoConvergence`.  The variant weight ``D[m-j+1]``
+    is tabulated too where defined (``j >= 1``).
     """
     n, m = deg
-    if not 0 <= j <= m - 1:
-        raise IndexOutOfRange(f"index {j} outside 0..{m - 1}")
+    k_lists = {int(j): [int(k) for k in ks] for j, ks in sorted(k_lists.items())}
+    if any(not 0 <= j <= m - 1 for j in k_lists):
+        raise IndexOutOfRange(f"indices {list(k_lists)} not all in 0..{m - 1}")
     ensure_stable(p, deg)
     T = schur_cohn_matrix(p, deg)
-    k_list = [int(k) for k in k_list]
-    variant_defined = m - j + 1 <= m
-
-    def tabulate(grid_size: int):
-        main = np.zeros(len(k_list), dtype=complex)
-        variant = np.zeros(len(k_list), dtype=complex) if variant_defined else None
-        for idx in range(grid_size):
-            theta = 2.0 * np.pi * idx / grid_size
-            op = parametric_polynomials(p, deg, theta, T)
-            sm = _slice_moments_unchecked(p, deg, theta, m - 1)
-            nrm = slice_inner_product(op.phi[j], op.phi[j], sm).real
-            phases = np.exp(1j * theta * np.asarray(k_list))
-            main += phases * (op.D.D[m - j - 1] * nrm) / grid_size
-            if variant is not None:
-                variant += phases * (op.D.D[m - j + 1] * nrm) / grid_size
-        return main, variant
-
-    grid_size = 64
-    prev_main, prev_variant = tabulate(grid_size)
-    while True:
-        grid_size *= 2
-        main, variant = tabulate(grid_size)
-        if float(np.max(np.abs(main - prev_main))) < tol:
-            break
-        if grid_size >= 2048:
-            raise NoConvergence("angle grid for the vanishing check did not settle")
-        prev_main, prev_variant = main, variant
-    return {
-        "k_list": k_list,
-        "values": [complex(v) for v in main],
-        "variant_values": (
-            None if variant is None else [complex(v) for v in variant]
-        ),
-        "theta_grid": grid_size,
-    }
+    bands = [n * (m - j) + max(map(abs, ks), default=0) for j, ks in k_lists.items()]
+    half = 1 << max(bands, default=0).bit_length()
+    size = 2 * half
+    js = np.array(list(k_lists), dtype=int)
+    D = np.empty((size, m + 1))
+    norms = np.empty((js.size, size))
+    for idx in range(size):
+        theta = 2.0 * np.pi * idx / size
+        op = parametric_polynomials(p, deg, theta, T)
+        sm = _slice_moments_unchecked(p, deg, theta, m - 1)
+        D[idx] = op.D.D
+        norms[:, idx] = [slice_inner_product(op.phi[j], op.phi[j], sm).real for j in js]
+    main = D[:, m - js - 1].T * norms
+    fine, coarse = np.fft.ifft(main), np.fft.ifft(main[:, ::2])
+    variant = np.fft.ifft(D[:, np.minimum(m - js + 1, m)].T * norms)  # j = 0: unused
+    per_j = {}
+    # |k| < N, so a negative k indexes the FFT from the end, as it should
+    for row, (j, ks) in enumerate(k_lists.items()):
+        change = float(np.max(np.abs(fine[row, ks] - coarse[row, ks]), initial=0.0))
+        scale = float(np.max(np.abs(main[row])))
+        if change > 1e-11 * max(1.0, scale):
+            raise NoConvergence(
+                f"vanishing check for j={j}: grids {half} and {size} differ by "
+                f"{change:.3e} at integrand scale {scale:.3e}"
+            )
+        per_j[j] = {
+            "k_list": ks,
+            "values": [complex(v) for v in fine[row, ks]],
+            "variant_values": [complex(v) for v in variant[row, ks]] if j else None,
+        }
+    return {"theta_grid": size, "per_j": per_j}
 
 
 def gram_schmidt_slice_polynomials(

@@ -197,14 +197,12 @@ def test_criterion_7_parametric_polynomials():
                 assert check["lu_law_residual"] < 1e-9
                 if m >= 2:
                     assert check["matches_variant_law"] is False
-            for j in range(m):
-                bound = n * (m - j)
-                result = moment_vanishing(
-                    p, deg, j, [bound + 1, bound + 2, bound + 3]
-                )
-                assert all(abs(v) < 1e-8 for v in result["values"])
+            k_lists = {j: [n * (m - j) + d for d in (1, 2, 3)] for j in range(m)}
+            result = moment_vanishing(p, deg, k_lists)
+            for entry in result["per_j"].values():
+                assert all(abs(v) < 1e-8 for v in entry["values"])
 
-        sharp = moment_vanishing(WORKED, WORKED_DEG, 0, [1])
+        sharp = moment_vanishing(WORKED, WORKED_DEG, {0: [1]})["per_j"][0]
         assert abs(sharp["values"][0] - (-3.0)) <= 1e-8
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from bscd import cli
+from bscd import cli, measure
 from bscd.errors import ConfigInvalid, NoConvergence
 
 from conftest import WORKED, WORKED_DEG
@@ -101,6 +101,24 @@ def test_near_boundary_is_inconclusive_exit_three(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 3
     assert payload["status"] == "inconclusive"
+
+
+def test_near_boundary_run_scans_stability_once(tmp_path):
+    # p = 2.0000000001 - z - w has a w-root of modulus 1 + 1e-10 at z = 1, too
+    # close for the slice moments to converge: every suite must stop at the
+    # one cached stability verdict
+    nearly = {"n": 1, "m": 1, "coeffs": [[[2.0000000001, 0], [-1, 0]], [[-1, 0], [0, 0]]]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"polynomial": nearly}))
+    out = tmp_path / "report.json"
+    measure._cached_stability.cache_clear()
+    code = cli.main(["all", "--config", str(path), "--out", str(out)])
+    doc = json.loads(out.read_text())
+    cache = measure._cached_stability.cache_info()
+    assert code == 3
+    assert doc["schur-cohn"]["status"] == "inconclusive"
+    assert cache.misses == 1 and cache.hits >= 1
+    assert doc["stability"]["details"]["message"].startswith("root modulus 1.0000000001 ")
 
 
 def test_moments_suite_cross_validates(tmp_path, capsys):

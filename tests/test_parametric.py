@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bscd.errors import IndexOutOfRange, NotPositiveDefinite
-from bscd.measure import slice_moments, slice_inner_product
+from bscd import parametric
+from bscd.measure import random_stable_poly, slice_moments, slice_inner_product
 from bscd.parametric import (
     gram_schmidt_slice_polynomials,
     lu_no_pivot,
@@ -144,21 +145,34 @@ def test_uniqueness_via_gram_schmidt(random_family):
 
 
 def test_worked_example_fourier_values():
-    result = moment_vanishing(WORKED, WORKED_DEG, 0, [1, 2, 5])
-    values = dict(zip(result["k_list"], result["values"]))
+    entry = moment_vanishing(WORKED, WORKED_DEG, {0: [1, 2, 5]})["per_j"][0]
+    values = dict(zip(entry["k_list"], entry["values"]))
     assert values[1] == pytest.approx(-3.0, abs=1e-10)
     assert abs(values[2]) < 1e-10
     assert abs(values[5]) < 1e-10
 
 
-def test_vanishing_beyond_frequency_bound(random_family):
-    for p, deg in random_family[:4]:
+def test_vanishing_beyond_frequency_bound(random_family, monkeypatch):
+    # the (8,8) integrands reach about 4e4, so roundoff exceeds an absolute 1e-11
+    cases = random_family[:4] + [random_stable_poly(8, 8, np.random.default_rng(2))]
+    calls = []
+    build = parametric.parametric_polynomials
+    monkeypatch.setattr(
+        parametric, "parametric_polynomials", lambda *a: calls.append(a) or build(*a)
+    )
+    for p, deg in cases:
         n, m = deg
-        for j in range(m):
-            bound = n * (m - j)
-            ks = [bound + 1, bound + 2, bound + 3]
-            result = moment_vanishing(p, deg, j, ks)
-            assert all(abs(v) < 1e-8 for v in result["values"])
+        k_lists = {j: [n * (m - j) + d for d in (1, 2, 3)] for j in range(m)}
+        calls.clear()
+        result = moment_vanishing(p, deg, k_lists)
+        # N: the smallest power of two above n m + (n m + 3), the j = 0 band
+        N = 1
+        while N <= 2 * n * m + 3:
+            N *= 2
+        assert len(calls) == result["theta_grid"] == 2 * N
+        assert sorted(result["per_j"]) == list(range(m))
+        for entry in result["per_j"].values():
+            assert all(abs(v) < 1e-8 for v in entry["values"])
 
 
 def test_variant_weight_does_not_vanish(random_family):
@@ -168,14 +182,14 @@ def test_variant_weight_does_not_vanish(random_family):
     n, m = deg
     j = 1
     bound = n * (m - j)
-    result = moment_vanishing(p, deg, j, [bound + 1])
-    assert result["variant_values"] is not None
-    assert abs(result["variant_values"][0]) > 1e-4
+    variant = moment_vanishing(p, deg, {j: [bound + 1]})["per_j"][j]["variant_values"]
+    assert variant is not None
+    assert abs(variant[0]) > 1e-4
 
 
 def test_vanishing_index_validation():
     with pytest.raises(IndexOutOfRange):
-        moment_vanishing(WORKED, WORKED_DEG, 1, [2])
+        moment_vanishing(WORKED, WORKED_DEG, {1: [2]})
 
 
 # ----------------------------------------------------------------------
