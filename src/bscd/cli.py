@@ -104,11 +104,8 @@ class SuiteReport:
 
 
 def default_window(deg: DegreePair, margin: int, shift_max: int) -> tuple[int, int]:
-    n, m = deg
-    return (
-        max(3 * n + margin + shift_max, n + 2 * margin),
-        max(2 * m + margin, m + 2 * margin),
-    )
+    A, B = subspaces.orthogonality_window(deg, margin, shift_max)
+    return (A, max(B, deg.m + 2 * margin))
 
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
@@ -331,6 +328,7 @@ def _orth_pairs_json(report):
 def _suite_verify_orthogonality(art: Artifacts, cfg: RunConfig):
     ks = art.get("kernelset")
     moments = art.get("moments")
+    moments.require(subspaces.orthogonality_window(cfg.deg, cfg.margin, cfg.shift_max))
     scale = min(
         measure.norm(ak, moments) for ak in ks.a
     )

@@ -34,15 +34,24 @@ class TruncationTooSmall(BscdError):
 
 
 class WindowTooSmall(BscdError):
-    """A required moment index lies outside the available window."""
+    """A required moment index lies outside the available window.
 
-    def __init__(self, index, window):
+    With ``needed`` set, ``index`` is the corner ``(max |a|, max |b|)`` of the
+    window that a whole computation needs, checked before any moment is read.
+    """
+
+    def __init__(self, index, window, needed: bool = False):
         self.index = tuple(index)
         self.window = tuple(window)
-        super().__init__(
-            f"moment index {self.index} outside window "
-            f"|a| <= {self.window[0]}, |b| <= {self.window[1]}"
-        )
+        have = f"|a| <= {self.window[0]}, |b| <= {self.window[1]}"
+        if needed:
+            message = (
+                f"moment window |a| <= {self.index[0]}, |b| <= {self.index[1]} "
+                f"needed, table has {have}"
+            )
+        else:
+            message = f"moment index {self.index} outside window {have}"
+        super().__init__(message)
 
 
 class DegenerateDegree(BscdError):

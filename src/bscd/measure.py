@@ -14,7 +14,9 @@ spectrally.  Two independent moment pipelines are provided:
   for the grid path.
 
 All DFT reductions are FFT butterflies or numpy pairwise sums, so results
-are deterministic.  Every published value is immutable after construction.
+are deterministic.  Pairings of polynomials against a moment table are
+matrix products with its lag matrix (:meth:`MomentTable.lag_matrix`).
+Every published value is immutable after construction.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import (
     WindowTooSmall,
     ZeroPolynomial,
 )
-from .poly import BivariateLaurentPoly, DegreePair
+from .poly import BivariateLaurentPoly, DegreePair, coefficient_matrix
 
 BOUNDARY_TOL = 1e-9
 GRID_START = 256
@@ -204,6 +206,35 @@ class MomentTable:
         if abs(a) > A or abs(b) > B:
             raise WindowTooSmall((a, b), self.window)
         return complex(self._values[a + A, b + B])
+
+    def require(self, window) -> None:
+        """Raise :class:`WindowTooSmall` unless the table holds every moment
+        with ``|a| <= window[0]`` and ``|b| <= window[1]``."""
+        if window[0] > self.window[0] or window[1] > self.window[1]:
+            raise WindowTooSmall(window, self.window, needed=True)
+
+    def lag_matrix(self, rows, cols) -> np.ndarray:
+        """The moments ``M[r, c] = c[cols[c] - rows[r]]`` between two exponent lists.
+
+        For ``f`` with coefficients ``fv`` on ``cols`` and ``g`` with ``gv`` on
+        ``rows``, ``<f, g> = conj(gv) @ M @ fv``.  Every lag is checked before
+        any is read, so a short window is reported as the window all of them
+        need.
+        """
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1, 2)
+        cols = np.asarray(cols, dtype=np.intp).reshape(-1, 2)
+        if rows.size == 0 or cols.size == 0:
+            return np.zeros((len(rows), len(cols)), dtype=complex)
+        lo = cols.min(axis=0) - rows.max(axis=0)
+        hi = cols.max(axis=0) - rows.min(axis=0)
+        self.require(tuple(int(x) for x in np.maximum(-lo, hi)))
+        # flat index of lag (a, b) in the row-major value array, split into a
+        # column part and a row part so that one index array is allocated
+        A, B = self.window
+        width = 2 * B + 1
+        col_key = (cols[:, 0] + A) * width + cols[:, 1] + B
+        row_key = rows[:, 0] * width + rows[:, 1]
+        return self._values.ravel()[col_key - row_key[:, None]]
 
     def as_array(self) -> np.ndarray:
         return self._values.copy()
@@ -382,12 +413,15 @@ def inner_product(
     g: BivariateLaurentPoly,
     moments: MomentTable,
 ) -> complex:
-    """Inner product ``<f, g>`` in L^2 of the measure behind ``moments``."""
-    total = 0j
-    for (fi, fj), fc in f.items():
-        for (gi, gj), gc in g.items():
-            total += fc * gc.conjugate() * moments.get(fi - gi, fj - gj)
-    return total
+    """Inner product ``<f, g>`` in L^2 of the measure behind ``moments``.
+
+    It is ``conj(g) @ M @ f`` over the two supports, with ``M`` their lag
+    matrix in ``moments``.
+    """
+    f_support, f_coeffs = coefficient_matrix([f])
+    g_support, g_coeffs = coefficient_matrix([g])
+    M = moments.lag_matrix(g_support, f_support)
+    return complex((g_coeffs.conj().T @ M @ f_coeffs)[0, 0])
 
 
 def norm(f: BivariateLaurentPoly, moments: MomentTable) -> float:

@@ -264,3 +264,21 @@ class BivariateLaurentPoly:
                 f"support hull {self._box} outside [0, {n}] x [0, {m}]"
             )
 
+
+def coefficient_matrix(polys) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted union of the supports, and each polynomial as a column over it.
+
+    The support comes as an integer array of ``(i, j)`` rows; row ``r`` of the
+    matrix holds the coefficients of ``z^i w^j`` for the ``r``-th of them, zero
+    for a polynomial without that monomial.
+    """
+    polys = list(polys)
+    support = sorted(set().union(*(p._coeffs for p in polys)))
+    row = {ij: r for r, ij in enumerate(support)}
+    matrix = np.zeros((len(support), len(polys)), dtype=complex)
+    for k, p in enumerate(polys):
+        size = len(p._coeffs)
+        rows = np.fromiter((row[ij] for ij in p._coeffs), np.intp, size)
+        matrix[rows, k] = np.fromiter(p._coeffs.values(), complex, size)
+    flat = np.fromiter((e for ij in support for e in ij), np.intp, 2 * len(support))
+    return flat.reshape(-1, 2), matrix

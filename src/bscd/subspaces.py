@@ -24,13 +24,8 @@ from .errors import (
     IndexOutOfRange,
     RankDeficient,
 )
-from .measure import (
-    MomentTable,
-    ensure_stable,
-    inner_product,
-    torus_grid_values,
-)
-from .poly import BivariateLaurentPoly, DegreePair
+from .measure import MomentTable, ensure_stable, torus_grid_values
+from .poly import BivariateLaurentPoly, DegreePair, coefficient_matrix
 from .schur_cohn import diagonal_average, schur_cohn_matrix
 
 GRAM_CONDITION_CAP = 1e12
@@ -93,11 +88,7 @@ class SubspaceSpec:
 
 def gram_matrix(S, moments: MomentTable) -> np.ndarray:
     """Hermitian Gram matrix ``G[a, b] = <m_b, m_a>`` over the monomial list."""
-    S = list(S)
-    G = np.empty((len(S), len(S)), dtype=complex)
-    for r, (ri, rj) in enumerate(S):
-        for c, (ci, cj) in enumerate(S):
-            G[r, c] = moments.get(ci - ri, cj - rj)
+    G = moments.lag_matrix(S, S)
     return 0.5 * (G + G.conj().T)
 
 
@@ -164,40 +155,36 @@ def reproducing_kernel(spec: SubspaceSpec, moments: MomentTable) -> KernelEvalua
     return KernelEvaluator(spec, moments)
 
 
+def _complement_coefficients(spec: SubspaceSpec, moments: MomentTable) -> np.ndarray:
+    """Orthonormal basis of ``span(S1) - span(S2)``, one column over ``S1`` each.
+
+    Each monomial of ``S1`` outside ``S2`` minus its projection onto
+    ``span(S2)`` is a residual; the residuals are orthonormalized through the
+    Cholesky factor of their Gram matrix.
+    """
+    S1 = list(spec.S1)
+    extra = [mu for mu in S1 if mu not in set(spec.S2)]
+    residuals = np.zeros((len(S1), len(extra)), dtype=complex)
+    residuals[[S1.index(mu) for mu in extra], np.arange(len(extra))] = 1.0
+    if spec.S2:
+        G2 = gram_matrix(spec.S2, moments)
+        _require_conditioned(G2, IllConditionedGram, "nested-span Gram")
+        # column c holds <z^mu, z^alpha> over alpha in S2, for mu = extra[c]
+        projection = np.linalg.solve(G2, moments.lag_matrix(spec.S2, extra))
+        residuals[[S1.index(alpha) for alpha in spec.S2]] = -projection
+    Gb = residuals.conj().T @ moments.lag_matrix(S1, S1) @ residuals
+    Gb = 0.5 * (Gb + Gb.conj().T)
+    _require_conditioned(Gb, IllConditionedGram, "complement Gram")
+    C = np.linalg.inv(np.linalg.cholesky(Gb)).conj().T
+    return residuals @ C
+
+
 def orthonormal_complement_basis(
     spec: SubspaceSpec, moments: MomentTable
 ) -> list[BivariateLaurentPoly]:
     """Orthonormal basis of ``span(S1) - span(S2)`` as explicit polynomials."""
-    residuals = []
-    extra = [mu for mu in spec.S1 if mu not in set(spec.S2)]
-    if spec.S2:
-        G2 = gram_matrix(spec.S2, moments)
-        _require_conditioned(G2, IllConditionedGram, "nested-span Gram")
-    for mu in extra:
-        b = BivariateLaurentPoly.monomial(*mu)
-        if spec.S2:
-            r = np.array(
-                [moments.get(mu[0] - a[0], mu[1] - a[1]) for a in spec.S2]
-            )
-            x = np.linalg.solve(G2, r)
-            for coeff, alpha in zip(x, spec.S2):
-                b = b - BivariateLaurentPoly.monomial(*alpha).scale(coeff)
-        residuals.append(b)
-    Gb = np.empty((len(residuals), len(residuals)), dtype=complex)
-    for r in range(len(residuals)):
-        for c in range(len(residuals)):
-            Gb[r, c] = inner_product(residuals[c], residuals[r], moments)
-    Gb = 0.5 * (Gb + Gb.conj().T)
-    _require_conditioned(Gb, IllConditionedGram, "complement Gram")
-    C = np.linalg.inv(np.linalg.cholesky(Gb)).conj().T
-    basis = []
-    for k in range(len(residuals)):
-        phi = BivariateLaurentPoly.zero()
-        for j in range(len(residuals)):
-            if C[j, k] != 0:
-                phi = phi + residuals[j].scale(C[j, k])
-        basis.append(phi)
-    return basis
+    basis = _complement_coefficients(spec, moments)
+    return [BivariateLaurentPoly(dict(zip(spec.S1, column))) for column in basis.T]
 
 
 # ----------------------------------------------------------------------
@@ -258,6 +245,26 @@ def _report(pairs) -> OrthReport:
     return OrthReport(tuple(pairs), float(max_violation))
 
 
+def _window_pairings(polys, moments: MomentTable, i0: int, i1: int, j0: int, j1: int):
+    """``R[i - i0, j - j0, k] = <polys[k], z^i w^j>`` over a rectangle, at once.
+
+    The lag matrix between the rectangle and the union of the supports holds
+    every moment the pairings read, so its window check covers them all.
+    """
+    support, F = coefficient_matrix(polys)
+    R = moments.lag_matrix(monomial_rect(i0, i1, j0, j1), support) @ F
+    return R.reshape(i1 - i0 + 1, j1 - j0 + 1, F.shape[1])
+
+
+def orthogonality_window(
+    deg: DegreePair, margin: int = 4, shift_max: int = 2
+) -> tuple[int, int]:
+    """The moment window ``(max |a|, max |b|)`` that :func:`orthogonality_report`
+    and :func:`shift_orthogonality_report` read together."""
+    n, m = deg
+    return (max(3 * n + margin + shift_max, n + 2 * margin), 2 * m + margin)
+
+
 def orthogonality_report(
     p: BivariateLaurentPoly,
     deg: DegreePair,
@@ -274,14 +281,16 @@ def orthogonality_report(
     """
     ensure_stable(p, deg)
     n, m = deg
+    # the window, and the targets z^(j1+n-j2) w^k1 of the duality part
+    i0, j0 = min(-(n + margin), n - 2 * margin), -(m + margin)
+    i_top = max(2 * n + margin, n + 2 * margin)
+    R = _window_pairings(kernelset.a, moments, i0, i_top, j0, 2 * m + margin)
     pairs = []
-    for k, ak in enumerate(kernelset.a):
+    for k in range(len(kernelset.a)):
         for i in range(-(n + margin), 2 * n + margin + 1):
             for j in range(-(m + margin), 2 * m + margin + 1):
                 if in_coefficient_orthogonality_set(i, j, k, deg):
-                    val = inner_product(
-                        ak, BivariateLaurentPoly.monomial(i, j), moments
-                    )
+                    val = complex(R[i - i0, j - j0, k])
                     pairs.append((f"a_{k}", (i, j), val))
     for j1 in range(-margin, margin + 1):
         for k1 in range(m):
@@ -289,11 +298,8 @@ def orthogonality_report(
                 for k2 in range(m):
                     if (j1, k1) == (j2, k2):
                         continue
-                    val = inner_product(
-                        BivariateLaurentPoly.monomial(j1 + n, k1),
-                        kernelset.a[k2].shift(j2, 0),
-                        moments,
-                    )
+                    # <z^(j1+n) w^k1, z^j2 a_k2> = conj(<a_k2, z^(j1+n-j2) w^k1>)
+                    val = complex(R[j1 + n - j2 - i0, k1 - j0, k2]).conjugate()
                     pairs.append(
                         (f"dual[{j1},{k1};{j2},{k2}]", (j1 + n, k1), val)
                     )
@@ -304,11 +310,9 @@ def kernel_pivot_values(
     kernelset: CDKernelSet, moments: MomentTable
 ) -> list[complex]:
     """The pairings ``<a_k, z^n w^k>`` (observed to be 1, not assumed)."""
-    n, _ = kernelset.deg
-    return [
-        inner_product(ak, BivariateLaurentPoly.monomial(n, k), moments)
-        for k, ak in enumerate(kernelset.a)
-    ]
+    n, m = kernelset.deg
+    R = _window_pairings(kernelset.a, moments, n, n, 0, m - 1)
+    return [complex(R[0, k, k]) for k in range(m)]
 
 
 def parameter_sum_orthogonality(
@@ -319,12 +323,15 @@ def parameter_sum_orthogonality(
 ) -> OrthReport:
     """The full kernel at one parameter against its annihilated window."""
     n, m = kernelset.deg
-    L = kernelset.parameter_sum(eta)
+    i0, j0 = -(n + margin), -(m + margin)
+    R = _window_pairings(kernelset.a, moments, i0, 2 * n + margin, j0, 2 * m + margin)
+    # the kernel at eta is sum_k a_k conj(eta)^k
+    L = R @ np.conj(eta) ** np.arange(len(kernelset.a))
     pairs = []
     for i in range(-(n + margin), 2 * n + margin + 1):
         for j in range(-(m + margin), 2 * m + margin + 1):
             if in_kernel_orthogonality_set(i, j, kernelset.deg):
-                val = inner_product(L, BivariateLaurentPoly.monomial(i, j), moments)
+                val = complex(L[i - i0, j - j0])
                 pairs.append((f"L(eta={eta:.3g})", (i, j), val))
     return _report(pairs)
 
@@ -346,26 +353,28 @@ def shift_orthogonality_report(
     """
     ensure_stable(p, deg)
     n, m = deg
+    i0 = -(n + margin + shift_max)
+    R = _window_pairings(kernelset.a, moments, i0, n - 1, 0, m + margin)
     pairs = []
     for s in range(shift_max + 1):
-        for k, ak in enumerate(kernelset.a):
-            shifted = ak.shift(s, 0)
+        for k in range(len(kernelset.a)):
             for i in range(-(n + margin), n):
                 for j in range(0, m + margin + 1):
-                    val = inner_product(
-                        shifted, BivariateLaurentPoly.monomial(i, j), moments
-                    )
+                    # <z^s a_k, z^i w^j> = <a_k, z^(i-s) w^j>
+                    val = complex(R[i - s - i0, j, k])
                     pairs.append((f"z^{s}a_{k}", (i, j), val))
     spec = SubspaceSpec(
         monomial_rect(0, n, 0, m - 1),
         monomial_rect(0, n - 1, 0, m - 1) if n >= 1 else (),
     )
-    basis = orthonormal_complement_basis(spec, moments)
+    basis = _complement_coefficients(spec, moments)
     for s in range(1, shift_max + 1):
-        for bi, phi_i in enumerate(basis):
-            shifted = phi_i.shift(s, 0)
-            for bj, phi_j in enumerate(basis):
-                val = inner_product(shifted, phi_j, moments)
+        # P[bj, bi] = <z^s phi_bi, phi_bj>
+        shifted = [(i + s, j) for i, j in spec.S1]
+        P = basis.conj().T @ moments.lag_matrix(spec.S1, shifted) @ basis
+        for bi in range(len(P)):
+            for bj in range(len(P)):
+                val = complex(P[bj, bi])
                 pairs.append((f"z^{s}H[{bi}]|H[{bj}]", (s, 0), val))
     return _report(pairs)
 
@@ -499,12 +508,9 @@ def closed_form_kernel_residual(
                 if not (i >= n and j >= m)
             ]
             G = gram_matrix(W, moments)
-            r = np.array(
-                [
-                    inner_product(f, BivariateLaurentPoly.monomial(i, j), moments)
-                    for (i, j) in W
-                ]
-            )
+            support, coeffs = coefficient_matrix([f])
+            # r[(i, j)] = <f, z^i w^j>
+            r = (moments.lag_matrix(W, support) @ coeffs)[:, 0]
             x = np.linalg.solve(G, r)
         for y in points:
             paired = closed_form_kernel_pairing(p, deg, f, y, grid, cache)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from bscd import cli, measure
@@ -119,6 +120,27 @@ def test_near_boundary_run_scans_stability_once(tmp_path):
     assert doc["schur-cohn"]["status"] == "inconclusive"
     assert cache.misses == 1 and cache.hits >= 1
     assert doc["stability"]["details"]["message"].startswith("root modulus 1.0000000001 ")
+
+
+def test_short_window_names_the_window_verify_orthogonality_needs(tmp_path):
+    # at degree (2, 2) with margin 4 and shift_max 2 the orthogonality reports
+    # read moments up to |a| <= 12, |b| <= 8
+    p, deg = measure.random_stable_poly(2, 2, np.random.default_rng(3))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"polynomial": p.to_json_dict(deg), "window": [5, 4]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bscd.cli", "verify-orthogonality", "--config", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["status"] == "fail"
+    assert payload["details"] == {
+        "error": "WindowTooSmall",
+        "message": "moment window |a| <= 12, |b| <= 8 needed, table has |a| <= 5, |b| <= 4",
+    }
 
 
 def test_moments_suite_cross_validates(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bscd import measure
 from bscd.errors import (
@@ -152,6 +153,61 @@ def test_window_too_small_reports_missing_index(worked_moments):
     with pytest.raises(WindowTooSmall) as info:
         inner_product(Poly.monomial(40, 0), Poly.constant(1), worked_moments)
     assert info.value.index == (40, 0)
+
+
+def scalar_inner_product(f, g, moments):
+    """The definition: one moment per pair of monomials, summed in order."""
+    total = 0j
+    for (fi, fj), fc in f.items():
+        for (gi, gj), gc in g.items():
+            total += fc * gc.conjugate() * moments.get(fi - gi, fj - gj)
+    return total
+
+
+# exponents reach past the (10, 8) window of the worked moments, so some
+# pairings need moments the table does not hold
+exponents = st.tuples(st.integers(-7, 7), st.integers(-6, 6))
+coefficients = st.builds(
+    complex,
+    st.floats(-2, 2, allow_nan=False, allow_infinity=False),
+    st.floats(-2, 2, allow_nan=False, allow_infinity=False),
+)
+laurent_polys = st.dictionaries(exponents, coefficients, min_size=1, max_size=6).map(Poly)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=laurent_polys, g=laurent_polys)
+def test_inner_product_matches_the_scalar_definition(worked_moments, f, g):
+    try:
+        expected = scalar_inner_product(f, g, worked_moments)
+    except WindowTooSmall:
+        with pytest.raises(WindowTooSmall):
+            inner_product(f, g, worked_moments)
+        return
+    value = inner_product(f, g, worked_moments)
+    assert abs(value - expected) <= 1e-13 * (1 + abs(expected))
+
+
+@settings(max_examples=100, deadline=None)
+# every lag of these lists lies inside the (10, 8) window
+@given(S=st.lists(st.tuples(st.integers(-5, 5), st.integers(-4, 4)), unique=True, max_size=12))
+def test_gram_matrix_is_the_table_entry_for_entry(worked_moments, S):
+    from bscd.subspaces import gram_matrix
+
+    G = np.array(
+        [[worked_moments.get(ci - ri, cj - rj) for (ci, cj) in S] for (ri, rj) in S],
+        dtype=complex,
+    ).reshape(len(S), len(S))
+    assert np.array_equal(gram_matrix(S, worked_moments), 0.5 * (G + G.conj().T))
+
+
+def test_lag_matrix_names_the_window_every_lag_needs(worked_moments):
+    with pytest.raises(WindowTooSmall) as info:
+        worked_moments.lag_matrix([(0, 0), (3, -1)], [(-9, 2), (1, 4), (12, 0)])
+    assert info.value.index == (12, 5)
+    assert str(info.value) == (
+        "moment window |a| <= 12, |b| <= 5 needed, table has |a| <= 10, |b| <= 8"
+    )
 
 
 def test_orthogonality_of_p_and_reflection(random_family_with_moments):

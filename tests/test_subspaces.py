@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from bscd.errors import DegenerateDegree, IndexOutOfRange
-from bscd.measure import inner_product, moments_from_grid, norm
+from bscd import measure, subspaces
+from bscd.cd_kernel import cd_kernel_set
+from bscd.errors import DegenerateDegree, IndexOutOfRange, WindowTooSmall
+from bscd.measure import (
+    MomentTable,
+    inner_product,
+    moments_from_grid,
+    norm,
+    random_stable_poly,
+)
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair
 from bscd.subspaces import (
     SubspaceSpec,
@@ -17,6 +25,7 @@ from bscd.subspaces import (
     kernel_pivot_values,
     monomial_rect,
     orthogonality_report,
+    orthogonality_window,
     orthonormal_complement_basis,
     parameter_sum_orthogonality,
     reconstruct_kernel_coefficient,
@@ -212,6 +221,134 @@ def test_shifted_family_spans_complement(random_family_with_moments, random_kern
             )
     sigma = np.linalg.svd(np.array(rows), compute_uv=False)
     assert sigma[-1] > 1e-8
+
+
+# ----------------------------------------------------------------------
+# Batched reports against their per-pair definitions, at degree (8, 8)
+# ----------------------------------------------------------------------
+
+MARGIN, SHIFT_MAX = 4, 2
+
+
+@pytest.fixture(scope="module")
+def degree_eight():
+    p, deg = random_stable_poly(8, 8, np.random.default_rng(1))
+    table = moments_from_grid(p, orthogonality_window(deg, MARGIN, SHIFT_MAX))
+    return p, deg, cd_kernel_set(p, deg), table
+
+
+def complement_spec(deg):
+    n, m = deg
+    return SubspaceSpec(monomial_rect(0, n, 0, m - 1), monomial_rect(0, n - 1, 0, m - 1))
+
+
+def reference_orthogonality_pairs(deg, ks, table):
+    n, m = deg
+    pairs = []
+    for k, ak in enumerate(ks.a):
+        for i in range(-(n + MARGIN), 2 * n + MARGIN + 1):
+            for j in range(-(m + MARGIN), 2 * m + MARGIN + 1):
+                if in_coefficient_orthogonality_set(i, j, k, deg):
+                    value = inner_product(ak, Poly.monomial(i, j), table)
+                    pairs.append((f"a_{k}", (i, j), value))
+    for j1 in range(-MARGIN, MARGIN + 1):
+        for k1 in range(m):
+            for j2 in range(-MARGIN, MARGIN + 1):
+                for k2 in range(m):
+                    if (j1, k1) != (j2, k2):
+                        value = inner_product(
+                            Poly.monomial(j1 + n, k1), ks.a[k2].shift(j2, 0), table
+                        )
+                        pairs.append((f"dual[{j1},{k1};{j2},{k2}]", (j1 + n, k1), value))
+    return pairs
+
+
+def reference_shift_pairs(deg, ks, table):
+    n, m = deg
+    pairs = []
+    for s in range(SHIFT_MAX + 1):
+        for k, ak in enumerate(ks.a):
+            for i in range(-(n + MARGIN), n):
+                for j in range(0, m + MARGIN + 1):
+                    value = inner_product(ak.shift(s, 0), Poly.monomial(i, j), table)
+                    pairs.append((f"z^{s}a_{k}", (i, j), value))
+    basis = orthonormal_complement_basis(complement_spec(deg), table)
+    for s in range(1, SHIFT_MAX + 1):
+        for bi, phi_i in enumerate(basis):
+            for bj, phi_j in enumerate(basis):
+                value = inner_product(phi_i.shift(s, 0), phi_j, table)
+                pairs.append((f"z^{s}H[{bi}]|H[{bj}]", (s, 0), value))
+    return pairs
+
+
+def assert_same_pairs(report, reference, tol):
+    assert [(label, ij) for label, ij, _ in report.pairs] == [
+        (label, ij) for label, ij, _ in reference
+    ]
+    values = zip(report.pairs, reference)
+    worst = max(abs(got - want) for (_, _, got), (_, _, want) in values)
+    assert worst < tol
+
+
+def test_batched_reports_match_per_pair_definitions(degree_eight):
+    p, deg, ks, table = degree_eight
+    tol = 1e-13 * min(norm(ak, table) for ak in ks.a)
+    report = orthogonality_report(p, deg, ks, table, margin=MARGIN)
+    assert_same_pairs(report, reference_orthogonality_pairs(deg, ks, table), tol)
+    shifts = shift_orthogonality_report(p, deg, ks, table, shift_max=SHIFT_MAX, margin=MARGIN)
+    assert_same_pairs(shifts, reference_shift_pairs(deg, ks, table), tol)
+
+
+def test_batched_reports_read_few_lag_matrices(degree_eight, monkeypatch):
+    p, deg, ks, table = degree_eight
+    calls = {"inner_product": 0, "lag_matrix": 0}
+    pair, lag_matrix = measure.inner_product, MomentTable.lag_matrix
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    counted_pair = counted("inner_product", pair)
+    for module in (measure, subspaces):
+        monkeypatch.setattr(module, "inner_product", counted_pair, raising=False)
+    monkeypatch.setattr(MomentTable, "lag_matrix", counted("lag_matrix", lag_matrix))
+    report = orthogonality_report(p, deg, ks, table, margin=MARGIN)
+    assert len(report.pairs) > 10_000
+    assert calls == {"inner_product": 0, "lag_matrix": 1}
+    calls["lag_matrix"] = 0
+    shifts = shift_orthogonality_report(p, deg, ks, table, shift_max=SHIFT_MAX, margin=MARGIN)
+    assert len(shifts.pairs) > 3_000
+    # the window, the nested Gram, the projections, the complement Gram and
+    # one matrix per shift
+    assert calls == {"inner_product": 0, "lag_matrix": 4 + SHIFT_MAX}
+
+
+def test_complement_basis_is_orthonormal_at_degree_eight(degree_eight):
+    _, deg, _, table = degree_eight
+    basis = orthonormal_complement_basis(complement_spec(deg), table)
+    assert len(basis) == deg.m
+    G = np.array([[inner_product(c, r, table) for c in basis] for r in basis])
+    assert np.max(np.abs(G - np.eye(len(basis)))) < 1e-12
+
+
+def test_orthogonality_window_is_what_the_reports_read():
+    p, deg = random_stable_poly(2, 2, np.random.default_rng(7))
+    ks = cd_kernel_set(p, deg)
+    A, B = orthogonality_window(deg, MARGIN, SHIFT_MAX)
+    assert (A, B) == (12, 8)
+
+    def run_both(window):
+        table = moments_from_grid(p, window)
+        orthogonality_report(p, deg, ks, table, margin=MARGIN)
+        shift_orthogonality_report(p, deg, ks, table, shift_max=SHIFT_MAX, margin=MARGIN)
+
+    run_both((A, B))
+    for short in ((A - 1, B), (A, B - 1)):
+        with pytest.raises(WindowTooSmall, match="needed"):
+            run_both(short)
 
 
 # ----------------------------------------------------------------------
