@@ -10,8 +10,11 @@ spectrally.  Two independent moment pipelines are provided:
   stable.
 * :func:`moments_from_series` expands ``1/p`` as a power series by the
   recursion forced by ``p * (1/p) = 1`` and correlates the series with
-  itself; this never touches an FFT of the density and serves as an oracle
-  for the grid path.
+  itself, doubling the truncation order until the window is stable.  The
+  correlation is one FFT of the zero-padded coefficient array: the padding
+  leaves no wrapped term at any lag of the window, so it is the exact finite
+  sum.  This route never evaluates ``p`` or the density on the torus and
+  serves as an oracle for the grid path.
 
 All DFT reductions are FFT butterflies or numpy pairwise sums, so results
 are deterministic.  Pairings of polynomials against a moment table are
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 from scipy.signal import lfilter
 
 from .errors import (
@@ -41,6 +45,8 @@ from .poly import BivariateLaurentPoly, DegreePair, coefficient_matrix
 BOUNDARY_TOL = 1e-9
 GRID_START = 256
 GRID_CAP = 8192
+SERIES_START = 64
+SERIES_CAP = 4096
 DEFAULT_MOMENT_TOL = 1e-11
 DEFAULT_SLICE_TOL = 1e-12
 SERIES_TOL = 1e-11
@@ -123,23 +129,12 @@ def check_stability(
 # an inconclusive verdict is returned as its message, so that the cache keeps it
 @lru_cache(maxsize=128)
 def _cached_stability(p, n, m, grid):
-    min_root = np.inf
-    witness = None
-
     zs = np.exp(2j * np.pi * np.arange(grid) / grid)
     slice_vals = w_slice(p, zs, m + 1)
-
-    for k in range(grid):
-        coeffs = slice_vals[:, k]
-        if not np.any(coeffs != 0):
-            return StabilityReport(False, (complex(zs[k]), 0j), 0.0)
-        roots = np.roots(coeffs[::-1])
-        if roots.size:
-            moduli = np.abs(roots)
-            idx = int(np.argmin(moduli))
-            if moduli[idx] < min_root:
-                min_root = moduli[idx]
-                witness = (complex(zs[k]), complex(roots[idx]))
+    zero_slices = np.flatnonzero(~slice_vals.any(axis=0))
+    if zero_slices.size:
+        return StabilityReport(False, (complex(zs[zero_slices[0]]), 0j), 0.0)
+    min_root, witness = _min_w_root(slice_vals, zs)
 
     # univariate check along w = 1
     z_coeffs = np.zeros(n + 1, dtype=complex)
@@ -164,6 +159,42 @@ def _cached_stability(p, n, m, grid):
     if min_root < 1.0 + BOUNDARY_TOL:
         return f"root modulus {float(min_root)!r} within {BOUNDARY_TOL} of the unit circle"
     return StabilityReport(True, None, min_modulus)
+
+
+def _min_w_root(slice_vals: np.ndarray, zs: np.ndarray):
+    """Smallest root modulus of ``w -> p(z_k, w)`` over the sampled ``z_k``.
+
+    ``slice_vals[:, k]`` holds the ascending w-coefficients at ``zs[k]``.
+    Returns ``(inf, None)`` when no slice has a root, else the modulus and
+    its ``(z, w)``; ties go to the first slice, then to the first root.
+    Slices of full degree with a nonzero constant term share one batched
+    eigenvalue call on companion matrices built as ``np.roots`` builds them,
+    so their roots are the ``np.roots`` roots to the bit; a slice whose
+    leading or trailing coefficient is zero goes through ``np.roots`` itself.
+    """
+    m = slice_vals.shape[0] - 1
+    best = np.full(slice_vals.shape[1], np.inf)
+    best_root = np.zeros(slice_vals.shape[1], dtype=complex)
+    full = (slice_vals[m] != 0) & (slice_vals[0] != 0)
+    if m >= 1 and full.any():
+        desc = slice_vals[::-1, full].T
+        companion = np.zeros((desc.shape[0], m, m), dtype=complex)
+        companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+        companion[:, np.arange(1, m), np.arange(m - 1)] = 1
+        roots = np.linalg.eigvals(companion)
+        rows = np.arange(roots.shape[0])
+        idx = np.argmin(np.abs(roots), axis=1)
+        best_root[full] = roots[rows, idx]
+        best[full] = np.abs(best_root[full])
+    for k in np.flatnonzero(~full):
+        roots = np.roots(slice_vals[::-1, k])
+        if roots.size:
+            idx = int(np.argmin(np.abs(roots)))
+            best[k], best_root[k] = np.abs(roots[idx]), roots[idx]
+    k = int(np.argmin(best))
+    if best[k] == np.inf:
+        return np.inf, None
+    return best[k], (complex(zs[k]), complex(best_root[k]))
 
 
 def ensure_stable(p: BivariateLaurentPoly, deg: DegreePair | None = None) -> None:
@@ -235,9 +266,6 @@ class MomentTable:
         col_key = (cols[:, 0] + A) * width + cols[:, 1] + B
         row_key = rows[:, 0] * width + rows[:, 1]
         return self._values.ravel()[col_key - row_key[:, None]]
-
-    def as_array(self) -> np.ndarray:
-        return self._values.copy()
 
     def max_difference(self, other: "MomentTable") -> float:
         """Largest entrywise discrepancy over the common window."""
@@ -314,14 +342,19 @@ def moments_from_grid(
         prev = cur
 
 
-def _reciprocal_series(p: BivariateLaurentPoly, m: int, order: int) -> np.ndarray:
+def _reciprocal_series(
+    p: BivariateLaurentPoly, m: int, order: int, shape: tuple[int, int]
+) -> np.ndarray:
     """Power-series coefficients of ``1/p`` up to total order ``order``.
 
     Row ``i`` satisfies a length-(m+1) linear recurrence in ``j`` driven by
-    the previously computed rows, which is an IIR filter along the row.
+    the previously computed rows, which is an IIR filter along the row.  The
+    coefficients fill the leading ``(order+1) x (order+1)`` block of a zero
+    array of the given ``shape``, so the padding the correlation needs costs
+    no copy.
     """
     T = order
-    d = np.zeros((T + 1, T + 1), dtype=complex)
+    d = np.zeros(shape, dtype=complex)
     row_filter = np.zeros(m + 1, dtype=complex)
     prev_terms = []
     for (k, l), c in p.items():
@@ -337,32 +370,58 @@ def _reciprocal_series(p: BivariateLaurentPoly, m: int, order: int) -> np.ndarra
             rhs[0] = 1.0
         for k, l, c in prev_terms:
             if k <= i:
-                if l == 0:
-                    rhs -= c * d[i - k]
-                else:
-                    rhs[l:] -= c * d[i - k, : T + 1 - l]
-        d[i] = lfilter(np.ones(1, dtype=complex), row_filter, rhs)
-    # keep the total-order triangle only
-    ii, jj = np.meshgrid(np.arange(T + 1), np.arange(T + 1), indexing="ij")
-    d[ii + jj > T] = 0
+                rhs[l:] -= c * d[i - k, : T + 1 - l]
+        d[i, : T + 1] = lfilter(np.ones(1, dtype=complex), row_filter, rhs)
+    # keep the total-order triangle only; rows are read by the recurrence of
+    # later rows, so the mask comes after the last one
+    for i in range(1, T + 1):
+        d[i, T + 1 - i :] = 0
     return d
 
 
+def _series_shape(order: int, A: int, B: int) -> tuple[int, int]:
+    """Padded shape on which the circular correlation of an order-``order``
+    series equals the linear one for every lag ``|a| <= A``, ``|b| <= B``."""
+    return (
+        scipy.fft.next_fast_len(order + 1 + A),
+        scipy.fft.next_fast_len(order + 1 + B),
+    )
+
+
 def _series_window(d: np.ndarray, A: int, B: int) -> np.ndarray:
-    T = d.shape[0] - 1
-    out = np.zeros((2 * A + 1, 2 * B + 1), dtype=complex)
-    for a in range(-A, A + 1):
-        i0, i1 = max(0, -a), T - max(0, a)
-        if i1 < i0:
-            continue
-        for b in range(-B, B + 1):
-            j0, j1 = max(0, -b), T - max(0, b)
-            if j1 < j0:
-                continue
-            block = d[i0 : i1 + 1, j0 : j1 + 1]
-            shifted = d[i0 + a : i1 + a + 1, j0 + b : j1 + b + 1]
-            out[a + A, b + B] = np.sum(block * np.conj(shifted))
+    """The lags ``c[a, b] = sum d[i, j] conj(d[i+a, j+b])``, ``|a| <= A, |b| <= B``.
+
+    ``d`` is a series of total order ``T`` zero-padded to ``_series_shape(T,
+    A, B)``; it is overwritten.  With ``d`` nonzero only for ``i, j <= T``,
+    the circular correlation on ``P x Q >= (T+1+A) x (T+1+B)`` has no
+    wrapped term at these lags, so it is the finite sum exactly.  It is
+    ``fft2(|F|^2) / (P Q)`` at ``(a, b)`` with ``F = fft2(d)``; the power is
+    real, so ``rfft2`` gives the columns ``0 <= b <= Q//2`` and the rest
+    are the conjugates of ``(-a, -b)``.
+    """
+    P, Q = d.shape
+    # the transform runs in the buffer of d, and its real and imaginary parts
+    # are squared there, so |F|^2 is the only other array of that size
+    squares = scipy.fft.fft2(d, overwrite_x=True).view(np.float64)
+    del d
+    squares *= squares
+    power = squares[:, 0::2] + squares[:, 1::2]
+    del squares
+    half = scipy.fft.rfft2(power)
+    del power
+    half /= P * Q
+    rows = np.arange(-A, A + 1) % P
+    cols = np.arange(-B, B + 1) % Q
+    folded = cols > Q // 2
+    out = np.empty((2 * A + 1, 2 * B + 1), dtype=complex)
+    out[:, ~folded] = half[np.ix_(rows, cols[~folded])]
+    out[:, folded] = np.conj(half[np.ix_(-rows % P, Q - cols[folded])])
     return out
+
+
+def _series_moments(p: BivariateLaurentPoly, m: int, order: int, A: int, B: int):
+    shape = _series_shape(order, A, B)
+    return _series_window(_reciprocal_series(p, m, order, shape), A, B)
 
 
 def moments_from_series(
@@ -377,15 +436,15 @@ def moments_from_series(
     series coefficients of ``1/p`` truncated at total order ``trunc``.  The
     truncation is validated by a doubling step; an explicit ``trunc`` that
     fails validation raises :class:`TruncationTooSmall`, while ``trunc=None``
-    doubles automatically from 64.
+    doubles automatically from ``SERIES_START`` to ``SERIES_CAP``.
     """
     ensure_stable(p, deg)
     A, B = int(window[0]), int(window[1])
     m = deg.m
 
     if trunc is not None:
-        base = _series_window(_reciprocal_series(p, m, int(trunc)), A, B)
-        refined = _series_window(_reciprocal_series(p, m, 2 * int(trunc)), A, B)
+        base = _series_moments(p, m, int(trunc), A, B)
+        refined = _series_moments(p, m, 2 * int(trunc), A, B)
         err = float(np.max(np.abs(refined - base)))
         if err > SERIES_TOL:
             raise TruncationTooSmall(
@@ -393,15 +452,15 @@ def moments_from_series(
             )
         return MomentTable((A, B), base, int(trunc), err)
 
-    order = 64
-    prev = _series_window(_reciprocal_series(p, m, order), A, B)
+    order = SERIES_START
+    prev = _series_moments(p, m, order, A, B)
     while True:
         order *= 2
-        cur = _series_window(_reciprocal_series(p, m, order), A, B)
+        cur = _series_moments(p, m, order, A, B)
         err = float(np.max(np.abs(cur - prev)))
         if err <= SERIES_TOL:
             return MomentTable((A, B), cur, order, err)
-        if order >= 4096:
+        if order >= SERIES_CAP:
             raise TruncationTooSmall(
                 f"series window not stable at order {order} (change {err:.3e})"
             )

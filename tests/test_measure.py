@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bscd import measure
 from bscd.errors import (
@@ -60,6 +60,51 @@ def test_near_boundary_root_is_inconclusive():
     p = Poly({(0, 0): 1 + 1e-12, (1, 0): -1})
     with pytest.raises(InconclusiveNearBoundary):
         check_stability(p)
+
+
+def root_scan_loop(slice_vals, zs):
+    """The per-slice ``np.roots`` scan: smallest root modulus and its (z, w)."""
+    min_root, witness = np.inf, None
+    for k in range(slice_vals.shape[1]):
+        roots = np.roots(slice_vals[::-1, k])
+        if roots.size:
+            moduli = np.abs(roots)
+            idx = int(np.argmin(moduli))
+            if moduli[idx] < min_root:
+                min_root = moduli[idx]
+                witness = (complex(zs[k]), complex(roots[idx]))
+    return min_root, witness
+
+
+DEGREE_DROPS = [
+    # p_1(z) = z - 1 vanishes at z = 1: that slice is the constant 3
+    (Poly({(0, 0): 4, (1, 0): -1, (0, 1): -1, (1, 1): 1}), DegreePair(1, 1)),
+    # p(1, w) = 3w: a slice with a zero constant term, so a root at w = 0
+    (Poly({(0, 0): 1, (1, 0): -1, (0, 1): 3}), DegreePair(1, 1)),
+    # the w^2 coefficient 1 - z vanishes at z = 1: that slice is 6 - w
+    (Poly({(0, 0): 6, (0, 1): -1, (0, 2): 1, (1, 2): -1}), DegreePair(1, 2)),
+]
+
+
+def test_batched_root_scan_is_the_np_roots_scan_to_the_bit():
+    rng = np.random.default_rng(1)
+    cases = [random_stable_poly(n, n, rng) for n in range(1, 9)] + DEGREE_DROPS
+    grid = 1024
+    zs = np.exp(2j * np.pi * np.arange(grid) / grid)
+    for p, deg in cases:
+        slice_vals = measure.w_slice(p, zs, deg.m + 1)
+        min_root, witness = measure._min_w_root(slice_vals, zs)
+        expected_root, expected_witness = root_scan_loop(slice_vals, zs)
+        assert min_root == expected_root
+        assert witness == expected_witness
+
+
+def test_zero_slice_is_the_witness():
+    # p = (1 - z)(2 - w) vanishes on the whole slice z = 1
+    p = Poly({(0, 0): 2, (1, 0): -2, (0, 1): -1, (1, 1): 1})
+    report = check_stability(p, DegreePair(1, 1))
+    assert not report.stable
+    assert report.witness == (1 + 0j, 0j) and report.min_modulus == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -126,6 +171,63 @@ def test_series_agrees_with_grid_on_worked_example():
 def test_series_truncation_too_small():
     with pytest.raises(TruncationTooSmall):
         moments_from_series(WORKED, WORKED_DEG, (4, 4), trunc=4)
+
+
+def series_window_loop(d, A, B):
+    """The definition: one slice product of the series per lag."""
+    T = d.shape[0] - 1
+    out = np.zeros((2 * A + 1, 2 * B + 1), dtype=complex)
+    for a in range(-A, A + 1):
+        i0, i1 = max(0, -a), T - max(0, a)
+        if i1 < i0:
+            continue
+        for b in range(-B, B + 1):
+            j0, j1 = max(0, -b), T - max(0, b)
+            if j1 < j0:
+                continue
+            block = d[i0 : i1 + 1, j0 : j1 + 1]
+            shifted = d[i0 + a : i1 + a + 1, j0 + b : j1 + b + 1]
+            out[a + A, b + B] = np.sum(block * np.conj(shifted))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+# T = 4 with window (7, 6) pads to 12 x 11, so b = 6 lies beyond Q // 2 = 5
+@example(T=4, A=7, B=6, seed=0)
+@given(
+    T=st.integers(0, 40),
+    A=st.integers(0, 48),
+    B=st.integers(0, 48),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fft_series_window_is_the_lag_loop(T, A, B, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(T + 1, T + 1)) + 1j * rng.normal(size=(T + 1, T + 1))
+    expected = series_window_loop(raw, A, B)
+    padded = np.zeros(measure._series_shape(T, A, B), dtype=complex)
+    padded[: T + 1, : T + 1] = raw
+    got = measure._series_window(padded, A, B)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * (1 + np.max(np.abs(expected)))
+
+
+def test_fft_series_window_near_the_boundary_at_order_1024():
+    # p = 1.1 - q with q > 0 summing to 1, so min |p| = 0.1 at (1, 1): the
+    # series decays slowly enough that the oracle reaches order 1024
+    rng = np.random.default_rng(41)
+    q = rng.uniform(0.5, 1.0, size=8)
+    q /= q.sum()
+    keys = [(i, j) for i in range(3) for j in range(3) if (i, j) != (0, 0)]
+    p = Poly({(0, 0): 1.1, **{ij: -c for ij, c in zip(keys, q)}})
+    T, (A, B) = 1024, (6, 6)
+    raw = measure._reciprocal_series(p, 2, T, (T + 1, T + 1))
+    padded = measure._reciprocal_series(p, 2, T, measure._series_shape(T, A, B))
+    assert np.array_equal(padded[: T + 1, : T + 1], raw)
+    # the total-order triangle i + j <= T, and zero padding around it
+    assert not raw[np.add.outer(np.arange(T + 1), np.arange(T + 1)) > T].any()
+    assert not padded[T + 1 :].any() and not padded[:, T + 1 :].any()
+    expected = series_window_loop(raw, A, B)
+    got = measure._series_window(padded, A, B)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * (1 + np.max(np.abs(expected)))
 
 
 # ----------------------------------------------------------------------
