@@ -223,11 +223,8 @@ def slice_gram_residual(
     if T is None:
         T = schur_cohn_matrix(p, deg)
     z = np.exp(1j * float(theta))
-    sections = [w_slice(aj, z, m) for aj in ks.a]
+    sections = np.array([w_slice(aj, z, m) for aj in ks.a])
     sm = _slice_moments_unchecked(p, deg, theta, m - 1 if m > 1 else 0)
-    G = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            # integral of conj(a_i) a_j equals <a_j, a_i> on the slice
-            G[i, j] = slice_inner_product(sections[j], sections[i], sm)
+    # integral of conj(a_i) a_j equals <a_j, a_i> on the slice
+    G = slice_inner_product(sections[None, :, :], sections[:, None, :], sm)
     return G - evaluate_on_circle(T, theta)

@@ -28,7 +28,7 @@ from .errors import (
     InconclusiveNearBoundary,
     IoFailure,
 )
-from .poly import BivariateLaurentPoly, DegreePair
+from .poly import BivariateLaurentPoly, DegreePair, angle_grid
 
 SUITE_ORDER = (
     "stability",
@@ -267,32 +267,26 @@ def _suite_schur_cohn(art: Artifacts, cfg: RunConfig):
     measure.ensure_stable(cfg.polynomial, cfg.deg)
     T = art.get("matrix")
     m = cfg.deg.m
-    rows = []
-    violation = 0.0
-    min_eig_global = np.inf
-    for idx in range(cfg.theta_grid):
-        theta = 2.0 * np.pi * idx / cfg.theta_grid
-        M = schur_cohn.evaluate_on_circle(T, theta)
-        profile = schur_cohn.principal_determinants(T, theta)
-        eig = float(np.linalg.eigvalsh(M)[0])
-        min_eig_global = min(min_eig_global, eig)
-        sl = measure._slice_moments_unchecked(cfg.polynomial, cfg.deg, theta, m - 1)
-        moment_matrix = np.array(
-            [[sl.get(j - i) for j in range(m)] for i in range(m)]
-        )
-        residual = float(np.max(np.abs(M @ moment_matrix - np.eye(m))))
-        violation = max(violation, residual)
-        rows.append(
-            {
-                "theta": theta,
-                "D_list": list(profile.D),
-                "min_eig": eig,
-                "inverse_moment_residual": residual,
-            }
-        )
-    if min_eig_global <= 0.0:
+    thetas = angle_grid(cfg.theta_grid)
+    profile = schur_cohn.principal_determinants(T, thetas)
+    M = profile.matrix
+    eigs = np.linalg.eigvalsh(M)[:, 0]
+    sl = measure._slice_moments_unchecked(cfg.polynomial, cfg.deg, thetas, m - 1)
+    residuals = np.max(np.abs(M @ sl.lag_matrix(m, m) - np.eye(m)), axis=(1, 2))
+    rows = [
+        {
+            "theta": float(theta),
+            "D_list": D.tolist(),
+            "min_eig": float(eig),
+            "inverse_moment_residual": float(residual),
+        }
+        for theta, D, eig, residual in zip(thetas, profile.D, eigs, residuals)
+    ]
+    min_eig = float(np.min(eigs))
+    violation = float(np.max(residuals))
+    if min_eig <= 0.0:
         violation = max(violation, 1.0)
-    details = {"rows": rows, "min_eig": float(min_eig_global)}
+    details = {"rows": rows, "min_eig": min_eig}
     return violation, details
 
 
@@ -389,24 +383,25 @@ def _suite_verify_kernel(art: Artifacts, cfg: RunConfig):
 def _suite_parametric(art: Artifacts, cfg: RunConfig):
     n, m = cfg.deg
     T = art.get("matrix")
-    rows = []
-    violation = 0.0
-    for idx in range(cfg.theta_grid):
-        theta = 2.0 * np.pi * idx / cfg.theta_grid
-        op = parametric.parametric_polynomials(cfg.polynomial, cfg.deg, theta, T)
-        check = parametric.orthogonality_check(cfg.polynomial, cfg.deg, theta, op)
-        violation = max(violation, check["offdiag_max"], check["lu_law_residual"])
-        rows.append(
-            {
-                "theta": theta,
-                "phi": [[[c.real, c.imag] for c in coeffs] for coeffs in op.phi],
-                "D_list": list(op.D.D),
-                "offdiag_max": check["offdiag_max"],
-                "lu_law_residual": check["lu_law_residual"],
-                "variant_law_residual": check["variant_law_residual"],
-                "matches_variant_law": check["matches_variant_law"],
-            }
-        )
+    thetas = angle_grid(cfg.theta_grid)
+    op = parametric.parametric_polynomials(cfg.polynomial, cfg.deg, thetas, T)
+    check = parametric.orthogonality_check(cfg.polynomial, cfg.deg, thetas, op)
+    violation = float(max(np.max(check["offdiag_max"]), np.max(check["lu_law_residual"])))
+    variant = check["variant_law_residual"]
+    rows = [
+        {
+            "theta": float(theta),
+            "phi": [[[c.real, c.imag] for c in coeffs[k]] for coeffs in op.phi],
+            "D_list": op.D.D[k].tolist(),
+            "offdiag_max": float(check["offdiag_max"][k]),
+            "lu_law_residual": float(check["lu_law_residual"][k]),
+            "variant_law_residual": None if variant is None else float(variant[k]),
+            "matches_variant_law": (
+                None if variant is None else bool(check["matches_variant_law"][k])
+            ),
+        }
+        for k, theta in enumerate(thetas)
+    ]
     k_lists = {}
     for j in range(m):
         bound = n * (m - j)

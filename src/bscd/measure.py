@@ -40,7 +40,7 @@ from .errors import (
     WindowTooSmall,
     ZeroPolynomial,
 )
-from .poly import BivariateLaurentPoly, DegreePair, coefficient_matrix
+from .poly import BivariateLaurentPoly, DegreePair, as_angles, coefficient_matrix
 
 BOUNDARY_TOL = 1e-9
 GRID_START = 256
@@ -49,6 +49,8 @@ SERIES_START = 64
 SERIES_CAP = 4096
 DEFAULT_MOMENT_TOL = 1e-11
 DEFAULT_SLICE_TOL = 1e-12
+# angles per batch of slice FFTs; it bounds their memory, not their results
+SLICE_BLOCK = 128
 SERIES_TOL = 1e-11
 
 
@@ -495,31 +497,57 @@ def norm(f: BivariateLaurentPoly, moments: MomentTable) -> float:
 
 @dataclass(frozen=True)
 class SlicedMoments:
-    """Trigonometric moments of the circle measure at a fixed first angle."""
+    """Trigonometric moments of the circle measure at a fixed first angle.
 
-    theta: float
+    At one angle ``values`` holds the ``2 lag + 1`` moments ``m_{-lag} ..
+    m_lag`` as a tuple and ``grid`` is the circle grid they stopped on.  At a
+    1-D array of ``K`` angles ``values`` has shape ``(K, 2 lag + 1)`` and
+    ``grid`` shape ``(K,)``, angle first.
+    """
+
+    theta: float | np.ndarray
     lag: int
-    values: tuple[complex, ...]
+    values: tuple[complex, ...] | np.ndarray
+    grid: int | np.ndarray
 
-    def get(self, k: int) -> complex:
+    def get(self, k: int):
         if abs(k) > self.lag:
             raise WindowTooSmall((0, k), (0, self.lag))
-        return self.values[k + self.lag]
+        return np.asarray(self.values)[..., k + self.lag]
+
+    def lag_matrix(self, rows: int, cols: int) -> np.ndarray:
+        """The moments ``M[t, s] = m_{s-t}`` for ``t < rows`` and ``s < cols``.
+
+        For ascending coefficient vectors ``f`` (length ``cols``) and ``g``
+        (length ``rows``), ``<f, g> = conj(g) @ M @ f``.  At an array of
+        angles the result has shape ``(K, rows, cols)``.
+        """
+        need = max(rows, cols) - 1
+        if need > self.lag:
+            raise WindowTooSmall((0, need), (0, self.lag))
+        shifts = np.subtract.outer(np.arange(rows), np.arange(cols))
+        return np.asarray(self.values)[..., self.lag - shifts]
 
 
 def _slice_window(w_coeffs: np.ndarray, size: int, K: int) -> np.ndarray:
-    padded = np.zeros(size, dtype=complex)
-    padded[: w_coeffs.size] = w_coeffs
-    vals = np.fft.ifft(padded) * size
-    density = 1.0 / np.abs(vals) ** 2
-    table = np.fft.ifft(density)
-    return table[np.arange(-K, K + 1) % size]
+    """Moments ``|k| <= K`` on a ``size``-point grid, one row per row of ``w_coeffs``."""
+    padded = np.zeros((w_coeffs.shape[0], size), dtype=complex)
+    padded[:, : w_coeffs.shape[1]] = w_coeffs
+    # each step in place where it can be, so two grids are the most alive at once
+    vals = np.fft.ifft(padded)
+    del padded
+    vals *= size
+    density = np.abs(vals)
+    del vals
+    density **= 2
+    np.divide(1.0, density, out=density)
+    return np.fft.ifft(density)[:, np.arange(-K, K + 1) % size]
 
 
 def slice_moments(
     p: BivariateLaurentPoly,
     deg: DegreePair,
-    theta: float,
+    theta,
     lag: int,
     tol: float = DEFAULT_SLICE_TOL,
 ) -> SlicedMoments:
@@ -529,40 +557,70 @@ def slice_moments(
 
 
 def _slice_moments_unchecked(p, deg, theta, lag, tol=DEFAULT_SLICE_TOL):
-    w_coeffs = w_slice(p, np.exp(1j * theta), deg.m + 1)
+    """Slice moments at one angle or at a 1-D array of angles.
+
+    The angles go through in blocks of ``SLICE_BLOCK``.  In each block the
+    grid doubles from ``GRID_START``, with one row-wise FFT per size for the
+    angles still open; each angle takes its values from the first doubling
+    where its own window moves by less than ``tol``.
+    """
+    theta = as_angles(theta)
+    w_coeffs = np.atleast_2d(w_slice(p, np.exp(1j * theta), deg.m + 1).T)
+    blocks = [
+        _slice_block(w_coeffs[start : start + SLICE_BLOCK], lag, tol)
+        for start in range(0, w_coeffs.shape[0], SLICE_BLOCK)
+    ]
+    values = np.concatenate([block[0] for block in blocks])
+    grids = np.concatenate([block[1] for block in blocks])
+    sym = 0.5 * (values + np.conj(values[:, ::-1]))
+    sym[:, lag] = sym[:, lag].real
+    if np.ndim(theta) == 0:
+        return SlicedMoments(theta, lag, tuple(complex(v) for v in sym[0]), int(grids[0]))
+    return SlicedMoments(theta, lag, sym, grids)
+
+
+def _slice_block(w_coeffs: np.ndarray, lag: int, tol: float):
+    """Doubling of :func:`_slice_window` for the rows of one block of angles."""
+    values = np.empty((w_coeffs.shape[0], 2 * lag + 1), dtype=complex)
+    grids = np.empty(w_coeffs.shape[0], dtype=int)
+    open_rows = np.arange(w_coeffs.shape[0])
     size = GRID_START
     prev = _slice_window(w_coeffs, size, lag)
     while True:
         size *= 2
-        cur = _slice_window(w_coeffs, size, lag)
-        err = float(np.max(np.abs(cur - prev)))
-        if err < tol:
-            break
+        cur = _slice_window(w_coeffs[open_rows], size, lag)
+        err = np.max(np.abs(cur - prev), axis=1)
+        done = err < tol
+        values[open_rows[done]] = cur[done]
+        grids[open_rows[done]] = size
+        open_rows, prev, err = open_rows[~done], cur[~done], err[~done]
+        if open_rows.size == 0:
+            return values, grids
         if size >= GRID_CAP:
             raise NoConvergence(
-                f"slice moments not stable at grid {GRID_CAP} (change {err:.3e})"
+                f"slice moments not stable at grid {GRID_CAP} (change {err.max():.3e})"
             )
-        prev = cur
-    sym = 0.5 * (cur + np.conj(cur[::-1]))
-    sym[lag] = sym[lag].real
-    return SlicedMoments(float(theta), lag, tuple(complex(v) for v in sym))
 
 
-def slice_inner_product(
-    f_coeffs: np.ndarray,
-    g_coeffs: np.ndarray,
-    moments: SlicedMoments,
-) -> complex:
-    """Inner product of two w-polynomials (ascending coefficients) on a slice."""
-    total = 0j
-    for s, fc in enumerate(f_coeffs):
-        if fc == 0:
-            continue
-        for t, gc in enumerate(g_coeffs):
-            if gc == 0:
-                continue
-            total += fc * np.conj(gc) * moments.get(s - t)
-    return complex(total)
+def slice_inner_product(f_coeffs, g_coeffs, moments: SlicedMoments):
+    """Inner product ``<f, g>`` of w-polynomials on a slice, ``conj(g) · Toep · f``.
+
+    ``Toep[t, s] = m_{s-t}`` is the one-variable lag matrix
+    (:meth:`SlicedMoments.lag_matrix`).  Coefficients run ascending along the
+    last axis and the other axes broadcast, so a Gram matrix is one call on
+    stacked coefficient vectors.  For moments at an array of angles the first
+    axis of ``f`` and ``g`` is the angle axis.  One pair of vectors on a
+    single slice gives a complex number.
+    """
+    f = np.asarray(f_coeffs, dtype=complex)
+    g = np.asarray(g_coeffs, dtype=complex)
+    toep = moments.lag_matrix(g.shape[-1], f.shape[-1])
+    if toep.ndim == 3:
+        # one matrix per angle: line the angle axis up with the first axis of f, g
+        axes = max(f.ndim, g.ndim, 2) - 2
+        toep = toep.reshape(toep.shape[:1] + (1,) * axes + toep.shape[1:])
+    value = (g.conj()[..., None, :] @ toep @ f[..., :, None])[..., 0, 0]
+    return complex(value) if value.ndim == 0 else value
 
 
 # ----------------------------------------------------------------------

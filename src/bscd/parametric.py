@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateDegree, IndexOutOfRange, NoConvergence, NotPositiveDefinite
 from .measure import _slice_moments_unchecked, ensure_stable, slice_inner_product
-from .poly import BivariateLaurentPoly, DegreePair
+from .poly import BivariateLaurentPoly, DegreePair, angle_grid
 from .schur_cohn import (
     DeterminantProfile,
     LaurentMatrixPoly,
@@ -33,38 +33,46 @@ LAW_TOL = 1e-9
 
 
 def lu_no_pivot(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Doolittle factorization without row exchanges.
+    """Doolittle factorization without row exchanges, over any leading axes.
 
-    Returns ``(L, U)`` with ``L`` unit lower triangular and ``L @ U == M``.
-    Raises :class:`NotPositiveDefinite` when a pivot falls below tolerance,
-    which for Hermitian input is equivalent to failing positive definiteness.
+    Returns ``(L, U)`` with ``L`` unit lower triangular and ``L @ U == M`` for
+    every matrix of the stack; each elimination step is taken for all of them
+    at once, with the arithmetic of the one-matrix loop.  Raises
+    :class:`NotPositiveDefinite` when a pivot of any matrix falls below
+    tolerance, which for Hermitian input is equivalent to failing positive
+    definiteness.
     """
     A = np.array(M, dtype=complex)
-    size = A.shape[0]
-    if A.shape != (size, size):
+    size = A.shape[-1]
+    if A.ndim < 2 or A.shape[-2] != size:
         raise ValueError("matrix must be square")
-    L = np.eye(size, dtype=complex)
+    L = np.zeros_like(A)
+    L[..., np.arange(size), np.arange(size)] = 1.0
     for k in range(size):
-        pivot = A[k, k]
-        if pivot.real < PIVOT_TOL:
-            raise NotPositiveDefinite(f"pivot {pivot:.3e} at elimination step {k}")
-        for r in range(k + 1, size):
-            f = A[r, k] / pivot
-            L[r, k] = f
-            A[r, k:] -= f * A[k, k:]
-            A[r, k] = 0.0
+        pivot = A[..., k, k]
+        low = pivot.real < PIVOT_TOL
+        if np.any(low):
+            raise NotPositiveDefinite(
+                f"pivot {pivot[low][0]:.3e} at elimination step {k}"
+            )
+        f = A[..., k + 1 :, k] / pivot[..., None]
+        L[..., k + 1 :, k] = f
+        A[..., k + 1 :, k:] -= f[..., None] * A[..., None, k, k:]
+        A[..., k + 1 :, k] = 0.0
     return L, np.triu(A)
 
 
 @dataclass(frozen=True)
 class ParametricOPUC:
-    """LU data and degree-graded polynomials at one angle.
+    """LU data and degree-graded polynomials at one angle or an array of angles.
 
     ``phi[i]`` holds ascending w-coefficients of the degree-i polynomial;
-    its leading coefficient is the matching diagonal entry of ``U``.
+    its leading coefficient is the matching diagonal entry of ``U``.  For
+    ``K`` angles every array gains a leading angle axis: ``phi[i]`` has shape
+    ``(K, i + 1)`` and ``U``, ``L_factor`` shape ``(K, m, m)``.
     """
 
-    theta: float
+    theta: float | np.ndarray
     phi: tuple[np.ndarray, ...]
     U: np.ndarray
     L_factor: np.ndarray
@@ -74,76 +82,74 @@ class ParametricOPUC:
 def parametric_polynomials(
     p: BivariateLaurentPoly,
     deg: DegreePair,
-    theta: float,
+    theta,
     T: LaurentMatrixPoly | None = None,
 ) -> ParametricOPUC:
-    """Build the slice polynomials at ``z = e^{i theta}``."""
+    """Build the slice polynomials at ``z = e^{i theta}``, one angle or many.
+
+    The circle values are computed once, with the determinant profile, and
+    factored as one stack.
+    """
     n, m = deg
     if m == 0:
         raise DegenerateDegree("need degree at least 1 in w")
     ensure_stable(p, deg)
     if T is None:
         T = schur_cohn_matrix(p, deg)
-    M = evaluate_on_circle(T, theta)
-    L, U = lu_no_pivot(M)
-    phi = []
-    for i in range(m):
-        row = m - 1 - i
-        coeffs = np.zeros(i + 1, dtype=complex)
-        for col in range(row, m):
-            coeffs[m - 1 - col] = U[row, col]
-        phi.append(coeffs)
-    return ParametricOPUC(
-        float(theta), tuple(phi), U, L, principal_determinants(T, theta)
-    )
+    profile = principal_determinants(T, theta)
+    L, U = lu_no_pivot(profile.matrix)
+    phi = tuple(U[..., m - 1 - i, m - 1 - i :][..., ::-1].copy() for i in range(m))
+    return ParametricOPUC(profile.theta, phi, U, L, profile)
+
+
+def _phi_rows(op: ParametricOPUC) -> np.ndarray:
+    """Row ``i`` holds ``phi[i]`` padded with zeros to length m: ``U`` reversed."""
+    return op.U[..., ::-1, ::-1]
 
 
 def orthogonality_check(
     p: BivariateLaurentPoly,
     deg: DegreePair,
-    theta: float,
+    theta,
     opuc: ParametricOPUC | None = None,
 ) -> dict:
     """Sliced inner products of the polynomials against both diagonal laws.
 
     Off-diagonal entries must vanish; diagonal entries are compared to the
     pivot-consistent ratio ``D[m-i]/D[m-i-1]`` and, where defined (i >= 1),
-    to the variant ``D[m-i]/D[m-i+1]``.
+    to the variant ``D[m-i]/D[m-i+1]``.  At an array of angles the Gram has
+    shape ``(K, m, m)`` and every residual and flag is an array over the
+    angles.
     """
     ensure_stable(p, deg)
     n, m = deg
     op = opuc if opuc is not None else parametric_polynomials(p, deg, theta)
     sm = _slice_moments_unchecked(p, deg, theta, m - 1)
-    gram = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            gram[i, j] = slice_inner_product(op.phi[i], op.phi[j], sm)
-    off = 0.0
-    if m > 1:
-        off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
-    D = op.D.D
-    lu_residual = 0.0
+    rows = _phi_rows(op)
+    gram = slice_inner_product(rows[..., :, None, :], rows[..., None, :, :], sm)
+    off = np.max(np.where(np.eye(m, dtype=bool), 0.0, np.abs(gram)), axis=(-2, -1))
+    D = np.asarray(op.D.D)
+    diag = np.diagonal(gram, axis1=-2, axis2=-1)
+    i = np.arange(m)
+    lu_residual = np.max(np.abs(diag - D[..., m - i] / D[..., m - i - 1]), axis=-1)
     variant_residual = None
-    for i in range(m):
-        lu_law = D[m - i] / D[m - i - 1]
-        lu_residual = max(lu_residual, abs(gram[i, i] - lu_law))
-        if m - i + 1 <= m:
-            variant = D[m - i] / D[m - i + 1]
-            dev = abs(gram[i, i] - variant)
-            variant_residual = dev if variant_residual is None else max(
-                variant_residual, dev
-            )
+    if m > 1:
+        i = i[1:]
+        variant = D[..., m - i] / D[..., m - i + 1]
+        variant_residual = np.max(np.abs(diag[..., 1:] - variant), axis=-1)
+    if gram.ndim == 2:
+        off, lu_residual = float(off), float(lu_residual)
+        if variant_residual is not None:
+            variant_residual = float(variant_residual)
     return {
         "gram": gram,
-        "profile": D,
+        "profile": op.D.D,
         "offdiag_max": off,
-        "lu_law_residual": float(lu_residual),
-        "variant_law_residual": (
-            None if variant_residual is None else float(variant_residual)
-        ),
-        "matches_lu_law": bool(lu_residual < LAW_TOL),
+        "lu_law_residual": lu_residual,
+        "variant_law_residual": variant_residual,
+        "matches_lu_law": lu_residual < LAW_TOL,
         "matches_variant_law": (
-            None if variant_residual is None else bool(variant_residual < LAW_TOL)
+            None if variant_residual is None else variant_residual < LAW_TOL
         ),
     }
 
@@ -175,14 +181,12 @@ def moment_vanishing(
     half = 1 << max(bands, default=0).bit_length()
     size = 2 * half
     js = np.array(list(k_lists), dtype=int)
-    D = np.empty((size, m + 1))
-    norms = np.empty((js.size, size))
-    for idx in range(size):
-        theta = 2.0 * np.pi * idx / size
-        op = parametric_polynomials(p, deg, theta, T)
-        sm = _slice_moments_unchecked(p, deg, theta, m - 1)
-        D[idx] = op.D.D
-        norms[:, idx] = [slice_inner_product(op.phi[j], op.phi[j], sm).real for j in js]
+    thetas = angle_grid(size)
+    op = parametric_polynomials(p, deg, thetas, T)
+    sm = _slice_moments_unchecked(p, deg, thetas, m - 1)
+    rows = _phi_rows(op)[:, js]
+    norms = slice_inner_product(rows, rows, sm).real.T
+    D = op.D.D
     main = D[:, m - js - 1].T * norms
     fine, coarse = np.fft.ifft(main), np.fft.ifft(main[:, ::2])
     variant = np.fft.ifft(D[:, np.minimum(m - js + 1, m)].T * norms)  # j = 0: unused
@@ -212,17 +216,16 @@ def gram_schmidt_slice_polynomials(
     """Independent construction path: Gram-Schmidt on ``1, w, ..., w^{m-1}``.
 
     Returns monic polynomials orthogonal on the slice, for comparison with
-    the LU route after rescaling to matching leading coefficients.
+    the LU route after rescaling to matching leading coefficients.  Every
+    pairing is a product with the slice lag matrix, ``<v, q> = conj(q) @ M @ v``.
     """
     ensure_stable(p, deg)
     m = deg.m
-    sm = _slice_moments_unchecked(p, deg, theta, m - 1)
+    M = _slice_moments_unchecked(p, deg, theta, m - 1).lag_matrix(m, m)
     basis: list[np.ndarray] = []
     for d in range(m):
-        v = np.zeros(d + 1, dtype=complex)
-        v[d] = 1.0
+        v = np.eye(m, dtype=complex)[d]
         for q in basis:
-            coeff = slice_inner_product(v, q, sm) / slice_inner_product(q, q, sm)
-            v[: q.size] -= coeff * q
+            v = v - (q.conj() @ M @ v) / (q.conj() @ M @ q) * q
         basis.append(v)
-    return basis
+    return [v[: d + 1] for d, v in enumerate(basis)]

@@ -209,16 +209,20 @@ class BivariateLaurentPoly:
     # Evaluation
     # ------------------------------------------------------------------
 
-    def __call__(self, z: complex, w: complex) -> complex:
-        """Evaluate at ``(z, w)`` by Horner accumulation in each variable."""
+    def __call__(self, z, w):
+        """Evaluate at ``(z, w)`` by Horner accumulation in each variable.
+
+        Scalars give a complex number; arrays broadcast against each other
+        and give an array of values, by the same Horner steps elementwise.
+        """
+        z, w = _point(z), _point(w)
         if not self._coeffs:
-            return 0j
+            shape = np.broadcast(z, w).shape
+            return np.zeros(shape, dtype=complex) if shape else 0j
         i0, i1, j0, j1 = self._box
-        z = complex(z)
-        w = complex(w)
-        if i0 < 0 and z == 0:
+        if i0 < 0 and np.any(z == 0):
             raise ZeroBaseNegativeExponent("z = 0 with negative z-exponent")
-        if j0 < 0 and w == 0:
+        if j0 < 0 and np.any(w == 0):
             raise ZeroBaseNegativeExponent("w = 0 with negative w-exponent")
         acc = 0j
         for i in range(i1, i0 - 1, -1):
@@ -263,6 +267,26 @@ class BivariateLaurentPoly:
             raise SupportOutsideBox(
                 f"support hull {self._box} outside [0, {n}] x [0, {m}]"
             )
+
+
+def angle_grid(count: int) -> np.ndarray:
+    """The ``count`` uniform angles ``2 pi k / count`` on the circle."""
+    return 2.0 * np.pi * np.arange(count) / count
+
+
+def as_angles(theta):
+    """A scalar angle as a float, an array of angles as a 1-D float array."""
+    if np.ndim(theta) == 0:
+        return float(theta)
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 1:
+        raise ValueError("angles must be a scalar or a 1-D array")
+    return theta
+
+
+def _point(x):
+    """A scalar coordinate as a Python complex, an array one as a complex array."""
+    return complex(x) if np.ndim(x) == 0 else np.asarray(x, dtype=complex)
 
 
 def coefficient_matrix(polys) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDegree
-from .poly import BivariateLaurentPoly, DegreePair
+from .poly import BivariateLaurentPoly, DegreePair, angle_grid, as_angles
 
 
 class LaurentMatrixPoly:
@@ -64,10 +64,16 @@ class LaurentMatrixPoly:
 
 @dataclass(frozen=True)
 class DeterminantProfile:
-    """Leading principal determinants at one angle, ``D[0] == 1``."""
+    """Leading principal determinants, ``D[..., 0] == 1``, and the circle values.
 
-    theta: float
-    D: tuple[float, ...]
+    At one angle ``D`` is a tuple of floats and ``matrix`` the ``(m, m)``
+    value; at an array of ``K`` angles ``D`` has shape ``(K, m + 1)`` and
+    ``matrix`` shape ``(K, m, m)``.
+    """
+
+    theta: float | np.ndarray
+    D: tuple[float, ...] | np.ndarray
+    matrix: np.ndarray
 
 
 def schur_cohn_matrix(p: BivariateLaurentPoly, deg: DegreePair) -> LaurentMatrixPoly:
@@ -88,23 +94,32 @@ def schur_cohn_matrix(p: BivariateLaurentPoly, deg: DegreePair) -> LaurentMatrix
     return LaurentMatrixPoly(coeffs, [p.w_coefficient(i) for i in range(m + 1)])
 
 
-def evaluate_on_circle(T: LaurentMatrixPoly, theta: float) -> np.ndarray:
-    """Value at ``z = e^{i theta}`` as ``A A^H - B^H B``, symmetrized to exact Hermitian."""
-    z = np.exp(1j * float(theta))
-    s = np.array([q(z, 1.0) for q in T.slices])
+def evaluate_on_circle(T: LaurentMatrixPoly, theta) -> np.ndarray:
+    """Value at ``z = e^{i theta}`` as ``A A^H - B^H B``, symmetrized to exact Hermitian.
+
+    For a 1-D array of angles the result has shape ``(K, m, m)``, angle first.
+    """
+    z = np.exp(1j * as_angles(theta))
+    s = np.stack([q(z, 1.0) for q in T.slices], axis=-1)
     lag = np.subtract.outer(np.arange(T.m), np.arange(T.m))
-    A = np.tril(s[lag])
-    B = np.triu(s[T.m + np.minimum(lag, 0)])
-    M = A @ A.conj().T - B.conj().T @ B
-    return 0.5 * (M + M.conj().T)
+    A = np.tril(s[..., lag])
+    B = np.triu(s[..., T.m + np.minimum(lag, 0)])
+    M = A @ _adjoint(A) - _adjoint(B) @ B
+    return 0.5 * (M + _adjoint(M))
 
 
-def principal_determinants(T: LaurentMatrixPoly, theta: float) -> DeterminantProfile:
+def _adjoint(X: np.ndarray) -> np.ndarray:
+    return X.conj().swapaxes(-1, -2)
+
+
+def principal_determinants(T: LaurentMatrixPoly, theta) -> DeterminantProfile:
+    """Leading principal determinants of the circle value at one or more angles."""
+    theta = as_angles(theta)
     M = evaluate_on_circle(T, theta)
-    D = [1.0]
+    D = np.ones(M.shape[:-2] + (T.m + 1,))
     for i in range(1, T.m + 1):
-        D.append(float(np.linalg.det(M[:i, :i]).real))
-    return DeterminantProfile(float(theta), tuple(D))
+        D[..., i] = np.linalg.det(M[..., :i, :i]).real
+    return DeterminantProfile(theta, tuple(D.tolist()) if M.ndim == 2 else D, M)
 
 
 @dataclass(frozen=True)
@@ -115,15 +130,14 @@ class PositivityReport:
 
 
 def positivity_scan(T: LaurentMatrixPoly, resolution: int = 64) -> PositivityReport:
-    """Smallest eigenvalue of the circle evaluation over a uniform angle grid."""
-    best = np.inf
-    best_theta = 0.0
-    for k in range(resolution):
-        theta = 2.0 * np.pi * k / resolution
-        eig = float(np.linalg.eigvalsh(evaluate_on_circle(T, theta))[0])
-        if eig < best:
-            best, best_theta = eig, theta
-    return PositivityReport(best, best > 0.0, best_theta)
+    """Smallest eigenvalue of the circle evaluation over a uniform angle grid.
+
+    The angles are evaluated as one batch; ties go to the first angle.
+    """
+    thetas = angle_grid(resolution)
+    eigs = np.linalg.eigvalsh(evaluate_on_circle(T, thetas))[:, 0]
+    k = int(np.argmin(eigs))
+    return PositivityReport(float(eigs[k]), bool(eigs[k] > 0.0), float(thetas[k]))
 
 
 def diagonal_average(T: LaurentMatrixPoly, k: int) -> float:

@@ -17,6 +17,7 @@ from bscd.measure import (
     moments_from_grid,
     moments_from_series,
     random_stable_poly,
+    slice_inner_product,
     slice_moments,
 )
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair
@@ -385,6 +386,85 @@ def test_slice_average_reproduces_moment_row(random_family_with_moments):
                 theta = 2 * np.pi * idx / grid
                 acc += slice_moments(p, deg, theta, deg.m).get(k) / grid
             assert abs(acc - table.get(0, k)) < 1e-9
+
+
+def slice_moments_loop(p, deg, theta, lag, tol=measure.DEFAULT_SLICE_TOL):
+    """One angle at a time with 1-D FFTs: the symmetrized moments and the stopping grid."""
+    w_coeffs = measure.w_slice(p, np.exp(1j * theta), deg.m + 1)
+
+    def window(size):
+        padded = np.zeros(size, dtype=complex)
+        padded[: w_coeffs.size] = w_coeffs
+        density = 1.0 / np.abs(np.fft.ifft(padded) * size) ** 2
+        return np.fft.ifft(density)[np.arange(-lag, lag + 1) % size]
+
+    size = measure.GRID_START
+    prev = window(size)
+    while True:
+        size *= 2
+        cur = window(size)
+        if float(np.max(np.abs(cur - prev))) < tol:
+            break
+        prev = cur
+    sym = 0.5 * (cur + np.conj(cur[::-1]))
+    sym[lag] = sym[lag].real
+    return sym, size
+
+
+def test_batched_slice_moments_are_the_per_angle_ones(monkeypatch):
+    # min |p| = 0.01 at (1, 1): slices near theta = 0 need finer grids
+    near = Poly({(0, 0): 1.01, (1, 0): -0.5, (0, 1): -0.3, (1, 1): -0.2})
+    cases = [random_stable_poly(n, n, np.random.default_rng(1)) for n in (1, 4, 8)]
+    cases.append((near, DegreePair(1, 1)))
+    thetas = 2.0 * np.pi * np.arange(64) / 64
+    for p, deg in cases:
+        lag = deg.m + 1
+        batch = measure._slice_moments_unchecked(p, deg, thetas, lag)
+        assert batch.values.shape == (64, 2 * lag + 1) and batch.grid.shape == (64,)
+        for k, theta in enumerate(thetas):
+            values, grid = slice_moments_loop(p, deg, theta, lag)
+            assert batch.grid[k] == grid
+            assert np.max(np.abs(batch.values[k] - values)) <= 1e-15
+            one = measure._slice_moments_unchecked(p, deg, float(theta), lag)
+            assert one.grid == grid and one.values == tuple(values)
+    assert len(set(batch.grid.tolist())) >= 3
+    # the block size bounds memory only
+    monkeypatch.setattr(measure, "SLICE_BLOCK", 5)
+    blocked = measure._slice_moments_unchecked(p, deg, thetas, lag)
+    assert np.array_equal(blocked.values, batch.values)
+    assert np.array_equal(blocked.grid, batch.grid)
+
+
+def slice_inner_product_loop(f_coeffs, g_coeffs, moments):
+    """The definition: sum of f_s conj(g_t) m_{s-t} over the nonzero coefficients."""
+    total = 0j
+    for s, fc in enumerate(f_coeffs):
+        for t, gc in enumerate(g_coeffs):
+            if fc != 0 and gc != 0:
+                total += fc * np.conj(gc) * moments.get(s - t)
+    return complex(total)
+
+
+def test_slice_inner_product_is_the_double_loop(random_family):
+    rng = np.random.default_rng(7)
+    p, deg = random_family[4]
+    thetas = np.array([0.3, 1.7, 4.0])
+    batch = slice_moments(p, deg, thetas, 4)
+    for size_f, size_g in ((1, 1), (3, 5), (5, 2)):
+        f = rng.normal(size=(3, 2, size_f)) + 1j * rng.normal(size=(3, 2, size_f))
+        g = rng.normal(size=(3, 2, size_g)) + 1j * rng.normal(size=(3, 2, size_g))
+        stacked = slice_inner_product(f, g, batch)
+        assert stacked.shape == (3, 2)
+        for k, theta in enumerate(thetas):
+            one = slice_moments(p, deg, theta, 4)
+            for r in range(2):
+                expected = slice_inner_product_loop(f[k, r], g[k, r], one)
+                single = slice_inner_product(f[k, r], g[k, r], one)
+                assert type(single) is complex
+                assert abs(single - expected) <= 1e-14 * (1 + abs(expected))
+                assert abs(stacked[k, r] - expected) <= 1e-14 * (1 + abs(expected))
+    with pytest.raises(WindowTooSmall):
+        slice_inner_product(np.ones(6), np.ones(2), batch)
 
 
 def test_moment_table_json_round_trip():

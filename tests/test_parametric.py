@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bscd.errors import IndexOutOfRange, NotPositiveDefinite
-from bscd import parametric
+from bscd import parametric, schur_cohn
 from bscd.measure import random_stable_poly, slice_moments, slice_inner_product
 from bscd.parametric import (
     gram_schmidt_slice_polynomials,
@@ -53,6 +53,44 @@ def test_lu_rejects_indefinite_matrix():
         lu_no_pivot(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+def lu_loop(M):
+    """The one-matrix Doolittle loop, row by row."""
+    A = np.array(M, dtype=complex)
+    size = A.shape[0]
+    L = np.eye(size, dtype=complex)
+    for k in range(size):
+        pivot = A[k, k]
+        for r in range(k + 1, size):
+            f = A[r, k] / pivot
+            L[r, k] = f
+            A[r, k:] -= f * A[k, k:]
+            A[r, k] = 0.0
+    return L, np.triu(A)
+
+
+def test_batched_lu_is_the_doolittle_loop_to_the_bit():
+    thetas = 2.0 * np.pi * np.arange(40) / 40 + 0.3
+    for n in range(1, 9):
+        p, deg = random_stable_poly(n, n, np.random.default_rng(1))
+        stack = evaluate_on_circle(schur_cohn_matrix(p, deg), thetas)
+        L, U = lu_no_pivot(stack)
+        assert L.shape == U.shape == stack.shape
+        for k, M in enumerate(stack):
+            L_ref, U_ref = lu_loop(M)
+            assert np.array_equal(L[k], L_ref) and np.array_equal(U[k], U_ref)
+            L_one, U_one = lu_no_pivot(M)
+            assert np.array_equal(L_one, L_ref) and np.array_equal(U_one, U_ref)
+
+
+def test_one_indefinite_matrix_fails_the_stack():
+    p, deg = random_stable_poly(3, 3, np.random.default_rng(1))
+    stack = evaluate_on_circle(schur_cohn_matrix(p, deg), np.linspace(0.0, 6.0, 7))
+    stack[4, 2, 2] = -stack[4, 2, 2]
+    with pytest.raises(NotPositiveDefinite, match="elimination step"):
+        lu_no_pivot(stack)
+    lu_no_pivot(np.delete(stack, 4, axis=0))
+
+
 # ----------------------------------------------------------------------
 # Parametric polynomials
 # ----------------------------------------------------------------------
@@ -93,6 +131,44 @@ def test_structure_invariants(random_family):
                 assert op.phi[i][-1] != 0
                 assert op.phi[i][-1] == pytest.approx(
                     op.U[m - 1 - i, m - 1 - i], abs=1e-13
+                )
+
+
+def test_one_circle_evaluation_per_batch(random_family, monkeypatch):
+    calls = []
+    evaluate = schur_cohn.evaluate_on_circle
+    monkeypatch.setattr(
+        schur_cohn, "evaluate_on_circle", lambda *a: calls.append(a) or evaluate(*a)
+    )
+    thetas = 2.0 * np.pi * np.arange(64) / 64
+    for p, deg in random_family:
+        T = schur_cohn_matrix(p, deg)
+        calls.clear()
+        op = parametric_polynomials(p, deg, thetas, T)
+        assert len(calls) == 1 and np.array_equal(calls[0][1], thetas)
+        assert op.U.shape == op.L_factor.shape == (64, deg.m, deg.m)
+        assert [phi.shape for phi in op.phi] == [(64, i + 1) for i in range(deg.m)]
+
+
+def test_batched_polynomials_are_the_per_angle_ones(random_family):
+    thetas = 2.0 * np.pi * np.arange(16) / 16 + 0.2
+    for p, deg in random_family:
+        T = schur_cohn_matrix(p, deg)
+        op = parametric_polynomials(p, deg, thetas, T)
+        check = orthogonality_check(p, deg, thetas, op)
+        for k, theta in enumerate(thetas):
+            one = parametric_polynomials(p, deg, float(theta), T)
+            assert type(one.theta) is float and type(one.D.D) is tuple
+            for batched, single in zip(op.phi, one.phi):
+                assert np.max(np.abs(batched[k] - single)) <= 1e-13 * np.max(np.abs(single))
+            single_check = orthogonality_check(p, deg, float(theta), one)
+            scale = np.max(np.abs(single_check["gram"]))
+            assert np.max(np.abs(check["gram"][k] - single_check["gram"])) <= 1e-13 * scale
+            assert abs(check["lu_law_residual"][k] - single_check["lu_law_residual"]) <= 1e-13 * scale
+            assert bool(check["matches_lu_law"][k]) is single_check["matches_lu_law"]
+            if deg.m > 1:
+                assert check["variant_law_residual"][k] == pytest.approx(
+                    single_check["variant_law_residual"], rel=1e-9
                 )
 
 
@@ -169,7 +245,10 @@ def test_vanishing_beyond_frequency_bound(random_family, monkeypatch):
         N = 1
         while N <= 2 * n * m + 3:
             N *= 2
-        assert len(calls) == result["theta_grid"] == 2 * N
+        # the angles evaluated, over every call: 2N of them, all distinct
+        angles = np.concatenate([np.atleast_1d(a[2]) for a in calls])
+        assert angles.size == result["theta_grid"] == 2 * N
+        assert np.unique(angles).size == angles.size
         assert sorted(result["per_j"]) == list(range(m))
         for entry in result["per_j"].values():
             assert all(abs(v) < 1e-8 for v in entry["values"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bscd.errors import SupportOutsideBox, ZeroBaseNegativeExponent
+from bscd.measure import random_stable_poly
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair
 
 from conftest import WORKED, WORKED_DEG
@@ -27,6 +28,30 @@ def test_eval_zero_base_negative_exponent():
         p(0, 1)
     # fine when the offending variable is nonzero
     assert p(2, 0) == 0.5
+
+
+def test_array_call_is_the_scalar_call():
+    rng = np.random.default_rng(1)
+    for n in range(1, 9):
+        p, _ = random_stable_poly(n, n, rng)
+        z = np.sqrt(rng.uniform(size=40)) * np.exp(2j * np.pi * rng.uniform(size=40))
+        w = np.exp(2j * np.pi * rng.uniform(size=40))
+        for zs, ws in ((z, w), (z, 1.0), (0.5j, w)):
+            values = p(zs, ws)
+            assert values.shape == (40,)
+            for k, (zk, wk) in enumerate(np.broadcast(zs, ws)):
+                expected = p(complex(zk), complex(wk))
+                assert type(expected) is complex
+                assert abs(values[k] - expected) <= 1e-15 * (1 + abs(expected))
+
+
+def test_array_call_of_the_zero_polynomial_and_a_zero_base():
+    assert np.array_equal(Poly.zero()(np.ones(3), 2.0), np.zeros(3))
+    assert Poly.zero()(1, 2) == 0j
+    p = Poly({(-1, 0): 1, (0, 1): 1})
+    assert np.allclose(p(np.array([2.0, 4.0]), 1.0), [1.5, 1.25])
+    with pytest.raises(ZeroBaseNegativeExponent):
+        p(np.array([1.0, 0.0]), 1.0)
 
 
 def test_mul_two_term_expansion():

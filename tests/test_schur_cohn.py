@@ -155,3 +155,39 @@ def test_circle_values_match_the_tensor(random_family, high_degree_family):
             from_tensor = T.coeffs @ np.exp(1j * theta * np.arange(-n, n + 1))
             scale = max(1.0, np.max(np.abs(from_tensor)))
             assert np.max(np.abs(evaluate_on_circle(T, theta) - from_tensor)) <= 1e-13 * scale
+
+
+def positivity_scan_loop(T, resolution):
+    """The per-angle scan: smallest eigenvalue and the first angle that has it."""
+    best, best_theta = np.inf, 0.0
+    for k in range(resolution):
+        theta = 2.0 * np.pi * k / resolution
+        eig = float(np.linalg.eigvalsh(evaluate_on_circle(T, theta))[0])
+        if eig < best:
+            best, best_theta = eig, theta
+    return best, best_theta
+
+
+def test_batched_circle_values_are_the_per_angle_values(random_family, high_degree_family):
+    thetas = 2.0 * np.pi * np.arange(48) / 48 + 0.05
+    for p, deg in random_family + high_degree_family:
+        T = schur_cohn_matrix(p, deg)
+        profile = principal_determinants(T, thetas)
+        assert profile.matrix.shape == (48, deg.m, deg.m)
+        assert profile.D.shape == (48, deg.m + 1)
+        assert np.array_equal(profile.matrix, evaluate_on_circle(T, thetas))
+        for k, theta in enumerate(thetas):
+            one = principal_determinants(T, float(theta))
+            assert type(one.theta) is float and type(one.D) is tuple
+            scale = np.max(np.abs(one.matrix))
+            assert np.max(np.abs(profile.matrix[k] - one.matrix)) <= 1e-15 * scale
+            assert np.allclose(profile.D[k], one.D, rtol=1e-12, atol=0)
+
+
+def test_positivity_scan_is_the_angle_loop(random_family, high_degree_family):
+    for p, deg in [(WORKED, WORKED_DEG), (PRODUCT, DegreePair(1, 1))] + random_family + high_degree_family:
+        T = schur_cohn_matrix(p, deg)
+        report = positivity_scan(T, 64)
+        best, best_theta = positivity_scan_loop(T, 64)
+        assert report.theta_at_min == best_theta
+        assert report.min_eig == pytest.approx(best, rel=1e-12, abs=1e-13)

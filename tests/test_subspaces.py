@@ -376,6 +376,25 @@ def test_cd_formula_on_random_points(random_family_with_moments):
         assert cd_formula_residual(p, deg, table, points)["max_residual"] < 1e-9
 
 
+def test_stacked_kernel_values_are_the_per_point_values(random_family_with_moments):
+    rng = np.random.default_rng(35)
+    for p, deg, table in random_family_with_moments:
+        n, m = deg
+        K = reproducing_kernel(
+            SubspaceSpec(monomial_rect(0, n, 0, m - 1), monomial_rect(0, n - 1, 0, m - 1)),
+            table,
+        )
+        z, w, z1, w1 = np.sqrt(rng.uniform(size=(4, 30))) * np.exp(
+            2j * np.pi * rng.uniform(size=(4, 30))
+        )
+        stacked = K.evaluate((z, w), (z1, w1))
+        assert stacked.shape == (30,)
+        for k in range(30):
+            single = K.evaluate((z[k], w[k]), (z1[k], w1[k]))
+            assert type(single) is complex
+            assert abs(stacked[k] - single) <= 1e-12 * max(1.0, abs(single))
+
+
 def test_cd_formula_needs_both_degrees(worked_moments):
     p = Poly({(0, 0): 2, (0, 1): -1})
     table = moments_from_grid(p, (2, 3))
