@@ -9,15 +9,17 @@ spectrally.  Two independent moment pipelines are provided:
   reads the Fourier window off a 2-D FFT, doubling N until the window is
   stable.
 * :func:`moments_from_series` expands ``1/p`` as a power series by the
-  recursion forced by ``p * (1/p) = 1`` and correlates the series with
-  itself, doubling the truncation order until the window is stable.  The
-  correlation is one FFT of the zero-padded coefficient array: the padding
-  leaves no wrapped term at any lag of the window, so it is the exact finite
-  sum.  This route never evaluates ``p`` or the density on the torus and
-  serves as an oracle for the grid path.
+  recursion forced by ``p * (1/p) = 1``, one total degree (anti-diagonal)
+  at a time, and correlates the series with itself, doubling the truncation
+  order until the window is stable.  The correlation is one FFT of the
+  zero-padded coefficient array: the padding leaves no wrapped term at any
+  lag of the window, so it is the exact finite sum.  This route never
+  evaluates ``p`` or the density on the torus and serves as an oracle for
+  the grid path.
 
-All DFT reductions are FFT butterflies or numpy pairwise sums, so results
-are deterministic.  Pairings of polynomials against a moment table are
+All DFT reductions are ``numpy.fft`` butterflies or numpy pairwise sums, so
+results are deterministic.  The large transforms run in place in the buffer
+they read.  Pairings of polynomials against a moment table are
 matrix products with its lag matrix (:meth:`MomentTable.lag_matrix`).
 Every published value is immutable after construction.
 """
@@ -28,8 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
-from scipy.signal import lfilter
 
 from .errors import (
     InconclusiveNearBoundary,
@@ -82,7 +82,11 @@ def torus_grid_values(p: BivariateLaurentPoly, size: int) -> np.ndarray:
     grid = np.zeros((size, size), dtype=complex)
     for (i, j), c in p.items():
         grid[i % size, j % size] += c
-    return np.fft.ifft2(grid) * (size * size)
+    # unnormalized inverse transforms in the one buffer; for a power-of-two
+    # size this is ifft2(grid) * size**2 to the bit
+    np.fft.ifft(grid, axis=1, norm="forward", out=grid)
+    np.fft.ifft(grid, axis=0, norm="forward", out=grid)
+    return grid
 
 
 def w_slice(p: BivariateLaurentPoly, z, size: int) -> np.ndarray:
@@ -310,8 +314,16 @@ def _hermitianize(values: np.ndarray) -> np.ndarray:
 
 
 def _grid_window(p: BivariateLaurentPoly, size: int, A: int, B: int) -> np.ndarray:
-    density = 1.0 / np.abs(torus_grid_values(p, size)) ** 2
-    table = np.fft.ifft2(density)
+    table = torus_grid_values(p, size)
+    # the density is formed in place and transformed in the buffer of the
+    # values, so one real grid is the only other array of that size
+    density = np.abs(table)
+    density **= 2
+    np.divide(1.0, density, out=density)
+    table[...] = density
+    del density
+    np.fft.ifft(table, axis=1, out=table)
+    np.fft.ifft(table, axis=0, out=table)
     ai = np.arange(-A, A + 1) % size
     bi = np.arange(-B, B + 1) % size
     return table[np.ix_(ai, bi)]
@@ -345,49 +357,56 @@ def moments_from_grid(
 
 
 def _reciprocal_series(
-    p: BivariateLaurentPoly, m: int, order: int, shape: tuple[int, int]
+    p: BivariateLaurentPoly, order: int, shape: tuple[int, int]
 ) -> np.ndarray:
-    """Power-series coefficients of ``1/p`` up to total order ``order``.
+    """Power-series coefficients ``d`` of ``1/p`` up to total order ``order``.
 
-    Row ``i`` satisfies a length-(m+1) linear recurrence in ``j`` driven by
-    the previously computed rows, which is an IIR filter along the row.  The
-    coefficients fill the leading ``(order+1) x (order+1)`` block of a zero
-    array of the given ``shape``, so the padding the correlation needs costs
-    no copy.
+    ``p * d = 1`` fixes ``d`` one total degree at a time: every term of ``p``
+    but the constant reaches back to a lower anti-diagonal, so anti-diagonal
+    ``s`` is its own right-hand side less one scaled copy of an earlier
+    anti-diagonal per term, divided by ``p(0, 0)``.  In a row-major ``P x Q``
+    array anti-diagonal ``s`` is the basic slice ``flat[s : s*Q + 1 : Q - 1]``
+    (entry ``i`` is ``d[i, s - i]``), so every update is a view.  The
+    coefficients fill the triangle ``i + j <= order`` of a zero array of the
+    given ``shape``, which needs ``shape >= (order + 1, order + 1)``; the
+    padding the correlation needs costs no copy.
     """
-    T = order
     d = np.zeros(shape, dtype=complex)
-    row_filter = np.zeros(m + 1, dtype=complex)
-    prev_terms = []
-    for (k, l), c in p.items():
-        if k == 0:
-            row_filter[l] = c
-        else:
-            prev_terms.append((k, l, c))
-    if row_filter[0] == 0:
+    flat = d.reshape(-1)
+    step = shape[1] - 1
+    constant = p.coefficient(0, 0)
+    if constant == 0:
         raise NotStable("p(0, 0) = 0")
-    for i in range(T + 1):
-        rhs = np.zeros(T + 1, dtype=complex)
-        if i == 0:
-            rhs[0] = 1.0
-        for k, l, c in prev_terms:
-            if k <= i:
-                rhs[l:] -= c * d[i - k, : T + 1 - l]
-        d[i, : T + 1] = lfilter(np.ones(1, dtype=complex), row_filter, rhs)
-    # keep the total-order triangle only; rows are read by the recurrence of
-    # later rows, so the mask comes after the last one
-    for i in range(1, T + 1):
-        d[i, T + 1 - i :] = 0
+    terms = [(k, l, c) for (k, l), c in p.items() if (k, l) != (0, 0)]
+    d[0, 0] = 1.0 / constant
+    for s in range(1, order + 1):
+        diag = flat[s : s * shape[1] + 1 : step]
+        for k, l, c in terms:
+            t = s - k - l
+            if t >= 0:
+                # d[i, s - i] -= c * d[i - k, s - i - l] for k <= i <= s - l
+                diag[k : k + t + 1] -= c * flat[t : t * shape[1] + 1 : step]
+        diag /= constant
     return d
+
+
+def _fast_len(target: int) -> int:
+    """The least 5-smooth integer ``>= target``, a fast FFT length."""
+    n = max(target, 1)
+    while True:
+        rest = n
+        for factor in (2, 3, 5):
+            while rest % factor == 0:
+                rest //= factor
+        if rest == 1:
+            return n
+        n += 1
 
 
 def _series_shape(order: int, A: int, B: int) -> tuple[int, int]:
     """Padded shape on which the circular correlation of an order-``order``
     series equals the linear one for every lag ``|a| <= A``, ``|b| <= B``."""
-    return (
-        scipy.fft.next_fast_len(order + 1 + A),
-        scipy.fft.next_fast_len(order + 1 + B),
-    )
+    return (_fast_len(order + 1 + A), _fast_len(order + 1 + B))
 
 
 def _series_window(d: np.ndarray, A: int, B: int) -> np.ndarray:
@@ -404,13 +423,16 @@ def _series_window(d: np.ndarray, A: int, B: int) -> np.ndarray:
     P, Q = d.shape
     # the transform runs in the buffer of d, and its real and imaginary parts
     # are squared there, so |F|^2 is the only other array of that size
-    squares = scipy.fft.fft2(d, overwrite_x=True).view(np.float64)
+    np.fft.fft(d, axis=1, out=d)
+    np.fft.fft(d, axis=0, out=d)
+    squares = d.view(np.float64)
     del d
     squares *= squares
     power = squares[:, 0::2] + squares[:, 1::2]
     del squares
-    half = scipy.fft.rfft2(power)
+    half = np.fft.rfft(power, axis=1)
     del power
+    np.fft.fft(half, axis=0, out=half)
     half /= P * Q
     rows = np.arange(-A, A + 1) % P
     cols = np.arange(-B, B + 1) % Q
@@ -421,9 +443,9 @@ def _series_window(d: np.ndarray, A: int, B: int) -> np.ndarray:
     return out
 
 
-def _series_moments(p: BivariateLaurentPoly, m: int, order: int, A: int, B: int):
+def _series_moments(p: BivariateLaurentPoly, order: int, A: int, B: int):
     shape = _series_shape(order, A, B)
-    return _series_window(_reciprocal_series(p, m, order, shape), A, B)
+    return _series_window(_reciprocal_series(p, order, shape), A, B)
 
 
 def moments_from_series(
@@ -442,11 +464,10 @@ def moments_from_series(
     """
     ensure_stable(p, deg)
     A, B = int(window[0]), int(window[1])
-    m = deg.m
 
     if trunc is not None:
-        base = _series_moments(p, m, int(trunc), A, B)
-        refined = _series_moments(p, m, 2 * int(trunc), A, B)
+        base = _series_moments(p, int(trunc), A, B)
+        refined = _series_moments(p, 2 * int(trunc), A, B)
         err = float(np.max(np.abs(refined - base)))
         if err > SERIES_TOL:
             raise TruncationTooSmall(
@@ -455,10 +476,10 @@ def moments_from_series(
         return MomentTable((A, B), base, int(trunc), err)
 
     order = SERIES_START
-    prev = _series_moments(p, m, order, A, B)
+    prev = _series_moments(p, order, A, B)
     while True:
         order *= 2
-        cur = _series_moments(p, m, order, A, B)
+        cur = _series_moments(p, order, A, B)
         err = float(np.max(np.abs(cur - prev)))
         if err <= SERIES_TOL:
             return MomentTable((A, B), cur, order, err)

@@ -243,6 +243,19 @@ def test_console_entry_point(tmp_path):
     assert json.loads(proc.stdout)["status"] == "pass"
 
 
+def test_package_imports_numpy_but_not_scipy():
+    # scipy is not a runtime dependency; importing it would cost more memory
+    # and start-up time than numpy itself
+    code = (
+        "import sys, bscd.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "print('numpy' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+
+
 def test_unwritable_output_is_io_error(tmp_path):
     path = write_config(tmp_path, suites=["stability"])
     code = cli.main(

@@ -1,5 +1,7 @@
 """Stability testing, moment pipelines, inner products and slices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +25,30 @@ from bscd.measure import (
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair
 
 from conftest import WORKED, WORKED_DEG
+
+MIB = 2**20
+
+
+def traced_peak(call):
+    """The result of one call and its ``tracemalloc`` peak in MiB."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] / MIB
+    finally:
+        tracemalloc.stop()
+
+
+def near_boundary_draw():
+    """The seed-41 (2,2) draw of ``p = 1.1 - q``, ``q > 0`` summing to 1, with
+    its default report window: ``min |p| = 0.1`` at (1, 1), so both moment
+    pipelines refine to 1024."""
+    rng = np.random.default_rng(41)
+    q = rng.uniform(0.5, 1.0, size=8)
+    q /= q.sum()
+    keys = [(i, j) for i in range(3) for j in range(3) if (i, j) != (0, 0)]
+    p = Poly({(0, 0): 1.1, **{ij: -c for ij, c in zip(keys, q)}})
+    return p, DegreePair(2, 2), (12, 10)
 
 
 # ----------------------------------------------------------------------
@@ -145,6 +171,35 @@ def test_grid_moments_hermitian_symmetry():
     assert table.get(0, 0).real > 0
 
 
+def torus_grid_values_ifft2(p, size):
+    """The two-dimensional inverse FFT of the coefficient grid, rescaled."""
+    grid = np.zeros((size, size), dtype=complex)
+    for (i, j), c in p.items():
+        grid[i % size, j % size] += c
+    return np.fft.ifft2(grid) * (size * size)
+
+
+@pytest.mark.parametrize("size", [256, 512, 1024, 2048])
+def test_in_place_torus_transforms_are_the_ifft2_formulas_to_the_bit(size):
+    p, _, (A, B) = near_boundary_draw()
+    values = torus_grid_values_ifft2(p, size)
+    assert np.array_equal(measure.torus_grid_values(p, size), values)
+    table = np.fft.ifft2(1.0 / np.abs(values) ** 2)
+    del values
+    expected = table[np.ix_(np.arange(-A, A + 1) % size, np.arange(-B, B + 1) % size)]
+    del table
+    assert np.array_equal(measure._grid_window(p, size, A, B), expected)
+
+
+def test_torus_grid_peaks_stay_near_one_complex_grid():
+    # a 1024^2 complex grid is 16 MiB; the density adds one real grid of 8 MiB
+    p, deg, window = near_boundary_draw()
+    measure.ensure_stable(p, deg)
+    assert traced_peak(lambda: measure.torus_grid_values(p, 1024))[1] <= 17
+    table, peak = traced_peak(lambda: moments_from_grid(p, window))
+    assert peak <= 26 and table.grid_size == 1024
+
+
 # ----------------------------------------------------------------------
 # Series moments
 # ----------------------------------------------------------------------
@@ -220,8 +275,8 @@ def test_fft_series_window_near_the_boundary_at_order_1024():
     keys = [(i, j) for i in range(3) for j in range(3) if (i, j) != (0, 0)]
     p = Poly({(0, 0): 1.1, **{ij: -c for ij, c in zip(keys, q)}})
     T, (A, B) = 1024, (6, 6)
-    raw = measure._reciprocal_series(p, 2, T, (T + 1, T + 1))
-    padded = measure._reciprocal_series(p, 2, T, measure._series_shape(T, A, B))
+    raw = measure._reciprocal_series(p, T, (T + 1, T + 1))
+    padded = measure._reciprocal_series(p, T, measure._series_shape(T, A, B))
     assert np.array_equal(padded[: T + 1, : T + 1], raw)
     # the total-order triangle i + j <= T, and zero padding around it
     assert not raw[np.add.outer(np.arange(T + 1), np.arange(T + 1)) > T].any()
@@ -229,6 +284,77 @@ def test_fft_series_window_near_the_boundary_at_order_1024():
     expected = series_window_loop(raw, A, B)
     got = measure._series_window(padded, A, B)
     assert np.max(np.abs(got - expected)) <= 1e-13 * (1 + np.max(np.abs(expected)))
+
+
+def reciprocal_series_loop(p, T):
+    """The definition: ``p * d = delta`` solved term by term, one total degree
+    after the other."""
+    constant = p.coefficient(0, 0)
+    d = np.zeros((T + 1, T + 1), dtype=complex)
+    for s in range(T + 1):
+        for i in range(s + 1):
+            j = s - i
+            acc = 1.0 if s == 0 else 0.0
+            for (k, l), c in p.items():
+                if (k, l) != (0, 0) and k <= i and l <= j:
+                    acc -= c * d[i - k, j - l]
+            d[i, j] = acc / constant
+    return d
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(0, 4),
+    m=st.integers(0, 4),
+    T=st.integers(0, 40),
+    pad=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_strided_series_recurrence_is_the_term_loop(n, m, T, pad, seed):
+    p, _ = random_stable_poly(n, m, np.random.default_rng(seed))
+    shape = (T + 1 + pad[0], T + 1 + pad[1])
+    got = measure._reciprocal_series(p, T, shape)
+    expected = reciprocal_series_loop(p, T)
+    assert np.max(np.abs(got[: T + 1, : T + 1] - expected)) <= 1e-14 * np.max(
+        np.abs(expected)
+    )
+    assert not got[T + 1 :].any() and not got[:, T + 1 :].any()
+
+
+def test_series_solves_p_times_d_equals_one_at_order_1024():
+    p, _, _ = near_boundary_draw()
+    T = 1024
+    d = measure._reciprocal_series(p, T, (T + 1, T + 1))
+    product = np.zeros_like(d)
+    for (k, l), c in p.items():
+        product[k:, l:] += c * d[: T + 1 - k, : T + 1 - l]
+    product[0, 0] -= 1.0
+    # only the total-order triangle is determined by the truncated series
+    triangle = np.add.outer(np.arange(T + 1), np.arange(T + 1)) <= T
+    scale = sum(abs(c) for _, c in p.items()) * np.max(np.abs(d))
+    assert np.max(np.abs(product[triangle])) <= 1e-13 * scale
+
+
+def test_series_moments_peak_at_order_1024():
+    # the bound is 10% over the 25.3 MiB peak of the same call with a row-wise
+    # IIR filter for the recurrence and scipy's FFTs
+    p, deg, window = near_boundary_draw()
+    measure.ensure_stable(p, deg)
+    table, peak = traced_peak(lambda: moments_from_series(p, deg, window))
+    assert peak <= 1.1 * 25.3 and table.grid_size == 1024
+
+
+@given(target=st.integers(1, 10_000))
+def test_fast_len_is_the_least_5_smooth_length(target):
+    def smooth(n):
+        for factor in (2, 3, 5):
+            while n % factor == 0:
+                n //= factor
+        return n == 1
+
+    got = measure._fast_len(target)
+    assert got >= target and smooth(got)
+    assert not any(smooth(k) for k in range(target, got))
 
 
 # ----------------------------------------------------------------------
