@@ -69,7 +69,6 @@ CONFIG_KEYS = {
     "shift_max",
     "theta_grid",
     "seed",
-    "method",
     "k_max",
     "output",
     "format",
@@ -87,7 +86,6 @@ class RunConfig:
     shift_max: int = 2
     theta_grid: int = 32
     seed: int = 0
-    method: str = "grid"
     k_max: int | None = None
     output: str | None = None
     format: str = "json"
@@ -109,6 +107,12 @@ def default_window(deg: DegreePair, margin: int, shift_max: int) -> tuple[int, i
 
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
+    """Read and validate a config file.
+
+    ``overrides`` replaces config entries, except ``tolerances``, whose names
+    are set one by one over those of the file.  Missing entries take the
+    defaults of :class:`RunConfig`.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -124,6 +128,9 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     overrides = overrides or {}
     merged = dict(doc)
     merged.update({k: v for k, v in overrides.items() if v is not None})
+    if not isinstance(doc.get("tolerances", {}), dict):
+        raise ConfigInvalid("'tolerances' must be an object of name: value")
+    merged["tolerances"] = {**doc.get("tolerances", {}), **overrides.get("tolerances", {})}
     try:
         poly, deg = BivariateLaurentPoly.from_json_dict(merged["polynomial"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -141,16 +148,19 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigInvalid(f"unknown suites: {bad}")
 
     tolerances = dict(DEFAULT_TOLERANCES)
-    for name, value in dict(merged.get("tolerances", {})).items():
+    for name, value in merged["tolerances"].items():
         if name not in tolerances:
             raise ConfigInvalid(f"unknown tolerance name: {name}")
-        value = float(value)
+        try:
+            value = float(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"bad value for tolerance {name}: {value!r}") from exc
         if value <= 0:
             raise ConfigInvalid(f"tolerance {name} must be positive")
         tolerances[name] = value
 
-    margin = int(merged.get("margin", 4))
-    shift_max = int(merged.get("shift_max", 2))
+    margin = int(merged.get("margin", RunConfig.margin))
+    shift_max = int(merged.get("shift_max", RunConfig.shift_max))
     if margin < 0 or shift_max < 0:
         raise ConfigInvalid("margin and shift_max must be nonnegative")
     window = merged.get("window")
@@ -160,13 +170,10 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         window = (int(window[0]), int(window[1]))
         if window[0] < 0 or window[1] < 0:
             raise ConfigInvalid("window bounds must be nonnegative")
-    fmt = merged.get("format", "json")
+    fmt = merged.get("format", RunConfig.format)
     if fmt not in ("json", "csv"):
         raise ConfigInvalid(f"unknown format: {fmt}")
-    method = merged.get("method", "grid")
-    if method not in ("grid", "series"):
-        raise ConfigInvalid(f"unknown moment method: {method}")
-    theta_grid = int(merged.get("theta_grid", 32))
+    theta_grid = int(merged.get("theta_grid", RunConfig.theta_grid))
     if theta_grid < 1:
         raise ConfigInvalid("theta_grid must be positive")
     k_max = merged.get("k_max")
@@ -179,8 +186,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         margin=margin,
         shift_max=shift_max,
         theta_grid=theta_grid,
-        seed=int(merged.get("seed", 0)),
-        method=method,
+        seed=int(merged.get("seed", RunConfig.seed)),
         k_max=None if k_max is None else int(k_max),
         output=merged.get("output"),
         format=fmt,
@@ -251,14 +257,13 @@ def _suite_moments(art: Artifacts, cfg: RunConfig):
         cfg.polynomial, cfg.deg, cfg.window
     )
     violation = grid_table.max_difference(series_table)
-    chosen = grid_table if cfg.method == "grid" else series_table
     details = {
         "cross_path_difference": violation,
         "grid_size": grid_table.grid_size,
         "grid_est_error": grid_table.est_error,
         "series_order": series_table.grid_size,
         "series_est_error": series_table.est_error,
-        "table": chosen.to_json_dict(),
+        "table": grid_table.to_json_dict(),
     }
     return violation, details
 
@@ -410,11 +415,13 @@ def _suite_parametric(art: Artifacts, cfg: RunConfig):
     result = parametric.moment_vanishing(cfg.polynomial, cfg.deg, k_lists)
     vanishing = {}
     for j, entry in result["per_j"].items():
+        # the values are roundoff of an integrand of modulus up to the scale
         for value in entry["values"]:
-            violation = max(violation, abs(value))
+            violation = max(violation, abs(value) / max(1.0, entry["scale"]))
         vanishing[str(j)] = {
             "k_list": entry["k_list"],
             "values": [[v.real, v.imag] for v in entry["values"]],
+            "scale": entry["scale"],
             "theta_grid": result["theta_grid"],
         }
     details = {"rows": rows, "vanishing": vanishing}
@@ -577,7 +584,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out")
     parser.add_argument("--format", choices=("json", "csv"))
     parser.add_argument("--window", metavar="A,B")
-    parser.add_argument("--method", choices=("grid", "series"))
     parser.add_argument("--theta-grid", type=int)
     parser.add_argument("--margin", type=int)
     parser.add_argument("--shift-max", type=int)
@@ -588,7 +594,6 @@ def main(argv=None) -> int:
     try:
         overrides = {
             "format": args.format,
-            "method": args.method,
             "theta_grid": args.theta_grid,
             "margin": args.margin,
             "shift_max": args.shift_max,
@@ -603,17 +608,9 @@ def main(argv=None) -> int:
             overrides["window"] = [int(parts[0]), int(parts[1])]
         if args.suite != "all":
             overrides["suites"] = [args.suite]
+        default_name = SUITE_TOLERANCE_NAME.get(args.suite)
+        overrides["tolerances"] = _parse_tol(args.tol, default_name)
         config = load_config(args.config, overrides)
-        if args.tol:
-            default_name = (
-                SUITE_TOLERANCE_NAME[args.suite] if args.suite != "all" else None
-            )
-            for name, value in _parse_tol(args.tol, default_name).items():
-                if name not in config.tolerances:
-                    raise ConfigInvalid(f"unknown tolerance name: {name}")
-                if value <= 0:
-                    raise ConfigInvalid(f"tolerance {name} must be positive")
-                config.tolerances[name] = value
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

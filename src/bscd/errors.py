@@ -26,11 +26,7 @@ class NotStable(BscdError):
 
 
 class NoConvergence(BscdError):
-    """Grid refinement hit its cap before reaching the tolerance."""
-
-
-class TruncationTooSmall(BscdError):
-    """Series truncation order is insufficient for the requested accuracy."""
+    """A doubling refinement hit its cap before reaching the tolerance."""
 
 
 class WindowTooSmall(BscdError):
@@ -64,10 +60,6 @@ class NonzeroRemainder(BscdError):
 
 class IllConditionedGram(BscdError):
     """A Gram matrix is too ill conditioned to invert reliably."""
-
-
-class RankDeficient(BscdError):
-    """A linear system that should be nonsingular was not."""
 
 
 class NotPositiveDefinite(BscdError):

@@ -19,8 +19,11 @@ spectrally.  Two independent moment pipelines are provided:
 
 All DFT reductions are ``numpy.fft`` butterflies or numpy pairwise sums, so
 results are deterministic.  The large transforms run in place in the buffer
-they read.  Pairings of polynomials against a moment table are
-matrix products with its lag matrix (:meth:`MomentTable.lag_matrix`).
+they read.  The torus grid, the series order and the slice grids all double
+in one loop (:func:`_refine`), and torus and slice samples become moments
+through one transform (:func:`_density_window`).  Pairings of polynomials
+against a moment table are matrix products with its lag matrix
+(:meth:`MomentTable.lag_matrix`).
 Every published value is immutable after construction.
 """
 
@@ -36,7 +39,6 @@ from .errors import (
     NoConvergence,
     NotStable,
     SupportOutsideBox,
-    TruncationTooSmall,
     WindowTooSmall,
     ZeroPolynomial,
 )
@@ -52,6 +54,7 @@ DEFAULT_SLICE_TOL = 1e-12
 # angles per batch of slice FFTs; it bounds their memory, not their results
 SLICE_BLOCK = 128
 SERIES_TOL = 1e-11
+STABILITY_GRID = 1024
 
 
 # ----------------------------------------------------------------------
@@ -104,15 +107,13 @@ def w_slice(p: BivariateLaurentPoly, z, size: int) -> np.ndarray:
 
 
 def check_stability(
-    p: BivariateLaurentPoly,
-    deg: DegreePair | None = None,
-    grid: int = 1024,
+    p: BivariateLaurentPoly, deg: DegreePair | None = None
 ) -> StabilityReport:
     """Grid-based zero-freeness test on the closed bidisk.
 
-    For every ``z`` on a uniform circle grid the roots of ``w -> p(z, w)``
-    must lie strictly outside the closed unit disk, and so must the roots of
-    ``z -> p(z, 1)``.  A computed root modulus at most 1 yields an unstable
+    For every ``z`` on a uniform circle grid of ``STABILITY_GRID`` points the
+    roots of ``w -> p(z, w)`` must lie strictly outside the closed unit disk,
+    and so must the roots of ``z -> p(z, 1)``.  A computed root modulus at most 1 yields an unstable
     verdict with that root as witness; a modulus within ``BOUNDARY_TOL``
     outside the circle raises :class:`InconclusiveNearBoundary`, since the
     grid test cannot certify the boundary.  This is a practical test, not an
@@ -126,7 +127,7 @@ def check_stability(
     if deg is None:
         deg = DegreePair(box[1], box[3])
     p._require_support_in_box(deg)
-    verdict = _cached_stability(p, deg.n, deg.m, grid)
+    verdict = _cached_stability(p, deg.n, deg.m)
     if isinstance(verdict, str):
         raise InconclusiveNearBoundary(verdict)
     return verdict
@@ -134,8 +135,8 @@ def check_stability(
 
 # an inconclusive verdict is returned as its message, so that the cache keeps it
 @lru_cache(maxsize=128)
-def _cached_stability(p, n, m, grid):
-    zs = np.exp(2j * np.pi * np.arange(grid) / grid)
+def _cached_stability(p, n, m):
+    zs = np.exp(2j * np.pi * np.arange(STABILITY_GRID) / STABILITY_GRID)
     slice_vals = w_slice(p, zs, m + 1)
     zero_slices = np.flatnonzero(~slice_vals.any(axis=0))
     if zero_slices.size:
@@ -157,7 +158,7 @@ def _cached_stability(p, n, m, grid):
                 min_root = moduli[idx]
                 witness = (complex(roots[idx]), 1 + 0j)
 
-    min_modulus = float(np.min(np.abs(torus_grid_values(p, grid))))
+    min_modulus = float(np.min(np.abs(torus_grid_values(p, STABILITY_GRID))))
 
     if min_root <= 1.0:
         min_modulus = min(min_modulus, abs(p(*witness)))
@@ -233,7 +234,7 @@ class MomentTable:
         if values.shape != (2 * A + 1, 2 * B + 1):
             raise ValueError("value grid does not match window")
         self.window = (A, B)
-        self._values = _hermitianize(values)
+        self._values = _hermitianize(values, (0, 1))
         self._values.setflags(write=False)
         self.grid_size = int(grid_size)
         self.est_error = float(est_error)
@@ -306,27 +307,69 @@ class MomentTable:
         return cls((A, B), values, doc["grid_size"], doc["est_error"])
 
 
-def _hermitianize(values: np.ndarray) -> np.ndarray:
-    sym = 0.5 * (values + np.conj(values[::-1, ::-1]))
-    center = (values.shape[0] // 2, values.shape[1] // 2)
+def _hermitianize(values: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Average ``values`` with its conjugate reversed along ``axes``; the
+    center along those axes becomes real."""
+    sym = 0.5 * (values + np.conj(np.flip(values, axes)))
+    center = tuple(
+        size // 2 if axis in axes else slice(None) for axis, size in enumerate(values.shape)
+    )
     sym[center] = sym[center].real
     return sym
 
 
-def _grid_window(p: BivariateLaurentPoly, size: int, A: int, B: int) -> np.ndarray:
-    table = torus_grid_values(p, size)
-    # the density is formed in place and transformed in the buffer of the
-    # values, so one real grid is the only other array of that size
-    density = np.abs(table)
+def _refine(compute, count: int, start: int, cap: int, tol: float, what: str):
+    """Double a resolution from ``start`` until the window of every row settles.
+
+    ``compute(size, rows)`` gives the windows of the rows ``rows`` (an index
+    array into ``range(count)``) at resolution ``size``, stacked along the
+    first axis.  Each row stops on its own, at the first doubling where its
+    window moves by less than ``tol``; only the rows still open are computed
+    at the next size.  Returns the windows, the stopping sizes and the last
+    changes, one per row.  Raises :class:`NoConvergence` once a row is still
+    open at ``cap``, naming ``what``, the size and the largest open change.
+    """
+    rows = np.arange(count)
+    size = start
+    prev = compute(size, rows)
+    values = np.empty_like(prev)
+    sizes = np.empty(count, dtype=int)
+    changes = np.empty(count)
+    while True:
+        size *= 2
+        cur = compute(size, rows)
+        change = np.max(np.abs(cur - prev).reshape(len(rows), -1), axis=1)
+        done = change < tol
+        values[rows[done]] = cur[done]
+        sizes[rows[done]] = size
+        changes[rows[done]] = change[done]
+        rows, prev, change = rows[~done], cur[~done], change[~done]
+        if rows.size == 0:
+            return values, sizes, changes
+        if size >= cap:
+            raise NoConvergence(f"{what} {size} not stable (change {change.max():.3e})")
+
+
+def _density_window(values: np.ndarray, window: tuple[int, ...]) -> np.ndarray:
+    """The Fourier window of ``1 / |values|^2`` over the last ``len(window)`` axes.
+
+    ``values`` holds samples on a uniform grid along each of those axes (a
+    torus grid, or one circle grid per row of slices); it is overwritten.
+    The density is formed in one real array and transformed in the buffer of
+    the values, so that real array is the only other one of their size.  The
+    result keeps the leading axes and holds the frequencies ``|k| <= K`` of
+    each transformed axis, ``K`` its entry of ``window``.
+    """
+    density = np.abs(values)
     density **= 2
     np.divide(1.0, density, out=density)
-    table[...] = density
+    values[...] = density
     del density
-    np.fft.ifft(table, axis=1, out=table)
-    np.fft.ifft(table, axis=0, out=table)
-    ai = np.arange(-A, A + 1) % size
-    bi = np.arange(-B, B + 1) % size
-    return table[np.ix_(ai, bi)]
+    axes = range(values.ndim - len(window), values.ndim)
+    for axis in reversed(axes):
+        np.fft.ifft(values, axis=axis, out=values)
+    index = [np.arange(-K, K + 1) % values.shape[axis] for K, axis in zip(window, axes)]
+    return values[(Ellipsis,) + np.ix_(*index)]
 
 
 def moments_from_grid(
@@ -341,19 +384,14 @@ def moments_from_grid(
     """
     ensure_stable(p)
     A, B = int(window[0]), int(window[1])
-    size = GRID_START
-    prev = _grid_window(p, size, A, B)
-    while True:
-        size *= 2
-        cur = _grid_window(p, size, A, B)
-        err = float(np.max(np.abs(cur - prev)))
-        if err < tol:
-            return MomentTable((A, B), cur, size, err)
-        if size >= GRID_CAP:
-            raise NoConvergence(
-                f"moment window not stable at grid {GRID_CAP} (change {err:.3e})"
-            )
-        prev = cur
+
+    def compute(size, rows):
+        return _density_window(torus_grid_values(p, size), (A, B))[None]
+
+    values, sizes, changes = _refine(
+        compute, 1, GRID_START, GRID_CAP, tol, "moment window at grid"
+    )
+    return MomentTable((A, B), values[0], sizes[0], changes[0])
 
 
 def _reciprocal_series(
@@ -452,42 +490,24 @@ def moments_from_series(
     p: BivariateLaurentPoly,
     deg: DegreePair,
     window: tuple[int, int],
-    trunc: int | None = None,
 ) -> MomentTable:
     """Moment window from the power series of ``1/p`` (grid-free oracle).
 
     ``c[a, b] = sum_{i,j} d[i, j] * conj(d[i+a, j+b])`` where ``d`` holds the
-    series coefficients of ``1/p`` truncated at total order ``trunc``.  The
-    truncation is validated by a doubling step; an explicit ``trunc`` that
-    fails validation raises :class:`TruncationTooSmall`, while ``trunc=None``
-    doubles automatically from ``SERIES_START`` to ``SERIES_CAP``.
+    series coefficients of ``1/p`` truncated at total order ``T``.  ``T``
+    doubles from ``SERIES_START`` until the window moves by less than
+    ``SERIES_TOL``; raises :class:`NoConvergence` at ``SERIES_CAP``.
     """
     ensure_stable(p, deg)
     A, B = int(window[0]), int(window[1])
 
-    if trunc is not None:
-        base = _series_moments(p, int(trunc), A, B)
-        refined = _series_moments(p, 2 * int(trunc), A, B)
-        err = float(np.max(np.abs(refined - base)))
-        if err > SERIES_TOL:
-            raise TruncationTooSmall(
-                f"doubling trunc={trunc} moved the window by {err:.3e}"
-            )
-        return MomentTable((A, B), base, int(trunc), err)
+    def compute(order, rows):
+        return _series_moments(p, order, A, B)[None]
 
-    order = SERIES_START
-    prev = _series_moments(p, order, A, B)
-    while True:
-        order *= 2
-        cur = _series_moments(p, order, A, B)
-        err = float(np.max(np.abs(cur - prev)))
-        if err <= SERIES_TOL:
-            return MomentTable((A, B), cur, order, err)
-        if order >= SERIES_CAP:
-            raise TruncationTooSmall(
-                f"series window not stable at order {order} (change {err:.3e})"
-            )
-        prev = cur
+    values, orders, changes = _refine(
+        compute, 1, SERIES_START, SERIES_CAP, SERIES_TOL, "series window at order"
+    )
+    return MomentTable((A, B), values[0], orders[0], changes[0])
 
 
 def inner_product(
@@ -550,77 +570,46 @@ class SlicedMoments:
         return np.asarray(self.values)[..., self.lag - shifts]
 
 
-def _slice_window(w_coeffs: np.ndarray, size: int, K: int) -> np.ndarray:
-    """Moments ``|k| <= K`` on a ``size``-point grid, one row per row of ``w_coeffs``."""
-    padded = np.zeros((w_coeffs.shape[0], size), dtype=complex)
-    padded[:, : w_coeffs.shape[1]] = w_coeffs
-    # each step in place where it can be, so two grids are the most alive at once
-    vals = np.fft.ifft(padded)
-    del padded
-    vals *= size
-    density = np.abs(vals)
-    del vals
-    density **= 2
-    np.divide(1.0, density, out=density)
-    return np.fft.ifft(density)[:, np.arange(-K, K + 1) % size]
-
-
 def slice_moments(
     p: BivariateLaurentPoly,
     deg: DegreePair,
     theta,
     lag: int,
-    tol: float = DEFAULT_SLICE_TOL,
 ) -> SlicedMoments:
     """Moments ``m_k``, ``|k| <= lag``, of ``|dw| / (2 pi |p(e^{i theta}, w)|^2)``."""
     ensure_stable(p, deg)
-    return _slice_moments_unchecked(p, deg, theta, lag, tol)
+    return _slice_moments_unchecked(p, deg, theta, lag)
 
 
-def _slice_moments_unchecked(p, deg, theta, lag, tol=DEFAULT_SLICE_TOL):
+def _slice_moments_unchecked(p, deg, theta, lag):
     """Slice moments at one angle or at a 1-D array of angles.
 
-    The angles go through in blocks of ``SLICE_BLOCK``.  In each block the
-    grid doubles from ``GRID_START``, with one row-wise FFT per size for the
-    angles still open; each angle takes its values from the first doubling
-    where its own window moves by less than ``tol``.
+    The circle grid doubles from ``GRID_START``, with row-wise FFTs over the
+    angles still open, ``SLICE_BLOCK`` rows at a time; each angle takes its
+    values from the first doubling where its own window moves by less than
+    ``DEFAULT_SLICE_TOL``.
     """
     theta = as_angles(theta)
     w_coeffs = np.atleast_2d(w_slice(p, np.exp(1j * theta), deg.m + 1).T)
-    blocks = [
-        _slice_block(w_coeffs[start : start + SLICE_BLOCK], lag, tol)
-        for start in range(0, w_coeffs.shape[0], SLICE_BLOCK)
-    ]
-    values = np.concatenate([block[0] for block in blocks])
-    grids = np.concatenate([block[1] for block in blocks])
-    sym = 0.5 * (values + np.conj(values[:, ::-1]))
-    sym[:, lag] = sym[:, lag].real
+
+    def compute(size, rows):
+        windows = []
+        for start in range(0, rows.size, SLICE_BLOCK):
+            block = w_coeffs[rows[start : start + SLICE_BLOCK]]
+            samples = np.zeros((block.shape[0], size), dtype=complex)
+            samples[:, : block.shape[1]] = block
+            # unnormalized inverse transform: the slice values on the circle grid
+            np.fft.ifft(samples, axis=1, norm="forward", out=samples)
+            windows.append(_density_window(samples, (lag,)))
+        return np.concatenate(windows)
+
+    values, grids, _ = _refine(
+        compute, len(w_coeffs), GRID_START, GRID_CAP, DEFAULT_SLICE_TOL, "slice moments at grid"
+    )
+    sym = _hermitianize(values, (1,))
     if np.ndim(theta) == 0:
         return SlicedMoments(theta, lag, tuple(complex(v) for v in sym[0]), int(grids[0]))
     return SlicedMoments(theta, lag, sym, grids)
-
-
-def _slice_block(w_coeffs: np.ndarray, lag: int, tol: float):
-    """Doubling of :func:`_slice_window` for the rows of one block of angles."""
-    values = np.empty((w_coeffs.shape[0], 2 * lag + 1), dtype=complex)
-    grids = np.empty(w_coeffs.shape[0], dtype=int)
-    open_rows = np.arange(w_coeffs.shape[0])
-    size = GRID_START
-    prev = _slice_window(w_coeffs, size, lag)
-    while True:
-        size *= 2
-        cur = _slice_window(w_coeffs[open_rows], size, lag)
-        err = np.max(np.abs(cur - prev), axis=1)
-        done = err < tol
-        values[open_rows[done]] = cur[done]
-        grids[open_rows[done]] = size
-        open_rows, prev, err = open_rows[~done], cur[~done], err[~done]
-        if open_rows.size == 0:
-            return values, grids
-        if size >= GRID_CAP:
-            raise NoConvergence(
-                f"slice moments not stable at grid {GRID_CAP} (change {err.max():.3e})"
-            )
 
 
 def slice_inner_product(f_coeffs, g_coeffs, moments: SlicedMoments):

@@ -168,8 +168,10 @@ def moment_vanishing(
     the smallest power of two above every ``n (m - j) + |k|`` the N-angle sum
     is free of aliasing.  The 2N angles are sampled once for all ``j``; the N
     grid among them must give the same values to ``1e-11`` of the largest
-    integrand, else :class:`NoConvergence`.  The variant weight ``D[m-j+1]``
-    is tabulated too where defined (``j >= 1``).
+    integrand, else :class:`NoConvergence`.  That largest integrand modulus
+    is returned as each ``j``'s ``scale``: the vanishing values are roundoff
+    of sums of that size.  The variant weight ``D[m-j+1]`` is tabulated too
+    where defined (``j >= 1``).
     """
     n, m = deg
     k_lists = {int(j): [int(k) for k in ks] for j, ks in sorted(k_lists.items())}
@@ -203,6 +205,7 @@ def moment_vanishing(
         per_j[j] = {
             "k_list": ks,
             "values": [complex(v) for v in fine[row, ks]],
+            "scale": scale,
             "variant_values": [complex(v) for v in variant[row, ks]] if j else None,
         }
     return {"theta_grid": size, "per_j": per_j}

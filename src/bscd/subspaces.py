@@ -1,10 +1,15 @@
 """Gram-based reproducing kernels and orthogonality verification suites.
 
 A finite monomial span, or the orthogonal complement of a nested span inside
-a larger one, has a reproducing kernel expressible through the inverse Gram
-matrix of its monomials:
+a larger one, has a reproducing kernel expressible through an orthonormal
+basis of it.  With ``v(x)`` the monomials of the enclosing span at ``x`` and
+``B`` the basis coefficients over them, one column per basis polynomial,
 
-    K(x; y) = v1(x)^T G1^{-1} conj(v1(y)) - v2(x)^T G2^{-1} conj(v2(y)).
+    K(x; y) = sum_c (v(x) B)_c conj((v(y) B)_c).
+
+Every Gram solve goes through such a basis: ``B`` comes from one
+condition-checked Cholesky factor (:func:`_complement_coefficients`), and for
+a whole span ``G^{-1} = B B^H``.
 
 Everything in this module reduces statements about infinite monomial families
 to explicit finite windows with margins; residuals decay geometrically in the
@@ -18,12 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cd_kernel import CDKernelSet
-from .errors import (
-    DegenerateDegree,
-    IllConditionedGram,
-    IndexOutOfRange,
-    RankDeficient,
-)
+from .errors import DegenerateDegree, IllConditionedGram, IndexOutOfRange
 from .measure import MomentTable, ensure_stable, torus_grid_values
 from .poly import BivariateLaurentPoly, DegreePair, coefficient_matrix
 from .schur_cohn import diagonal_average, schur_cohn_matrix
@@ -92,19 +92,12 @@ def gram_matrix(S, moments: MomentTable) -> np.ndarray:
     return 0.5 * (G + G.conj().T)
 
 
-def _require_conditioned(G: np.ndarray, error: type, label: str) -> None:
-    """Raise ``error`` unless ``G`` is positive definite within the condition cap."""
+def _require_conditioned(G: np.ndarray, label: str) -> None:
+    """Raise :class:`IllConditionedGram` unless ``G`` is positive definite
+    within the condition cap."""
     eigs = np.linalg.eigvalsh(G)
     if eigs[0] <= 0 or eigs[-1] / eigs[0] > GRAM_CONDITION_CAP:
-        raise error(f"{label} spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}]")
-
-
-def _checked_inverse(G: np.ndarray) -> np.ndarray:
-    _require_conditioned(G, IllConditionedGram, "Gram")
-    # Cholesky-based inverse keeps the result Hermitian
-    L = np.linalg.cholesky(G)
-    inv_L = np.linalg.inv(L)
-    return inv_L.conj().T @ inv_L
+        raise IllConditionedGram(f"{label} spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}]")
 
 
 def _monomial_values(S, point) -> np.ndarray:
@@ -119,49 +112,29 @@ def _monomial_values(S, point) -> np.ndarray:
 
 
 class KernelEvaluator:
-    """Reproducing kernel of ``span(S1) - span(S2)`` in Gram form."""
+    """Reproducing kernel of ``span(S1) - span(S2)`` through an orthonormal basis."""
 
-    __slots__ = ("spec", "gram", "gram2", "_inv1", "_inv2")
+    __slots__ = ("spec", "basis")
 
     def __init__(self, spec: SubspaceSpec, moments: MomentTable):
         self.spec = spec
-        self.gram = gram_matrix(spec.S1, moments)
-        self._inv1 = _checked_inverse(self.gram)
-        if spec.S2:
-            self.gram2 = gram_matrix(spec.S2, moments)
-            self._inv2 = _checked_inverse(self.gram2)
-        else:
-            self.gram2 = None
-            self._inv2 = None
+        self.basis = _complement_coefficients(spec, moments)
 
     def evaluate(self, x, y):
-        """``K(x; y)`` for points ``x = (z, w)`` and ``y``.
+        """``K(x; y) = sum_c phi_c(x) conj(phi_c(y))`` at points ``x = (z, w)``, ``y``.
 
         Coordinates may be arrays of one shape, one pair of points per entry;
-        each span then takes one matrix product for all of them.
+        the basis values at all of them take one matrix product per side.
         """
-        value = self._span_term(self.spec.S1, self._inv1, x, y)
-        if self._inv2 is not None:
-            value = value - self._span_term(self.spec.S2, self._inv2, x, y)
+        phi_x = _monomial_values(self.spec.S1, x) @ self.basis
+        phi_y = _monomial_values(self.spec.S1, y) @ self.basis
+        value = np.sum(phi_x * np.conj(phi_y), axis=-1)
         return complex(value) if value.ndim == 0 else value
-
-    @staticmethod
-    def _span_term(S, inv, x, y) -> np.ndarray:
-        vx = _monomial_values(S, x)
-        vy = _monomial_values(S, y)
-        return np.sum((vx @ inv) * np.conj(vy), axis=-1)
 
     def kernel_section(self, y) -> BivariateLaurentPoly:
         """The polynomial ``K(., y)``; pair it with moments to reproduce."""
-        coeffs: dict[tuple[int, int], complex] = {}
-        u1 = self._inv1 @ np.conj(_monomial_values(self.spec.S1, y))
-        for (i, j), c in zip(self.spec.S1, u1):
-            coeffs[(i, j)] = coeffs.get((i, j), 0j) + c
-        if self._inv2 is not None:
-            u2 = self._inv2 @ np.conj(_monomial_values(self.spec.S2, y))
-            for (i, j), c in zip(self.spec.S2, u2):
-                coeffs[(i, j)] = coeffs.get((i, j), 0j) - c
-        return BivariateLaurentPoly(coeffs)
+        phi_y = _monomial_values(self.spec.S1, y) @ self.basis
+        return BivariateLaurentPoly(dict(zip(self.spec.S1, self.basis @ np.conj(phi_y))))
 
 
 def reproducing_kernel(spec: SubspaceSpec, moments: MomentTable) -> KernelEvaluator:
@@ -173,7 +146,10 @@ def _complement_coefficients(spec: SubspaceSpec, moments: MomentTable) -> np.nda
 
     Each monomial of ``S1`` outside ``S2`` minus its projection onto
     ``span(S2)`` is a residual; the residuals are orthonormalized through the
-    Cholesky factor of their Gram matrix.
+    Cholesky factor of their Gram matrix.  With ``S2`` empty the residuals
+    are the monomials themselves, so the basis ``B`` of ``span(S1)`` gives
+    ``G^{-1} = B B^H``.  Both Gram matrices are checked against
+    ``GRAM_CONDITION_CAP`` first.
     """
     S1 = list(spec.S1)
     extra = [mu for mu in S1 if mu not in set(spec.S2)]
@@ -181,13 +157,13 @@ def _complement_coefficients(spec: SubspaceSpec, moments: MomentTable) -> np.nda
     residuals[[S1.index(mu) for mu in extra], np.arange(len(extra))] = 1.0
     if spec.S2:
         G2 = gram_matrix(spec.S2, moments)
-        _require_conditioned(G2, IllConditionedGram, "nested-span Gram")
+        _require_conditioned(G2, "nested-span Gram")
         # column c holds <z^mu, z^alpha> over alpha in S2, for mu = extra[c]
         projection = np.linalg.solve(G2, moments.lag_matrix(spec.S2, extra))
         residuals[[S1.index(alpha) for alpha in spec.S2]] = -projection
     Gb = residuals.conj().T @ moments.lag_matrix(S1, S1) @ residuals
     Gb = 0.5 * (Gb + Gb.conj().T)
-    _require_conditioned(Gb, IllConditionedGram, "complement Gram")
+    _require_conditioned(Gb, "complement Gram" if spec.S2 else "Gram")
     C = np.linalg.inv(np.linalg.cholesky(Gb)).conj().T
     return residuals @ C
 
@@ -224,15 +200,11 @@ def reconstruct_kernel_coefficient(
     if not 0 <= k < m:
         raise IndexOutOfRange(f"coefficient index {k} outside 0..{m - 1}")
     S = monomial_rect(0, 2 * n, 0, m - 1)
-    G = gram_matrix(S, moments)
-    _require_conditioned(G, RankDeficient, "box Gram")
+    B = _complement_coefficients(SubspaceSpec(S), moments)
     pivot = S.index((n, k))
-    rhs = np.zeros(len(S), dtype=complex)
-    rhs[pivot] = 1.0
-    x = np.linalg.solve(G, rhs)
+    # x = G^{-1} e_pivot = B B^H e_pivot
+    x = B @ np.conj(B[pivot])
     raw_norm2 = x[pivot].real
-    if raw_norm2 <= 0:
-        raise RankDeficient("solved coefficient vector has nonpositive norm")
     target = diagonal_average(schur_cohn_matrix(p, deg), k)
     scale = np.sqrt(target / raw_norm2)
     return BivariateLaurentPoly(
@@ -523,11 +495,11 @@ def closed_form_kernel_residual(
                 for j in range(box[3] + 1)
                 if not (i >= n and j >= m)
             ]
-            G = gram_matrix(W, moments)
+            B = _complement_coefficients(SubspaceSpec(tuple(W)), moments)
             support, coeffs = coefficient_matrix([f])
-            # r[(i, j)] = <f, z^i w^j>
+            # r[(i, j)] = <f, z^i w^j>; the projection is G^{-1} r = B B^H r
             r = (moments.lag_matrix(W, support) @ coeffs)[:, 0]
-            x = np.linalg.solve(G, r)
+            x = B @ (B.conj().T @ r)
         for y in points:
             paired = closed_form_kernel_pairing(p, deg, f, y, grid, cache)
             if member:

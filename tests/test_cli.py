@@ -63,6 +63,24 @@ def test_nonpositive_tolerance_rejected(tmp_path):
     assert cli.main(["stability", "--config", path, "--tol", "nope=1"]) == 2
 
 
+def test_tol_flag_sets_names_over_the_config_file(tmp_path):
+    tolerances = {"orthogonality": 1e-7, "identity": 1e-6}
+    path = write_config(tmp_path, tolerances=tolerances)
+    config = cli.load_config(path, {"tolerances": {"identity": 1e-5}})
+    assert config.tolerances == {
+        **cli.DEFAULT_TOLERANCES,
+        "orthogonality": 1e-7,
+        "identity": 1e-5,
+    }
+    assert config.margin == cli.RunConfig.margin and config.format == "json"
+    bad = write_config(tmp_path, tolerances={"identity": "small"})
+    with pytest.raises(ConfigInvalid, match="tolerance identity"):
+        cli.load_config(bad)
+    bad = write_config(tmp_path, tolerances=[1e-7])
+    with pytest.raises(ConfigInvalid, match="'tolerances' must be an object"):
+        cli.load_config(bad)
+
+
 # ----------------------------------------------------------------------
 # Suites and exit codes
 # ----------------------------------------------------------------------
@@ -145,13 +163,27 @@ def test_short_window_names_the_window_verify_orthogonality_needs(tmp_path):
 
 def test_moments_suite_cross_validates(tmp_path, capsys):
     path = write_config(tmp_path, window=[6, 6])
-    code = cli.main(["moments", "--config", path, "--method", "series"])
+    code = cli.main(["moments", "--config", path])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["details"]["cross_path_difference"] < 1e-10
     table = payload["details"]["table"]
     assert table["window"] == [6, 6]
     assert any(row[:2] == [0, 0] for row in table["values"])
+
+
+def test_parametric_vanishing_is_relative_to_the_integrand_scale(tmp_path, capsys):
+    # the j = 0 values of this draw are about 1.9e-8 at an integrand scale of
+    # 2.9e8: roundoff, which an absolute count against 1e-9 failed
+    p, deg = measure.random_stable_poly(12, 12, np.random.default_rng(1))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"polynomial": p.to_json_dict(deg)}))
+    code = cli.main(["parametric", "--config", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["status"] == "pass"
+    zero = payload["details"]["vanishing"]["0"]
+    assert max(np.hypot(*np.array(zero["values"]).T)) > 1e-9
+    assert zero["scale"] > 1e8
 
 
 def test_schur_cohn_payload_is_json_lines(tmp_path, capsys):

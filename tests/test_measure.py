@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from bscd import measure
 from bscd.errors import (
     InconclusiveNearBoundary,
-    TruncationTooSmall,
+    NoConvergence,
     WindowTooSmall,
     ZeroPolynomial,
 )
@@ -188,7 +188,60 @@ def test_in_place_torus_transforms_are_the_ifft2_formulas_to_the_bit(size):
     del values
     expected = table[np.ix_(np.arange(-A, A + 1) % size, np.arange(-B, B + 1) % size)]
     del table
-    assert np.array_equal(measure._grid_window(p, size, A, B), expected)
+    window = measure._density_window(measure.torus_grid_values(p, size), (A, B))
+    assert np.array_equal(window, expected)
+
+
+def grid_moments_loop(p, window, tol=measure.DEFAULT_MOMENT_TOL):
+    """The torus-grid doubling written out for one window, with the ifft2 formulas."""
+    A, B = window
+    index = np.ix_(np.arange(-A, A + 1), np.arange(-B, B + 1))
+
+    def at(size):
+        return np.fft.ifft2(1.0 / np.abs(torus_grid_values_ifft2(p, size)) ** 2)[index]
+
+    size = measure.GRID_START
+    prev = at(size)
+    while True:
+        size *= 2
+        cur = at(size)
+        err = float(np.max(np.abs(cur - prev)))
+        if err < tol:
+            return cur, size, err
+        prev = cur
+
+
+def test_refine_on_one_row_is_the_grid_loop():
+    p, deg, window = near_boundary_draw()
+    values, size, err = grid_moments_loop(p, window)
+    table = moments_from_grid(p, window)
+    assert size == 1024
+    assert table.grid_size == size and table.est_error == err
+    assert table.max_difference(measure.MomentTable(window, values, size, err)) == 0.0
+
+
+def test_refine_stops_each_row_on_its_own():
+    # row r of the window at size N is 2 scales[r] / N times a fixed row, so a
+    # doubling to N moves it by 2 scales[r] / N (times that row's maximum, 1)
+    scales = np.array([1e-3, 1.0, 1e-6, 30.0])
+    shape = np.array([1.0, -0.5, 0.25j])
+    computed = []
+
+    def compute(size, rows):
+        computed.append((size, rows.tolist()))
+        return (2.0 * scales[rows] / size)[:, None] * shape
+
+    values, sizes, changes = measure._refine(compute, 4, 4, 1 << 20, 1e-4, "test window at")
+    # each row stops at the least power of two above 2e4 * scales[r]
+    assert sizes.tolist() == [32, 32768, 8, 1 << 20]
+    assert np.array_equal(changes, 2.0 * scales / sizes)
+    assert np.array_equal(values, (2.0 * scales / sizes)[:, None] * shape)
+    assert computed[:3] == [(4, [0, 1, 2, 3]), (8, [0, 1, 2, 3]), (16, [0, 1, 3])]
+    assert computed[-1] == (1 << 20, [3])
+    with pytest.raises(NoConvergence) as caught:
+        measure._refine(compute, 4, 4, 1 << 16, 1e-4, "test window at")
+    change = 2.0 * 30.0 / (1 << 16)
+    assert str(caught.value) == f"test window at {1 << 16} not stable (change {change:.3e})"
 
 
 def test_torus_grid_peaks_stay_near_one_complex_grid():
@@ -224,9 +277,12 @@ def test_series_agrees_with_grid_on_worked_example():
     assert grid.max_difference(series) < 1e-10
 
 
-def test_series_truncation_too_small():
-    with pytest.raises(TruncationTooSmall):
-        moments_from_series(WORKED, WORKED_DEG, (4, 4), trunc=4)
+def test_series_cap_raises_no_convergence(monkeypatch):
+    # the near-boundary draw needs order 1024; capped at 128 it cannot settle
+    p, deg, window = near_boundary_draw()
+    monkeypatch.setattr(measure, "SERIES_CAP", 128)
+    with pytest.raises(NoConvergence, match=r"series window at order 128 not stable \(change "):
+        moments_from_series(p, deg, window)
 
 
 def series_window_loop(d, A, B):

@@ -254,6 +254,19 @@ def test_vanishing_beyond_frequency_bound(random_family, monkeypatch):
             assert all(abs(v) < 1e-8 for v in entry["values"])
 
 
+def test_in_band_coefficients_stay_far_above_the_gate_relative_to_scale():
+    # the normalization of the vanishing gate, |I_j(k)| / max(1, scale_j),
+    # reads roundoff beyond the band k <= n (m - j) but not inside it (the
+    # in-band coefficients decay fast, so the low ones are the ones to test)
+    p, deg = random_stable_poly(12, 12, np.random.default_rng(1))
+    n, m = deg
+    k_lists = {j: [0, 1, n * (m - j) + 1] for j in (0, 5, m - 1)}
+    for j, entry in moment_vanishing(p, deg, k_lists)["per_j"].items():
+        *inside, beyond = (abs(v) / max(1.0, entry["scale"]) for v in entry["values"])
+        assert min(inside) > 1e-3, j
+        assert beyond < 1e-15, j
+
+
 def test_variant_weight_does_not_vanish(random_family):
     # with the variant multiplier the integrand is not a trig polynomial of
     # the bounded degree, and the integrals stay visibly nonzero

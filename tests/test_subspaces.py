@@ -5,7 +5,12 @@ import pytest
 
 from bscd import measure, subspaces
 from bscd.cd_kernel import cd_kernel_set
-from bscd.errors import DegenerateDegree, IndexOutOfRange, WindowTooSmall
+from bscd.errors import (
+    DegenerateDegree,
+    IllConditionedGram,
+    IndexOutOfRange,
+    WindowTooSmall,
+)
 from bscd.measure import (
     MomentTable,
     inner_product,
@@ -78,6 +83,19 @@ def test_reproducing_property_on_full_and_difference_spans(worked_moments):
         assert abs(paired - f(*y)) < 1e-9
 
 
+def difference_of_inverses_kernel(spec, moments, x, y):
+    """The Gram form ``v1(x)^T G1^{-1} conj(v1(y)) - v2(x)^T G2^{-1} conj(v2(y))``."""
+
+    def span_term(S):
+        if not S:
+            return 0j
+        vx = np.array([complex(x[0]) ** i * complex(x[1]) ** j for i, j in S])
+        vy = np.array([complex(y[0]) ** i * complex(y[1]) ** j for i, j in S])
+        return complex(vx @ np.linalg.inv(gram_matrix(S, moments)) @ np.conj(vy))
+
+    return span_term(spec.S1) - span_term(spec.S2)
+
+
 def test_kernel_equals_orthonormal_basis_sum(worked_moments):
     rng = np.random.default_rng(32)
     spec = SubspaceSpec(monomial_rect(0, 2, 0, 1), monomial_rect(0, 1, 0, 0))
@@ -88,7 +106,9 @@ def test_kernel_equals_orthonormal_basis_sum(worked_moments):
         y = (rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal())
         direct = K.evaluate(x, y)
         summed = sum(phi(*x) * np.conj(phi(*y)) for phi in basis)
+        reference = difference_of_inverses_kernel(spec, worked_moments, x, y)
         assert abs(direct - summed) < 1e-10 * max(1.0, abs(direct))
+        assert abs(direct - reference) < 1e-10 * max(1.0, abs(direct))
 
 
 def test_corner_value_of_first_difference_kernel(worked_moments):
@@ -433,6 +453,16 @@ def test_closed_form_kernel_residual_suite(worked_moments):
         WORKED, WORKED_DEG, worked_moments, functions, points
     )
     assert result["max_residual"] < 1e-8
+
+
+def test_kernel_projection_checks_the_gram_condition(worked_moments, monkeypatch):
+    # z w lies in the removed corner, so its projection needs a Gram solve
+    functions = [Poly.monomial(1, 1)]
+    points = [(0.3, 0.4)]
+    closed_form_kernel_residual(WORKED, WORKED_DEG, worked_moments, functions, points)
+    monkeypatch.setattr(subspaces, "GRAM_CONDITION_CAP", 1.0)
+    with pytest.raises(IllConditionedGram, match="Gram spectrum"):
+        closed_form_kernel_residual(WORKED, WORKED_DEG, worked_moments, functions, points)
 
 
 def test_corner_adjacent_monomial_is_reproduced(random_family_with_moments):
