@@ -11,13 +11,12 @@ import numpy as np
 
 from bscd import (
     evaluate_on_circle,
-    positivity_scan,
     principal_determinants,
     schur_cohn_matrix,
     slice_moments,
 )
 from bscd.measure import random_stable_poly
-from bscd.poly import BivariateLaurentPoly as Poly, DegreePair
+from bscd.poly import BivariateLaurentPoly as Poly, DegreePair, angle_grid
 
 p = Poly({(0, 0): 3, (1, 0): -1, (0, 1): -1})
 deg = DegreePair(1, 1)
@@ -28,8 +27,9 @@ print("-------------")
 print(f"  matrix entry (0,0): {dict(T.entry(0, 0).items())}")
 print(f"  value at theta=0  : {evaluate_on_circle(T, 0.0)[0, 0].real:.6f}   (9 - 6 cos 0 = 3)")
 print(f"  value at theta=pi : {evaluate_on_circle(T, np.pi)[0, 0].real:.6f}  (9 - 6 cos pi = 15)")
-scan = positivity_scan(T, 128)
-print(f"  positivity scan   : min eigenvalue {scan.min_eig:.6f} at theta={scan.theta_at_min:.3f}")
+thetas = angle_grid(128)
+eigs = np.linalg.eigvalsh(evaluate_on_circle(T, thetas))[:, 0]
+print(f"  positivity scan   : min eigenvalue {eigs.min():.6f} at theta={thetas[eigs.argmin()]:.3f}")
 print()
 
 rng = np.random.default_rng(7)
@@ -37,8 +37,8 @@ q, qdeg = random_stable_poly(2, 3, rng)
 Tq = schur_cohn_matrix(q, qdeg)
 print(f"random stable polynomial, degree {tuple(qdeg)}")
 print("---------------------------------------")
-scan = positivity_scan(Tq, 64)
-print(f"  positive definite on the circle: {scan.all_positive} (min eig {scan.min_eig:.4f})")
+min_eig = np.linalg.eigvalsh(evaluate_on_circle(Tq, angle_grid(64)))[:, 0].min()
+print(f"  positive definite on the circle: {min_eig > 0} (min eig {min_eig:.4f})")
 
 theta = 1.234
 profile = principal_determinants(Tq, theta)

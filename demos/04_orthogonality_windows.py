@@ -15,7 +15,8 @@ from bscd import (
     inner_product,
     moments_from_grid,
     orthogonality_report,
-    reconstruct_kernel_coefficient,
+    reconstruct_kernel_coefficients,
+    schur_cohn_matrix,
 )
 from bscd.measure import norm, random_stable_poly
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair
@@ -56,6 +57,7 @@ print("---------------------------------------")
 print(f"  {len(report.pairs)} pairings checked over the margin-4 window")
 print(f"  max violation: {report.max_violation:.2e}  (relative: {report.max_violation / scale:.2e})")
 
-rec = reconstruct_kernel_coefficient(q, qdeg, 1, qtable)
-print(f"  reconstruction of a_1 from orthogonality alone: "
-      f"max coeff diff {(rec - kq.a[1]).max_abs():.2e}")
+rebuilt = reconstruct_kernel_coefficients(q, qdeg, qtable, schur_cohn_matrix(q, qdeg))
+for k, (rec, ak) in enumerate(zip(rebuilt, kq.a)):
+    print(f"  reconstruction of a_{k} from orthogonality alone: "
+          f"max coeff diff {(rec - ak).max_abs():.2e}")

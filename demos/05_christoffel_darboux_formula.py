@@ -18,10 +18,10 @@ from bscd import moments_from_grid
 from bscd.measure import random_stable_poly
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair
 from bscd.subspaces import (
+    KernelEvaluator,
     SubspaceSpec,
     cd_formula_residual,
     monomial_rect,
-    reproducing_kernel,
 )
 
 p = Poly({(0, 0): 3, (1, 0): -1, (0, 1): -1})
@@ -32,10 +32,10 @@ print("p = 3 - z - w at the origin 4-tuple")
 print("-----------------------------------")
 pr = p.reflect(deg)
 lhs = p(0, 0) * np.conj(p(0, 0)) - pr(0, 0) * np.conj(pr(0, 0))
-K1 = reproducing_kernel(
+K1 = KernelEvaluator(
     SubspaceSpec(monomial_rect(0, 1, 0, 0), monomial_rect(0, 0, 0, 0)), table
 )
-K2 = reproducing_kernel(
+K2 = KernelEvaluator(
     SubspaceSpec(monomial_rect(0, 0, 0, 1), monomial_rect(0, 0, 1, 1)), table
 )
 k1 = K1.evaluate((0, 0), (0, 0)).real

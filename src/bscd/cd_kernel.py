@@ -3,14 +3,19 @@
 The kernel attached to a stable ``p`` of degree (n, m) is a polynomial of
 degree (2n, m-1) in (z, w) and degree m-1 in the conjugated parameter; its
 parameter coefficients ``a_0 .. a_{m-1}`` are the central objects here.
-Three independent construction routes are provided and cross-checked by the
-test suite:
+Three independent construction routes are provided, and the ``cd-kernel``
+suite of the command line checks them against each other:
 
 1. :func:`kernel_coefficients` reads the family off the Schur-Cohn matrix.
 2. :func:`kernel_by_divided_difference` forms the rational quotient
    directly and divides out the parameter factor synthetically.
 3. :func:`cofactor_decomposition` produces polynomials A_j, B_j with
    ``a_j = p * A_j + reflect(p) * B_j``.
+
+A second route ties the family to the matrix: :func:`slice_gram`
+integrates the ``a_j`` against the w-slice measures at a grid of angles,
+and their Gram matrix there is ``T(e^{i theta})``.  The suite reports the
+gap as ``slice_gram_max``.
 """
 
 from __future__ import annotations
@@ -20,14 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDegree, NonzeroRemainder
-from .measure import (
-    _slice_moments_unchecked,
-    ensure_stable,
-    slice_inner_product,
-    w_slice,
-)
+from .measure import SlicedMoments, ensure_stable, slice_inner_product, w_slice
 from .poly import BivariateLaurentPoly, DegreePair
-from .schur_cohn import LaurentMatrixPoly, evaluate_on_circle, schur_cohn_matrix
+from .schur_cohn import (
+    LaurentMatrixPoly,
+    evaluate_on_circle,  # unused; bench/test_bench_spans.py asserts this binding (ROADMAP item 6)
+    schur_cohn_matrix,
+)
 
 DIVISION_REMAINDER_TOL = 1e-11
 
@@ -165,66 +169,21 @@ def cd_kernel_set(p: BivariateLaurentPoly, deg: DegreePair) -> CDKernelSet:
 
 
 # ----------------------------------------------------------------------
-# Slice identities
+# Slice identity
 # ----------------------------------------------------------------------
 
 
-def slice_norm_check(
-    p: BivariateLaurentPoly,
-    deg: DegreePair,
-    theta: float,
-    eta: complex,
-    kernelset: CDKernelSet | None = None,
-) -> dict:
-    """Compare the sliced squared norm of the kernel to its diagonal value.
+def slice_gram(kernelset: CDKernelSet, sm: SlicedMoments) -> np.ndarray:
+    """Sliced Gram matrices of the coefficient family at the angles of ``sm``.
 
-    The left side integrates ``|L(z, w; eta)|^2`` against the w-slice measure
-    at ``z = e^{i theta}`` via sliced quadrature; the right side is
-    ``conj(z)^n L(z, eta; eta)`` read off the coefficient family directly.
+    Returns ``G`` with shape ``(K, m, m)``, where ``G[k, i, j]`` integrates
+    ``conj(a_i) a_j`` against the w-slice measure at the k-th angle; the
+    identity says ``G = T(e^{i theta})`` for stable ``p``.  ``sm`` needs
+    lags up to ``m - 1``.
     """
-    ensure_stable(p, deg)
-    n, m = deg
-    ks = kernelset if kernelset is not None else cd_kernel_set(p, deg)
-    z = np.exp(1j * float(theta))
-    eta_bar = complex(eta).conjugate()
-
-    section = np.zeros(m, dtype=complex)
-    for j, aj in enumerate(ks.a):
-        section += eta_bar**j * w_slice(aj, z, m)
-    sm = _slice_moments_unchecked(p, deg, theta, m - 1 if m > 1 else 0)
-    lhs = slice_inner_product(section, section, sm)
-
-    rhs = np.conj(z) ** n * sum(
-        aj(z, eta) * eta_bar**j for j, aj in enumerate(ks.a)
-    )
-    return {
-        "lhs": float(lhs.real),
-        "rhs": complex(rhs),
-        "residual": float(abs(lhs - rhs)),
-    }
-
-
-def slice_gram_residual(
-    p: BivariateLaurentPoly,
-    deg: DegreePair,
-    theta: float,
-    kernelset: CDKernelSet | None = None,
-    T: LaurentMatrixPoly | None = None,
-) -> np.ndarray:
-    """Sliced Gram matrix of the coefficient family minus the matrix value.
-
-    Returns ``G - T(e^{i theta})`` where ``G[i, j]`` integrates
-    ``conj(a_i) a_j`` against the w-slice measure; the identity says this
-    vanishes for stable ``p``.
-    """
-    ensure_stable(p, deg)
-    n, m = deg
-    ks = kernelset if kernelset is not None else cd_kernel_set(p, deg)
-    if T is None:
-        T = schur_cohn_matrix(p, deg)
-    z = np.exp(1j * float(theta))
-    sections = np.array([w_slice(aj, z, m) for aj in ks.a])
-    sm = _slice_moments_unchecked(p, deg, theta, m - 1 if m > 1 else 0)
+    m = kernelset.deg.m
+    z = np.exp(1j * np.atleast_1d(sm.theta))
+    # sections[k, j] holds the w-coefficients of a_j at the k-th angle
+    sections = np.stack([w_slice(aj, z, m) for aj in kernelset.a]).transpose(2, 0, 1)
     # integral of conj(a_i) a_j equals <a_j, a_i> on the slice
-    G = slice_inner_product(sections[None, :, :], sections[:, None, :], sm)
-    return G - evaluate_on_circle(T, theta)
+    return slice_inner_product(sections[:, None, :, :], sections[:, :, None, :], sm)

@@ -106,6 +106,14 @@ def default_window(deg: DegreePair, margin: int, shift_max: int) -> tuple[int, i
     return (A, max(B, deg.m + 2 * margin))
 
 
+def _integer(name: str, value) -> int:
+    """A config entry as an int, or :class:`ConfigInvalid` naming the entry."""
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"'{name}' must be an integer, got {value!r}") from exc
+
+
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     """Read and validate a config file.
 
@@ -159,24 +167,32 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
             raise ConfigInvalid(f"tolerance {name} must be positive")
         tolerances[name] = value
 
-    margin = int(merged.get("margin", RunConfig.margin))
-    shift_max = int(merged.get("shift_max", RunConfig.shift_max))
+    margin = _integer("margin", merged.get("margin", RunConfig.margin))
+    shift_max = _integer("shift_max", merged.get("shift_max", RunConfig.shift_max))
     if margin < 0 or shift_max < 0:
         raise ConfigInvalid("margin and shift_max must be nonnegative")
     window = merged.get("window")
     if window is None:
         window = default_window(deg, margin, shift_max)
     else:
-        window = (int(window[0]), int(window[1]))
+        if not isinstance(window, (list, tuple)) or len(window) != 2:
+            raise ConfigInvalid(f"'window' must be a pair [A, B], got {window!r}")
+        window = (_integer("window", window[0]), _integer("window", window[1]))
         if window[0] < 0 or window[1] < 0:
             raise ConfigInvalid("window bounds must be nonnegative")
     fmt = merged.get("format", RunConfig.format)
     if fmt not in ("json", "csv"):
         raise ConfigInvalid(f"unknown format: {fmt}")
-    theta_grid = int(merged.get("theta_grid", RunConfig.theta_grid))
+    theta_grid = _integer("theta_grid", merged.get("theta_grid", RunConfig.theta_grid))
     if theta_grid < 1:
         raise ConfigInvalid("theta_grid must be positive")
+    seed = _integer("seed", merged.get("seed", RunConfig.seed))
+    if seed < 0:
+        raise ConfigInvalid("seed must be nonnegative")
     k_max = merged.get("k_max")
+    output = merged.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ConfigInvalid(f"'output' must be a path, got {output!r}")
     return RunConfig(
         polynomial=poly,
         deg=deg,
@@ -186,9 +202,9 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         margin=margin,
         shift_max=shift_max,
         theta_grid=theta_grid,
-        seed=int(merged.get("seed", RunConfig.seed)),
-        k_max=None if k_max is None else int(k_max),
-        output=merged.get("output"),
+        seed=seed,
+        k_max=None if k_max is None else _integer("k_max", k_max),
+        output=output,
         format=fmt,
     )
 
@@ -205,6 +221,11 @@ ARTIFACT_BUILDERS = {
     ),
     "matrix": lambda cfg: schur_cohn.schur_cohn_matrix(cfg.polynomial, cfg.deg),
     "kernelset": lambda cfg: cd_kernel.cd_kernel_set(cfg.polynomial, cfg.deg),
+    # slice moments on the theta grid; unchecked, so a suite fetches it only
+    # after an artifact that refuses an unstable p or a degree with m = 0
+    "slices": lambda cfg: measure._slice_moments_unchecked(
+        cfg.polynomial, cfg.deg, angle_grid(cfg.theta_grid), cfg.deg.m - 1
+    ),
 }
 
 
@@ -272,11 +293,11 @@ def _suite_schur_cohn(art: Artifacts, cfg: RunConfig):
     measure.ensure_stable(cfg.polynomial, cfg.deg)
     T = art.get("matrix")
     m = cfg.deg.m
-    thetas = angle_grid(cfg.theta_grid)
+    sl = art.get("slices")
+    thetas = sl.theta
     profile = schur_cohn.principal_determinants(T, thetas)
     M = profile.matrix
     eigs = np.linalg.eigvalsh(M)[:, 0]
-    sl = measure._slice_moments_unchecked(cfg.polynomial, cfg.deg, thetas, m - 1)
     residuals = np.max(np.abs(M @ sl.lag_matrix(m, m) - np.eye(m)), axis=(1, 2))
     rows = [
         {
@@ -309,7 +330,15 @@ def _suite_cd_kernel(art: Artifacts, cfg: RunConfig):
         violation = max(violation, (recombined - ks.a[j]).max_abs())
         mirrored = ks.a[m - j - 1].reflect(DegreePair(2 * n, m - 1))
         violation = max(violation, (mirrored - ks.a[j]).max_abs())
+    # second route: the sliced Gram of the a_j is T(e^{i theta}) on the grid
+    T = art.get("matrix")
+    sl = art.get("slices")
+    Tc = schur_cohn.evaluate_on_circle(T, sl.theta)
+    gap = np.max(np.abs(cd_kernel.slice_gram(ks, sl) - Tc))
+    slice_gram_max = float(gap / max(1.0, np.max(np.abs(Tc))))
+    violation = max(violation, slice_gram_max)
     details = {
+        "slice_gram_max": slice_gram_max,
         "a": [aj.to_json_dict(DegreePair(2 * n, m - 1)) for aj in ks.a],
         "A": [Aj.to_json_dict(DegreePair(n, m - 1)) for Aj in ks.A],
         "B": [Bj.to_json_dict(DegreePair(n, m - 1)) for Bj in ks.B],
@@ -338,10 +367,21 @@ def _suite_verify_orthogonality(art: Artifacts, cfg: RunConfig):
         cfg.polynomial, cfg.deg, ks, moments, cfg.shift_max, cfg.margin
     )
     violation = max(base.max_violation, shifts.max_violation) / scale
+    # second route: each a_k recovered from its defining relations alone
+    rebuilt = subspaces.reconstruct_kernel_coefficients(
+        cfg.polynomial, cfg.deg, moments, art.get("matrix")
+    )
+    reconstruction_max = max(
+        (rec - ak).max_abs() / max(1.0, ak.max_abs()) for rec, ak in zip(rebuilt, ks.a)
+    )
+    pivot_max = max(abs(v - 1.0) for v in subspaces.kernel_pivot_values(ks, moments))
+    violation = max(violation, reconstruction_max, pivot_max)
     details = {
         "normalization": scale,
         "window_max_violation": base.max_violation,
         "shift_max_violation": shifts.max_violation,
+        "reconstruction_max": float(reconstruction_max),
+        "pivot_max": float(pivot_max),
         "pairs": _orth_pairs_json(base) + _orth_pairs_json(shifts),
     }
     return violation, details
@@ -392,6 +432,13 @@ def _suite_parametric(art: Artifacts, cfg: RunConfig):
     op = parametric.parametric_polynomials(cfg.polynomial, cfg.deg, thetas, T)
     check = parametric.orthogonality_check(cfg.polynomial, cfg.deg, thetas, op)
     violation = float(max(np.max(check["offdiag_max"]), np.max(check["lu_law_residual"])))
+    # second route: monic Gram-Schmidt on the slices, scaled to the LU leads
+    gram_schmidt = np.zeros(len(thetas))
+    for phi, q in zip(op.phi, parametric.gram_schmidt_slice_polynomials(art.get("slices"))):
+        error = np.max(np.abs(phi[:, -1:] * q - phi), axis=1)
+        scale = np.maximum(1.0, np.max(np.abs(phi), axis=1))
+        gram_schmidt = np.maximum(gram_schmidt, error / scale)
+    violation = max(violation, float(np.max(gram_schmidt)))
     variant = check["variant_law_residual"]
     rows = [
         {
@@ -400,6 +447,7 @@ def _suite_parametric(art: Artifacts, cfg: RunConfig):
             "D_list": op.D.D[k].tolist(),
             "offdiag_max": float(check["offdiag_max"][k]),
             "lu_law_residual": float(check["lu_law_residual"][k]),
+            "gram_schmidt_residual": float(gram_schmidt[k]),
             "variant_law_residual": None if variant is None else float(variant[k]),
             "matches_variant_law": (
                 None if variant is None else bool(check["matches_variant_law"][k])
@@ -605,7 +653,7 @@ def main(argv=None) -> int:
             parts = args.window.split(",")
             if len(parts) != 2:
                 raise ConfigInvalid("--window expects A,B")
-            overrides["window"] = [int(parts[0]), int(parts[1])]
+            overrides["window"] = parts
         if args.suite != "all":
             overrides["suites"] = [args.suite]
         default_name = SUITE_TOLERANCE_NAME.get(args.suite)

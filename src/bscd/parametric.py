@@ -18,12 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDegree, IndexOutOfRange, NoConvergence, NotPositiveDefinite
-from .measure import _slice_moments_unchecked, ensure_stable, slice_inner_product
+from .measure import SlicedMoments, _slice_moments_unchecked, ensure_stable, slice_inner_product
 from .poly import BivariateLaurentPoly, DegreePair, angle_grid
 from .schur_cohn import (
     DeterminantProfile,
     LaurentMatrixPoly,
-    evaluate_on_circle,
+    evaluate_on_circle,  # unused; bench/test_bench_spans.py asserts this binding (ROADMAP item 6)
     principal_determinants,
     schur_cohn_matrix,
 )
@@ -211,24 +211,26 @@ def moment_vanishing(
     return {"theta_grid": size, "per_j": per_j}
 
 
-def gram_schmidt_slice_polynomials(
-    p: BivariateLaurentPoly,
-    deg: DegreePair,
-    theta: float,
-) -> list[np.ndarray]:
+def gram_schmidt_slice_polynomials(sm: SlicedMoments) -> list[np.ndarray]:
     """Independent construction path: Gram-Schmidt on ``1, w, ..., w^{m-1}``.
 
-    Returns monic polynomials orthogonal on the slice, for comparison with
-    the LU route after rescaling to matching leading coefficients.  Every
-    pairing is a product with the slice lag matrix, ``<v, q> = conj(q) @ M @ v``.
+    ``m`` is ``sm.lag + 1``.  Returns the monic polynomials orthogonal on the
+    slice, for comparison with the LU route after rescaling to matching
+    leading coefficients: at ``K`` angles ``monic[d]`` has shape
+    ``(K, d + 1)``, and every step runs over the whole stack of lag matrices
+    at once, ``<v, q> = conj(q) @ M @ v``.
     """
-    ensure_stable(p, deg)
-    m = deg.m
-    M = _slice_moments_unchecked(p, deg, theta, m - 1).lag_matrix(m, m)
+    m = sm.lag + 1
+    M = sm.lag_matrix(m, m)
+
+    def pair(v, q):
+        return (q.conj()[..., None, :] @ M @ v[..., :, None])[..., 0, 0]
+
     basis: list[np.ndarray] = []
     for d in range(m):
-        v = np.eye(m, dtype=complex)[d]
+        v = np.zeros(M.shape[:-1], dtype=complex)
+        v[..., d] = 1.0
         for q in basis:
-            v = v - (q.conj() @ M @ v) / (q.conj() @ M @ q) * q
+            v = v - (pair(v, q) / pair(q, q))[..., None] * q
         basis.append(v)
-    return [v[: d + 1] for d, v in enumerate(basis)]
+    return [v[..., : d + 1] for d, v in enumerate(basis)]

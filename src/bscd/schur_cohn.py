@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDegree
-from .poly import BivariateLaurentPoly, DegreePair, angle_grid, as_angles
+from .poly import BivariateLaurentPoly, DegreePair, as_angles
 
 
 class LaurentMatrixPoly:
@@ -120,24 +120,6 @@ def principal_determinants(T: LaurentMatrixPoly, theta) -> DeterminantProfile:
     for i in range(1, T.m + 1):
         D[..., i] = np.linalg.det(M[..., :i, :i]).real
     return DeterminantProfile(theta, tuple(D.tolist()) if M.ndim == 2 else D, M)
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    min_eig: float
-    all_positive: bool
-    theta_at_min: float
-
-
-def positivity_scan(T: LaurentMatrixPoly, resolution: int = 64) -> PositivityReport:
-    """Smallest eigenvalue of the circle evaluation over a uniform angle grid.
-
-    The angles are evaluated as one batch; ties go to the first angle.
-    """
-    thetas = angle_grid(resolution)
-    eigs = np.linalg.eigvalsh(evaluate_on_circle(T, thetas))[:, 0]
-    k = int(np.argmin(eigs))
-    return PositivityReport(float(eigs[k]), bool(eigs[k] > 0.0), float(thetas[k]))
 
 
 def diagonal_average(T: LaurentMatrixPoly, k: int) -> float:

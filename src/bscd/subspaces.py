@@ -11,6 +11,14 @@ Every Gram solve goes through such a basis: ``B`` comes from one
 condition-checked Cholesky factor (:func:`_complement_coefficients`), and for
 a whole span ``G^{-1} = B B^H``.
 
+The kernel coefficients ``a_k`` satisfy more orthogonality relations than
+the ones that define them.  :func:`orthogonality_report` and
+:func:`shift_orthogonality_report` check those relations over a window;
+:func:`reconstruct_kernel_coefficients` runs the converse, recovering every
+``a_k`` from the defining relations alone, and :func:`kernel_pivot_values`
+reads the one pairing each ``a_k`` keeps.  The ``verify-orthogonality``
+suite of the command line reports all four.
+
 Everything in this module reduces statements about infinite monomial families
 to explicit finite windows with margins; residuals decay geometrically in the
 margin because the underlying measures have analytic densities.
@@ -23,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cd_kernel import CDKernelSet
-from .errors import DegenerateDegree, IllConditionedGram, IndexOutOfRange
+from .errors import DegenerateDegree, IllConditionedGram
 from .measure import MomentTable, ensure_stable, torus_grid_values
 from .poly import BivariateLaurentPoly, DegreePair, coefficient_matrix
-from .schur_cohn import diagonal_average, schur_cohn_matrix
+from .schur_cohn import LaurentMatrixPoly, diagonal_average
 
 GRAM_CONDITION_CAP = 1e12
 
@@ -49,16 +57,6 @@ def in_coefficient_orthogonality_set(i: int, j: int, k: int, deg: DegreePair) ->
         or (0 <= j < m and j != k)
         or (i < n and j >= m)
         or (j == k and i != n)
-    )
-
-
-def in_kernel_orthogonality_set(i: int, j: int, deg: DegreePair) -> bool:
-    """Membership in the set annihilated by the full parametrized kernel."""
-    n, m = deg
-    return (
-        (i > n and j < 0)
-        or (i != n and 0 <= j < m)
-        or (i < n and j >= m)
     )
 
 
@@ -137,10 +135,6 @@ class KernelEvaluator:
         return BivariateLaurentPoly(dict(zip(self.spec.S1, self.basis @ np.conj(phi_y))))
 
 
-def reproducing_kernel(spec: SubspaceSpec, moments: MomentTable) -> KernelEvaluator:
-    return KernelEvaluator(spec, moments)
-
-
 def _complement_coefficients(spec: SubspaceSpec, moments: MomentTable) -> np.ndarray:
     """Orthonormal basis of ``span(S1) - span(S2)``, one column over ``S1`` each.
 
@@ -181,35 +175,32 @@ def orthonormal_complement_basis(
 # ----------------------------------------------------------------------
 
 
-def reconstruct_kernel_coefficient(
+def reconstruct_kernel_coefficients(
     p: BivariateLaurentPoly,
     deg: DegreePair,
-    k: int,
     moments: MomentTable,
-) -> BivariateLaurentPoly:
-    """Recover the k-th kernel coefficient from its orthogonality relations.
+    T: LaurentMatrixPoly,
+) -> tuple[BivariateLaurentPoly, ...]:
+    """Recover every kernel coefficient from its orthogonality relations.
 
-    Solves for the element of span{z^i w^j : 0 <= i <= 2n, 0 <= j < m} that
-    is orthogonal to every monomial of the box except ``z^n w^k``, then
-    normalizes: the pairing against ``z^n w^k`` is real positive and the
-    squared norm equals the circle average of the matching Schur-Cohn
-    diagonal entry.
+    The k-th is the element of span{z^i w^j : 0 <= i <= 2n, 0 <= j < m}
+    orthogonal to every monomial of the box except ``z^n w^k``, normalized
+    so that the pairing against ``z^n w^k`` is real positive and the squared
+    norm equals the circle average of the diagonal entry ``(k, k)`` of the
+    Schur-Cohn matrix ``T`` of ``p``.  All ``m`` of them come from one
+    orthonormal basis of the box.
     """
     ensure_stable(p, deg)
     n, m = deg
-    if not 0 <= k < m:
-        raise IndexOutOfRange(f"coefficient index {k} outside 0..{m - 1}")
     S = monomial_rect(0, 2 * n, 0, m - 1)
     B = _complement_coefficients(SubspaceSpec(S), moments)
-    pivot = S.index((n, k))
-    # x = G^{-1} e_pivot = B B^H e_pivot
-    x = B @ np.conj(B[pivot])
-    raw_norm2 = x[pivot].real
-    target = diagonal_average(schur_cohn_matrix(p, deg), k)
-    scale = np.sqrt(target / raw_norm2)
-    return BivariateLaurentPoly(
-        {S[idx]: scale * x[idx] for idx in range(len(S))}
-    )
+    pivots = [S.index((n, k)) for k in range(m)]
+    # column k is G^{-1} e_k = B B^H e_k, with e_k the indicator of z^n w^k
+    X = B @ B[pivots].conj().T
+    raw_norm2 = X[pivots, np.arange(m)].real
+    target = np.array([diagonal_average(T, k) for k in range(m)])
+    X = X * np.sqrt(target / raw_norm2)
+    return tuple(BivariateLaurentPoly(dict(zip(S, column))) for column in X.T)
 
 
 # ----------------------------------------------------------------------
@@ -300,27 +291,6 @@ def kernel_pivot_values(
     return [complex(R[0, k, k]) for k in range(m)]
 
 
-def parameter_sum_orthogonality(
-    kernelset: CDKernelSet,
-    moments: MomentTable,
-    eta: complex,
-    margin: int = 4,
-) -> OrthReport:
-    """The full kernel at one parameter against its annihilated window."""
-    n, m = kernelset.deg
-    i0, j0 = -(n + margin), -(m + margin)
-    R = _window_pairings(kernelset.a, moments, i0, 2 * n + margin, j0, 2 * m + margin)
-    # the kernel at eta is sum_k a_k conj(eta)^k
-    L = R @ np.conj(eta) ** np.arange(len(kernelset.a))
-    pairs = []
-    for i in range(-(n + margin), 2 * n + margin + 1):
-        for j in range(-(m + margin), 2 * m + margin + 1):
-            if in_kernel_orthogonality_set(i, j, kernelset.deg):
-                val = complex(L[i - i0, j - j0])
-                pairs.append((f"L(eta={eta:.3g})", (i, j), val))
-    return _report(pairs)
-
-
 def shift_orthogonality_report(
     p: BivariateLaurentPoly,
     deg: DegreePair,
@@ -385,13 +355,13 @@ def cd_formula_residual(
     if n == 0 or m == 0:
         raise DegenerateDegree("the identity needs degree at least 1 in each variable")
     ensure_stable(p, deg)
-    K1 = reproducing_kernel(
+    K1 = KernelEvaluator(
         SubspaceSpec(
             monomial_rect(0, n, 0, m - 1), monomial_rect(0, n - 1, 0, m - 1)
         ),
         moments,
     )
-    K2 = reproducing_kernel(
+    K2 = KernelEvaluator(
         SubspaceSpec(
             monomial_rect(0, n - 1, 0, m), monomial_rect(0, n - 1, 1, m)
         ),

@@ -15,8 +15,7 @@ from bscd.cd_kernel import (
     cd_kernel_set,
     kernel_by_divided_difference,
     kernel_coefficients,
-    slice_gram_residual,
-    slice_norm_check,
+    slice_gram,
 )
 from bscd.measure import (
     check_stability,
@@ -34,7 +33,7 @@ from bscd.subspaces import (
     closed_form_kernel_residual,
     default_lshape_monomials,
     orthogonality_report,
-    reconstruct_kernel_coefficient,
+    reconstruct_kernel_coefficients,
 )
 
 from conftest import WORKED, WORKED_DEG, make_random_family, window_for
@@ -79,8 +78,8 @@ def test_criterion_1_worked_example_kernel():
             from_quotient = kernel_by_divided_difference(WORKED, WORKED_DEG, eta)
             assert (from_quotient - A0_WORKED).max_abs() <= 1e-10
         table = moments_from_grid(WORKED, (4, 2))
-        from_orthogonality = reconstruct_kernel_coefficient(
-            WORKED, WORKED_DEG, 0, table
+        (from_orthogonality,) = reconstruct_kernel_coefficients(
+            WORKED, WORKED_DEG, table, schur_cohn_matrix(WORKED, WORKED_DEG)
         )
         assert (from_orthogonality - A0_WORKED).max_abs() <= 1e-10
         norm2 = inner_product(from_matrix, from_matrix, table)
@@ -171,14 +170,18 @@ def test_criterion_6_slice_identities():
             if ks is None:
                 ks = cd_kernel_set(p, deg)
             T = schur_cohn_matrix(p, deg)
-            m = deg.m
+            n, m = deg
             thetas = 2 * np.pi * np.arange(32) / 32
-            for theta in thetas:
+            gram = slice_gram(ks, slice_moments(p, deg, thetas, m - 1))
+            assert np.max(np.abs(gram - evaluate_on_circle(T, thetas))) < 1e-9
+            for theta, G in zip(thetas, gram):
+                # the squared slice norm of the kernel at eta, v^H G v with
+                # v_j = conj(eta)^j, is its diagonal value conj(z)^n L(z, eta; eta)
+                z = np.exp(1j * theta)
                 eta = complex(rng.normal(), rng.normal()) * 0.5
-                assert slice_norm_check(p, deg, theta, eta, ks)["residual"] < 1e-9
-                assert (
-                    np.max(np.abs(slice_gram_residual(p, deg, theta, ks, T))) < 1e-9
-                )
+                v = np.conj(eta) ** np.arange(m)
+                diagonal = np.conj(z) ** n * sum(aj(z, eta) * vj for aj, vj in zip(ks.a, v))
+                assert abs(np.conj(v) @ G @ v - diagonal) < 1e-9
                 sm = slice_moments(p, deg, theta, m - 1)
                 M = np.array([[sm.get(j - i) for j in range(m)] for i in range(m)])
                 identity_residual = np.max(

@@ -8,11 +8,12 @@ from bscd.cd_kernel import (
     cofactor_decomposition,
     kernel_by_divided_difference,
     kernel_coefficients,
-    slice_gram_residual,
-    slice_norm_check,
+    slice_gram,
 )
 from bscd.errors import DegenerateDegree
-from bscd.poly import BivariateLaurentPoly as Poly, DegreePair
+from bscd.measure import slice_inner_product, slice_moments, w_slice
+from bscd.poly import BivariateLaurentPoly as Poly, DegreePair, angle_grid
+from bscd.schur_cohn import evaluate_on_circle, schur_cohn_matrix
 
 from conftest import WORKED, WORKED_DEG
 
@@ -108,18 +109,56 @@ def test_degenerate_degree_raises():
 # ----------------------------------------------------------------------
 
 
+def slice_gram_loop(p, deg, theta, ks):
+    """The one-angle sliced Gram matrix ``G`` of the coefficient family."""
+    m = deg.m
+    z = np.exp(1j * float(theta))
+    sections = np.array([w_slice(aj, z, m) for aj in ks.a])
+    sm = slice_moments(p, deg, theta, m - 1)
+    return slice_inner_product(sections[None, :, :], sections[:, None, :], sm)
+
+
+def slice_gram_gap(p, deg, thetas, ks=None):
+    """``G - T(e^{i theta})`` at ``thetas``, shape ``(K, m, m)``."""
+    ks = ks if ks is not None else cd_kernel_set(p, deg)
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    G = slice_gram(ks, slice_moments(p, deg, thetas, deg.m - 1))
+    return G - evaluate_on_circle(schur_cohn_matrix(p, deg), thetas)
+
+
+def slice_norm_sides(p, deg, thetas, eta, ks=None):
+    """Both sides of the slice-norm identity at each angle.
+
+    The left side is the squared slice norm of ``L(., w; eta)``, ``v^H G v``
+    with ``v_j = conj(eta)^j``; the right side is its diagonal value
+    ``conj(z)^n L(z, eta; eta)``, read off the ``a_j`` directly.
+    """
+    ks = ks if ks is not None else cd_kernel_set(p, deg)
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    G = slice_gram(ks, slice_moments(p, deg, thetas, deg.m - 1))
+    v = np.conj(eta) ** np.arange(deg.m)
+    lhs = np.einsum("i,kij,j->k", np.conj(v), G, v)
+    rhs = np.array([
+        np.conj(z) ** deg.n * sum(aj(z, eta) * vj for aj, vj in zip(ks.a, v))
+        for z in np.exp(1j * thetas)
+    ])
+    return lhs, rhs
+
+
 def test_slice_norm_identity_worked_law():
-    for theta in (0.0, 0.8, 2.5):
-        for eta in (0.3 + 0.4j, -0.2j):
-            result = slice_norm_check(WORKED, WORKED_DEG, theta, eta)
-            assert result["lhs"] == pytest.approx(9 - 6 * np.cos(theta), abs=1e-10)
-            assert result["residual"] < 1e-10
+    # m = 1: the kernel is a_0 for every parameter, and its squared slice
+    # norm is G[0, 0] = 9 - 6 cos(theta), exactly the circle value of T
+    thetas = np.array([0.0, 0.8, 2.5])
+    for eta in (0.3 + 0.4j, -0.2j):
+        lhs, rhs = slice_norm_sides(WORKED, WORKED_DEG, thetas, eta)
+        assert np.max(np.abs(lhs - (9 - 6 * np.cos(thetas)))) < 1e-10
+        assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_slice_norm_identity_univariate():
-    result = slice_norm_check(UNIV, DegreePair(0, 1), 1.234, 0.5)
-    assert result["lhs"] == pytest.approx(3.0, abs=1e-11)
-    assert result["residual"] < 1e-11
+    lhs, rhs = slice_norm_sides(UNIV, DegreePair(0, 1), 1.234, 0.5)
+    assert abs(lhs[0] - 3.0) < 1e-11
+    assert abs(lhs[0] - rhs[0]) < 1e-11
 
 
 def test_slice_norm_identity_random(random_family):
@@ -129,13 +168,23 @@ def test_slice_norm_identity_random(random_family):
         for _ in range(3):
             theta = rng.uniform(0, 2 * np.pi)
             eta = complex(rng.normal(), rng.normal()) * 0.5
-            assert slice_norm_check(p, deg, theta, eta, ks)["residual"] < 1e-9
+            lhs, rhs = slice_norm_sides(p, deg, theta, eta, ks)
+            assert abs(lhs[0] - rhs[0]) < 1e-9
 
 
 def test_slice_gram_matches_matrix(random_family):
-    assert np.max(np.abs(slice_gram_residual(WORKED, WORKED_DEG, 0.6))) < 1e-10
-    assert np.max(np.abs(slice_gram_residual(UNIV, DegreePair(0, 1), 2.2))) < 1e-11
+    assert np.max(np.abs(slice_gram_gap(WORKED, WORKED_DEG, 0.6))) < 1e-10
+    assert np.max(np.abs(slice_gram_gap(UNIV, DegreePair(0, 1), 2.2))) < 1e-11
     for p, deg in random_family:
+        assert np.max(np.abs(slice_gram_gap(p, deg, [0.5, 3.3]))) < 1e-9
+
+
+def test_batched_slice_gram_is_the_per_angle_loop(random_family):
+    thetas = angle_grid(32)
+    for p, deg in [(WORKED, WORKED_DEG)] + random_family:
         ks = cd_kernel_set(p, deg)
-        for theta in (0.5, 3.3):
-            assert np.max(np.abs(slice_gram_residual(p, deg, theta, ks))) < 1e-9
+        batched = slice_gram(ks, slice_moments(p, deg, thetas, deg.m - 1))
+        assert batched.shape == (32, deg.m, deg.m)
+        for k, theta in enumerate(thetas):
+            one = slice_gram_loop(p, deg, theta, ks)
+            assert np.max(np.abs(batched[k] - one)) <= 1e-14 * max(1.0, np.max(np.abs(one)))

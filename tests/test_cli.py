@@ -1,5 +1,6 @@
 """Config handling, suite dispatch, report formats and exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -79,6 +80,39 @@ def test_tol_flag_sets_names_over_the_config_file(tmp_path):
     bad = write_config(tmp_path, tolerances=[1e-7])
     with pytest.raises(ConfigInvalid, match="'tolerances' must be an object"):
         cli.load_config(bad)
+
+
+@pytest.mark.parametrize(
+    "extra, flags",
+    [
+        ({"window": 5}, []),
+        ({"window": [1]}, []),
+        ({"margin": "x"}, []),
+        ({"theta_grid": "a"}, []),
+        ({"k_max": "q"}, []),
+        ({"seed": [1]}, []),
+        ({"shift_max": None}, []),
+        ({"output": 7}, []),
+        ({"seed": -1}, []),
+        ({}, ["--window", "1,x"]),
+    ],
+    ids=[
+        "window-int",
+        "window-short",
+        "margin-str",
+        "theta_grid-str",
+        "k_max-str",
+        "seed-list",
+        "shift_max-null",
+        "output-int",
+        "seed-negative",
+        "window-flag",
+    ],
+)
+def test_malformed_scalar_is_config_error(tmp_path, capsys, extra, flags):
+    path = write_config(tmp_path, suites=["cd-kernel"], **extra)
+    assert cli.main(["cd-kernel", "--config", path] + flags) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 # ----------------------------------------------------------------------
@@ -198,6 +232,69 @@ def test_schur_cohn_payload_is_json_lines(tmp_path, capsys):
     assert rows[0]["D_list"][1] == pytest.approx(3.0, abs=1e-12)
 
 
+def test_schur_cohn_suite_min_eig_on_worked_examples(tmp_path, capsys):
+    # 3 - z - w and (2 - z)(2 - w) both have T(e^{i theta}) = 9 - 6 cos(theta),
+    # smallest at theta = 0, the first angle of the grid
+    product = {"n": 1, "m": 1, "coeffs": [[[4, 0], [-2, 0]], [[-2, 0], [1, 0]]]}
+    for polynomial in (WORKED_JSON, product):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"polynomial": polynomial, "suites": ["schur-cohn"]}))
+        out = tmp_path / "report.json"
+        assert cli.main(["schur-cohn", "--config", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        details = json.loads(out.read_text())["schur-cohn"]["details"]
+        assert details["rows"][0]["theta"] == 0.0
+        assert details["min_eig"] == pytest.approx(3.0, abs=1e-12)
+        assert details["rows"][0]["min_eig"] == details["min_eig"]
+
+
+def _scale_one_coefficient(ks):
+    """The kernel set with a_0 scaled by 1 + 1e-6."""
+    a = (ks.a[0].scale(1 + 1e-6),) + ks.a[1:]
+    return dataclasses.replace(ks, a=a)
+
+
+def _shift_first_lag(sm):
+    """The slice moments with m_1 and m_{-1} scaled by 1 + 1e-6 at every angle."""
+    values = np.array(sm.values)
+    values[:, [sm.lag - 1, sm.lag + 1]] *= 1 + 1e-6
+    return dataclasses.replace(sm, values=values)
+
+
+@pytest.mark.parametrize(
+    "suite, artifact, perturb, read",
+    [
+        ("cd-kernel", "kernelset", _scale_one_coefficient, lambda d: d["slice_gram_max"]),
+        (
+            "verify-orthogonality",
+            "kernelset",
+            _scale_one_coefficient,
+            lambda d: d["reconstruction_max"],
+        ),
+        ("verify-orthogonality", "kernelset", _scale_one_coefficient, lambda d: d["pivot_max"]),
+        (
+            "parametric",
+            "slices",
+            _shift_first_lag,
+            lambda d: max(row["gram_schmidt_residual"] for row in d["rows"]),
+        ),
+    ],
+    ids=["slice_gram_max", "reconstruction_max", "pivot_max", "gram_schmidt_residual"],
+)
+def test_each_second_route_can_fail(tmp_path, capsys, monkeypatch, suite, artifact, perturb, read):
+    p, deg = measure.random_stable_poly(2, 2, np.random.default_rng(3))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"polynomial": p.to_json_dict(deg), "suites": [suite]}))
+    config = cli.load_config(str(path))
+    tolerance = config.tolerances[cli.SUITE_TOLERANCE_NAME[suite]]
+    (clean,) = cli.run(config)
+    assert clean.status == "pass" and read(clean.details) < tolerance
+    build = cli.ARTIFACT_BUILDERS[artifact]
+    monkeypatch.setitem(cli.ARTIFACT_BUILDERS, artifact, lambda cfg: perturb(build(cfg)))
+    (broken,) = cli.run(config)
+    assert broken.status == "fail" and read(broken.details) > tolerance
+
+
 def test_full_run_on_worked_example(tmp_path):
     path = write_config(tmp_path, theta_grid=8)
     config = cli.load_config(path)
@@ -301,14 +398,15 @@ def test_suite_error_is_recorded_as_failure(tmp_path):
     # the suite must fail with a message instead of crashing the run
     univariate = {"n": 1, "m": 0, "coeffs": [[[3, 0]], [[-1, 0]]]}
     path = tmp_path / "config.json"
-    path.write_text(
-        json.dumps({"polynomial": univariate, "suites": ["stability", "verify-cd"]})
-    )
+    path.write_text(json.dumps({"polynomial": univariate}))
     reports = cli.run(cli.load_config(str(path)))
     by_name = {r.suite: r for r in reports}
     assert by_name["stability"].status == "pass"
-    assert by_name["verify-cd"].status == "fail"
-    assert by_name["verify-cd"].details["error"] == "DegenerateDegree"
+    # the suites that read the slice moments fetch them only after the matrix
+    # or the kernel set has refused m = 0
+    for name in ("schur-cohn", "cd-kernel", "verify-cd", "parametric"):
+        assert by_name[name].status == "fail"
+        assert by_name[name].details["error"] == "DegenerateDegree"
     assert cli.exit_code(reports) == 1
 
 

@@ -13,7 +13,7 @@ from bscd.parametric import (
     orthogonality_check,
     parametric_polynomials,
 )
-from bscd.poly import BivariateLaurentPoly as Poly, DegreePair
+from bscd.poly import BivariateLaurentPoly as Poly, DegreePair, angle_grid
 from bscd.schur_cohn import evaluate_on_circle, schur_cohn_matrix
 
 from conftest import WORKED, WORKED_DEG
@@ -203,16 +203,40 @@ def test_orthogonality_and_law_flags(random_family):
             assert check["variant_law_residual"] > 1e-3
 
 
+def gram_schmidt_loop(p, deg, theta):
+    """The one-angle Gram-Schmidt: monic slice polynomials at ``theta``."""
+    m = deg.m
+    M = slice_moments(p, deg, theta, m - 1).lag_matrix(m, m)
+    basis = []
+    for d in range(m):
+        v = np.eye(m, dtype=complex)[d]
+        for q in basis:
+            v = v - (q.conj() @ M @ v) / (q.conj() @ M @ q) * q
+        basis.append(v)
+    return [v[: d + 1] for d, v in enumerate(basis)]
+
+
 def test_uniqueness_via_gram_schmidt(random_family):
+    thetas = np.array([1.3, 2.0, 5.1])
     for p, deg in random_family[:3]:
-        theta = 1.3
-        op = parametric_polynomials(p, deg, theta)
-        monic = gram_schmidt_slice_polynomials(p, deg, theta)
+        op = parametric_polynomials(p, deg, thetas)
+        monic = gram_schmidt_slice_polynomials(slice_moments(p, deg, thetas, deg.m - 1))
         for i in range(deg.m):
-            rescaled = monic[i] * op.phi[i][-1]
+            rescaled = monic[i] * op.phi[i][:, -1:]
             assert np.max(np.abs(rescaled - op.phi[i])) < 1e-8 * max(
                 1.0, np.max(np.abs(op.phi[i]))
             )
+
+
+def test_batched_gram_schmidt_is_the_per_angle_loop(random_family):
+    thetas = angle_grid(32)
+    for p, deg in random_family:
+        sm = slice_moments(p, deg, thetas, deg.m - 1)
+        monic = gram_schmidt_slice_polynomials(sm)
+        assert [q.shape for q in monic] == [(32, d + 1) for d in range(deg.m)]
+        for k, theta in enumerate(thetas):
+            for batched, one in zip(monic, gram_schmidt_loop(p, deg, theta)):
+                assert np.max(np.abs(batched[k] - one)) <= 1e-13 * max(1.0, np.max(np.abs(one)))
 
 
 # ----------------------------------------------------------------------

@@ -5,12 +5,11 @@ import pytest
 
 from bscd.errors import DegenerateDegree
 from bscd.measure import random_stable_poly, slice_moments
-from bscd.poly import BivariateLaurentPoly as Poly, DegreePair
+from bscd.poly import BivariateLaurentPoly as Poly, DegreePair, angle_grid
 from bscd.schur_cohn import (
     diagonal_average,
     evaluate_on_circle,
     hermitian_structure_defect,
-    positivity_scan,
     principal_determinants,
     schur_cohn_matrix,
 )
@@ -69,13 +68,16 @@ def test_circle_evaluation_values():
     T = schur_cohn_matrix(WORKED, WORKED_DEG)
     assert evaluate_on_circle(T, 0.0)[0, 0] == pytest.approx(3.0, abs=1e-13)
     assert evaluate_on_circle(T, np.pi)[0, 0] == pytest.approx(15.0, abs=1e-13)
+    # 2 - z - w vanishes at (1, 1); its matrix 4 - 4 cos(theta) is singular at theta = 0
+    unstable = Poly({(0, 0): 2, (1, 0): -1, (0, 1): -1})
+    T3 = schur_cohn_matrix(unstable, DegreePair(1, 1))
+    assert evaluate_on_circle(T3, 0.0)[0, 0] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_positive_definite_on_circle_for_stable_inputs(random_family):
     for p, deg in random_family[:3]:
         T = schur_cohn_matrix(p, deg)
-        report = positivity_scan(T, 64)
-        assert report.all_positive and report.min_eig > 0
+        assert np.min(np.linalg.eigvalsh(evaluate_on_circle(T, angle_grid(64)))) > 0
 
 
 def test_principal_determinant_profile():
@@ -85,22 +87,6 @@ def test_principal_determinant_profile():
         assert profile.D[0] == 1.0
         assert profile.D[1] == pytest.approx(9 - 6 * np.cos(theta), abs=1e-12)
     assert principal_determinants(T, np.pi).D[1] == pytest.approx(15.0, abs=1e-12)
-
-
-def test_positivity_scan_values():
-    T = schur_cohn_matrix(WORKED, WORKED_DEG)
-    report = positivity_scan(T, 64)
-    assert report.min_eig == pytest.approx(3.0, abs=1e-12)
-    assert report.theta_at_min == 0.0
-
-    T2 = schur_cohn_matrix(PRODUCT, DegreePair(1, 1))
-    assert positivity_scan(T2, 64).min_eig == pytest.approx(3.0, abs=1e-12)
-
-    unstable = Poly({(0, 0): 2, (1, 0): -1, (0, 1): -1})
-    T3 = schur_cohn_matrix(unstable, DegreePair(1, 1))
-    report3 = positivity_scan(T3, 64)
-    assert not report3.all_positive
-    assert report3.min_eig == pytest.approx(0.0, abs=1e-13)
 
 
 def test_matrix_inverts_slice_moment_matrix(random_family, high_degree_family):
@@ -157,17 +143,6 @@ def test_circle_values_match_the_tensor(random_family, high_degree_family):
             assert np.max(np.abs(evaluate_on_circle(T, theta) - from_tensor)) <= 1e-13 * scale
 
 
-def positivity_scan_loop(T, resolution):
-    """The per-angle scan: smallest eigenvalue and the first angle that has it."""
-    best, best_theta = np.inf, 0.0
-    for k in range(resolution):
-        theta = 2.0 * np.pi * k / resolution
-        eig = float(np.linalg.eigvalsh(evaluate_on_circle(T, theta))[0])
-        if eig < best:
-            best, best_theta = eig, theta
-    return best, best_theta
-
-
 def test_batched_circle_values_are_the_per_angle_values(random_family, high_degree_family):
     thetas = 2.0 * np.pi * np.arange(48) / 48 + 0.05
     for p, deg in random_family + high_degree_family:
@@ -182,12 +157,3 @@ def test_batched_circle_values_are_the_per_angle_values(random_family, high_degr
             scale = np.max(np.abs(one.matrix))
             assert np.max(np.abs(profile.matrix[k] - one.matrix)) <= 1e-15 * scale
             assert np.allclose(profile.D[k], one.D, rtol=1e-12, atol=0)
-
-
-def test_positivity_scan_is_the_angle_loop(random_family, high_degree_family):
-    for p, deg in [(WORKED, WORKED_DEG), (PRODUCT, DegreePair(1, 1))] + random_family + high_degree_family:
-        T = schur_cohn_matrix(p, deg)
-        report = positivity_scan(T, 64)
-        best, best_theta = positivity_scan_loop(T, 64)
-        assert report.theta_at_min == best_theta
-        assert report.min_eig == pytest.approx(best, rel=1e-12, abs=1e-13)

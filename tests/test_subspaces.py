@@ -8,7 +8,6 @@ from bscd.cd_kernel import cd_kernel_set
 from bscd.errors import (
     DegenerateDegree,
     IllConditionedGram,
-    IndexOutOfRange,
     WindowTooSmall,
 )
 from bscd.measure import (
@@ -19,7 +18,9 @@ from bscd.measure import (
     random_stable_poly,
 )
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair
+from bscd.schur_cohn import diagonal_average, schur_cohn_matrix
 from bscd.subspaces import (
+    KernelEvaluator,
     SubspaceSpec,
     cd_formula_residual,
     closed_form_kernel_pairing,
@@ -32,9 +33,7 @@ from bscd.subspaces import (
     orthogonality_report,
     orthogonality_window,
     orthonormal_complement_basis,
-    parameter_sum_orthogonality,
-    reconstruct_kernel_coefficient,
-    reproducing_kernel,
+    reconstruct_kernel_coefficients,
     shift_orthogonality_report,
 )
 
@@ -63,7 +62,7 @@ def test_gram_for_univariate_geometric_measure():
 
 def test_trivial_kernel_is_constant_one():
     table = moments_from_grid(Poly.constant(1), (3, 3))
-    K = reproducing_kernel(SubspaceSpec(((0, 0),)), table)
+    K = KernelEvaluator(SubspaceSpec(((0, 0),)), table)
     for x in ((0.3, 0.1), (0.9j, -0.4)):
         assert K.evaluate(x, (0.2, 0.7j)) == pytest.approx(1.0, abs=1e-14)
 
@@ -71,7 +70,7 @@ def test_trivial_kernel_is_constant_one():
 def test_reproducing_property_on_full_and_difference_spans(worked_moments):
     rng = np.random.default_rng(31)
     spec = SubspaceSpec(monomial_rect(0, 2, 0, 1), monomial_rect(0, 0, 0, 1))
-    K = reproducing_kernel(spec, worked_moments)
+    K = KernelEvaluator(spec, worked_moments)
     basis = orthonormal_complement_basis(spec, worked_moments)
     for _ in range(5):
         coeffs = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
@@ -99,7 +98,7 @@ def difference_of_inverses_kernel(spec, moments, x, y):
 def test_kernel_equals_orthonormal_basis_sum(worked_moments):
     rng = np.random.default_rng(32)
     spec = SubspaceSpec(monomial_rect(0, 2, 0, 1), monomial_rect(0, 1, 0, 0))
-    K = reproducing_kernel(spec, worked_moments)
+    K = KernelEvaluator(spec, worked_moments)
     basis = orthonormal_complement_basis(spec, worked_moments)
     for _ in range(10):
         x = (rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal())
@@ -115,7 +114,7 @@ def test_corner_value_of_first_difference_kernel(worked_moments):
     # span{1, z} minus span{1}: exact moments give (9 - 3 sqrt 5) / 2 at the
     # origin; the frequently-guessed value a0(0)^2/9 = 1 is not the kernel
     # of this two-monomial span (it would need a z^2 component).
-    K = reproducing_kernel(
+    K = KernelEvaluator(
         SubspaceSpec(monomial_rect(0, 1, 0, 0), monomial_rect(0, 0, 0, 0)),
         worked_moments,
     )
@@ -129,33 +128,30 @@ def test_corner_value_of_first_difference_kernel(worked_moments):
 
 
 def test_reconstruct_worked_example(worked_moments):
-    rec = reconstruct_kernel_coefficient(WORKED, WORKED_DEG, 0, worked_moments)
+    T = schur_cohn_matrix(WORKED, WORKED_DEG)
+    (rec,) = reconstruct_kernel_coefficients(WORKED, WORKED_DEG, worked_moments, T)
     assert (rec - A0_WORKED).max_abs() < 1e-9
 
 
 def test_reconstruct_univariate_constant():
     p = Poly({(0, 0): 2, (0, 1): -1})
     table = moments_from_grid(p, (2, 3))
-    rec = reconstruct_kernel_coefficient(p, DegreePair(0, 1), 0, table)
+    T = schur_cohn_matrix(p, DegreePair(0, 1))
+    (rec,) = reconstruct_kernel_coefficients(p, DegreePair(0, 1), table, T)
     assert (rec - Poly.constant(3)).max_abs() < 1e-10
-
-
-def test_reconstruct_index_validation(worked_moments):
-    with pytest.raises(IndexOutOfRange):
-        reconstruct_kernel_coefficient(WORKED, WORKED_DEG, 1, worked_moments)
 
 
 def test_reconstruct_matches_matrix_route(random_family_with_moments, random_kernelsets):
     for (p, deg, table), ks in zip(random_family_with_moments, random_kernelsets):
-        for k in range(deg.m):
-            rec = reconstruct_kernel_coefficient(p, deg, k, table)
+        T = schur_cohn_matrix(p, deg)
+        rebuilt = reconstruct_kernel_coefficients(p, deg, table, T)
+        assert len(rebuilt) == deg.m
+        for k, rec in enumerate(rebuilt):
             # both normalizations make <a_k, z^n w^k> real positive, so the
             # unimodular ambiguity is already aligned
             assert (rec - ks.a[k]).max_abs() < 1e-8 * max(1.0, ks.a[k].max_abs())
             norm2 = inner_product(ks.a[k], ks.a[k], table).real
-            from bscd.schur_cohn import diagonal_average, schur_cohn_matrix
-
-            assert abs(norm2 - diagonal_average(schur_cohn_matrix(p, deg), k)) < 1e-8
+            assert abs(norm2 - diagonal_average(T, k)) < 1e-8
 
 
 # ----------------------------------------------------------------------
@@ -196,14 +192,32 @@ def test_orthogonality_report_on_random_family(
             assert value == pytest.approx(1.0, abs=1e-9)
 
 
+def in_kernel_orthogonality_set(i, j, deg):
+    """Membership in the set annihilated by the full parametrized kernel."""
+    n, m = deg
+    return (i > n and j < 0) or (i != n and 0 <= j < m) or (i < n and j >= m)
+
+
 def test_parameter_sum_orthogonality(random_family_with_moments, random_kernelsets):
+    # the kernel set lies inside every coefficient set, so the pairings of
+    # the kernel sum_k conj(eta)^k a_k are sums of pairings that
+    # orthogonality_report checks
     rng = np.random.default_rng(33)
     (p, deg, table), ks = random_family_with_moments[3], random_kernelsets[3]
+    n, m = deg
+    window = [
+        (i, j)
+        for i in range(-(n + 4), 2 * n + 5)
+        for j in range(-(m + 4), 2 * m + 5)
+        if in_kernel_orthogonality_set(i, j, deg)
+    ]
+    assert all(in_coefficient_orthogonality_set(i, j, k, deg) for i, j in window for k in range(m))
     scale = min(norm(ak, table) for ak in ks.a)
     for _ in range(10):
         eta = complex(rng.normal(), rng.normal()) * 0.7
-        report = parameter_sum_orthogonality(ks, table, eta, margin=4)
-        assert report.max_violation < 1e-8 * scale * max(1.0, abs(eta) ** deg.m)
+        kernel = ks.parameter_sum(eta)
+        worst = max(abs(inner_product(kernel, Poly.monomial(i, j), table)) for i, j in window)
+        assert worst < 1e-8 * scale * max(1.0, abs(eta) ** m)
 
 
 def test_shift_orthogonality(random_family_with_moments, random_kernelsets):
@@ -400,7 +414,7 @@ def test_stacked_kernel_values_are_the_per_point_values(random_family_with_momen
     rng = np.random.default_rng(35)
     for p, deg, table in random_family_with_moments:
         n, m = deg
-        K = reproducing_kernel(
+        K = KernelEvaluator(
             SubspaceSpec(monomial_rect(0, n, 0, m - 1), monomial_rect(0, n - 1, 0, m - 1)),
             table,
         )
