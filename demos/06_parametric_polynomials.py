@@ -11,7 +11,7 @@ frequency n(m-j), and the bound is sharp.
 
 import numpy as np
 
-from bscd import moment_vanishing, orthogonality_check, parametric_polynomials
+from bscd import moment_vanishing, orthogonality_check, parametric_polynomials, slice_moments
 from bscd.measure import random_stable_poly
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair
 
@@ -35,7 +35,8 @@ q, qdeg = random_stable_poly(2, 3, rng)
 n, m = qdeg
 print(f"random stable polynomial, degree {tuple(qdeg)}")
 print("---------------------------------------")
-check = orthogonality_check(q, qdeg, 0.7)
+op = parametric_polynomials(q, qdeg, 0.7)
+check = orthogonality_check(op, slice_moments(q, qdeg, 0.7, m - 1))
 print(f"  off-diagonal slice inner products: max {check['offdiag_max']:.2e}")
 print(f"  diagonal law D[m-i]/D[m-i-1]     : residual {check['lu_law_residual']:.2e}")
 print(f"  variant subscript D[m-i]/D[m-i+1]: residual {check['variant_law_residual']:.2e}"

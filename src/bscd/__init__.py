@@ -62,7 +62,6 @@ from .subspaces import (
     kernel_pivot_values,
     monomial_rect,
     orthogonality_report,
-    orthonormal_complement_basis,
     reconstruct_kernel_coefficients,
     shift_orthogonality_report,
 )

@@ -51,10 +51,8 @@ class CDKernelSet:
 
     def parameter_sum(self, eta: complex) -> BivariateLaurentPoly:
         """The kernel at parameter ``eta``: sum_j a_j * conj(eta)^j."""
-        acc = BivariateLaurentPoly.zero()
-        for j, aj in enumerate(self.a):
-            acc = acc + aj.scale(np.conj(eta) ** j)
-        return acc
+        terms = (aj.scale(np.conj(eta) ** j) for j, aj in enumerate(self.a))
+        return sum(terms, BivariateLaurentPoly.zero())
 
 
 def kernel_coefficients(
@@ -68,17 +66,11 @@ def kernel_coefficients(
     negative z-exponent, so the coefficient of ``z^e w^i`` in ``a_j`` is
     ``T.coeffs[i, j, e]`` and each ``a_j`` lands in [0, 2n] x [0, m-1].
     """
-    m = deg.m
-    if m == 0:
+    if deg.m == 0:
         raise DegenerateDegree("kernel needs degree at least 1 in w")
     if T is None:
         T = schur_cohn_matrix(p, deg)
-    return tuple(
-        BivariateLaurentPoly(
-            {(e, i): c for i in range(m) for e, c in enumerate(T.coeffs[i, j])}
-        )
-        for j in range(m)
-    )
+    return tuple(BivariateLaurentPoly.from_array(T.coeffs[:, j].T) for j in range(deg.m))
 
 
 def kernel_by_divided_difference(
@@ -101,32 +93,28 @@ def kernel_by_divided_difference(
     eta_bar = complex(eta).conjugate()
     pr = p.reflect(deg)
 
-    # conj(q(1/conj z, eta)) as a z-only Laurent polynomial, for q in {p, pr}
+    powers = eta_bar ** np.arange(m + 1)
+
+    # conj(q(1/conj z, eta)) as a z-only Laurent polynomial, for q in {p, pr}:
+    # its coefficient at z^-i is sum_j conj(q[i, j]) eta_bar^j
     def conjugated_section(q: BivariateLaurentPoly) -> BivariateLaurentPoly:
-        coeffs: dict[tuple[int, int], complex] = {}
-        for (i, j), c in q.items():
-            key = (-i, 0)
-            coeffs[key] = coeffs.get(key, 0j) + c.conjugate() * eta_bar**j
-        return BivariateLaurentPoly(coeffs)
+        column = q.coefficient_window((0, n, 0, m)).conj() @ powers
+        return BivariateLaurentPoly.from_array(column[::-1, None], (-n, 0))
 
     numerator = p * conjugated_section(p) - pr * conjugated_section(pr)
 
-    # synthetic division by (1 - w*eta_bar), ascending in the w-degree
-    slices = [numerator.w_coefficient(t) for t in range(m + 1)]
-    quotient = [slices[0]]
+    # synthetic division by (1 - w*eta_bar), ascending in the w-degree; the
+    # z-exponents -n .. n of the numerator become 0 .. 2n of the kernel
+    slices = numerator.coefficient_window((-n, n, 0, m))
+    quotient = np.empty((2 * n + 1, m), dtype=complex)
+    quotient[:, 0] = slices[:, 0]
     for t in range(1, m):
-        quotient.append(slices[t] + quotient[t - 1].scale(eta_bar))
-    remainder = slices[m] + quotient[m - 1].scale(eta_bar)
+        quotient[:, t] = slices[:, t] + eta_bar * quotient[:, t - 1]
+    remainder = np.max(np.abs(slices[:, m] + eta_bar * quotient[:, m - 1]))
     scale = max(numerator.max_abs(), 1.0)
-    if remainder.max_abs() > DIVISION_REMAINDER_TOL * scale:
-        raise NonzeroRemainder(
-            f"division remainder {remainder.max_abs():.3e} (scale {scale:.3e})"
-        )
-
-    acc = BivariateLaurentPoly.zero()
-    for t, q in enumerate(quotient):
-        acc = acc + q.shift(n, t)
-    return acc
+    if remainder > DIVISION_REMAINDER_TOL * scale:
+        raise NonzeroRemainder(f"division remainder {remainder:.3e} (scale {scale:.3e})")
+    return BivariateLaurentPoly.from_array(quotient)
 
 
 def cofactor_decomposition(
@@ -146,18 +134,13 @@ def cofactor_decomposition(
     if m == 0:
         raise DegenerateDegree("kernel needs degree at least 1 in w")
     p._require_support_in_box(deg)
-    slices = [p.w_coefficient(j) for j in range(m + 1)]
-    reflected = [q.reflect(DegreePair(n, 0)) for q in slices]
-    A_list, B_list = [], []
-    for t in range(m):
-        A = BivariateLaurentPoly.zero()
-        B = BivariateLaurentPoly.zero()
-        for s in range(t + 1):
-            A = A + reflected[t - s].shift(0, s)
-            B = B - slices[m - t + s].shift(0, s)
-        A_list.append(A)
-        B_list.append(B)
-    return tuple(A_list), tuple(B_list)
+    # column j of P is p_j and column j of R is r_j; each sum starts from 0,
+    # which turns every -0.0 into 0.0
+    P = p.coefficient_window((0, n, 0, m))
+    R = 0.0 + P[::-1].conj()
+    A = tuple(BivariateLaurentPoly.from_array(R[:, t::-1]) for t in range(m))
+    B = tuple(BivariateLaurentPoly.from_array(0.0 - P[:, m - t :]) for t in range(m))
+    return A, B
 
 
 def cd_kernel_set(p: BivariateLaurentPoly, deg: DegreePair) -> CDKernelSet:

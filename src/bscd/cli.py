@@ -107,11 +107,14 @@ def default_window(deg: DegreePair, margin: int, shift_max: int) -> tuple[int, i
 
 
 def _integer(name: str, value) -> int:
-    """A config entry as an int, or :class:`ConfigInvalid` naming the entry."""
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"'{name}' must be an integer, got {value!r}") from exc
+    """A config int or integer string (from argv); anything else, floats and
+    booleans included, raises :class:`ConfigInvalid` naming the entry."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigInvalid(f"'{name}' must be an integer, got {value!r}")
 
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
@@ -145,7 +148,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigInvalid(f"bad polynomial: {exc}") from exc
     if poly.is_zero:
         raise ConfigInvalid("polynomial must be nonzero")
-    if not all(np.isfinite(c) for _, c in poly.items()):
+    if not np.isfinite(poly.coeffs).all():
         raise ConfigInvalid("polynomial coefficients must be finite")
 
     suites = merged.get("suites", list(SUITE_ORDER))
@@ -430,7 +433,7 @@ def _suite_parametric(art: Artifacts, cfg: RunConfig):
     T = art.get("matrix")
     thetas = angle_grid(cfg.theta_grid)
     op = parametric.parametric_polynomials(cfg.polynomial, cfg.deg, thetas, T)
-    check = parametric.orthogonality_check(cfg.polynomial, cfg.deg, thetas, op)
+    check = parametric.orthogonality_check(op, art.get("slices"))
     violation = float(max(np.max(check["offdiag_max"]), np.max(check["lu_law_residual"])))
     # second route: monic Gram-Schmidt on the slices, scaled to the LU leads
     gram_schmidt = np.zeros(len(thetas))

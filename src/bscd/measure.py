@@ -83,8 +83,9 @@ def torus_grid_values(p: BivariateLaurentPoly, size: int) -> np.ndarray:
     for Laurent support as well since exponents only matter modulo ``size``.
     """
     grid = np.zeros((size, size), dtype=complex)
-    for (i, j), c in p.items():
-        grid[i % size, j % size] += c
+    (i0, j0), (rows, cols) = p.offset, p.coeffs.shape
+    index = np.ix_((i0 + np.arange(rows)) % size, (j0 + np.arange(cols)) % size)
+    np.add.at(grid, index, p.coeffs)
     # unnormalized inverse transforms in the one buffer; for a power-of-two
     # size this is ifft2(grid) * size**2 to the bit
     np.fft.ifft(grid, axis=1, norm="forward", out=grid)
@@ -101,8 +102,9 @@ def w_slice(p: BivariateLaurentPoly, z, size: int) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     out = np.zeros((size,) + z.shape, dtype=complex)
-    for (i, j), c in p.items():
-        out[j] += c * z**i
+    (i0, j0), cols = p.offset, p.coeffs.shape[1]
+    for i, row in enumerate(p.coeffs, start=i0):
+        out[j0 : j0 + cols] += np.multiply.outer(row, z**i)
     return out
 
 
@@ -144,9 +146,7 @@ def _cached_stability(p, n, m):
     min_root, witness = _min_w_root(slice_vals, zs)
 
     # univariate check along w = 1
-    z_coeffs = np.zeros(n + 1, dtype=complex)
-    for (i, j), c in p.items():
-        z_coeffs[i] += c
+    z_coeffs = p.coefficient_window((0, n, 0, m)).sum(axis=1)
     if not np.any(z_coeffs != 0):
         min_root, witness = 0.0, (0j, 1 + 0j)
     else:
@@ -415,7 +415,9 @@ def _reciprocal_series(
     constant = p.coefficient(0, 0)
     if constant == 0:
         raise NotStable("p(0, 0) = 0")
-    terms = [(k, l, c) for (k, l), c in p.items() if (k, l) != (0, 0)]
+    # the nonzero coefficients of p row-major, less the first: the constant
+    rows, cols = np.nonzero(p.coeffs)
+    terms = list(zip(rows.tolist(), cols.tolist(), p.coeffs[rows, cols].tolist()))[1:]
     d[0, 0] = 1.0 / constant
     for s in range(1, order + 1):
         diag = flat[s : s * shape[1] + 1 : step]

@@ -107,24 +107,17 @@ def _phi_rows(op: ParametricOPUC) -> np.ndarray:
     return op.U[..., ::-1, ::-1]
 
 
-def orthogonality_check(
-    p: BivariateLaurentPoly,
-    deg: DegreePair,
-    theta,
-    opuc: ParametricOPUC | None = None,
-) -> dict:
+def orthogonality_check(op: ParametricOPUC, sm: SlicedMoments) -> dict:
     """Sliced inner products of the polynomials against both diagonal laws.
 
-    Off-diagonal entries must vanish; diagonal entries are compared to the
-    pivot-consistent ratio ``D[m-i]/D[m-i-1]`` and, where defined (i >= 1),
-    to the variant ``D[m-i]/D[m-i+1]``.  At an array of angles the Gram has
-    shape ``(K, m, m)`` and every residual and flag is an array over the
-    angles.
+    ``sm`` holds the slice moments at the angles of ``op``, with lags up to
+    ``m - 1``.  Off-diagonal entries must vanish; diagonal entries are
+    compared to the pivot-consistent ratio ``D[m-i]/D[m-i-1]`` and, where
+    defined (i >= 1), to the variant ``D[m-i]/D[m-i+1]``.  At an array of
+    angles the Gram has shape ``(K, m, m)`` and every residual and flag is an
+    array over the angles.
     """
-    ensure_stable(p, deg)
-    n, m = deg
-    op = opuc if opuc is not None else parametric_polynomials(p, deg, theta)
-    sm = _slice_moments_unchecked(p, deg, theta, m - 1)
+    m = op.U.shape[-1]
     rows = _phi_rows(op)
     gram = slice_inner_product(rows[..., :, None, :], rows[..., None, :, :], sm)
     off = np.max(np.where(np.eye(m, dtype=bool), 0.0, np.abs(gram)), axis=(-2, -1))

@@ -1,13 +1,15 @@
 """Bivariate Laurent polynomials with complex coefficients.
 
-A polynomial is a finitely supported table mapping integer exponent pairs
-``(i, j)`` to complex coefficients, so ``(i, j)`` stands for the monomial
-``z^i w^j``.  Coefficients that are exactly zero are pruned on construction;
-no epsilon-pruning is ever applied, so constructed cancellations survive to
-be checked against explicit tolerances downstream.
+A polynomial is one dense complex array ``coeffs`` cropped to the tight box
+of its nonzero entries, plus the exponents ``offset = (i0, j0)`` of its first
+entry: ``coeffs[a, b]`` multiplies ``z^(i0 + a) w^(j0 + b)``.  Only exact
+zeros are trimmed (and stored as ``0``); no epsilon-pruning is ever applied,
+so constructed cancellations survive to be checked against explicit
+tolerances downstream.  Sums, shifts and reflections are slicing and offset
+arithmetic, products direct 2-D convolutions, evaluation Horner's rule.
 
-Instances are immutable, hashable and safe to share between threads.  All
-arithmetic returns new objects.
+Instances are immutable (the array is read-only), hashable and safe to share
+between threads.  All arithmetic returns new objects.
 """
 
 from __future__ import annotations
@@ -29,26 +31,43 @@ class DegreePair(NamedTuple):
 class BivariateLaurentPoly:
     """Finitely supported Laurent polynomial in two variables."""
 
-    __slots__ = ("_coeffs", "_box", "_hash")
+    __slots__ = ("_array", "_offset")
 
     def __init__(self, coeffs: Mapping[tuple[int, int], complex] = ()):
-        table: dict[tuple[int, int], complex] = {}
-        for (i, j), c in dict(coeffs).items():
-            c = complex(c)
-            if c != 0:
-                table[(int(i), int(j))] = c
-        self._coeffs = table
+        table = dict(coeffs)
+        grid, low = np.zeros((0, 0), dtype=complex), (0, 0)
         if table:
-            i_list = [ij[0] for ij in table]
-            j_list = [ij[1] for ij in table]
-            self._box = (min(i_list), max(i_list), min(j_list), max(j_list))
+            exponents = np.array(list(table), dtype=np.intp)
+            low = exponents.min(axis=0)
+            grid = np.zeros(exponents.max(axis=0) - low + 1, dtype=complex)
+            grid[tuple((exponents - low).T)] = [complex(c) for c in table.values()]
+        self._set(grid, low)
+
+    def _set(self, array: np.ndarray, offset) -> None:
+        """Store ``array`` at ``offset`` cropped to its nonzero entries, as a
+        read-only copy whose zero entries are exactly ``0``."""
+        rows = np.flatnonzero(array.any(axis=1))
+        if rows.size == 0:
+            array, offset = np.zeros((0, 0), dtype=complex), (0, 0)
         else:
-            self._box = None
-        self._hash: int | None = None
+            cols = np.flatnonzero(array.any(axis=0))
+            array = array[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+            array = np.where(array == 0, 0j, array)
+            offset = (int(offset[0]) + int(rows[0]), int(offset[1]) + int(cols[0]))
+        array.setflags(write=False)
+        self._array = array
+        self._offset = offset
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
+
+    @classmethod
+    def from_array(cls, array, offset: tuple[int, int] = (0, 0)) -> "BivariateLaurentPoly":
+        """The polynomial with coefficient ``array[a, b]`` at ``z^(i0 + a) w^(j0 + b)``."""
+        poly = cls.__new__(cls)
+        poly._set(np.asarray(array, dtype=complex), offset)
+        return poly
 
     @classmethod
     def zero(cls) -> "BivariateLaurentPoly":
@@ -73,52 +92,58 @@ class BivariateLaurentPoly:
         rows = doc["coeffs"]
         if len(rows) != n + 1 or any(len(row) != m + 1 for row in rows):
             raise ValueError(f"coefficient grid must be {n + 1} x {m + 1}")
-        table = {}
-        for i, row in enumerate(rows):
-            for j, (re, im) in enumerate(row):
-                table[(i, j)] = complex(float(re), float(im))
-        return cls(table), DegreePair(n, m)
+        grid = [[complex(float(re), float(im)) for re, im in row] for row in rows]
+        grid = np.array(grid, dtype=complex).reshape(n + 1, m + 1)
+        return cls.from_array(grid), DegreePair(n, m)
 
     def to_json_dict(self, deg: DegreePair) -> dict:
         """Serialize to the interchange form; support must fit in the box."""
         self._require_support_in_box(deg)
         n, m = deg
-        rows = []
-        for i in range(n + 1):
-            row = []
-            for j in range(m + 1):
-                c = self._coeffs.get((i, j), 0j)
-                row.append([c.real, c.imag])
-            rows.append(row)
-        return {"n": n, "m": m, "coeffs": rows}
+        pairs = self.coefficient_window((0, n, 0, m)).view(float).reshape(n + 1, m + 1, 2)
+        return {"n": n, "m": m, "coeffs": pairs.tolist()}
 
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
 
     @property
+    def coeffs(self) -> np.ndarray:
+        """The read-only coefficient array over the tight box; ``(0, 0)``-shaped for 0."""
+        return self._array
+
+    @property
+    def offset(self) -> tuple[int, int]:
+        """Exponents ``(i0, j0)`` of ``coeffs[0, 0]``; ``(0, 0)`` for the zero polynomial."""
+        return self._offset
+
+    @property
     def support_box(self) -> tuple[int, int, int, int] | None:
         """Tight hull ``(i_min, i_max, j_min, j_max)``; None for the zero polynomial."""
-        return self._box
+        if self.is_zero:
+            return None
+        (i0, j0), (rows, cols) = self._offset, self._array.shape
+        return (i0, i0 + rows - 1, j0, j0 + cols - 1)
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return self._array.size == 0
 
     def coefficient(self, i: int, j: int) -> complex:
-        return self._coeffs.get((i, j), 0j)
+        return complex(self.coefficient_window((i, i, j, j))[0, 0])
 
     def items(self) -> Iterator[tuple[tuple[int, int], complex]]:
-        return iter(self._coeffs.items())
+        """The nonzero coefficients as ``((i, j), c)``, row-major by z-exponent."""
+        rows, cols = np.nonzero(self._array)
+        exponents = zip((rows + self._offset[0]).tolist(), (cols + self._offset[1]).tolist())
+        return zip(exponents, self._array[rows, cols].tolist())
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return int(np.count_nonzero(self._array))
 
     def max_abs(self) -> float:
         """Largest coefficient magnitude (0 for the zero polynomial)."""
-        if not self._coeffs:
-            return 0.0
-        return max(abs(c) for c in self._coeffs.values())
+        return float(np.max(np.abs(self._array), initial=0.0))
 
     def coefficient_window(self, box: tuple[int, int, int, int]) -> np.ndarray:
         """Dense grid over ``(i_min, i_max, j_min, j_max)``, zeros filled in.
@@ -130,67 +155,77 @@ class BivariateLaurentPoly:
         if i1 < i0 or j1 < j0:
             raise ValueError("empty coefficient window")
         grid = np.zeros((i1 - i0 + 1, j1 - j0 + 1), dtype=complex)
-        for (i, j), c in self._coeffs.items():
-            if i0 <= i <= i1 and j0 <= j <= j1:
-                grid[i - i0, j - j0] = c
+        # coeffs[0, 0] sits at grid[a, b]; copy the overlap of the two
+        a, b = self._offset[0] - i0, self._offset[1] - j0
+        source = self._array[max(-a, 0) :, max(-b, 0) :]
+        target = grid[max(a, 0) :, max(b, 0) :]
+        rows, cols = np.minimum(source.shape, target.shape)
+        target[:rows, :cols] = source[:rows, :cols]
         return grid
 
     def w_coefficient(self, j: int) -> "BivariateLaurentPoly":
         """The z-polynomial multiplying ``w^j``."""
-        return BivariateLaurentPoly(
-            {(i, 0): c for (i, jj), c in self._coeffs.items() if jj == j}
-        )
+        b = j - self._offset[1]
+        column = self._array[:, max(b, 0) : b + 1]
+        return BivariateLaurentPoly.from_array(column, (self._offset[0], 0))
 
     # ------------------------------------------------------------------
     # Arithmetic
     # ------------------------------------------------------------------
 
     def __add__(self, other: "BivariateLaurentPoly") -> "BivariateLaurentPoly":
-        out = dict(self._coeffs)
-        for ij, c in other._coeffs.items():
-            out[ij] = out.get(ij, 0j) + c
-        return BivariateLaurentPoly(out)
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "BivariateLaurentPoly") -> "BivariateLaurentPoly":
-        out = dict(self._coeffs)
-        for ij, c in other._coeffs.items():
-            out[ij] = out.get(ij, 0j) - c
-        return BivariateLaurentPoly(out)
+        return self._combine(other, np.subtract)
+
+    def _combine(self, other: "BivariateLaurentPoly", op) -> "BivariateLaurentPoly":
+        """``op`` of the two over the union of their boxes.  Entries of this
+        polynomial that ``other`` does not cover are copied, not computed."""
+        if other.is_zero:
+            return self
+        box = _union_box((self, other))
+        grid = self.coefficient_window(box)
+        a, b = other._offset[0] - box[0], other._offset[1] - box[2]
+        region = grid[a : a + other._array.shape[0], b : b + other._array.shape[1]]
+        op(region, other._array, out=region)
+        return BivariateLaurentPoly.from_array(grid, (box[0], box[2]))
 
     def __neg__(self) -> "BivariateLaurentPoly":
-        return BivariateLaurentPoly({ij: -c for ij, c in self._coeffs.items()})
+        return BivariateLaurentPoly.from_array(-self._array, self._offset)
 
     def __mul__(self, other) -> "BivariateLaurentPoly":
-        if isinstance(other, BivariateLaurentPoly):
-            out: dict[tuple[int, int], complex] = {}
-            for (i1, j1), c1 in self._coeffs.items():
-                for (i2, j2), c2 in other._coeffs.items():
-                    ij = (i1 + i2, j1 + j2)
-                    out[ij] = out.get(ij, 0j) + c1 * c2
-            return BivariateLaurentPoly(out)
-        return self.scale(other)
-
-    def __rmul__(self, other) -> "BivariateLaurentPoly":
-        return self.scale(other)
+        """Direct 2-D convolution: a shifted copy of the larger operand per
+        nonzero coefficient of the smaller one."""
+        if not isinstance(other, BivariateLaurentPoly):
+            return self.scale(other)
+        small, large = (other, self) if len(other) < len(self) else (self, other)
+        if small.is_zero:
+            return BivariateLaurentPoly.zero()
+        rows, cols = large._array.shape
+        grid = np.zeros(np.add(small._array.shape, (rows - 1, cols - 1)), dtype=complex)
+        a, b = np.nonzero(small._array)
+        for i, j, c in zip(a.tolist(), b.tolist(), small._array[a, b].tolist()):
+            grid[i : i + rows, j : j + cols] += c * large._array
+        offset = (self._offset[0] + other._offset[0], self._offset[1] + other._offset[1])
+        return BivariateLaurentPoly.from_array(grid, offset)
 
     def scale(self, c: complex) -> "BivariateLaurentPoly":
-        c = complex(c)
-        return BivariateLaurentPoly({ij: c * v for ij, v in self._coeffs.items()})
+        return BivariateLaurentPoly.from_array(complex(c) * self._array, self._offset)
+
+    __rmul__ = scale
 
     def shift(self, di: int, dj: int) -> "BivariateLaurentPoly":
         """Multiply by the monomial ``z^di w^dj``."""
-        return BivariateLaurentPoly(
-            {(i + di, j + dj): c for (i, j), c in self._coeffs.items()}
-        )
+        offset = (self._offset[0] + di, self._offset[1] + dj)
+        return BivariateLaurentPoly.from_array(self._array, offset)
 
     def conj_reciprocal(self) -> "BivariateLaurentPoly":
         """Conjugate coefficients and invert both variables.
 
         This is the Laurent polynomial equal to ``conj(p(1/conj(z), 1/conj(w)))``.
         """
-        return BivariateLaurentPoly(
-            {(-i, -j): c.conjugate() for (i, j), c in self._coeffs.items()}
-        )
+        return self._conj_reversed(0, 0)
 
     def reflect(self, deg: DegreePair) -> "BivariateLaurentPoly":
         """Conjugate-reverse the coefficients with respect to the degree box.
@@ -200,10 +235,13 @@ class BivariateLaurentPoly:
         inside ``[0, n] x [0, m]``.
         """
         self._require_support_in_box(deg)
-        n, m = deg
-        return BivariateLaurentPoly(
-            {(n - i, m - j): c.conjugate() for (i, j), c in self._coeffs.items()}
-        )
+        return self._conj_reversed(*deg)
+
+    def _conj_reversed(self, n: int, m: int) -> "BivariateLaurentPoly":
+        """The polynomial with coefficient ``conj(c[n - i, m - j])`` at ``(i, j)``."""
+        (i0, j0), (rows, cols) = self._offset, self._array.shape
+        offset = (n - i0 - rows + 1, m - j0 - cols + 1)
+        return BivariateLaurentPoly.from_array(self._array[::-1, ::-1].conj(), offset)
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -212,23 +250,24 @@ class BivariateLaurentPoly:
     def __call__(self, z, w):
         """Evaluate at ``(z, w)`` by Horner accumulation in each variable.
 
-        Scalars give a complex number; arrays broadcast against each other
-        and give an array of values, by the same Horner steps elementwise.
+        Exponents descend in both loops.  Scalars give a complex number;
+        arrays broadcast against each other and give an array of values, by
+        the same Horner steps elementwise.
         """
         z, w = _point(z), _point(w)
-        if not self._coeffs:
+        if self.is_zero:
             shape = np.broadcast(z, w).shape
             return np.zeros(shape, dtype=complex) if shape else 0j
-        i0, i1, j0, j1 = self._box
+        i0, j0 = self._offset
         if i0 < 0 and np.any(z == 0):
             raise ZeroBaseNegativeExponent("z = 0 with negative z-exponent")
         if j0 < 0 and np.any(w == 0):
             raise ZeroBaseNegativeExponent("w = 0 with negative w-exponent")
         acc = 0j
-        for i in range(i1, i0 - 1, -1):
+        for coeffs in self._array[::-1].tolist():
             row = 0j
-            for j in range(j1, j0 - 1, -1):
-                row = row * w + self._coeffs.get((i, j), 0j)
+            for c in reversed(coeffs):
+                row = row * w + c
             acc = acc * z + row
         return acc * z**i0 * w**j0
 
@@ -239,19 +278,18 @@ class BivariateLaurentPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivariateLaurentPoly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._offset == other._offset and np.array_equal(self._array, other._array)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._coeffs.items()))
-        return self._hash
+        # adding 0 turns every -0.0 into 0.0, which compares equal to it
+        return hash((self._offset, self._array.shape, (self._array + 0.0).tobytes()))
 
     def __repr__(self) -> str:
-        if not self._coeffs:
+        if self.is_zero:
             return "BivariateLaurentPoly(0)"
-        terms = []
-        for (i, j), c in sorted(self._coeffs.items()):
-            terms.append(f"({c:.6g})*z^{i}*w^{j}")
+        (i0, j0), (rows, cols) = self._offset, np.nonzero(self._array)
+        values = self._array[rows, cols].tolist()
+        terms = [f"({c:.6g})*z^{i + i0}*w^{j + j0}" for i, j, c in zip(rows, cols, values)]
         return "BivariateLaurentPoly(" + " + ".join(terms) + ")"
 
     # ------------------------------------------------------------------
@@ -259,14 +297,9 @@ class BivariateLaurentPoly:
     # ------------------------------------------------------------------
 
     def _require_support_in_box(self, deg: DegreePair) -> None:
-        if not self._coeffs:
-            return
-        n, m = deg
-        i0, i1, j0, j1 = self._box
-        if i0 < 0 or j0 < 0 or i1 > n or j1 > m:
-            raise SupportOutsideBox(
-                f"support hull {self._box} outside [0, {n}] x [0, {m}]"
-            )
+        (n, m), box = deg, self.support_box
+        if box and (box[0] < 0 or box[2] < 0 or box[1] > n or box[3] > m):
+            raise SupportOutsideBox(f"support hull {box} outside [0, {n}] x [0, {m}]")
 
 
 def angle_grid(count: int) -> np.ndarray:
@@ -297,12 +330,20 @@ def coefficient_matrix(polys) -> tuple[np.ndarray, np.ndarray]:
     for a polynomial without that monomial.
     """
     polys = list(polys)
-    support = sorted(set().union(*(p._coeffs for p in polys)))
-    row = {ij: r for r, ij in enumerate(support)}
-    matrix = np.zeros((len(support), len(polys)), dtype=complex)
-    for k, p in enumerate(polys):
-        size = len(p._coeffs)
-        rows = np.fromiter((row[ij] for ij in p._coeffs), np.intp, size)
-        matrix[rows, k] = np.fromiter(p._coeffs.values(), complex, size)
-    flat = np.fromiter((e for ij in support for e in ij), np.intp, 2 * len(support))
-    return flat.reshape(-1, 2), matrix
+    box = _union_box(polys)
+    if box is None:
+        return np.zeros((0, 2), dtype=np.intp), np.zeros((0, len(polys)), dtype=complex)
+    # row-major positions in the union box are the sorted exponent pairs
+    stack = np.stack([p.coefficient_window(box) for p in polys], axis=-1)
+    rows, cols = np.nonzero(stack.any(axis=-1))
+    return np.stack([rows + box[0], cols + box[2]], axis=1), stack[rows, cols]
+
+
+def _union_box(polys) -> tuple[int, int, int, int] | None:
+    """The smallest ``(i_min, i_max, j_min, j_max)`` holding every support;
+    None when every polynomial is zero."""
+    boxes = np.array([p.support_box for p in polys if not p.is_zero]).reshape(-1, 4)
+    if not len(boxes):
+        return None
+    low, high = boxes.min(axis=0).tolist(), boxes.max(axis=0).tolist()
+    return (low[0], high[1], low[2], high[3])

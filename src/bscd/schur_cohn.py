@@ -57,9 +57,7 @@ class LaurentMatrixPoly:
         self.slices = tuple(slices)
 
     def entry(self, i: int, j: int) -> BivariateLaurentPoly:
-        return BivariateLaurentPoly(
-            {(e - self.n, 0): c for e, c in enumerate(self.coeffs[i, j])}
-        )
+        return BivariateLaurentPoly.from_array(self.coeffs[i, j, :, None], (-self.n, 0))
 
 
 @dataclass(frozen=True)
@@ -129,9 +127,3 @@ def diagonal_average(T: LaurentMatrixPoly, k: int) -> float:
     is involved.
     """
     return float(T.coeffs[k, k, T.n].real)
-
-
-def hermitian_structure_defect(T: LaurentMatrixPoly) -> float:
-    """Largest coefficient deviation of entry(j, i) from entry(i, j)*."""
-    mirrored = T.coeffs.transpose(1, 0, 2)[:, :, ::-1].conj()
-    return float(np.max(np.abs(T.coeffs - mirrored)))

@@ -129,11 +129,6 @@ class KernelEvaluator:
         value = np.sum(phi_x * np.conj(phi_y), axis=-1)
         return complex(value) if value.ndim == 0 else value
 
-    def kernel_section(self, y) -> BivariateLaurentPoly:
-        """The polynomial ``K(., y)``; pair it with moments to reproduce."""
-        phi_y = _monomial_values(self.spec.S1, y) @ self.basis
-        return BivariateLaurentPoly(dict(zip(self.spec.S1, self.basis @ np.conj(phi_y))))
-
 
 def _complement_coefficients(spec: SubspaceSpec, moments: MomentTable) -> np.ndarray:
     """Orthonormal basis of ``span(S1) - span(S2)``, one column over ``S1`` each.
@@ -143,10 +138,13 @@ def _complement_coefficients(spec: SubspaceSpec, moments: MomentTable) -> np.nda
     Cholesky factor of their Gram matrix.  With ``S2`` empty the residuals
     are the monomials themselves, so the basis ``B`` of ``span(S1)`` gives
     ``G^{-1} = B B^H``.  Both Gram matrices are checked against
-    ``GRAM_CONDITION_CAP`` first.
+    ``GRAM_CONDITION_CAP`` first.  An empty span has no Gram matrix to check
+    and a basis of no columns, so every projection onto it is zero.
     """
     S1 = list(spec.S1)
     extra = [mu for mu in S1 if mu not in set(spec.S2)]
+    if not extra:
+        return np.zeros((len(S1), 0), dtype=complex)
     residuals = np.zeros((len(S1), len(extra)), dtype=complex)
     residuals[[S1.index(mu) for mu in extra], np.arange(len(extra))] = 1.0
     if spec.S2:
@@ -160,14 +158,6 @@ def _complement_coefficients(spec: SubspaceSpec, moments: MomentTable) -> np.nda
     _require_conditioned(Gb, "complement Gram" if spec.S2 else "Gram")
     C = np.linalg.inv(np.linalg.cholesky(Gb)).conj().T
     return residuals @ C
-
-
-def orthonormal_complement_basis(
-    spec: SubspaceSpec, moments: MomentTable
-) -> list[BivariateLaurentPoly]:
-    """Orthonormal basis of ``span(S1) - span(S2)`` as explicit polynomials."""
-    basis = _complement_coefficients(spec, moments)
-    return [BivariateLaurentPoly(dict(zip(spec.S1, column))) for column in basis.T]
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +190,8 @@ def reconstruct_kernel_coefficients(
     raw_norm2 = X[pivots, np.arange(m)].real
     target = np.array([diagonal_average(T, k) for k in range(m)])
     X = X * np.sqrt(target / raw_norm2)
-    return tuple(BivariateLaurentPoly(dict(zip(S, column))) for column in X.T)
+    # S runs row-major over the box, so column k reshapes to the array of a_k
+    return tuple(BivariateLaurentPoly.from_array(x.reshape(2 * n + 1, m)) for x in X.T)
 
 
 # ----------------------------------------------------------------------
@@ -385,14 +376,6 @@ def cd_formula_residual(
 # ----------------------------------------------------------------------
 
 
-def _lshape_member(f: BivariateLaurentPoly, deg: DegreePair) -> bool:
-    n, m = deg
-    for (i, j), _ in f.items():
-        if i < 0 or j < 0 or (i >= n and j >= m):
-            return False
-    return True
-
-
 def closed_form_kernel_pairing(
     p: BivariateLaurentPoly,
     deg: DegreePair,
@@ -457,7 +440,8 @@ def closed_form_kernel_residual(
         box = f.support_box
         if box[0] < 0 or box[2] < 0:
             raise ValueError("test functions must be genuine polynomials")
-        member = _lshape_member(f, deg)
+        # f lies in the L-shaped span unless it has a term in the corner i >= n, j >= m
+        member = not f.coeffs[max(n - box[0], 0) :, max(m - box[2], 0) :].any()
         if not member:
             W = [
                 (i, j)

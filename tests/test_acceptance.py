@@ -25,7 +25,7 @@ from bscd.measure import (
     norm,
     slice_moments,
 )
-from bscd.parametric import moment_vanishing, orthogonality_check
+from bscd.parametric import moment_vanishing, orthogonality_check, parametric_polynomials
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair
 from bscd.schur_cohn import evaluate_on_circle, schur_cohn_matrix
 from bscd.subspaces import (
@@ -195,7 +195,9 @@ def test_criterion_7_parametric_polynomials():
         for p, deg, _, _ in random_set():
             n, m = deg
             for theta in (0.0, 0.7, 2.9):
-                check = orthogonality_check(p, deg, theta)
+                check = orthogonality_check(
+                    parametric_polynomials(p, deg, theta), slice_moments(p, deg, theta, m - 1)
+                )
                 assert check["offdiag_max"] < 1e-9
                 assert check["lu_law_residual"] < 1e-9
                 if m >= 2:

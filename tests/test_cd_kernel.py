@@ -71,6 +71,30 @@ def test_cofactor_degree_bounds_and_identity(random_family):
             assert (recombined - ks.a[j]).max_abs() < 1e-12 * max(1.0, ks.a[j].max_abs())
 
 
+
+def cofactor_sums(p, deg):
+    """The cofactor formulas summed term by term on the polynomials."""
+    n, m = deg
+    slices = [p.w_coefficient(j) for j in range(m + 1)]
+    A, B = [], []
+    for t in range(m):
+        A.append(Poly.zero())
+        B.append(Poly.zero())
+        for s in range(t + 1):
+            A[t] = A[t] + slices[t - s].reflect(DegreePair(n, 0)).shift(0, s)
+            B[t] = B[t] - slices[m - t + s].shift(0, s)
+    return A, B
+
+
+def test_cofactor_arrays_are_the_term_sums_to_the_bit(random_family):
+    # the report prints A and B, so even the signs of zero parts must agree
+    for p, deg in random_family + [(WORKED, WORKED_DEG), (UNIV, DegreePair(0, 1))]:
+        box = DegreePair(deg.n, deg.m - 1)
+        for got, want in zip(cofactor_decomposition(p, deg), cofactor_sums(p, deg)):
+            assert [repr(g.to_json_dict(box)) for g in got] == [
+                repr(w.to_json_dict(box)) for w in want
+            ]
+
 def test_coefficient_support_and_symmetry(random_family):
     for p, deg in random_family:
         n, m = deg

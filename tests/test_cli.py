@@ -94,6 +94,9 @@ def test_tol_flag_sets_names_over_the_config_file(tmp_path):
         ({"shift_max": None}, []),
         ({"output": 7}, []),
         ({"seed": -1}, []),
+        ({"theta_grid": 2.5}, []),
+        ({"margin": 1.9}, []),
+        ({"seed": True}, []),
         ({}, ["--window", "1,x"]),
     ],
     ids=[
@@ -106,6 +109,9 @@ def test_tol_flag_sets_names_over_the_config_file(tmp_path):
         "shift_max-null",
         "output-int",
         "seed-negative",
+        "theta_grid-float",
+        "margin-float",
+        "seed-bool",
         "window-flag",
     ],
 )
@@ -408,6 +414,22 @@ def test_suite_error_is_recorded_as_failure(tmp_path):
         assert by_name[name].status == "fail"
         assert by_name[name].details["error"] == "DegenerateDegree"
     assert cli.exit_code(reports) == 1
+
+
+def test_constant_polynomial_writes_a_report_without_traceback(tmp_path):
+    # the L-shaped span of degree (0, 0) is empty: verify-kernel projects onto
+    # no monomials, and the suites that need m >= 1 fail with a message
+    constant = {"n": 0, "m": 0, "coeffs": [[[3.0, 0.0]]]}
+    config, report = tmp_path / "config.json", tmp_path / "report.json"
+    config.write_text(json.dumps({"polynomial": constant}))
+    assert cli.main(["verify-kernel", "--config", str(config), "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["verify-kernel"]["status"] == "pass"
+    assert cli.main(["all", "--config", str(config), "--out", str(report)]) == 1
+    doc = json.loads(report.read_text())
+    for suite in ("stability", "moments", "verify-kernel"):
+        assert doc[suite]["status"] == "pass"
+    for suite in ("schur-cohn", "cd-kernel", "verify-orthogonality", "verify-cd", "parametric"):
+        assert doc[suite]["details"]["error"] == "DegenerateDegree"
 
 
 def test_failed_artifact_is_built_once(tmp_path, monkeypatch):

@@ -537,6 +537,15 @@ def test_gram_matrices_positive_definite(random_family_with_moments):
 # ----------------------------------------------------------------------
 
 
+
+def test_w_slice_is_the_term_loop(random_family):
+    z = 0.9 * np.exp(2j * np.pi * np.arange(16) / 16)
+    for p, deg in random_family:
+        expected = np.zeros((deg.m + 1, z.size), dtype=complex)
+        for (i, j), c in p.items():
+            expected[j] += c * z**i
+        assert np.array_equal(measure.w_slice(p, z, deg.m + 1), expected)
+
 def test_slice_of_worked_example_at_zero():
     sm = slice_moments(WORKED, WORKED_DEG, 0.0, 5)
     for k in range(-5, 6):

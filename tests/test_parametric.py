@@ -150,18 +150,25 @@ def test_one_circle_evaluation_per_batch(random_family, monkeypatch):
         assert [phi.shape for phi in op.phi] == [(64, i + 1) for i in range(deg.m)]
 
 
+def check_at(p, deg, theta, op=None):
+    """``orthogonality_check`` on the slice polynomials of ``p`` at ``theta``."""
+    if op is None:
+        op = parametric_polynomials(p, deg, theta)
+    return orthogonality_check(op, slice_moments(p, deg, theta, deg.m - 1))
+
+
 def test_batched_polynomials_are_the_per_angle_ones(random_family):
     thetas = 2.0 * np.pi * np.arange(16) / 16 + 0.2
     for p, deg in random_family:
         T = schur_cohn_matrix(p, deg)
         op = parametric_polynomials(p, deg, thetas, T)
-        check = orthogonality_check(p, deg, thetas, op)
+        check = check_at(p, deg, thetas, op)
         for k, theta in enumerate(thetas):
             one = parametric_polynomials(p, deg, float(theta), T)
             assert type(one.theta) is float and type(one.D.D) is tuple
             for batched, single in zip(op.phi, one.phi):
                 assert np.max(np.abs(batched[k] - single)) <= 1e-13 * np.max(np.abs(single))
-            single_check = orthogonality_check(p, deg, float(theta), one)
+            single_check = check_at(p, deg, float(theta), one)
             scale = np.max(np.abs(single_check["gram"]))
             assert np.max(np.abs(check["gram"][k] - single_check["gram"])) <= 1e-13 * scale
             assert abs(check["lu_law_residual"][k] - single_check["lu_law_residual"]) <= 1e-13 * scale
@@ -179,7 +186,7 @@ def test_batched_polynomials_are_the_per_angle_ones(random_family):
 
 def test_worked_example_diagonal_law():
     for theta in (0.0, 0.9):
-        check = orthogonality_check(WORKED, WORKED_DEG, theta)
+        check = check_at(WORKED, WORKED_DEG, theta)
         expected = 9 - 6 * np.cos(theta)
         assert check["gram"][0, 0].real == pytest.approx(expected, abs=1e-10)
         assert check["matches_lu_law"]
@@ -188,13 +195,13 @@ def test_worked_example_diagonal_law():
 
 def test_univariate_diagonal_law():
     p = Poly({(0, 0): 2, (0, 1): -1})
-    check = orthogonality_check(p, DegreePair(0, 1), 0.4)
+    check = check_at(p, DegreePair(0, 1), 0.4)
     assert check["gram"][0, 0].real == pytest.approx(3.0, abs=1e-11)
 
 
 def test_orthogonality_and_law_flags(random_family):
     for p, deg in random_family:
-        check = orthogonality_check(p, deg, 0.7)
+        check = check_at(p, deg, 0.7)
         assert check["offdiag_max"] < 1e-9
         assert check["matches_lu_law"]
         if deg.m >= 2:

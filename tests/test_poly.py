@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bscd.errors import SupportOutsideBox, ZeroBaseNegativeExponent
 from bscd.measure import random_stable_poly
@@ -171,3 +172,88 @@ def test_json_round_trip():
     assert doc == {"n": 1, "m": 1, "coeffs": [[[3.0, 0.0], [-1.0, 0.0]], [[-1.0, 0.0], [0.0, 0.0]]]}
     back, deg = Poly.from_json_dict(doc)
     assert back == WORKED and deg == WORKED_DEG
+
+
+# ----------------------------------------------------------------------
+# The dense array against the coefficient-table loops
+# ----------------------------------------------------------------------
+
+
+def table_add(p, q, sign):
+    """Sum or difference by the coefficient table, term by term."""
+    out = dict(p.items())
+    for ij, c in q.items():
+        out[ij] = out.get(ij, 0j) + c if sign > 0 else out.get(ij, 0j) - c
+    return Poly(out)
+
+
+def table_mul(p, q):
+    """Product by the coefficient table: every pair of terms, in order."""
+    out = {}
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
+            ij = (i1 + i2, j1 + j2)
+            out[ij] = out.get(ij, 0j) + c1 * c2
+    return Poly(out)
+
+
+def table_call(p, z, w):
+    """Horner's rule over the coefficient table, exponents descending."""
+    table = dict(p.items())
+    i0, i1, j0, j1 = p.support_box
+    acc = 0j
+    for i in range(i1, i0 - 1, -1):
+        row = 0j
+        for j in range(j1, j0 - 1, -1):
+            row = row * w + table.get((i, j), 0j)
+        acc = acc * z + row
+    return acc * z**i0 * w**j0
+
+
+parts = st.one_of(
+    st.floats(-2, 2, allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0, 1.0])
+)
+laurent_polys = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.builds(complex, parts, parts),
+    min_size=1,
+    max_size=8,
+).map(Poly)
+points = st.tuples(
+    st.complex_numbers(min_magnitude=0.5, max_magnitude=1.5),
+    st.complex_numbers(min_magnitude=0.5, max_magnitude=1.5),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=laurent_polys.filter(lambda p: not p.is_zero), q=laurent_polys, point=points)
+def test_dense_arithmetic_is_the_table_arithmetic(p, q, point):
+    assert p + q == table_add(p, q, +1)
+    assert p - q == table_add(p, q, -1)
+    # products round like the table loops, not to the bit
+    product = p * q
+    bound = 1e-15 * len(p) * len(q) * max(1.0, p.max_abs() * q.max_abs())
+    assert (product - table_mul(p, q)).max_abs() <= bound
+    assert p.conj_reciprocal() == Poly({(-i, -j): c.conjugate() for (i, j), c in p.items()})
+    i0, i1, j0, j1 = p.support_box
+    inside, deg = p.shift(-i0, -j0), DegreePair(i1 - i0 + 1, j1 - j0)
+    reflected = {(deg.n - i, deg.m - j): c.conjugate() for (i, j), c in inside.items()}
+    assert inside.reflect(deg) == Poly(reflected)
+    z, w = point
+    assert p(z, w) == table_call(p, z, w)
+    # with |z|, |w| in [0.5, 1.5] and exponents in [-6, 6] every monomial of the
+    # product is at most 2^12 in modulus
+    expected = p(z, w) * q(z, w)
+    scale = sum(abs(c) for _, c in p.items()) * sum(abs(c) for _, c in q.items()) * 2.0**12
+    assert abs(product(z, w) - expected) <= 1e-13 * scale
+    # every zero part flipped to -0.0 leaves the polynomial and its hash alone
+    flipped = p.coeffs.copy()
+    parts_view = flipped.view(float)
+    parts_view[parts_view == 0] = -0.0
+    same = Poly.from_array(flipped, p.offset)
+    assert same == p and hash(same) == hash(p)
+    for r in (p, product, p + q, inside.reflect(deg)):
+        assert not r.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            r.coeffs[...] = 0
+

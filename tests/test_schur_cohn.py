@@ -9,7 +9,6 @@ from bscd.poly import BivariateLaurentPoly as Poly, DegreePair, angle_grid
 from bscd.schur_cohn import (
     diagonal_average,
     evaluate_on_circle,
-    hermitian_structure_defect,
     principal_determinants,
     schur_cohn_matrix,
 )
@@ -45,6 +44,12 @@ def test_product_polynomial_matrix():
 def test_degree_zero_in_w_is_degenerate():
     with pytest.raises(DegenerateDegree):
         schur_cohn_matrix(Poly({(0, 0): 2, (1, 0): -1}), DegreePair(1, 0))
+
+
+def hermitian_structure_defect(T):
+    """Largest coefficient deviation of entry(j, i) from entry(i, j)*."""
+    mirrored = T.coeffs.transpose(1, 0, 2)[:, :, ::-1].conj()
+    return float(np.max(np.abs(T.coeffs - mirrored)))
 
 
 def test_hermitian_structure_for_random_polynomials(random_family, high_degree_family):
