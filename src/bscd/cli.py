@@ -163,12 +163,13 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         if name not in tolerances:
             raise ConfigInvalid(f"unknown tolerance name: {name}")
         try:
-            value = float(value)
+            number = float(value)
         except (TypeError, ValueError) as exc:
             raise ConfigInvalid(f"bad value for tolerance {name}: {value!r}") from exc
-        if value <= 0:
-            raise ConfigInvalid(f"tolerance {name} must be positive")
-        tolerances[name] = value
+        # NaN fails both comparisons; float(true) would be a gate of 1
+        if isinstance(value, bool) or not 0.0 < number < float("inf"):
+            raise ConfigInvalid(f"tolerance {name} must be a positive finite number")
+        tolerances[name] = number
 
     margin = _integer("margin", merged.get("margin", RunConfig.margin))
     shift_max = _integer("shift_max", merged.get("shift_max", RunConfig.shift_max))
@@ -236,7 +237,8 @@ class Artifacts:
     """Lazily built objects shared between suites of one run.
 
     A build that raises is remembered too: every later request re-raises the
-    same error instead of paying for the failed build again.
+    same error instead of paying for the failed build again.  The error names
+    the artifact in ``artifact``, which a suite report reads as ``blocked_by``.
     """
 
     def __init__(self, config: RunConfig):
@@ -248,6 +250,7 @@ class Artifacts:
             try:
                 self._cache[name] = ARTIFACT_BUILDERS[name](self.config)
             except BscdError as exc:
+                exc.artifact = name
                 self._cache[name] = exc
         value = self._cache[name]
         if isinstance(value, BscdError):
@@ -262,14 +265,10 @@ class Artifacts:
 
 def _suite_stability(art: Artifacts, cfg: RunConfig):
     report = art.get("stability")
+    witness = report.witness
     details = {
         "stable": report.stable,
-        "witness": None
-        if report.witness is None
-        else [
-            [report.witness[0].real, report.witness[0].imag],
-            [report.witness[1].real, report.witness[1].imag],
-        ],
+        "witness": None if witness is None else [[c.real, c.imag] for c in witness],
         "min_modulus": report.min_modulus,
     }
     return (0.0 if report.stable else 1.0), details
@@ -343,26 +342,15 @@ def _suite_cd_kernel(art: Artifacts, cfg: RunConfig):
     details = {
         "slice_gram_max": slice_gram_max,
         "a": [aj.to_json_dict(DegreePair(2 * n, m - 1)) for aj in ks.a],
-        "A": [Aj.to_json_dict(DegreePair(n, m - 1)) for Aj in ks.A],
-        "B": [Bj.to_json_dict(DegreePair(n, m - 1)) for Bj in ks.B],
     }
     return violation, details
-
-
-def _orth_pairs_json(report):
-    return [
-        [label, ij[0], ij[1], value.real, value.imag]
-        for label, ij, value in report.pairs
-    ]
 
 
 def _suite_verify_orthogonality(art: Artifacts, cfg: RunConfig):
     ks = art.get("kernelset")
     moments = art.get("moments")
     moments.require(subspaces.orthogonality_window(cfg.deg, cfg.margin, cfg.shift_max))
-    scale = min(
-        measure.norm(ak, moments) for ak in ks.a
-    )
+    scale = min(measure.norm(ak, moments) for ak in ks.a)
     base = subspaces.orthogonality_report(
         cfg.polynomial, cfg.deg, ks, moments, cfg.margin
     )
@@ -370,6 +358,7 @@ def _suite_verify_orthogonality(art: Artifacts, cfg: RunConfig):
         cfg.polynomial, cfg.deg, ks, moments, cfg.shift_max, cfg.margin
     )
     violation = max(base.max_violation, shifts.max_violation) / scale
+    families = subspaces.relation_families(cfg.deg, base.pairs + shifts.pairs, scale)
     # second route: each a_k recovered from its defining relations alone
     rebuilt = subspaces.reconstruct_kernel_coefficients(
         cfg.polynomial, cfg.deg, moments, art.get("matrix")
@@ -381,25 +370,17 @@ def _suite_verify_orthogonality(art: Artifacts, cfg: RunConfig):
     violation = max(violation, reconstruction_max, pivot_max)
     details = {
         "normalization": scale,
-        "window_max_violation": base.max_violation,
-        "shift_max_violation": shifts.max_violation,
         "reconstruction_max": float(reconstruction_max),
         "pivot_max": float(pivot_max),
-        "pairs": _orth_pairs_json(base) + _orth_pairs_json(shifts),
+        "families": families,
     }
     return violation, details
 
 
 def _random_bidisk_points(rng, count, entries):
-    points = []
-    for _ in range(count):
-        point = []
-        for _ in range(entries):
-            radius = np.sqrt(rng.uniform())
-            angle = rng.uniform(0.0, 2.0 * np.pi)
-            point.append(radius * np.exp(1j * angle))
-        points.append(tuple(point))
-    return points
+    """``count`` points of ``entries`` coordinates, uniform on the disk each."""
+    radius, turn = np.moveaxis(rng.uniform(size=(count, entries, 2)), -1, 0)
+    return [tuple(row) for row in np.sqrt(radius) * np.exp(1j * (2.0 * np.pi * turn))]
 
 
 def _suite_verify_cd(art: Artifacts, cfg: RunConfig):
@@ -446,8 +427,6 @@ def _suite_parametric(art: Artifacts, cfg: RunConfig):
     rows = [
         {
             "theta": float(theta),
-            "phi": [[[c.real, c.imag] for c in coeffs[k]] for coeffs in op.phi],
-            "D_list": op.D.D[k].tolist(),
             "offdiag_max": float(check["offdiag_max"][k]),
             "lu_law_residual": float(check["lu_law_residual"][k]),
             "gram_schmidt_residual": float(gram_schmidt[k]),
@@ -497,12 +476,14 @@ def _run_one(name: str, art: Artifacts, cfg: RunConfig) -> SuiteReport:
     try:
         violation, details = SUITE_RUNNERS[name](art, cfg)
         status = "pass" if violation < tolerance else "fail"
-    except InconclusiveNearBoundary as exc:
-        violation, details, status = 0.0, {"message": str(exc)}, "inconclusive"
     except BscdError as exc:
-        violation = float(tolerance)
-        details = {"error": type(exc).__name__, "message": str(exc)}
-        status = "fail"
+        if isinstance(exc, InconclusiveNearBoundary):
+            violation, details, status = 0.0, {"message": str(exc)}, "inconclusive"
+        else:
+            violation, status = float(tolerance), "fail"
+            details = {"error": type(exc).__name__, "message": str(exc)}
+        if exc.artifact is not None:
+            details["blocked_by"] = exc.artifact
     elapsed = time.perf_counter() - start
     return SuiteReport(name, status, float(violation), tolerance, details, elapsed)
 
@@ -564,17 +545,8 @@ def render_report(reports: list[SuiteReport], fmt: str) -> str:
         return _dump_json(report_document(reports)) + "\n"
     lines = ["suite,status,max_violation,tolerance,wall_time"]
     for r in sorted(reports, key=lambda r: r.suite):
-        lines.append(
-            ",".join(
-                [
-                    r.suite,
-                    r.status,
-                    format(r.max_violation, ".17g"),
-                    format(r.tolerance, ".17g"),
-                    format(r.wall_time, ".17g"),
-                ]
-            )
-        )
+        numbers = (r.max_violation, r.tolerance, r.wall_time)
+        lines.append(",".join([r.suite, r.status] + [format(v, ".17g") for v in numbers]))
     return "\n".join(lines) + "\n"
 
 

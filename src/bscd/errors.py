@@ -4,6 +4,8 @@
 class BscdError(Exception):
     """Base class for all library-specific errors."""
 
+    artifact: str | None = None  # the shared artifact whose build raised it
+
 
 class ZeroBaseNegativeExponent(BscdError):
     """Evaluation hit a negative exponent at a zero argument."""

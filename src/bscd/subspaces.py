@@ -212,6 +212,31 @@ def _report(pairs) -> OrthReport:
     return OrthReport(tuple(pairs), float(max_violation))
 
 
+def relation_families(deg: DegreePair, pairs, scale: float) -> dict:
+    """Per relation family of the two reports' pairs: ``count``, the largest
+    ``|value| / scale`` and the ``[label, i, j]`` of the pairing it comes from.
+
+    The ``a_k`` pairs split by ``j`` into the strip ``0 <= j < m`` and the
+    quadrants ``j < 0`` and ``j >= m``; the rest split by label.
+    """
+    names = ("strip", "lower_quadrant", "upper_quadrant", "duality", "shift", "complement_shift")
+    families = {name: {"count": 0, "max": 0.0, "argmax": None} for name in names}
+    for label, (i, j), value in pairs:
+        if label.startswith("z^"):
+            name = "complement_shift" if "|" in label else "shift"
+        elif label.startswith("dual"):
+            name = "duality"
+        else:
+            name = "lower_quadrant" if j < 0 else "strip" if j < deg.m else "upper_quadrant"
+        entry, size = families[name], abs(value)
+        entry["count"] += 1
+        if entry["argmax"] is None or size > entry["max"]:
+            entry["max"], entry["argmax"] = size, [label, i, j]
+    for entry in families.values():
+        entry["max"] = float(entry["max"] / scale)
+    return families
+
+
 def _window_pairings(polys, moments: MomentTable, i0: int, i1: int, j0: int, j1: int):
     """``R[i - i0, j - j0, k] = <polys[k], z^i w^j>`` over a rectangle, at once.
 

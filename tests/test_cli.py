@@ -10,6 +10,7 @@ import pytest
 
 from bscd import cli, measure
 from bscd.errors import ConfigInvalid, NoConvergence
+from bscd.poly import BivariateLaurentPoly
 
 from conftest import WORKED, WORKED_DEG
 
@@ -62,6 +63,32 @@ def test_nonpositive_tolerance_rejected(tmp_path):
     path = write_config(tmp_path)
     assert cli.main(["stability", "--config", path, "--tol", "orthogonality=0"]) == 2
     assert cli.main(["stability", "--config", path, "--tol", "nope=1"]) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_flag_is_config_error(tmp_path, capsys, value):
+    # a NaN gate failed every check and an infinite one passed every check
+    path = write_config(tmp_path)
+    flags = ["--tol", f"orthogonality={value}"]
+    assert cli.main(["verify-orthogonality", "--config", path] + flags) == 2
+    assert "positive finite" in capsys.readouterr().err
+
+
+def test_boolean_tolerance_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, tolerances={"orthogonality": True})
+    assert cli.main(["stability", "--config", path]) == 2
+    assert "positive finite" in capsys.readouterr().err
+
+
+def test_non_finite_moment_tolerance_is_refused_before_any_suite(tmp_path):
+    # only load_config runs here: a suite would refine the torus grid to its
+    # cap chasing an unreachable moments tolerance
+    nan_file = write_config(tmp_path, tolerances={"moments": float("nan")})
+    assert "NaN" in (tmp_path / "config.json").read_text()
+    with pytest.raises(ConfigInvalid, match="tolerance moments must be a positive finite"):
+        cli.load_config(nan_file)
+    with pytest.raises(ConfigInvalid, match="tolerance moments must be a positive finite"):
+        cli.load_config(write_config(tmp_path), {"tolerances": {"moments": float("inf")}})
 
 
 def test_tol_flag_sets_names_over_the_config_file(tmp_path):
@@ -301,6 +328,42 @@ def test_each_second_route_can_fail(tmp_path, capsys, monkeypatch, suite, artifa
     assert broken.status == "fail" and read(broken.details) > tolerance
 
 
+def test_planted_strip_defect_is_the_strip_argmax(tmp_path, monkeypatch):
+    # a_0 + 1e-6 z^n w breaks <a_0, z^n w> = 0, a strip relation; every other
+    # strip pairing of a_0 picks up 1e-6 times a smaller moment
+    p, deg = measure.random_stable_poly(8, 8, np.random.default_rng(1))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"polynomial": p.to_json_dict(deg)}))
+    config = cli.load_config(str(path), {"suites": ["verify-orthogonality"]})
+    build = cli.ARTIFACT_BUILDERS["kernelset"]
+
+    def planted(cfg):
+        ks = build(cfg)
+        a0 = ks.a[0] + BivariateLaurentPoly.monomial(deg.n, 1, 1e-6)
+        return dataclasses.replace(ks, a=(a0,) + ks.a[1:])
+
+    monkeypatch.setitem(cli.ARTIFACT_BUILDERS, "kernelset", planted)
+    (report,) = cli.run(config)
+    families = report.details["families"]
+    assert report.status == "fail"
+    assert families["strip"]["argmax"] == ["a_0", deg.n, 1]
+    assert families["strip"]["max"] == max(f["max"] for f in families.values())
+    assert families["strip"]["max"] > report.tolerance
+
+
+def test_full_report_of_a_degree_four_draw_is_small(tmp_path):
+    # the report summarizes each relation family instead of listing pairings
+    p, deg = measure.random_stable_poly(4, 4, np.random.default_rng(1))
+    config, out = tmp_path / "config.json", tmp_path / "report.json"
+    config.write_text(json.dumps({"polynomial": p.to_json_dict(deg)}))
+    assert cli.main(["all", "--config", str(config), "--out", str(out)]) == 0
+    assert out.stat().st_size < 100_000
+    families = json.loads(out.read_text())["verify-orthogonality"]["details"]["families"]
+    assert list(families) == [
+        "strip", "lower_quadrant", "upper_quadrant", "duality", "shift", "complement_shift"
+    ]
+
+
 def test_full_run_on_worked_example(tmp_path):
     path = write_config(tmp_path, theta_grid=8)
     config = cli.load_config(path)
@@ -448,5 +511,22 @@ def test_failed_artifact_is_built_once(tmp_path, monkeypatch):
         assert reports[name].details == {
             "error": "NoConvergence",
             "message": "moment window not stable",
+            "blocked_by": "moments",
         }
     assert reports["parametric"].status == "pass"
+
+
+def test_suites_blocked_by_a_failed_artifact_name_it(tmp_path, monkeypatch):
+    # a finite moments tolerance no grid up to the cap reaches
+    monkeypatch.setattr(cli.measure, "GRID_CAP", 512)
+    path = write_config(tmp_path, theta_grid=4, tolerances={"moments": 1e-300})
+    reports = {r.suite: r for r in cli.run(cli.load_config(path))}
+    for name in ("moments", "verify-orthogonality", "verify-cd", "verify-kernel"):
+        details = reports[name].details
+        assert reports[name].status == "fail"
+        assert details["error"] == "NoConvergence" and "grid 512" in details["message"]
+        assert details["blocked_by"] == "moments"
+    # the suites that never read the moments run as usual
+    for name in ("stability", "schur-cohn", "cd-kernel", "parametric"):
+        assert reports[name].status == "pass"
+        assert "blocked_by" not in reports[name].details

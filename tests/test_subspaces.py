@@ -371,6 +371,43 @@ def test_batched_reports_read_few_lag_matrices(degree_eight, monkeypatch):
     assert calls == {"inner_product": 0, "lag_matrix": 4 + SHIFT_MAX}
 
 
+def test_relation_families_partition_the_pairs(degree_eight):
+    p, deg, ks, table = degree_eight
+    n, m = deg
+    base = orthogonality_report(p, deg, ks, table, margin=MARGIN)
+    shifts = shift_orthogonality_report(p, deg, ks, table, shift_max=SHIFT_MAX, margin=MARGIN)
+    pairs = base.pairs + shifts.pairs
+    scale = min(norm(ak, table) for ak in ks.a)
+    families = subspaces.relation_families(deg, pairs, scale)
+    # counts from the index sets alone, without reading any label
+    window = [
+        j
+        for k in range(m)
+        for i in range(-(n + MARGIN), 2 * n + MARGIN + 1)
+        for j in range(-(m + MARGIN), 2 * m + MARGIN + 1)
+        if in_coefficient_orthogonality_set(i, j, k, deg)
+    ]
+    duals = (2 * MARGIN + 1) * m
+    expected = {
+        "strip": sum(0 <= j < m for j in window),
+        "lower_quadrant": sum(j < 0 for j in window),
+        "upper_quadrant": sum(j >= m for j in window),
+        "duality": duals * (duals - 1),
+        "shift": (SHIFT_MAX + 1) * m * (2 * n + MARGIN) * (m + MARGIN + 1),
+        # the complement of the one-step-smaller box has dimension m
+        "complement_shift": SHIFT_MAX * m * m,
+    }
+    assert {name: f["count"] for name, f in families.items()} == expected
+    assert sum(expected.values()) == len(pairs)
+    # the largest family maximum is the suite's normalized maximum, to the bit
+    overall = max(base.max_violation, shifts.max_violation) / scale
+    assert max(f["max"] for f in families.values()) == overall
+    values = {(label, ij): value for label, ij, value in pairs}
+    for f in families.values():
+        label, i, j = f["argmax"]
+        assert abs(values[label, (i, j)]) / scale == f["max"]
+
+
 def test_complement_basis_is_orthonormal_at_degree_eight(degree_eight):
     _, deg, _, table = degree_eight
     basis = orthonormal_complement_basis(complement_spec(deg), table)
