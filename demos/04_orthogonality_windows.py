@@ -3,8 +3,8 @@
 
 Each a_k annihilates every monomial of an L-shaped index region: the whole
 strip 0 <= j < m except the single monomial z^n w^k, plus two quadrant
-pieces.  The family is also dual to the shifted monomials z^(j+n) w^k, and
-each a_k can be *reconstructed* from those relations alone, up to the norm
+pieces.  The family is also dual to the shifted monomials z^(j+n) w^k (each
+such pairing is a strip pairing, conjugated), and each a_k can be *reconstructed* from those relations alone, up to the norm
 fixed by the circle average of the matching Schur-Cohn diagonal entry.
 """
 
@@ -54,7 +54,9 @@ report = orthogonality_report(q, qdeg, kq, qtable, margin=4)
 scale = min(norm(ak, qtable) for ak in kq.a)
 print(f"random stable polynomial, degree {tuple(qdeg)}")
 print("---------------------------------------")
-print(f"  {len(report.pairs)} pairings checked over the margin-4 window")
+print("  pairings checked over the margin-4 rectangle, by relation family:")
+for name, family in report.families.items():
+    print(f"    {name}: {family.values.size}")
 print(f"  max violation: {report.max_violation:.2e}  (relative: {report.max_violation / scale:.2e})")
 
 rebuilt = reconstruct_kernel_coefficients(q, qdeg, qtable, schur_cohn_matrix(q, qdeg))

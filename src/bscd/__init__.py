@@ -52,6 +52,7 @@ from .schur_cohn import (
 from .subspaces import (
     KernelEvaluator,
     OrthReport,
+    RelationFamily,
     SubspaceSpec,
     cd_formula_residual,
     closed_form_kernel_pairing,
@@ -59,7 +60,6 @@ from .subspaces import (
     default_lshape_monomials,
     gram_matrix,
     in_coefficient_orthogonality_set,
-    kernel_pivot_values,
     monomial_rect,
     orthogonality_report,
     reconstruct_kernel_coefficients,

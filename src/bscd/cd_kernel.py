@@ -143,10 +143,13 @@ def cofactor_decomposition(
     return A, B
 
 
-def cd_kernel_set(p: BivariateLaurentPoly, deg: DegreePair) -> CDKernelSet:
-    """Assemble the full kernel family for a stable polynomial."""
+def cd_kernel_set(
+    p: BivariateLaurentPoly, deg: DegreePair, T: LaurentMatrixPoly | None = None
+) -> CDKernelSet:
+    """Assemble the full kernel family for a stable polynomial, from its
+    Schur-Cohn matrix ``T`` if one is given."""
     ensure_stable(p, deg)
-    a = kernel_coefficients(p, deg)
+    a = kernel_coefficients(p, deg, T)
     A, B = cofactor_decomposition(p, deg)
     return CDKernelSet(a=a, A=A, B=B, deg=deg)
 

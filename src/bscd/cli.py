@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -218,17 +219,18 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 # ----------------------------------------------------------------------
 
 
+# each builder gets the run's Artifacts, so it can build on other artifacts
 ARTIFACT_BUILDERS = {
-    "stability": lambda cfg: measure.check_stability(cfg.polynomial, cfg.deg),
-    "moments": lambda cfg: measure.moments_from_grid(
-        cfg.polynomial, cfg.window, cfg.tolerances["moments"]
+    "stability": lambda art: measure.check_stability(art.p, art.deg),
+    "moments": lambda art: measure.moments_from_grid(
+        art.p, art.config.window, art.config.tolerances["moments"]
     ),
-    "matrix": lambda cfg: schur_cohn.schur_cohn_matrix(cfg.polynomial, cfg.deg),
-    "kernelset": lambda cfg: cd_kernel.cd_kernel_set(cfg.polynomial, cfg.deg),
+    "matrix": lambda art: schur_cohn.schur_cohn_matrix(art.p, art.deg),
+    "kernelset": lambda art: cd_kernel.cd_kernel_set(art.p, art.deg, art.get("matrix")),
     # slice moments on the theta grid; unchecked, so a suite fetches it only
     # after an artifact that refuses an unstable p or a degree with m = 0
-    "slices": lambda cfg: measure._slice_moments_unchecked(
-        cfg.polynomial, cfg.deg, angle_grid(cfg.theta_grid), cfg.deg.m - 1
+    "slices": lambda art: measure._slice_moments_unchecked(
+        art.p, art.deg, angle_grid(art.config.theta_grid), art.deg.m - 1
     ),
 }
 
@@ -238,19 +240,21 @@ class Artifacts:
 
     A build that raises is remembered too: every later request re-raises the
     same error instead of paying for the failed build again.  The error names
-    the artifact in ``artifact``, which a suite report reads as ``blocked_by``.
+    the artifact in ``artifact``, which a suite report reads as ``blocked_by``:
+    the first artifact that failed, when one build fails on another.
     """
 
     def __init__(self, config: RunConfig):
-        self.config = config
+        self.config, self.p, self.deg = config, config.polynomial, config.deg
         self._cache: dict[str, object] = {}
 
     def get(self, name: str):
         if name not in self._cache:
             try:
-                self._cache[name] = ARTIFACT_BUILDERS[name](self.config)
+                self._cache[name] = ARTIFACT_BUILDERS[name](self)
             except BscdError as exc:
-                exc.artifact = name
+                if exc.artifact is None:
+                    exc.artifact = name
                 self._cache[name] = exc
         value = self._cache[name]
         if isinstance(value, BscdError):
@@ -261,6 +265,12 @@ class Artifacts:
 # ----------------------------------------------------------------------
 # Suites
 # ----------------------------------------------------------------------
+
+
+def _worst(values) -> float:
+    """The largest of ``values``, 0.0 for none, and NaN if any is NaN (where
+    Python's ``max`` may keep a number and pass a NaN residual)."""
+    return float(np.max(np.asarray(list(values), dtype=float), initial=0.0))
 
 
 def _suite_stability(art: Artifacts, cfg: RunConfig):
@@ -311,9 +321,7 @@ def _suite_schur_cohn(art: Artifacts, cfg: RunConfig):
         for theta, D, eig, residual in zip(thetas, profile.D, eigs, residuals)
     ]
     min_eig = float(np.min(eigs))
-    violation = float(np.max(residuals))
-    if min_eig <= 0.0:
-        violation = max(violation, 1.0)
+    violation = _worst([*residuals, 1.0 if min_eig <= 0.0 else 0.0])
     details = {"rows": rows, "min_eig": min_eig}
     return violation, details
 
@@ -322,23 +330,23 @@ def _suite_cd_kernel(art: Artifacts, cfg: RunConfig):
     ks = art.get("kernelset")
     n, m = cfg.deg
     rng = np.random.default_rng(cfg.seed)
-    violation = 0.0
+    residuals = []
     for _ in range(20):
         eta = complex(rng.normal(), rng.normal()) * 0.5
         direct = cd_kernel.kernel_by_divided_difference(cfg.polynomial, cfg.deg, eta)
-        violation = max(violation, (direct - ks.parameter_sum(eta)).max_abs())
+        residuals.append((direct - ks.parameter_sum(eta)).max_abs())
     for j in range(m):
         recombined = cfg.polynomial * ks.A[j] + cfg.polynomial.reflect(cfg.deg) * ks.B[j]
-        violation = max(violation, (recombined - ks.a[j]).max_abs())
+        residuals.append((recombined - ks.a[j]).max_abs())
         mirrored = ks.a[m - j - 1].reflect(DegreePair(2 * n, m - 1))
-        violation = max(violation, (mirrored - ks.a[j]).max_abs())
+        residuals.append((mirrored - ks.a[j]).max_abs())
     # second route: the sliced Gram of the a_j is T(e^{i theta}) on the grid
     T = art.get("matrix")
     sl = art.get("slices")
     Tc = schur_cohn.evaluate_on_circle(T, sl.theta)
     gap = np.max(np.abs(cd_kernel.slice_gram(ks, sl) - Tc))
     slice_gram_max = float(gap / max(1.0, np.max(np.abs(Tc))))
-    violation = max(violation, slice_gram_max)
+    violation = _worst(residuals + [slice_gram_max])
     details = {
         "slice_gram_max": slice_gram_max,
         "a": [aj.to_json_dict(DegreePair(2 * n, m - 1)) for aj in ks.a],
@@ -351,27 +359,25 @@ def _suite_verify_orthogonality(art: Artifacts, cfg: RunConfig):
     moments = art.get("moments")
     moments.require(subspaces.orthogonality_window(cfg.deg, cfg.margin, cfg.shift_max))
     scale = min(measure.norm(ak, moments) for ak in ks.a)
-    base = subspaces.orthogonality_report(
-        cfg.polynomial, cfg.deg, ks, moments, cfg.margin
-    )
+    base = subspaces.orthogonality_report(cfg.polynomial, cfg.deg, ks, moments, cfg.margin)
     shifts = subspaces.shift_orthogonality_report(
         cfg.polynomial, cfg.deg, ks, moments, cfg.shift_max, cfg.margin
     )
-    violation = max(base.max_violation, shifts.max_violation) / scale
-    families = subspaces.relation_families(cfg.deg, base.pairs + shifts.pairs, scale)
+    families = {**base.families, **shifts.families}
+    families = {name: family.summary(scale) for name, family in families.items()}
     # second route: each a_k recovered from its defining relations alone
     rebuilt = subspaces.reconstruct_kernel_coefficients(
         cfg.polynomial, cfg.deg, moments, art.get("matrix")
     )
-    reconstruction_max = max(
+    reconstruction_max = _worst(
         (rec - ak).max_abs() / max(1.0, ak.max_abs()) for rec, ak in zip(rebuilt, ks.a)
     )
-    pivot_max = max(abs(v - 1.0) for v in subspaces.kernel_pivot_values(ks, moments))
-    violation = max(violation, reconstruction_max, pivot_max)
+    pivot_max = _worst(np.abs(base.pivots - 1.0))
+    violation = _worst([f["max"] for f in families.values()] + [reconstruction_max, pivot_max])
     details = {
         "normalization": scale,
-        "reconstruction_max": float(reconstruction_max),
-        "pivot_max": float(pivot_max),
+        "reconstruction_max": reconstruction_max,
+        "pivot_max": pivot_max,
         "families": families,
     }
     return violation, details
@@ -415,14 +421,14 @@ def _suite_parametric(art: Artifacts, cfg: RunConfig):
     thetas = angle_grid(cfg.theta_grid)
     op = parametric.parametric_polynomials(cfg.polynomial, cfg.deg, thetas, T)
     check = parametric.orthogonality_check(op, art.get("slices"))
-    violation = float(max(np.max(check["offdiag_max"]), np.max(check["lu_law_residual"])))
+    residuals = [*check["offdiag_max"], *check["lu_law_residual"]]
     # second route: monic Gram-Schmidt on the slices, scaled to the LU leads
     gram_schmidt = np.zeros(len(thetas))
     for phi, q in zip(op.phi, parametric.gram_schmidt_slice_polynomials(art.get("slices"))):
         error = np.max(np.abs(phi[:, -1:] * q - phi), axis=1)
         scale = np.maximum(1.0, np.max(np.abs(phi), axis=1))
         gram_schmidt = np.maximum(gram_schmidt, error / scale)
-    violation = max(violation, float(np.max(gram_schmidt)))
+    residuals.extend(gram_schmidt)
     variant = check["variant_law_residual"]
     rows = [
         {
@@ -442,12 +448,11 @@ def _suite_parametric(art: Artifacts, cfg: RunConfig):
         bound = n * (m - j)
         k_top = cfg.k_max if cfg.k_max is not None else bound + 3
         k_lists[j] = list(range(bound + 1, max(k_top, bound + 1) + 1))
-    result = parametric.moment_vanishing(cfg.polynomial, cfg.deg, k_lists)
+    result = parametric.moment_vanishing(cfg.polynomial, cfg.deg, k_lists, T)
     vanishing = {}
     for j, entry in result["per_j"].items():
         # the values are roundoff of an integrand of modulus up to the scale
-        for value in entry["values"]:
-            violation = max(violation, abs(value) / max(1.0, entry["scale"]))
+        residuals.extend(abs(value) / max(1.0, entry["scale"]) for value in entry["values"])
         vanishing[str(j)] = {
             "k_list": entry["k_list"],
             "values": [[v.real, v.imag] for v in entry["values"]],
@@ -455,7 +460,7 @@ def _suite_parametric(art: Artifacts, cfg: RunConfig):
             "theta_grid": result["theta_grid"],
         }
     details = {"rows": rows, "vanishing": vanishing}
-    return violation, details
+    return _worst(residuals), details
 
 
 SUITE_RUNNERS = {
@@ -516,7 +521,9 @@ def _dump_json(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
+        # json.dumps writes the non-finite values as NaN, Infinity, -Infinity
+        value = float(obj)
+        return format(value, ".17g") if math.isfinite(value) else json.dumps(value)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):

@@ -298,14 +298,6 @@ class MomentTable:
             "est_error": self.est_error,
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "MomentTable":
-        A, B = (int(x) for x in doc["window"])
-        values = np.zeros((2 * A + 1, 2 * B + 1), dtype=complex)
-        for a, b, re, im in doc["values"]:
-            values[int(a) + A, int(b) + B] = complex(float(re), float(im))
-        return cls((A, B), values, doc["grid_size"], doc["est_error"])
-
 
 def _hermitianize(values: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """Average ``values`` with its conjugate reversed along ``axes``; the

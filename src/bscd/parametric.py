@@ -151,6 +151,7 @@ def moment_vanishing(
     p: BivariateLaurentPoly,
     deg: DegreePair,
     k_lists,
+    T: LaurentMatrixPoly | None = None,
 ) -> dict:
     """Angle-Fourier coefficients of the weighted squared slice norms.
 
@@ -164,14 +165,16 @@ def moment_vanishing(
     integrand, else :class:`NoConvergence`.  That largest integrand modulus
     is returned as each ``j``'s ``scale``: the vanishing values are roundoff
     of sums of that size.  The variant weight ``D[m-j+1]`` is tabulated too
-    where defined (``j >= 1``).
+    where defined (``j >= 1``).  ``T`` is the Schur-Cohn matrix of ``p``,
+    built here if not given.
     """
     n, m = deg
     k_lists = {int(j): [int(k) for k in ks] for j, ks in sorted(k_lists.items())}
     if any(not 0 <= j <= m - 1 for j in k_lists):
         raise IndexOutOfRange(f"indices {list(k_lists)} not all in 0..{m - 1}")
     ensure_stable(p, deg)
-    T = schur_cohn_matrix(p, deg)
+    if T is None:
+        T = schur_cohn_matrix(p, deg)
     bands = [n * (m - j) + max(map(abs, ks), default=0) for j, ks in k_lists.items()]
     half = 1 << max(bands, default=0).bit_length()
     size = 2 * half

@@ -13,11 +13,14 @@ a whole span ``G^{-1} = B B^H``.
 
 The kernel coefficients ``a_k`` satisfy more orthogonality relations than
 the ones that define them.  :func:`orthogonality_report` and
-:func:`shift_orthogonality_report` check those relations over a window;
+:func:`shift_orthogonality_report` check those relations over a window, each
+from one array of pairings, and return them split into relation families:
+the values plus the integer indices that name each pairing, picked by masks
+built from :func:`in_coefficient_orthogonality_set`.  The first report also
+reads the one pairing each ``a_k`` keeps.
 :func:`reconstruct_kernel_coefficients` runs the converse, recovering every
-``a_k`` from the defining relations alone, and :func:`kernel_pivot_values`
-reads the one pairing each ``a_k`` keeps.  The ``verify-orthogonality``
-suite of the command line reports all four.
+``a_k`` from the defining relations alone.  The ``verify-orthogonality``
+suite of the command line reports all three.
 
 Everything in this module reduces statements about infinite monomial families
 to explicit finite windows with margins; residuals decay geometrically in the
@@ -26,6 +29,7 @@ margin because the underlying measures have analytic densities.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,19 +48,20 @@ GRAM_CONDITION_CAP = 1e12
 # ----------------------------------------------------------------------
 
 
-def in_coefficient_orthogonality_set(i: int, j: int, k: int, deg: DegreePair) -> bool:
+def in_coefficient_orthogonality_set(i, j, k, deg: DegreePair):
     """Membership in the annihilated index set of the k-th kernel coefficient.
 
     The set is everything in the strip ``0 <= j < m`` except the single
     monomial ``(n, k)``, together with the two quadrant pieces
-    ``{i > n, j < 0}`` and ``{i < n, j >= m}``.
+    ``{i > n, j < 0}`` and ``{i < n, j >= m}``.  Integer indices give a
+    bool; integer arrays, broadcast together, give the mask over them.
     """
     n, m = deg
     return (
-        (i > n and j < 0)
-        or (0 <= j < m and j != k)
-        or (i < n and j >= m)
-        or (j == k and i != n)
+        ((i > n) & (j < 0))
+        | ((j >= 0) & (j < m) & (j != k))
+        | ((i < n) & (j >= m))
+        | ((j == k) & (i != n))
     )
 
 
@@ -200,41 +205,44 @@ def reconstruct_kernel_coefficients(
 
 
 @dataclass(frozen=True)
+class RelationFamily:
+    """Pairings the theory says vanish: ``values[r]`` is the one named by the
+    integer row ``index[r]``, which ``label`` turns into ``[label, i, j]``."""
+
+    values: np.ndarray
+    index: np.ndarray
+    label: Callable[..., list]
+
+    def summary(self, scale: float) -> dict:
+        """``count``, the largest ``|value| / scale`` (NaN if any value is
+        NaN) and the label of the first pairing that reaches it."""
+        size = np.abs(self.values)
+        at = int(np.argmax(size)) if size.size else None
+        return {
+            "count": size.size,
+            "max": 0.0 if at is None else float(size[at] / scale),
+            "argmax": None if at is None else self.label(*self.index[at].tolist()),
+        }
+
+
+@dataclass(frozen=True)
 class OrthReport:
-    """Inner products that the theory says vanish, reported verbatim."""
+    """Relation families by name, and the pivots ``<a_k, z^n w^k>`` (observed
+    to be 1, not assumed) where the report reads them."""
 
-    pairs: tuple[tuple[str, tuple[int, int], complex], ...]
-    max_violation: float
+    families: dict[str, RelationFamily]
+    pivots: np.ndarray | None = None
+
+    @property
+    def max_violation(self) -> float:
+        values = np.concatenate([f.values for f in self.families.values()])
+        return float(np.max(np.abs(values), initial=0.0))
 
 
-def _report(pairs) -> OrthReport:
-    max_violation = max((abs(v) for _, _, v in pairs), default=0.0)
-    return OrthReport(tuple(pairs), float(max_violation))
-
-
-def relation_families(deg: DegreePair, pairs, scale: float) -> dict:
-    """Per relation family of the two reports' pairs: ``count``, the largest
-    ``|value| / scale`` and the ``[label, i, j]`` of the pairing it comes from.
-
-    The ``a_k`` pairs split by ``j`` into the strip ``0 <= j < m`` and the
-    quadrants ``j < 0`` and ``j >= m``; the rest split by label.
-    """
-    names = ("strip", "lower_quadrant", "upper_quadrant", "duality", "shift", "complement_shift")
-    families = {name: {"count": 0, "max": 0.0, "argmax": None} for name in names}
-    for label, (i, j), value in pairs:
-        if label.startswith("z^"):
-            name = "complement_shift" if "|" in label else "shift"
-        elif label.startswith("dual"):
-            name = "duality"
-        else:
-            name = "lower_quadrant" if j < 0 else "strip" if j < deg.m else "upper_quadrant"
-        entry, size = families[name], abs(value)
-        entry["count"] += 1
-        if entry["argmax"] is None or size > entry["max"]:
-            entry["max"], entry["argmax"] = size, [label, i, j]
-    for entry in families.values():
-        entry["max"] = float(entry["max"] / scale)
-    return families
+def _index_grid(*axes) -> np.ndarray:
+    """Every index tuple of the product of the ranges ``axes``, one row each,
+    in lexicographic order."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def _window_pairings(polys, moments: MomentTable, i0: int, i1: int, j0: int, j1: int):
@@ -264,47 +272,33 @@ def orthogonality_report(
     moments: MomentTable,
     margin: int = 4,
 ) -> OrthReport:
-    """Check every annihilated monomial in a margin window, plus duality.
+    """Check every annihilated monomial of each ``a_k`` over a margin rectangle.
 
-    The window runs over ``-(n+margin) <= i <= 2n+margin`` and
-    ``-(m+margin) <= j <= 2m+margin``.  The duality part checks
-    ``<z^{j1+n} w^{k1}, z^{j2} a_{k2}> = 0`` for ``(j1, k1) != (j2, k2)``
-    with shifts up to the margin.
+    The rectangle, ``min(-(n+margin), n-2 margin) <= i <= max(2n+margin,
+    n+2 margin)`` by ``-(m+margin) <= j <= 2m+margin``, holds each duality
+    relation ``<z^{j1+n} w^{k1}, z^{j2} a_{k2}> = 0`` with shifts up to the
+    margin, as its conjugate ``<a_{k2}, z^{n+j1-j2} w^{k1}>``: a strip
+    pairing.  The families ``strip`` (``0 <= j < m``), ``lower_quadrant``
+    (``j < 0``) and ``upper_quadrant`` (``j >= m``) are indexed by ``(k, i, j)``.
     """
     ensure_stable(p, deg)
     n, m = deg
-    # the window, and the targets z^(j1+n-j2) w^k1 of the duality part
-    i0, j0 = min(-(n + margin), n - 2 * margin), -(m + margin)
-    i_top = max(2 * n + margin, n + 2 * margin)
-    R = _window_pairings(kernelset.a, moments, i0, i_top, j0, 2 * m + margin)
-    pairs = []
-    for k in range(len(kernelset.a)):
-        for i in range(-(n + margin), 2 * n + margin + 1):
-            for j in range(-(m + margin), 2 * m + margin + 1):
-                if in_coefficient_orthogonality_set(i, j, k, deg):
-                    val = complex(R[i - i0, j - j0, k])
-                    pairs.append((f"a_{k}", (i, j), val))
-    for j1 in range(-margin, margin + 1):
-        for k1 in range(m):
-            for j2 in range(-margin, margin + 1):
-                for k2 in range(m):
-                    if (j1, k1) == (j2, k2):
-                        continue
-                    # <z^(j1+n) w^k1, z^j2 a_k2> = conj(<a_k2, z^(j1+n-j2) w^k1>)
-                    val = complex(R[j1 + n - j2 - i0, k1 - j0, k2]).conjugate()
-                    pairs.append(
-                        (f"dual[{j1},{k1};{j2},{k2}]", (j1 + n, k1), val)
-                    )
-    return _report(pairs)
-
-
-def kernel_pivot_values(
-    kernelset: CDKernelSet, moments: MomentTable
-) -> list[complex]:
-    """The pairings ``<a_k, z^n w^k>`` (observed to be 1, not assumed)."""
-    n, m = kernelset.deg
-    R = _window_pairings(kernelset.a, moments, n, n, 0, m - 1)
-    return [complex(R[0, k, k]) for k in range(m)]
+    i0, i1 = min(-(n + margin), n - 2 * margin), max(2 * n + margin, n + 2 * margin)
+    j0, j1 = -(m + margin), 2 * m + margin
+    R = _window_pairings(kernelset.a, moments, i0, i1, j0, j1)
+    index = _index_grid(range(m), range(i0, i1 + 1), range(j0, j1 + 1))
+    k, i, j = index.T
+    values, keep = R[i - i0, j - j0, k], in_coefficient_orthogonality_set(i, j, k, deg)
+    masks = {
+        "strip": keep & (j >= 0) & (j < m),
+        "lower_quadrant": keep & (j < 0),
+        "upper_quadrant": keep & (j >= m),
+    }
+    families = {
+        name: RelationFamily(values[mask], index[mask], lambda k, i, j: [f"a_{k}", i, j])
+        for name, mask in masks.items()
+    }
+    return OrthReport(families, pivots=R[n - i0, np.arange(m) - j0, np.arange(m)])
 
 
 def shift_orthogonality_report(
@@ -317,37 +311,34 @@ def shift_orthogonality_report(
 ) -> OrthReport:
     """Shift-invariance checks behind the span identities.
 
-    Part one: ``z^s a_k`` stays orthogonal to every window monomial with
-    ``i < n, j >= 0``.  Part two: the complement space spanned against the
-    one-step-smaller box is orthogonal to its own z-shifts, checked on an
-    orthonormalized basis.
+    ``shift``, indexed by ``(s, k, i, j)``: ``z^s a_k`` stays orthogonal to
+    every window monomial ``z^i w^j`` with ``i < n, j >= 0``.
+    ``complement_shift``, indexed by ``(s, bi, bj)``: the complement space
+    spanned against the one-step-smaller box is orthogonal to its own
+    z-shifts, ``<z^s phi_bi, phi_bj> = 0`` on an orthonormalized basis.
     """
     ensure_stable(p, deg)
     n, m = deg
     i0 = -(n + margin + shift_max)
     R = _window_pairings(kernelset.a, moments, i0, n - 1, 0, m + margin)
-    pairs = []
-    for s in range(shift_max + 1):
-        for k in range(len(kernelset.a)):
-            for i in range(-(n + margin), n):
-                for j in range(0, m + margin + 1):
-                    # <z^s a_k, z^i w^j> = <a_k, z^(i-s) w^j>
-                    val = complex(R[i - s - i0, j, k])
-                    pairs.append((f"z^{s}a_{k}", (i, j), val))
-    spec = SubspaceSpec(
-        monomial_rect(0, n, 0, m - 1),
-        monomial_rect(0, n - 1, 0, m - 1) if n >= 1 else (),
+    index = _index_grid(
+        range(shift_max + 1), range(m), range(-(n + margin), n), range(m + margin + 1)
     )
+    s, k, i, j = index.T
+    # <z^s a_k, z^i w^j> = <a_k, z^(i-s) w^j>
+    shift = RelationFamily(R[i - s - i0, j, k], index, lambda s, k, i, j: [f"z^{s}a_{k}", i, j])
+    spec = SubspaceSpec(monomial_rect(0, n, 0, m - 1), monomial_rect(0, n - 1, 0, m - 1))
     basis = _complement_coefficients(spec, moments)
-    for s in range(1, shift_max + 1):
-        # P[bj, bi] = <z^s phi_bi, phi_bj>
-        shifted = [(i + s, j) for i, j in spec.S1]
-        P = basis.conj().T @ moments.lag_matrix(spec.S1, shifted) @ basis
-        for bi in range(len(P)):
-            for bj in range(len(P)):
-                val = complex(P[bj, bi])
-                pairs.append((f"z^{s}H[{bi}]|H[{bj}]", (s, 0), val))
-    return _report(pairs)
+    # P[s - 1, bi, bj] = <z^s phi_bi, phi_bj>
+    shifted = [[(i + s, j) for i, j in spec.S1] for s in range(1, shift_max + 1)]
+    P = np.array([(basis.conj().T @ moments.lag_matrix(spec.S1, S) @ basis).T for S in shifted])
+    dim = basis.shape[1]
+    complement = RelationFamily(
+        P.reshape(-1),
+        _index_grid(range(1, shift_max + 1), range(dim), range(dim)),
+        lambda s, bi, bj: [f"z^{s}H[{bi}]|H[{bj}]", s, 0],
+    )
+    return OrthReport({"shift": shift, "complement_shift": complement})
 
 
 # ----------------------------------------------------------------------
@@ -481,16 +472,17 @@ def closed_form_kernel_residual(
             x = B @ (B.conj().T @ r)
         for y in points:
             paired = closed_form_kernel_pairing(p, deg, f, y, grid, cache)
+            # np.maximum keeps a NaN pairing, where max(0.0, nan) is 0.0
             if member:
-                reproducing_max = max(reproducing_max, abs(paired - f(*y)))
+                reproducing_max = np.maximum(reproducing_max, abs(paired - f(*y)))
             else:
                 projected = sum(
                     coeff * complex(y[0]) ** i * complex(y[1]) ** j
                     for coeff, (i, j) in zip(x, W)
                 )
-                projection_max = max(projection_max, abs(paired - projected))
+                projection_max = np.maximum(projection_max, abs(paired - projected))
     return {
-        "max_residual": float(max(reproducing_max, projection_max)),
+        "max_residual": float(np.maximum(reproducing_max, projection_max)),
         "reproducing_max": float(reproducing_max),
         "projection_max": float(projection_max),
     }

@@ -323,7 +323,7 @@ def test_each_second_route_can_fail(tmp_path, capsys, monkeypatch, suite, artifa
     (clean,) = cli.run(config)
     assert clean.status == "pass" and read(clean.details) < tolerance
     build = cli.ARTIFACT_BUILDERS[artifact]
-    monkeypatch.setitem(cli.ARTIFACT_BUILDERS, artifact, lambda cfg: perturb(build(cfg)))
+    monkeypatch.setitem(cli.ARTIFACT_BUILDERS, artifact, lambda art: perturb(build(art)))
     (broken,) = cli.run(config)
     assert broken.status == "fail" and read(broken.details) > tolerance
 
@@ -360,8 +360,79 @@ def test_full_report_of_a_degree_four_draw_is_small(tmp_path):
     assert out.stat().st_size < 100_000
     families = json.loads(out.read_text())["verify-orthogonality"]["details"]["families"]
     assert list(families) == [
-        "strip", "lower_quadrant", "upper_quadrant", "duality", "shift", "complement_shift"
+        "strip", "lower_quadrant", "upper_quadrant", "shift", "complement_shift"
     ]
+
+
+# p = 1e160 (3 - z - w): the Schur-Cohn matrix, the kernel set and the LU
+# law overflow to NaN, while the polynomial itself is stable and finite
+HUGE_JSON = {
+    "n": 1,
+    "m": 1,
+    "coeffs": [[[3e160, 0.0], [-1e160, 0.0]], [[-1e160, 0.0], [0.0, 0.0]]],
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_residuals_fail_their_suites(tmp_path):
+    config, out = tmp_path / "config.json", tmp_path / "report.json"
+    config.write_text(json.dumps({"polynomial": HUGE_JSON}))
+    assert cli.main(["all", "--config", str(config), "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert np.isnan(doc["cd-kernel"]["details"]["slice_gram_max"])
+    assert np.isnan(doc["parametric"]["details"]["rows"][0]["lu_law_residual"])
+    for suite in ("cd-kernel", "parametric"):
+        assert doc[suite]["status"] == "fail"
+        assert np.isnan(doc[suite]["max_violation"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_kernel_pairings_fail_verify_kernel(tmp_path):
+    # at 1e154 the Gram solves still run, but the closed-form kernel overflows
+    coeffs = [[[3e154, 0.0], [-1e154, 0.0]], [[-1e154, 0.0], [0.0, 0.0]]]
+    path = tmp_path / "config.json"
+    doc = {"polynomial": {"n": 1, "m": 1, "coeffs": coeffs}, "suites": ["verify-kernel"]}
+    path.write_text(json.dumps(doc))
+    (report,) = cli.run(cli.load_config(str(path)))
+    assert report.status == "fail"
+    assert np.isnan(report.max_violation) and np.isnan(report.details["reproducing_max"])
+
+
+def test_non_finite_floats_are_written_as_json_reads_them():
+    text = cli._dump_json([float("nan"), float("inf"), -float("inf"), np.float64(0.1), 1e-320])
+    assert text == "[NaN,Infinity,-Infinity,0.10000000000000001,9.9998886718268301e-321]"
+    back = json.loads(text)
+    assert np.isnan(back[0]) and back[1:] == [float("inf"), -float("inf"), 0.1, 1e-320]
+
+
+def test_one_schur_cohn_matrix_per_run(tmp_path, monkeypatch):
+    from bscd import cd_kernel, parametric, schur_cohn
+
+    calls = []
+    build = schur_cohn.schur_cohn_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    for module in (schur_cohn, cd_kernel, parametric):
+        monkeypatch.setattr(module, "schur_cohn_matrix", counted)
+    reports = cli.run(cli.load_config(write_config(tmp_path, theta_grid=4)))
+    assert [r.status for r in reports] == ["pass"] * len(cli.SUITE_ORDER)
+    assert len(calls) == 1
+
+
+def test_a_suite_blocked_by_a_failed_matrix_names_it(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise NoConvergence("no matrix")
+
+    monkeypatch.setattr(cli.schur_cohn, "schur_cohn_matrix", refuse)
+    path = write_config(tmp_path, theta_grid=4)
+    reports = {r.suite: r for r in cli.run(cli.load_config(path))}
+    # the kernel set is built from the matrix, so its suites name the matrix
+    for name in ("schur-cohn", "cd-kernel", "verify-orthogonality", "parametric"):
+        assert reports[name].status == "fail"
+        assert reports[name].details["blocked_by"] == "matrix"
 
 
 def test_full_run_on_worked_example(tmp_path):

@@ -659,15 +659,17 @@ def test_slice_inner_product_is_the_double_loop(random_family):
 
 
 def test_moment_table_json_round_trip():
-    from bscd.measure import MomentTable
-
     table = moments_from_grid(WORKED, (3, 2))
     doc = table.to_json_dict()
     assert doc["window"] == [3, 2]
     assert len(doc["values"]) == 7 * 5
-    back = MomentTable.from_json_dict(doc)
-    assert back.max_difference(table) == 0.0
-    assert back.grid_size == table.grid_size
+    assert [[a, b] for a, b, _, _ in doc["values"]] == [
+        [a, b] for a in range(-3, 4) for b in range(-2, 3)
+    ]
+    for a, b, re, im in doc["values"]:
+        assert complex(re, im) == table.get(a, b)
+    assert doc["grid_size"] == table.grid_size
+    assert doc["est_error"] == table.est_error
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,6 @@ from bscd.subspaces import (
     default_lshape_monomials,
     gram_matrix,
     in_coefficient_orthogonality_set,
-    kernel_pivot_values,
     monomial_rect,
     orthogonality_report,
     orthogonality_window,
@@ -199,7 +198,8 @@ def test_orthogonality_report_on_random_family(
         report = orthogonality_report(p, deg, ks, table, margin=4)
         scale = min(norm(ak, table) for ak in ks.a)
         assert report.max_violation < 1e-8 * scale
-        for value in kernel_pivot_values(ks, table):
+        assert len(report.pivots) == deg.m
+        for value in report.pivots:
             assert value == pytest.approx(1.0, abs=1e-9)
 
 
@@ -275,11 +275,15 @@ def test_shifted_family_spans_complement(random_family_with_moments, random_kern
 MARGIN, SHIFT_MAX = 4, 2
 
 
-@pytest.fixture(scope="module")
-def degree_eight():
-    p, deg = random_stable_poly(8, 8, np.random.default_rng(1))
+def draw(n, m):
+    p, deg = random_stable_poly(n, m, np.random.default_rng(1))
     table = moments_from_grid(p, orthogonality_window(deg, MARGIN, SHIFT_MAX))
     return p, deg, cd_kernel_set(p, deg), table
+
+
+@pytest.fixture(scope="module")
+def degree_eight():
+    return draw(8, 8)
 
 
 def complement_spec(deg):
@@ -287,15 +291,34 @@ def complement_spec(deg):
     return SubspaceSpec(monomial_rect(0, n, 0, m - 1), monomial_rect(0, n - 1, 0, m - 1))
 
 
-def reference_orthogonality_pairs(deg, ks, table):
+def rectangle(deg):
+    """The z- and w-ranges :func:`orthogonality_report` checks."""
     n, m = deg
-    pairs = []
+    i_range = range(min(-(n + MARGIN), n - 2 * MARGIN), max(2 * n + MARGIN, n + 2 * MARGIN) + 1)
+    return i_range, range(-(m + MARGIN), 2 * m + MARGIN + 1)
+
+
+def a_family(j, m):
+    return "lower_quadrant" if j < 0 else "strip" if j < m else "upper_quadrant"
+
+
+def reference_orthogonality_pairs(deg, ks, table):
+    """``(family, (k, i, j)) -> <a_k, z^i w^j>``, one ``inner_product`` each."""
+    i_range, j_range = rectangle(deg)
+    pairs = {}
     for k, ak in enumerate(ks.a):
-        for i in range(-(n + MARGIN), 2 * n + MARGIN + 1):
-            for j in range(-(m + MARGIN), 2 * m + MARGIN + 1):
+        for i in i_range:
+            for j in j_range:
                 if in_coefficient_orthogonality_set(i, j, k, deg):
                     value = inner_product(ak, Poly.monomial(i, j), table)
-                    pairs.append((f"a_{k}", (i, j), value))
+                    pairs[a_family(j, deg.m), (k, i, j)] = value
+    return pairs
+
+
+def reference_duality_pairs(deg, ks, table):
+    """``(j1, k1, j2, k2) -> <z^(j1+n) w^k1, z^j2 a_k2>`` for shifts up to the margin."""
+    n, m = deg
+    pairs = {}
     for j1 in range(-MARGIN, MARGIN + 1):
         for k1 in range(m):
             for j2 in range(-MARGIN, MARGIN + 1):
@@ -304,35 +327,41 @@ def reference_orthogonality_pairs(deg, ks, table):
                         value = inner_product(
                             Poly.monomial(j1 + n, k1), ks.a[k2].shift(j2, 0), table
                         )
-                        pairs.append((f"dual[{j1},{k1};{j2},{k2}]", (j1 + n, k1), value))
+                        pairs[j1, k1, j2, k2] = value
     return pairs
 
 
 def reference_shift_pairs(deg, ks, table):
     n, m = deg
-    pairs = []
+    pairs = {}
     for s in range(SHIFT_MAX + 1):
         for k, ak in enumerate(ks.a):
             for i in range(-(n + MARGIN), n):
                 for j in range(0, m + MARGIN + 1):
                     value = inner_product(ak.shift(s, 0), Poly.monomial(i, j), table)
-                    pairs.append((f"z^{s}a_{k}", (i, j), value))
+                    pairs["shift", (s, k, i, j)] = value
     basis = orthonormal_complement_basis(complement_spec(deg), table)
     for s in range(1, SHIFT_MAX + 1):
         for bi, phi_i in enumerate(basis):
             for bj, phi_j in enumerate(basis):
                 value = inner_product(phi_i.shift(s, 0), phi_j, table)
-                pairs.append((f"z^{s}H[{bi}]|H[{bj}]", (s, 0), value))
+                pairs["complement_shift", (s, bi, bj)] = value
     return pairs
 
 
+def family_values(report):
+    """Every pairing of a report, keyed by its family and index row."""
+    return {
+        (name, tuple(row)): value
+        for name, family in report.families.items()
+        for row, value in zip(family.index.tolist(), family.values)
+    }
+
+
 def assert_same_pairs(report, reference, tol):
-    assert [(label, ij) for label, ij, _ in report.pairs] == [
-        (label, ij) for label, ij, _ in reference
-    ]
-    values = zip(report.pairs, reference)
-    worst = max(abs(got - want) for (_, _, got), (_, _, want) in values)
-    assert worst < tol
+    got = family_values(report)
+    assert got.keys() == reference.keys()
+    assert max(abs(got[key] - want) for key, want in reference.items()) < tol
 
 
 def test_batched_reports_match_per_pair_definitions(degree_eight):
@@ -342,6 +371,22 @@ def test_batched_reports_match_per_pair_definitions(degree_eight):
     assert_same_pairs(report, reference_orthogonality_pairs(deg, ks, table), tol)
     shifts = shift_orthogonality_report(p, deg, ks, table, shift_max=SHIFT_MAX, margin=MARGIN)
     assert_same_pairs(shifts, reference_shift_pairs(deg, ks, table), tol)
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_every_duality_relation_is_a_strip_pairing(n, degree_eight):
+    # n = 2 < margin: the duality shifts reach past -(n + margin) <= i <= 2n + margin
+    p, deg, ks, table = degree_eight if n == 8 else draw(n, n)
+    strip = orthogonality_report(p, deg, ks, table, margin=MARGIN).families["strip"]
+    values = dict(zip(map(tuple, strip.index.tolist()), strip.values))
+    tol = 1e-13 * min(norm(ak, table) for ak in ks.a)
+    duals = reference_duality_pairs(deg, ks, table)
+    assert len(duals) == ((2 * MARGIN + 1) * deg.m) ** 2 - (2 * MARGIN + 1) * deg.m
+    for (j1, k1, j2, k2), value in duals.items():
+        # <z^(j1+n) w^k1, z^j2 a_k2> = conj(<a_k2, z^(n+j1-j2) w^k1>)
+        key = (k2, deg.n + j1 - j2, k1)
+        assert key in values
+        assert abs(value - np.conj(values[key])) < tol
 
 
 def test_batched_reports_read_few_lag_matrices(degree_eight, monkeypatch):
@@ -361,51 +406,86 @@ def test_batched_reports_read_few_lag_matrices(degree_eight, monkeypatch):
         monkeypatch.setattr(module, "inner_product", counted_pair, raising=False)
     monkeypatch.setattr(MomentTable, "lag_matrix", counted("lag_matrix", lag_matrix))
     report = orthogonality_report(p, deg, ks, table, margin=MARGIN)
-    assert len(report.pairs) > 10_000
+    expected = expected_counts(deg)
+    assert sum(f.values.size for f in report.families.values()) == sum(
+        expected[name] for name in report.families
+    )
+    # the pivots come from the same lag matrix
+    assert len(report.pivots) == deg.m
     assert calls == {"inner_product": 0, "lag_matrix": 1}
     calls["lag_matrix"] = 0
     shifts = shift_orthogonality_report(p, deg, ks, table, shift_max=SHIFT_MAX, margin=MARGIN)
-    assert len(shifts.pairs) > 3_000
+    assert sum(f.values.size for f in shifts.families.values()) == sum(
+        expected[name] for name in shifts.families
+    )
     # the window, the nested Gram, the projections, the complement Gram and
     # one matrix per shift
     assert calls == {"inner_product": 0, "lag_matrix": 4 + SHIFT_MAX}
 
 
-def test_relation_families_partition_the_pairs(degree_eight):
-    p, deg, ks, table = degree_eight
+def expected_counts(deg):
+    """Each family's count from the index sets alone, without reading a report."""
     n, m = deg
-    base = orthogonality_report(p, deg, ks, table, margin=MARGIN)
-    shifts = shift_orthogonality_report(p, deg, ks, table, shift_max=SHIFT_MAX, margin=MARGIN)
-    pairs = base.pairs + shifts.pairs
-    scale = min(norm(ak, table) for ak in ks.a)
-    families = subspaces.relation_families(deg, pairs, scale)
-    # counts from the index sets alone, without reading any label
-    window = [
-        j
+    i_range, j_range = rectangle(deg)
+    annihilated = [
+        a_family(j, m)
         for k in range(m)
-        for i in range(-(n + MARGIN), 2 * n + MARGIN + 1)
-        for j in range(-(m + MARGIN), 2 * m + MARGIN + 1)
+        for i in i_range
+        for j in j_range
         if in_coefficient_orthogonality_set(i, j, k, deg)
     ]
-    duals = (2 * MARGIN + 1) * m
-    expected = {
-        "strip": sum(0 <= j < m for j in window),
-        "lower_quadrant": sum(j < 0 for j in window),
-        "upper_quadrant": sum(j >= m for j in window),
-        "duality": duals * (duals - 1),
-        "shift": (SHIFT_MAX + 1) * m * (2 * n + MARGIN) * (m + MARGIN + 1),
-        # the complement of the one-step-smaller box has dimension m
-        "complement_shift": SHIFT_MAX * m * m,
-    }
-    assert {name: f["count"] for name, f in families.items()} == expected
-    assert sum(expected.values()) == len(pairs)
-    # the largest family maximum is the suite's normalized maximum, to the bit
+    names = ("strip", "lower_quadrant", "upper_quadrant")
+    counts = {name: annihilated.count(name) for name in names}
+    counts["shift"] = (SHIFT_MAX + 1) * m * (2 * n + MARGIN) * (m + MARGIN + 1)
+    # the complement of the one-step-smaller box has dimension m
+    counts["complement_shift"] = SHIFT_MAX * m * m
+    return counts
+
+
+def both_reports(p, deg, ks, table):
+    base = orthogonality_report(p, deg, ks, table, margin=MARGIN)
+    shifts = shift_orthogonality_report(p, deg, ks, table, shift_max=SHIFT_MAX, margin=MARGIN)
+    return base, shifts, {**base.families, **shifts.families}
+
+
+def test_relation_families_partition_the_pairs(degree_eight):
+    p, deg, ks, table = degree_eight
+    base, shifts, families = both_reports(p, deg, ks, table)
+    scale = min(norm(ak, table) for ak in ks.a)
+    summaries = {name: f.summary(scale) for name, f in families.items()}
+    assert {name: s["count"] for name, s in summaries.items()} == expected_counts(deg)
+    # no pairing is in two families
+    assert len(family_values(base)) + len(family_values(shifts)) == sum(
+        s["count"] for s in summaries.values()
+    )
+    # the largest family maximum is the suites' normalized maximum, to the bit
     overall = max(base.max_violation, shifts.max_violation) / scale
-    assert max(f["max"] for f in families.values()) == overall
-    values = {(label, ij): value for label, ij, value in pairs}
-    for f in families.values():
-        label, i, j = f["argmax"]
-        assert abs(values[label, (i, j)]) / scale == f["max"]
+    assert max(s["max"] for s in summaries.values()) == overall
+    for name, s in summaries.items():
+        family = families[name]
+        labels = [family.label(*row) for row in family.index.tolist()]
+        assert abs(family.values[labels.index(s["argmax"])]) / scale == s["max"]
+
+
+def test_small_degrees_check_the_whole_rectangle():
+    # below n = margin the rectangle is wider than -(n + margin) <= i <= 2n + margin
+    p, deg, ks, table = draw(1, 1)
+    _, _, families = both_reports(p, deg, ks, table)
+    counts = {name: f.values.size for name, f in families.items()}
+    assert counts == expected_counts(deg)
+    assert (counts["strip"], counts["lower_quadrant"], counts["upper_quadrant"]) == (16, 40, 48)
+
+
+def test_orthogonality_set_predicate_is_its_own_mask():
+    deg = DegreePair(3, 2)
+    i, j, k = np.meshgrid(range(-6, 10), range(-5, 8), range(2), indexing="ij")
+    mask = in_coefficient_orthogonality_set(i, j, k, deg)
+    scalar = [
+        in_coefficient_orthogonality_set(int(a), int(b), int(c), deg)
+        for a, b, c in zip(i.ravel(), j.ravel(), k.ravel())
+    ]
+    assert all(type(value) is bool for value in scalar)
+    assert mask.ravel().tolist() == scalar
 
 
 def test_complement_basis_is_orthonormal_at_degree_eight(degree_eight):
