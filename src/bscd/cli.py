@@ -26,6 +26,7 @@ from . import cd_kernel, measure, parametric, schur_cohn, subspaces
 from .errors import (
     BscdError,
     ConfigInvalid,
+    DegenerateMoments,
     InconclusiveNearBoundary,
     IoFailure,
 )
@@ -286,6 +287,11 @@ def _suite_stability(art: Artifacts, cfg: RunConfig):
 
 def _suite_moments(art: Artifacts, cfg: RunConfig):
     grid_table = art.get("moments")
+    # an underflowed (subnormal or zero) mass makes every absolute difference
+    # between the two tables tiny, so the cross-path check would pass on it
+    mass = grid_table.get(0, 0).real
+    if not np.finfo(float).tiny <= mass < np.inf:
+        raise DegenerateMoments(f"c[0, 0] = {mass!r} is not a positive normal float")
     series_table = measure.moments_from_series(
         cfg.polynomial, cfg.deg, cfg.window
     )

@@ -52,6 +52,10 @@ class WindowTooSmall(BscdError):
         super().__init__(message)
 
 
+class DegenerateMoments(BscdError):
+    """A moment table's mass ``c[0, 0]`` is not a positive normal float."""
+
+
 class DegenerateDegree(BscdError):
     """The declared degree is too small for the requested construction."""
 

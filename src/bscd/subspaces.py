@@ -392,42 +392,64 @@ def cd_formula_residual(
 # ----------------------------------------------------------------------
 
 
+class _CornerKernelQuadrature:
+    """Quadrature of the closed-form corner kernel at a fixed list of points.
+
+    What depends on the grid alone (``conj(p)``, ``conj(refl)`` and
+    ``|p|^2`` on it) is built once, and what depends on a point alone
+    (``p(y)``, ``refl(y)`` and the two denominator factors) once per point.
+    Every pairing then evaluates the same expression from the same operands
+    in the same order, so batching changes no bit of it.
+    """
+
+    __slots__ = ("grid", "conj_V", "conj_Vr", "weight", "at_points")
+
+    def __init__(self, p: BivariateLaurentPoly, deg: DegreePair, points, grid: int):
+        pr = p.reflect(deg)
+        V = torus_grid_values(p, grid)
+        self.grid = grid
+        self.conj_V = np.conj(V)
+        self.conj_Vr = np.conj(torus_grid_values(pr, grid))
+        self.weight = np.abs(V) ** 2
+        conj_circle = np.conj(np.exp(2j * np.pi * np.arange(grid) / grid))
+        self.at_points = []
+        for y in points:
+            yz, yw = complex(y[0]), complex(y[1])
+            self.at_points.append(
+                (p(yz, yw), pr(yz, yw), 1.0 - conj_circle * yz, 1.0 - conj_circle * yw)
+            )
+
+    def pairings(self, f: BivariateLaurentPoly) -> list[complex]:
+        """``<f, K(., y)>`` at every point ``y``, in order."""
+        f_vals = torus_grid_values(f, self.grid)
+        return [self._pairing(f_vals, *at) for at in self.at_points]
+
+    def _pairing(self, f_vals, py, pry, denom_z, denom_w) -> complex:
+        # the grids of one pair are freed on return, before the next pair's
+        K_conj = (self.conj_V * py - self.conj_Vr * pry) / np.outer(denom_z, denom_w)
+        integrand = f_vals * K_conj / self.weight
+        return complex(integrand.mean())
+
+
 def closed_form_kernel_pairing(
     p: BivariateLaurentPoly,
     deg: DegreePair,
     f: BivariateLaurentPoly,
     y,
     grid: int = 512,
-    _cache: dict | None = None,
 ) -> complex:
     """Quadrature of ``<f, K(., y)>`` for the closed-form corner kernel
 
         K(x; y) = [p(x) conj(p(y)) - refl(x) conj(refl(y))]
-                  / [(1 - z conj(yz)) (1 - w conj(yw))].
+                  / [(1 - z conj(yz)) (1 - w conj(yw))]
 
-    The integrand is analytic near the torus for ``y`` in the open bidisk,
-    so the uniform grid sum converges spectrally.
+    on the uniform ``grid x grid`` torus grid.  The integrand is analytic
+    near the torus for ``y`` in the open bidisk, so the grid sum converges
+    spectrally.  One pair builds the grid values of ``p``, its reflection
+    and ``f`` for itself; :func:`closed_form_kernel_residual` builds those
+    of ``p`` once for all its pairs and gets the same values to the bit.
     """
-    pr = p.reflect(deg)
-    if _cache is not None and ("V", grid) in _cache:
-        V = _cache[("V", grid)]
-        Vr = _cache[("Vr", grid)]
-    else:
-        V = torus_grid_values(p, grid)
-        Vr = torus_grid_values(pr, grid)
-        if _cache is not None:
-            _cache[("V", grid)] = V
-            _cache[("Vr", grid)] = Vr
-    yz, yw = complex(y[0]), complex(y[1])
-    circle = np.exp(2j * np.pi * np.arange(grid) / grid)
-    denom_z = 1.0 - np.conj(circle) * yz
-    denom_w = 1.0 - np.conj(circle) * yw
-    K_conj = (np.conj(V) * p(yz, yw) - np.conj(Vr) * pr(yz, yw)) / np.outer(
-        denom_z, denom_w
-    )
-    f_vals = torus_grid_values(f, grid)
-    integrand = f_vals * K_conj / np.abs(V) ** 2
-    return complex(integrand.mean())
+    return _CornerKernelQuadrature(p, deg, [y], grid).pairings(f)[0]
 
 
 def closed_form_kernel_residual(
@@ -444,10 +466,13 @@ def closed_form_kernel_residual(
     every interior point.  Functions with a component in the removed corner
     are compared against the Gram projection onto the L-shaped monomials of
     their own coefficient box, which the closed form must match exactly.
+    The quadrature builds the grid values of ``p`` and its reflection once
+    per call and those of each function once.
     """
     ensure_stable(p, deg)
     n, m = deg
-    cache: dict = {}
+    points = list(points)
+    quadrature = _CornerKernelQuadrature(p, deg, points, grid)
     reproducing_max = 0.0
     projection_max = 0.0
     for f in test_functions:
@@ -470,8 +495,7 @@ def closed_form_kernel_residual(
             # r[(i, j)] = <f, z^i w^j>; the projection is G^{-1} r = B B^H r
             r = (moments.lag_matrix(W, support) @ coeffs)[:, 0]
             x = B @ (B.conj().T @ r)
-        for y in points:
-            paired = closed_form_kernel_pairing(p, deg, f, y, grid, cache)
+        for y, paired in zip(points, quadrature.pairings(f)):
             # np.maximum keeps a NaN pairing, where max(0.0, nan) is 0.0
             if member:
                 reproducing_max = np.maximum(reproducing_max, abs(paired - f(*y)))

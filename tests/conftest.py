@@ -1,4 +1,10 @@
-"""Shared fixtures: the worked example and a reproducible random family."""
+"""Shared fixtures: the worked example, a reproducible random family and a
+child-process runner that imports bscd from this checkout."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +15,19 @@ from bscd.poly import BivariateLaurentPoly, DegreePair
 # p = 3 - z - w, the polynomial every hand-derived value in the suite uses
 WORKED = BivariateLaurentPoly({(0, 0): 3, (1, 0): -1, (0, 1): -1})
 WORKED_DEG = DegreePair(1, 1)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(args, **kwargs) -> subprocess.CompletedProcess:
+    """``python *args`` in a child process that imports bscd from this checkout,
+    with its output captured as text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, **kwargs
+    )
+
 
 RANDOM_DEGREES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 3)]
 RANDOM_SEED = 20260811

@@ -2,8 +2,6 @@
 
 import dataclasses
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -12,7 +10,7 @@ from bscd import cli, measure
 from bscd.errors import ConfigInvalid, NoConvergence
 from bscd.poly import BivariateLaurentPoly
 
-from conftest import WORKED, WORKED_DEG
+from conftest import WORKED, WORKED_DEG, run_python
 
 WORKED_JSON = WORKED.to_json_dict(WORKED_DEG)
 
@@ -213,11 +211,7 @@ def test_short_window_names_the_window_verify_orthogonality_needs(tmp_path):
     p, deg = measure.random_stable_poly(2, 2, np.random.default_rng(3))
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"polynomial": p.to_json_dict(deg), "window": [5, 4]}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bscd.cli", "verify-orthogonality", "--config", str(path)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python(["-m", "bscd.cli", "verify-orthogonality", "--config", str(path)])
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     payload = json.loads(proc.stdout)
@@ -398,6 +392,24 @@ def test_nan_kernel_pairings_fail_verify_kernel(tmp_path):
     assert np.isnan(report.max_violation) and np.isnan(report.details["reproducing_max"])
 
 
+@pytest.mark.parametrize("scale", [1e154, 1e160])
+def test_underflowed_moment_table_fails_the_moments_suite(tmp_path, scale):
+    # c[0, 0] is subnormal at 1e154 and zero at 1e160, so the two tables
+    # differ by less than any gate and the cross-path check alone passed
+    coeffs = [[[3 * scale, 0.0], [-scale, 0.0]], [[-scale, 0.0], [0.0, 0.0]]]
+    path = tmp_path / "config.json"
+    doc = {"polynomial": {"n": 1, "m": 1, "coeffs": coeffs}, "suites": ["moments"]}
+    path.write_text(json.dumps(doc))
+    config = cli.load_config(str(path))
+    mass = cli.Artifacts(config).get("moments").get(0, 0).real
+    assert 0.0 <= mass < np.finfo(float).tiny
+    (report,) = cli.run(config)
+    assert report.status == "fail"
+    assert report.details["error"] == "DegenerateMoments"
+    assert "c[0, 0]" in report.details["message"]
+    assert "blocked_by" not in report.details
+
+
 def test_non_finite_floats_are_written_as_json_reads_them():
     text = cli._dump_json([float("nan"), float("inf"), -float("inf"), np.float64(0.1), 1e-320])
     assert text == "[NaN,Infinity,-Infinity,0.10000000000000001,9.9998886718268301e-321]"
@@ -503,11 +515,7 @@ def test_bare_tolerance_applies_to_single_suite(tmp_path, capsys):
 
 def test_console_entry_point(tmp_path):
     path = write_config(tmp_path, suites=["stability"])
-    proc = subprocess.run(
-        [sys.executable, "-m", "bscd.cli", "stability", "--config", path],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python(["-m", "bscd.cli", "stability", "--config", path])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "pass"
 
@@ -520,7 +528,7 @@ def test_package_imports_numpy_but_not_scipy():
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
         "print('numpy' in sys.modules)"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["[]", "True"]
 

@@ -17,7 +17,7 @@ from bscd.measure import (
     norm,
     random_stable_poly,
 )
-from bscd.poly import BivariateLaurentPoly as Poly, DegreePair
+from bscd.poly import BivariateLaurentPoly as Poly, DegreePair, coefficient_matrix
 from bscd.schur_cohn import diagonal_average, schur_cohn_matrix
 from bscd.subspaces import (
     KernelEvaluator,
@@ -629,3 +629,75 @@ def test_closed_form_kernel_residual_random(random_family_with_moments):
     ]
     result = closed_form_kernel_residual(p, deg, table, functions, points)
     assert result["max_residual"] < 1e-8
+
+
+def pairwise_kernel_residual(p, deg, moments, functions, points):
+    """The two maxima of :func:`closed_form_kernel_residual`, one
+    :func:`closed_form_kernel_pairing` call per (function, point) pair."""
+    n, m = deg
+    reproducing_max = projection_max = 0.0
+    for f in functions:
+        box = f.support_box
+        member = not f.coeffs[max(n - box[0], 0) :, max(m - box[2], 0) :].any()
+        if not member:
+            W = [
+                (i, j)
+                for i in range(box[1] + 1)
+                for j in range(box[3] + 1)
+                if not (i >= n and j >= m)
+            ]
+            B = subspaces._complement_coefficients(SubspaceSpec(tuple(W)), moments)
+            support, coeffs = coefficient_matrix([f])
+            r = (moments.lag_matrix(W, support) @ coeffs)[:, 0]
+            x = B @ (B.conj().T @ r)
+        for y in points:
+            paired = closed_form_kernel_pairing(p, deg, f, y)
+            if member:
+                reproducing_max = np.maximum(reproducing_max, abs(paired - f(*y)))
+            else:
+                projected = sum(
+                    coeff * complex(y[0]) ** i * complex(y[1]) ** j
+                    for coeff, (i, j) in zip(x, W)
+                )
+                projection_max = np.maximum(projection_max, abs(paired - projected))
+    return float(reproducing_max), float(projection_max)
+
+
+@pytest.mark.parametrize("case", ["worked", "random_2_1"])
+def test_batched_kernel_quadrature_matches_one_pair_at_a_time(
+    case, worked_moments, random_family_with_moments
+):
+    if case == "worked":
+        p, deg, table = WORKED, WORKED_DEG, worked_moments
+    else:
+        p, deg, table = random_family_with_moments[1]
+        assert deg.n != deg.m
+    functions = default_lshape_monomials(deg, 4)
+    functions += [Poly.monomial(deg.n, deg.m), Poly.monomial(deg.n + 1, deg.m)]
+    rng = np.random.default_rng(37)
+    points = [
+        (0.7 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()),
+         0.7 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
+        for _ in range(3)
+    ]
+    result = closed_form_kernel_residual(p, deg, table, functions, points)
+    reproducing_max, projection_max = pairwise_kernel_residual(p, deg, table, functions, points)
+    assert result["reproducing_max"] == reproducing_max
+    assert result["projection_max"] == projection_max
+    assert 0.0 < projection_max and 0.0 < reproducing_max
+
+
+def test_kernel_residual_builds_each_torus_grid_once(worked_moments, monkeypatch):
+    built = []
+    build = subspaces.torus_grid_values
+
+    def counted(poly, size):
+        built.append(poly)
+        return build(poly, size)
+
+    monkeypatch.setattr(subspaces, "torus_grid_values", counted)
+    functions = default_lshape_monomials(WORKED_DEG, 3) + [Poly.monomial(1, 1)]
+    points = [(0.3, 0.4), (-0.2j, 0.1), (0.5, -0.5)]
+    closed_form_kernel_residual(WORKED, WORKED_DEG, worked_moments, functions, points)
+    # p and its reflection once per call, each function once: 2 + F, not 2 + F P
+    assert len(built) == 2 + len(functions)
