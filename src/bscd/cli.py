@@ -44,15 +44,14 @@ SUITE_ORDER = (
 )
 
 DEFAULT_TOLERANCES = {
-    "stability": 1.0,
     "orthogonality": 1e-8,
     "identity": 1e-9,
     "cross-path": 1e-10,
-    "moments": 1e-11,
+    "moments": 1e-11,  # the grid moments' stopping rule, not a gate
 }
 
+# the stability verdict is 0 or 1 and has no tolerance; its suite reports 1.0
 SUITE_TOLERANCE_NAME = {
-    "stability": "stability",
     "moments": "cross-path",
     "schur-cohn": "orthogonality",
     "cd-kernel": "cross-path",
@@ -435,17 +434,12 @@ def _suite_parametric(art: Artifacts, cfg: RunConfig):
         scale = np.maximum(1.0, np.max(np.abs(phi), axis=1))
         gram_schmidt = np.maximum(gram_schmidt, error / scale)
     residuals.extend(gram_schmidt)
-    variant = check["variant_law_residual"]
     rows = [
         {
             "theta": float(theta),
             "offdiag_max": float(check["offdiag_max"][k]),
             "lu_law_residual": float(check["lu_law_residual"][k]),
             "gram_schmidt_residual": float(gram_schmidt[k]),
-            "variant_law_residual": None if variant is None else float(variant[k]),
-            "matches_variant_law": (
-                None if variant is None else bool(check["matches_variant_law"][k])
-            ),
         }
         for k, theta in enumerate(thetas)
     ]
@@ -482,7 +476,7 @@ SUITE_RUNNERS = {
 
 
 def _run_one(name: str, art: Artifacts, cfg: RunConfig) -> SuiteReport:
-    tolerance = cfg.tolerances[SUITE_TOLERANCE_NAME[name]]
+    tolerance = cfg.tolerances.get(SUITE_TOLERANCE_NAME.get(name), 1.0)
     start = time.perf_counter()
     try:
         violation, details = SUITE_RUNNERS[name](art, cfg)

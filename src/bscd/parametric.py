@@ -5,10 +5,9 @@ so Doolittle elimination needs no row exchanges.  Reading the rows of the
 upper factor against the reversed monomial vector ``[w^{m-1}, ..., 1]``
 produces one polynomial per degree ``0 .. m-1``; their leading coefficients
 and squared slice norms both equal the pivot ratio ``D[m-i] / D[m-i-1]`` of
-the leading principal determinants.  (The variant subscripting
-``D[m-i] / D[m-i+1]``, which shifts the denominator index the other way, is
-inconsistent with the factorization; it is computed and reported alongside
-for comparison wherever it is defined.)
+the leading principal determinants.  :func:`orthogonality_check` returns
+the residuals of orthogonality and of that norm law; the ``parametric``
+suite of the CLI gates them under its ``identity`` tolerance.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .schur_cohn import (
 )
 
 PIVOT_TOL = 1e-12
-LAW_TOL = 1e-9
 
 
 def lu_no_pivot(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,14 +106,14 @@ def _phi_rows(op: ParametricOPUC) -> np.ndarray:
 
 
 def orthogonality_check(op: ParametricOPUC, sm: SlicedMoments) -> dict:
-    """Sliced inner products of the polynomials against both diagonal laws.
+    """Sliced inner products of the polynomials and their two residuals.
 
     ``sm`` holds the slice moments at the angles of ``op``, with lags up to
-    ``m - 1``.  Off-diagonal entries must vanish; diagonal entries are
-    compared to the pivot-consistent ratio ``D[m-i]/D[m-i-1]`` and, where
-    defined (i >= 1), to the variant ``D[m-i]/D[m-i+1]``.  At an array of
-    angles the Gram has shape ``(K, m, m)`` and every residual and flag is an
-    array over the angles.
+    ``m - 1``.  Returns the Gram matrix ``gram``, the largest off-diagonal
+    modulus ``offdiag_max`` and the largest distance ``lu_law_residual`` of
+    the diagonal from the pivot ratio ``D[m-i]/D[m-i-1]``.  At an array of
+    angles the Gram has shape ``(K, m, m)`` and both residuals are arrays
+    over the angles.
     """
     m = op.U.shape[-1]
     rows = _phi_rows(op)
@@ -125,26 +123,7 @@ def orthogonality_check(op: ParametricOPUC, sm: SlicedMoments) -> dict:
     diag = np.diagonal(gram, axis1=-2, axis2=-1)
     i = np.arange(m)
     lu_residual = np.max(np.abs(diag - D[..., m - i] / D[..., m - i - 1]), axis=-1)
-    variant_residual = None
-    if m > 1:
-        i = i[1:]
-        variant = D[..., m - i] / D[..., m - i + 1]
-        variant_residual = np.max(np.abs(diag[..., 1:] - variant), axis=-1)
-    if gram.ndim == 2:
-        off, lu_residual = float(off), float(lu_residual)
-        if variant_residual is not None:
-            variant_residual = float(variant_residual)
-    return {
-        "gram": gram,
-        "profile": op.D.D,
-        "offdiag_max": off,
-        "lu_law_residual": lu_residual,
-        "variant_law_residual": variant_residual,
-        "matches_lu_law": lu_residual < LAW_TOL,
-        "matches_variant_law": (
-            None if variant_residual is None else variant_residual < LAW_TOL
-        ),
-    }
+    return {"gram": gram, "offdiag_max": off, "lu_law_residual": lu_residual}
 
 
 def moment_vanishing(
@@ -164,9 +143,8 @@ def moment_vanishing(
     grid among them must give the same values to ``1e-11`` of the largest
     integrand, else :class:`NoConvergence`.  That largest integrand modulus
     is returned as each ``j``'s ``scale``: the vanishing values are roundoff
-    of sums of that size.  The variant weight ``D[m-j+1]`` is tabulated too
-    where defined (``j >= 1``).  ``T`` is the Schur-Cohn matrix of ``p``,
-    built here if not given.
+    of sums of that size.  ``T`` is the Schur-Cohn matrix of ``p``, built
+    here if not given.
     """
     n, m = deg
     k_lists = {int(j): [int(k) for k in ks] for j, ks in sorted(k_lists.items())}
@@ -187,7 +165,6 @@ def moment_vanishing(
     D = op.D.D
     main = D[:, m - js - 1].T * norms
     fine, coarse = np.fft.ifft(main), np.fft.ifft(main[:, ::2])
-    variant = np.fft.ifft(D[:, np.minimum(m - js + 1, m)].T * norms)  # j = 0: unused
     per_j = {}
     # |k| < N, so a negative k indexes the FFT from the end, as it should
     for row, (j, ks) in enumerate(k_lists.items()):
@@ -202,7 +179,6 @@ def moment_vanishing(
             "k_list": ks,
             "values": [complex(v) for v in fine[row, ks]],
             "scale": scale,
-            "variant_values": [complex(v) for v in variant[row, ks]] if j else None,
         }
     return {"theta_grid": size, "per_j": per_j}
 

@@ -43,6 +43,19 @@ def make_random_family(seed: int = RANDOM_SEED):
     return [measure.random_stable_poly(n, m, rng) for (n, m) in RANDOM_DEGREES]
 
 
+def variant_law_residual(check, op):
+    """Distance of the slice Gram diagonal from the variant subscripting
+    ``D[m-i] / D[m-i+1]``, which shifts the denominator of the pivot ratio
+    ``D[m-i] / D[m-i-1]`` the other way; defined for ``i = 1 .. m-1``, so
+    ``m >= 2``.  ``check`` is ``orthogonality_check`` of the polynomials
+    ``op``, at one angle (a float) or at an array of angles (an array)."""
+    D = np.asarray(op.D.D)
+    m = D.shape[-1] - 1
+    i = np.arange(1, m)
+    diag = np.diagonal(check["gram"], axis1=-2, axis2=-1)[..., 1:]
+    return np.max(np.abs(diag - D[..., m - i] / D[..., m - i + 1]), axis=-1)
+
+
 @pytest.fixture(scope="session")
 def worked_moments():
     return measure.moments_from_grid(WORKED, (10, 8))

@@ -177,6 +177,20 @@ def test_stability_suite_fails_with_witness(tmp_path, capsys):
     assert abs(witness[0][0] - 1) < 1e-9 and abs(witness[1][0] - 1) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "tolerances, flags",
+    [({}, ["--tol", "2"]), ({}, ["--tol", "stability=2"]), ({"stability": 2}, [])],
+    ids=["bare-flag", "named-flag", "config"],
+)
+def test_no_tolerance_loosens_the_stability_verdict(tmp_path, capsys, tolerances, flags):
+    # 1 - z - w is unstable, a violation of 1: no tolerance may pass it
+    unstable = {"n": 1, "m": 1, "coeffs": [[[1, 0], [-1, 0]], [[-1, 0], [0, 0]]]}
+    path = write_config(tmp_path, polynomial=unstable, tolerances=tolerances)
+    assert cli.main(["stability", "--config", path] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: ")
+
+
 def test_near_boundary_is_inconclusive_exit_three(tmp_path, capsys):
     nearly = {"n": 1, "m": 0, "coeffs": [[[1 + 1e-12, 0]], [[-1, 0]]]}
     path = tmp_path / "config.json"
@@ -454,6 +468,17 @@ def test_full_run_on_worked_example(tmp_path):
     assert [r.suite for r in reports] == sorted(cli.SUITE_ORDER)
     assert all(r.status == "pass" for r in reports)
     assert cli.exit_code(reports) == 0
+
+
+def test_worked_example_report_shape(tmp_path):
+    # a report field leaves or returns only through an edit of this test
+    path = write_config(tmp_path, theta_grid=4, suites=["stability", "parametric"])
+    doc = json.loads(cli.render_report(cli.run(cli.load_config(path)), "json"))
+    assert doc["stability"]["tolerance"] == 1.0
+    rows = doc["parametric"]["details"]["rows"]
+    assert len(rows) == 4
+    for row in rows:
+        assert list(row) == ["theta", "offdiag_max", "lu_law_residual", "gram_schmidt_residual"]
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -16,7 +16,7 @@ from bscd.parametric import (
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair, angle_grid
 from bscd.schur_cohn import evaluate_on_circle, schur_cohn_matrix
 
-from conftest import WORKED, WORKED_DEG
+from conftest import WORKED, WORKED_DEG, variant_law_residual
 
 
 # ----------------------------------------------------------------------
@@ -172,10 +172,10 @@ def test_batched_polynomials_are_the_per_angle_ones(random_family):
             scale = np.max(np.abs(single_check["gram"]))
             assert np.max(np.abs(check["gram"][k] - single_check["gram"])) <= 1e-13 * scale
             assert abs(check["lu_law_residual"][k] - single_check["lu_law_residual"]) <= 1e-13 * scale
-            assert bool(check["matches_lu_law"][k]) is single_check["matches_lu_law"]
+            assert check["lu_law_residual"][k] < 1e-9 and single_check["lu_law_residual"] < 1e-9
             if deg.m > 1:
-                assert check["variant_law_residual"][k] == pytest.approx(
-                    single_check["variant_law_residual"], rel=1e-9
+                assert variant_law_residual(check, op)[k] == pytest.approx(
+                    variant_law_residual(single_check, one), rel=1e-9
                 )
 
 
@@ -189,8 +189,7 @@ def test_worked_example_diagonal_law():
         check = check_at(WORKED, WORKED_DEG, theta)
         expected = 9 - 6 * np.cos(theta)
         assert check["gram"][0, 0].real == pytest.approx(expected, abs=1e-10)
-        assert check["matches_lu_law"]
-        assert check["variant_law_residual"] is None  # undefined when m = 1
+        assert check["lu_law_residual"] < 1e-9
 
 
 def test_univariate_diagonal_law():
@@ -201,13 +200,13 @@ def test_univariate_diagonal_law():
 
 def test_orthogonality_and_law_flags(random_family):
     for p, deg in random_family:
-        check = check_at(p, deg, 0.7)
+        op = parametric_polynomials(p, deg, 0.7)
+        check = check_at(p, deg, 0.7, op)
         assert check["offdiag_max"] < 1e-9
-        assert check["matches_lu_law"]
+        assert check["lu_law_residual"] < 1e-9
         if deg.m >= 2:
             # the variant subscripting disagrees wherever it is defined
-            assert check["matches_variant_law"] is False
-            assert check["variant_law_residual"] > 1e-3
+            assert variant_law_residual(check, op) > 1e-3
 
 
 def gram_schmidt_loop(p, deg, theta):
@@ -299,15 +298,19 @@ def test_in_band_coefficients_stay_far_above_the_gate_relative_to_scale():
 
 
 def test_variant_weight_does_not_vanish(random_family):
-    # with the variant multiplier the integrand is not a trig polynomial of
-    # the bounded degree, and the integrals stay visibly nonzero
+    # with the variant multiplier D[m-j+1] in place of D[m-j-1] the integrand
+    # is not a trig polynomial of the bounded degree, and its Fourier
+    # coefficient beyond the bound stays visibly nonzero on the angles the
+    # vanishing check samples
     p, deg = random_family[3]
     n, m = deg
     j = 1
-    bound = n * (m - j)
-    variant = moment_vanishing(p, deg, {j: [bound + 1]})["per_j"][j]["variant_values"]
-    assert variant is not None
-    assert abs(variant[0]) > 1e-4
+    k = n * (m - j) + 1
+    thetas = angle_grid(moment_vanishing(p, deg, {j: [k]})["theta_grid"])
+    op = parametric_polynomials(p, deg, thetas)
+    check = orthogonality_check(op, slice_moments(p, deg, thetas, m - 1))
+    weighted = np.asarray(op.D.D)[:, m - j + 1] * check["gram"][:, j, j].real
+    assert abs(np.fft.ifft(weighted)[k]) > 1e-4
 
 
 def test_vanishing_index_validation():
