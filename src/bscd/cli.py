@@ -185,6 +185,11 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         window = (_integer("window", window[0]), _integer("window", window[1]))
         if window[0] < 0 or window[1] < 0:
             raise ConfigInvalid("window bounds must be nonnegative")
+        # a wider window aliases even on the largest torus grid
+        if 2 * max(window) + 1 > measure.GRID_CAP:
+            raise ConfigInvalid(
+                f"window {list(window)} needs 2K+1 <= {measure.GRID_CAP}, the torus grid cap"
+            )
     fmt = merged.get("format", RunConfig.format)
     if fmt not in ("json", "csv"):
         raise ConfigInvalid(f"unknown format: {fmt}")

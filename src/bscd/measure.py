@@ -17,9 +17,12 @@ spectrally.  Two independent moment pipelines are provided:
   evaluates ``p`` or the density on the torus and serves as an oracle for
   the grid path.
 
-All DFT reductions are ``numpy.fft`` butterflies or numpy pairwise sums, so
-results are deterministic.  The large transforms run in place in the buffer
-they read.  The torus grid, the series order and the slice grids all double
+All DFT reductions are ``numpy.fft`` butterflies, numpy pairwise sums or
+left folds, so results are deterministic.  The large transforms run in place
+in the buffer they read, and each one-axis pass covers only the rows or
+columns that hold a nonzero input or whose output is read; every 1-D
+transform sees the input it would see in the full pass, so the pruning moves
+no bit.  The torus grid, the series order and the slice grids all double
 in one loop (:func:`_refine`), and torus and slice samples become moments
 through one transform (:func:`_density_window`).  Pairings of polynomials
 against a moment table are matrix products with its lag matrix
@@ -54,6 +57,8 @@ DEFAULT_SLICE_TOL = 1e-12
 # angles per batch of slice FFTs; it bounds their memory, not their results
 SLICE_BLOCK = 128
 SERIES_TOL = 1e-11
+# series entries per gather of the recurrence; it bounds its memory, not its results
+SERIES_GATHER = 1 << 16
 STABILITY_GRID = 1024
 
 
@@ -81,14 +86,20 @@ def torus_grid_values(p: BivariateLaurentPoly, size: int) -> np.ndarray:
 
     Index ``[k, l]`` of the result is the value at angles ``(k, l)``.  Works
     for Laurent support as well since exponents only matter modulo ``size``.
+    The first (axis-1) pass runs over the rows that hold a coefficient only:
+    every other row of the coefficient grid is zero and transforms to zero.
     """
-    grid = np.zeros((size, size), dtype=complex)
     (i0, j0), (rows, cols) = p.offset, p.coeffs.shape
-    index = np.ix_((i0 + np.arange(rows)) % size, (j0 + np.arange(cols)) % size)
-    np.add.at(grid, index, p.coeffs)
-    # unnormalized inverse transforms in the one buffer; for a power-of-two
-    # size this is ifft2(grid) * size**2 to the bit
-    np.fft.ifft(grid, axis=1, norm="forward", out=grid)
+    # band row r is grid row (i0 + r) % size; aliased exponents add up there,
+    # and a -0.0 coefficient enters as +0.0
+    band = np.zeros((min(rows, size), size), dtype=complex)
+    np.add.at(band, np.ix_(np.arange(rows) % size, (j0 + np.arange(cols)) % size), p.coeffs)
+    # unnormalized inverse transforms; for a power-of-two size this is
+    # ifft2(coefficient grid) * size**2 to the bit
+    np.fft.ifft(band, axis=1, norm="forward", out=band)
+    grid = np.zeros((size, size), dtype=complex)
+    grid[(i0 + np.arange(len(band))) % size] = band
+    del band
     np.fft.ifft(grid, axis=0, norm="forward", out=grid)
     return grid
 
@@ -347,8 +358,10 @@ def _density_window(values: np.ndarray, window: tuple[int, ...]) -> np.ndarray:
 
     ``values`` holds samples on a uniform grid along each of those axes (a
     torus grid, or one circle grid per row of slices); it is overwritten.
-    The density is formed in one real array and transformed in the buffer of
-    the values, so that real array is the only other one of their size.  The
+    The density is formed in one real array and its last-axis transform runs
+    in the buffer of the values, so that real array is the only other one of
+    their size.  Each later pass runs over the window's frequencies of the
+    axes already transformed only, since no other output is read.  The
     result keeps the leading axes and holds the frequencies ``|k| <= K`` of
     each transformed axis, ``K`` its entry of ``window``.
     """
@@ -358,10 +371,10 @@ def _density_window(values: np.ndarray, window: tuple[int, ...]) -> np.ndarray:
     values[...] = density
     del density
     axes = range(values.ndim - len(window), values.ndim)
-    for axis in reversed(axes):
+    for K, axis in zip(reversed(window), reversed(axes)):
         np.fft.ifft(values, axis=axis, out=values)
-    index = [np.arange(-K, K + 1) % values.shape[axis] for K, axis in zip(window, axes)]
-    return values[(Ellipsis,) + np.ix_(*index)]
+        values = values.take(np.arange(-K, K + 1) % values.shape[axis], axis=axis)
+    return values
 
 
 def moments_from_grid(
@@ -391,15 +404,22 @@ def _reciprocal_series(
 ) -> np.ndarray:
     """Power-series coefficients ``d`` of ``1/p`` up to total order ``order``.
 
-    ``p * d = 1`` fixes ``d`` one total degree at a time: every term of ``p``
-    but the constant reaches back to a lower anti-diagonal, so anti-diagonal
-    ``s`` is its own right-hand side less one scaled copy of an earlier
-    anti-diagonal per term, divided by ``p(0, 0)``.  In a row-major ``P x Q``
-    array anti-diagonal ``s`` is the basic slice ``flat[s : s*Q + 1 : Q - 1]``
-    (entry ``i`` is ``d[i, s - i]``), so every update is a view.  The
-    coefficients fill the triangle ``i + j <= order`` of a zero array of the
-    given ``shape``, which needs ``shape >= (order + 1, order + 1)``; the
-    padding the correlation needs costs no copy.
+    ``p * d = 1`` fixes ``d`` one total degree at a time: every term
+    ``c z^k w^l`` of ``p`` but the constant reaches back to a lower
+    anti-diagonal, so ``d[i, s - i]`` is ``-sum c d[i - k, s - i - l]`` over
+    the terms, divided by ``p(0, 0)``.  The last anti-diagonals are kept
+    contiguous too, one per row of a small ring with ``n`` zeros in front,
+    so the sources of a term are one run of that ring.  Each anti-diagonal
+    is then one gather of every term's run, one multiply and one
+    ``np.subtract.reduce`` over the terms: a left fold in term order, which
+    rounds as subtracting the terms one by one does.  Every source off the
+    triangle subtracts zero: for ``i < k`` it is one of the zeros in front
+    of a row, for ``i > s - l`` it lies past the end of its anti-diagonal,
+    where the ring has only ever held shorter ones, and for ``k + l > s``
+    its row is not yet written.  The coefficients fill the triangle
+    ``i + j <= order`` of a zero array of the given ``shape``, which needs
+    ``shape >= (order + 1, order + 1)``; the padding the correlation needs
+    costs no copy.
     """
     d = np.zeros(shape, dtype=complex)
     flat = d.reshape(-1)
@@ -408,17 +428,36 @@ def _reciprocal_series(
     if constant == 0:
         raise NotStable("p(0, 0) = 0")
     # the nonzero coefficients of p row-major, less the first: the constant
-    rows, cols = np.nonzero(p.coeffs)
-    terms = list(zip(rows.tolist(), cols.tolist(), p.coeffs[rows, cols].tolist()))[1:]
-    d[0, 0] = 1.0 / constant
+    rows, cols = (index[1:] for index in np.nonzero(p.coeffs))
+    coeffs = p.coeffs[rows, cols][:, None]
+    degrees = rows + cols
+    # row s % slots of the ring holds d[i, s - i] at column pad + i
+    slots, pad = int(degrees.max(initial=0)) + 1, p.coeffs.shape[0] - 1
+    width = pad + order + 1
+    ring = np.zeros(slots * width + order + 1, dtype=complex)
+    runs = np.lib.stride_tricks.sliding_window_view(ring, order + 1)
+    # where each term's run starts in the ring, one row per value of s % slots
+    offsets = ((np.arange(slots)[:, None] - degrees) % slots) * width + pad - rows
+    # one buffer for every gather: row 0 carries the fold, the rest hold terms
+    room = max(SERIES_GATHER, order + 1)
+    fold_buffer = np.empty(min(room, len(coeffs) * (order + 1)) + order + 1, dtype=complex)
+    d[0, 0] = ring[pad] = 1.0 / constant
     for s in range(1, order + 1):
-        diag = flat[s : s * shape[1] + 1 : step]
-        for k, l, c in terms:
-            t = s - k - l
-            if t >= 0:
-                # d[i, s - i] -= c * d[i - k, s - i - l] for k <= i <= s - l
-                diag[k : k + t + 1] -= c * flat[t : t * shape[1] + 1 : step]
+        diag = ring[(s % slots) * width + pad :][: s + 1]
+        diag[...] = 0
+        block = room // (s + 1)
+        for start in range(0, len(coeffs), block):
+            terms = slice(start, start + block)
+            fold = fold_buffer[: (len(coeffs[terms]) + 1) * (s + 1)].reshape(-1, s + 1)
+            fold[0] = diag
+            # d[i - k, s - i - l] for i = 0 .. s, from anti-diagonal s - k - l;
+            # the coefficient is the first factor, as in c * d: numpy's
+            # vectorized complex product can round differently when swapped
+            sources = runs[offsets[s % slots, terms], : s + 1]
+            np.multiply(coeffs[terms], sources, out=fold[1:])
+            np.subtract.reduce(fold, axis=0, out=diag)
         diag /= constant
+        flat[s : s * shape[1] + 1 : step] = diag
     return d
 
 
@@ -450,7 +489,8 @@ def _series_window(d: np.ndarray, A: int, B: int) -> np.ndarray:
     wrapped term at these lags, so it is the finite sum exactly.  It is
     ``fft2(|F|^2) / (P Q)`` at ``(a, b)`` with ``F = fft2(d)``; the power is
     real, so ``rfft2`` gives the columns ``0 <= b <= Q//2`` and the rest
-    are the conjugates of ``(-a, -b)``.
+    are the conjugates of ``(-a, -b)``.  Either way the window reads only the
+    columns ``b <= min(B, Q//2)``, so the last (column) pass runs over those.
     """
     P, Q = d.shape
     # the transform runs in the buffer of d, and its real and imaginary parts
@@ -464,7 +504,7 @@ def _series_window(d: np.ndarray, A: int, B: int) -> np.ndarray:
     del squares
     half = np.fft.rfft(power, axis=1)
     del power
-    np.fft.fft(half, axis=0, out=half)
+    half = np.fft.fft(half[:, : min(B, Q // 2) + 1], axis=0)
     half /= P * Q
     rows = np.arange(-A, A + 1) % P
     cols = np.arange(-B, B + 1) % Q

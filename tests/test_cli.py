@@ -146,6 +146,19 @@ def test_malformed_scalar_is_config_error(tmp_path, capsys, extra, flags):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+def test_window_wider_than_the_grid_cap_is_config_error(tmp_path, capsys):
+    K = measure.GRID_CAP // 2  # 2K + 1 = GRID_CAP + 1
+    assert cli.load_config(write_config(tmp_path, window=[K - 1, 3])).window == (K - 1, 3)
+    path = write_config(tmp_path, suites=["moments"], window=[2, K])
+    assert cli.main(["moments", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: window [2, {K}] needs 2K+1 <= {measure.GRID_CAP}, the torus grid cap\n"
+    )
+    path = write_config(tmp_path, suites=["moments"])
+    assert cli.main(["moments", "--config", path, "--window", f"{K},0"]) == 2
+    assert "the torus grid cap" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # Suites and exit codes
 # ----------------------------------------------------------------------

@@ -304,8 +304,8 @@ def series_window_loop(d, A, B):
 
 
 @settings(max_examples=80, deadline=None)
-# T = 4 with window (7, 6) pads to 12 x 11, so b = 6 lies beyond Q // 2 = 5
-@example(T=4, A=7, B=6, seed=0)
+# T = 4 with window (7, 8) pads to 12 x 15, so b = 8 lies beyond Q // 2 = 7
+@example(T=4, A=7, B=8, seed=0)
 @given(
     T=st.integers(0, 40),
     A=st.integers(0, 48),
@@ -411,6 +411,158 @@ def test_fast_len_is_the_least_5_smooth_length(target):
     got = measure._fast_len(target)
     assert got >= target and smooth(got)
     assert not any(smooth(k) for k in range(target, got))
+
+
+# ----------------------------------------------------------------------
+# Pruned passes against the full transforms, bit for bit
+# ----------------------------------------------------------------------
+
+
+def assert_same_bits(got, expected):
+    assert got.shape == expected.shape
+    got, expected = np.ascontiguousarray(got), np.ascontiguousarray(expected)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def full_torus_grid_values(p, size):
+    """Both one-axis passes over the whole coefficient grid."""
+    grid = np.zeros((size, size), dtype=complex)
+    (i0, j0), (rows, cols) = p.offset, p.coeffs.shape
+    index = np.ix_((i0 + np.arange(rows)) % size, (j0 + np.arange(cols)) % size)
+    np.add.at(grid, index, p.coeffs)
+    np.fft.ifft(grid, axis=1, norm="forward", out=grid)
+    np.fft.ifft(grid, axis=0, norm="forward", out=grid)
+    return grid
+
+
+def full_density_window(values, window):
+    """Every pass over every frequency, the window read off at the end."""
+    density = np.abs(values)
+    density **= 2
+    np.divide(1.0, density, out=density)
+    values[...] = density
+    axes = range(values.ndim - len(window), values.ndim)
+    for axis in reversed(axes):
+        np.fft.ifft(values, axis=axis, out=values)
+    index = [np.arange(-K, K + 1) % values.shape[axis] for K, axis in zip(window, axes)]
+    return values[(Ellipsis,) + np.ix_(*index)]
+
+
+def full_series_window(d, A, B):
+    """The column pass over every column of the half spectrum."""
+    P, Q = d.shape
+    np.fft.fft(d, axis=1, out=d)
+    np.fft.fft(d, axis=0, out=d)
+    squares = d.view(np.float64)
+    squares *= squares
+    half = np.fft.rfft(squares[:, 0::2] + squares[:, 1::2], axis=1)
+    np.fft.fft(half, axis=0, out=half)
+    half /= P * Q
+    rows = np.arange(-A, A + 1) % P
+    cols = np.arange(-B, B + 1) % Q
+    folded = cols > Q // 2
+    out = np.empty((2 * A + 1, 2 * B + 1), dtype=complex)
+    out[:, ~folded] = half[np.ix_(rows, cols[~folded])]
+    out[:, folded] = np.conj(half[np.ix_(-rows % P, Q - cols[folded])])
+    return out
+
+
+def strided_series_loop(p, order, shape):
+    """One strided update per term and anti-diagonal, in term order."""
+    d = np.zeros(shape, dtype=complex)
+    flat = d.reshape(-1)
+    step = shape[1] - 1
+    constant = p.coefficient(0, 0)
+    rows, cols = np.nonzero(p.coeffs)
+    terms = list(zip(rows.tolist(), cols.tolist(), p.coeffs[rows, cols].tolist()))[1:]
+    d[0, 0] = 1.0 / constant
+    for s in range(1, order + 1):
+        diag = flat[s : s * shape[1] + 1 : step]
+        for k, l, c in terms:
+            t = s - k - l
+            if t >= 0:
+                diag[k : k + t + 1] -= c * flat[t : t * shape[1] + 1 : step]
+        diag /= constant
+    return d
+
+
+def laurent_draw(seed, low, shape):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # a -0.0 imaginary part survives the constructor's cleanup of zeros
+    coeffs[0, 0] = complex(2.0, -0.0)
+    return Poly.from_array(coeffs, low)
+
+
+@pytest.mark.parametrize(
+    "low, shape, size",
+    [
+        ((-3, 2), (4, 5), 8),  # Laurent offsets
+        ((-7, -5), (19, 13), 8),  # support wider than the torus: exponents alias
+        ((0, 0), (3, 3), 256),
+        ((2, -1), (9, 4), 512),
+    ],
+)
+def test_row_pruned_torus_values_are_the_full_passes_to_the_bit(low, shape, size):
+    p = laurent_draw(sum(shape), low, shape)
+    assert np.signbit(p.coeffs.imag).any()
+    assert_same_bits(measure.torus_grid_values(p, size), full_torus_grid_values(p, size))
+
+
+@pytest.mark.parametrize("size, window", [(16, (3, 2)), (16, (8, 11)), (32, (20, 16)), (256, (12, 10))])
+def test_column_pruned_density_window_is_the_full_transform_to_the_bit(size, window):
+    p = laurent_draw(size, (-1, 2), (3, 4))
+    values = measure.torus_grid_values(p, size)
+    got = measure._density_window(values.copy(), window)
+    assert_same_bits(got, full_density_window(values, window))
+
+
+@pytest.mark.parametrize("size, lag", [(16, 3), (16, 8), (16, 11), (256, 40)])
+def test_one_axis_density_window_is_the_full_transform_to_the_bit(size, lag):
+    rng = np.random.default_rng(size + lag)
+    samples = rng.normal(size=(5, size)) + 1j * rng.normal(size=(5, size))
+    got = measure._density_window(samples.copy(), (lag,))
+    assert_same_bits(got, full_density_window(samples, (lag,)))
+
+
+@pytest.mark.parametrize(
+    "T, A, B, beyond_half",
+    [(4, 7, 8, True), (40, 3, 2, False), (64, 0, 0, False), (64, 3, 80, True), (100, 9, 50, False)],
+)
+def test_column_pruned_series_window_is_the_full_transform_to_the_bit(T, A, B, beyond_half):
+    p, _ = random_stable_poly(2, 3, np.random.default_rng(T + A + B))
+    d = measure._reciprocal_series(p, T, measure._series_shape(T, A, B))
+    # with B > Q // 2 the window reads every column the pruned pass keeps
+    assert (B > d.shape[1] // 2) == beyond_half
+    got = measure._series_window(d.copy(), A, B)
+    assert_same_bits(got, full_series_window(d, A, B))
+
+
+SPARSE = Poly({(0, 0): 3, (1, 0): -1, (0, 1): -1})
+# interior zeros: no z w, z^2 w^0 or z^0 w^3 term
+HOLES = Poly({(0, 0): 4, (1, 0): -1, (0, 2): 0.5j, (2, 1): -1, (2, 3): 0.25, (1, 3): 0.5})
+
+
+@pytest.mark.parametrize(
+    "p, order, window",
+    [
+        (random_stable_poly(2, 5, np.random.default_rng(1))[0], 64, (3, 9)),
+        (random_stable_poly(5, 2, np.random.default_rng(2))[0], 256, (0, 0)),
+        (random_stable_poly(3, 3, np.random.default_rng(3))[0], 1024, (12, 8)),
+        (SPARSE, 64, (0, 0)),
+        (SPARSE, 512, (5, 5)),
+        (HOLES, 128, (0, 0)),
+        (HOLES, 1024, (6, 9)),
+        # z^40 w^40 reaches back 80 anti-diagonals, beyond the first padded
+        # length 72 at window (0, 0): a term enters only once k + l <= s
+        (random_stable_poly(40, 40, np.random.default_rng(4))[0], 64, (0, 0)),
+    ],
+)
+def test_gathered_series_recurrence_is_the_strided_term_loop_to_the_bit(p, order, window):
+    shape = measure._series_shape(order, *window)
+    got = measure._reciprocal_series(p, order, shape)
+    assert_same_bits(got, strided_series_loop(p, order, shape))
+    assert_same_bits(got[: order + 1, : order + 1], strided_series_loop(p, order, (order + 1,) * 2))
 
 
 # ----------------------------------------------------------------------
