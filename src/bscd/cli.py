@@ -3,7 +3,11 @@
 Command shape:
 
     bscd <suite|all> --config path.json [--tol NAME=V] [--out path]
-         [--format json|csv] [...suite options]
+
+The config holds the polynomial and, optionally, the suites, the tolerances
+and the output path.  Everything else is fixed or follows from the degree:
+the moment window, the orthogonality margin and shifts, the theta grid, the
+seed of the sampled points and the vanishing frequencies.
 
 Exit codes: 0 all pass, 1 any fail, 2 config error, 3 inconclusive (stability
 could not be decided near the boundary).  Suites run one after another in
@@ -61,19 +65,14 @@ SUITE_TOLERANCE_NAME = {
     "parametric": "identity",
 }
 
-CONFIG_KEYS = {
-    "polynomial",
-    "suites",
-    "tolerances",
-    "window",
-    "margin",
-    "shift_max",
-    "theta_grid",
-    "seed",
-    "k_max",
-    "output",
-    "format",
-}
+CONFIG_KEYS = {"polynomial", "suites", "tolerances", "output"}
+
+# every run verifies the same extents: the orthogonality rectangle's margin and
+# shifts, the theta grid of the slice suites and the seed of the sampled points
+MARGIN = 4
+SHIFT_MAX = 2
+THETA_GRID = 32
+SEED = 0
 
 
 @dataclass
@@ -82,14 +81,14 @@ class RunConfig:
     deg: DegreePair
     suites: list[str]
     tolerances: dict[str, float]
-    window: tuple[int, int]
-    margin: int = 4
-    shift_max: int = 2
-    theta_grid: int = 32
-    seed: int = 0
-    k_max: int | None = None
     output: str | None = None
-    format: str = "json"
+
+    @property
+    def window(self) -> tuple[int, int]:
+        """The moment window: the one verify-orthogonality reads, with ``|b|``
+        widened to at least ``m + 2 MARGIN``."""
+        A, B = subspaces.orthogonality_window(self.deg, MARGIN, SHIFT_MAX)
+        return (A, max(B, self.deg.m + 2 * MARGIN))
 
 
 @dataclass
@@ -100,22 +99,6 @@ class SuiteReport:
     tolerance: float
     details: dict = field(default_factory=dict)
     wall_time: float = 0.0
-
-
-def default_window(deg: DegreePair, margin: int, shift_max: int) -> tuple[int, int]:
-    A, B = subspaces.orthogonality_window(deg, margin, shift_max)
-    return (A, max(B, deg.m + 2 * margin))
-
-
-def _integer(name: str, value) -> int:
-    """A config int or integer string (from argv); anything else, floats and
-    booleans included, raises :class:`ConfigInvalid` naming the entry."""
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise ConfigInvalid(f"'{name}' must be an integer, got {value!r}")
 
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
@@ -147,6 +130,9 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         poly, deg = BivariateLaurentPoly.from_json_dict(merged["polynomial"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad polynomial: {exc}") from exc
+    # the kernel coefficients, the Schur-Cohn matrix and the slices need both
+    if deg.n < 1 or deg.m < 1:
+        raise ConfigInvalid(f"degree ({deg.n}, {deg.m}) needs n >= 1 and m >= 1")
     if poly.is_zero:
         raise ConfigInvalid("polynomial must be nonzero")
     if not np.isfinite(poly.coeffs).all():
@@ -172,51 +158,10 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
             raise ConfigInvalid(f"tolerance {name} must be a positive finite number")
         tolerances[name] = number
 
-    margin = _integer("margin", merged.get("margin", RunConfig.margin))
-    shift_max = _integer("shift_max", merged.get("shift_max", RunConfig.shift_max))
-    if margin < 0 or shift_max < 0:
-        raise ConfigInvalid("margin and shift_max must be nonnegative")
-    window = merged.get("window")
-    if window is None:
-        window = default_window(deg, margin, shift_max)
-    else:
-        if not isinstance(window, (list, tuple)) or len(window) != 2:
-            raise ConfigInvalid(f"'window' must be a pair [A, B], got {window!r}")
-        window = (_integer("window", window[0]), _integer("window", window[1]))
-        if window[0] < 0 or window[1] < 0:
-            raise ConfigInvalid("window bounds must be nonnegative")
-        # a wider window aliases even on the largest torus grid
-        if 2 * max(window) + 1 > measure.GRID_CAP:
-            raise ConfigInvalid(
-                f"window {list(window)} needs 2K+1 <= {measure.GRID_CAP}, the torus grid cap"
-            )
-    fmt = merged.get("format", RunConfig.format)
-    if fmt not in ("json", "csv"):
-        raise ConfigInvalid(f"unknown format: {fmt}")
-    theta_grid = _integer("theta_grid", merged.get("theta_grid", RunConfig.theta_grid))
-    if theta_grid < 1:
-        raise ConfigInvalid("theta_grid must be positive")
-    seed = _integer("seed", merged.get("seed", RunConfig.seed))
-    if seed < 0:
-        raise ConfigInvalid("seed must be nonnegative")
-    k_max = merged.get("k_max")
     output = merged.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigInvalid(f"'output' must be a path, got {output!r}")
-    return RunConfig(
-        polynomial=poly,
-        deg=deg,
-        suites=list(suites),
-        tolerances=tolerances,
-        window=window,
-        margin=margin,
-        shift_max=shift_max,
-        theta_grid=theta_grid,
-        seed=seed,
-        k_max=None if k_max is None else _integer("k_max", k_max),
-        output=output,
-        format=fmt,
-    )
+    return RunConfig(poly, deg, list(suites), tolerances, output)
 
 
 # ----------------------------------------------------------------------
@@ -233,9 +178,9 @@ ARTIFACT_BUILDERS = {
     "matrix": lambda art: schur_cohn.schur_cohn_matrix(art.p, art.deg),
     "kernelset": lambda art: cd_kernel.cd_kernel_set(art.p, art.deg, art.get("matrix")),
     # slice moments on the theta grid; unchecked, so a suite fetches it only
-    # after an artifact that refuses an unstable p or a degree with m = 0
+    # after an artifact that refuses an unstable p (load_config refuses m < 1)
     "slices": lambda art: measure._slice_moments_unchecked(
-        art.p, art.deg, angle_grid(art.config.theta_grid), art.deg.m - 1
+        art.p, art.deg, angle_grid(THETA_GRID), art.deg.m - 1
     ),
 }
 
@@ -339,7 +284,7 @@ def _suite_schur_cohn(art: Artifacts, cfg: RunConfig):
 def _suite_cd_kernel(art: Artifacts, cfg: RunConfig):
     ks = art.get("kernelset")
     n, m = cfg.deg
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(SEED)
     residuals = []
     for _ in range(20):
         eta = complex(rng.normal(), rng.normal()) * 0.5
@@ -367,11 +312,10 @@ def _suite_cd_kernel(art: Artifacts, cfg: RunConfig):
 def _suite_verify_orthogonality(art: Artifacts, cfg: RunConfig):
     ks = art.get("kernelset")
     moments = art.get("moments")
-    moments.require(subspaces.orthogonality_window(cfg.deg, cfg.margin, cfg.shift_max))
     scale = min(measure.norm(ak, moments) for ak in ks.a)
-    base = subspaces.orthogonality_report(cfg.polynomial, cfg.deg, ks, moments, cfg.margin)
+    base = subspaces.orthogonality_report(cfg.polynomial, cfg.deg, ks, moments, MARGIN)
     shifts = subspaces.shift_orthogonality_report(
-        cfg.polynomial, cfg.deg, ks, moments, cfg.shift_max, cfg.margin
+        cfg.polynomial, cfg.deg, ks, moments, SHIFT_MAX, MARGIN
     )
     families = {**base.families, **shifts.families}
     families = {name: family.summary(scale) for name, family in families.items()}
@@ -401,7 +345,7 @@ def _random_bidisk_points(rng, count, entries):
 
 def _suite_verify_cd(art: Artifacts, cfg: RunConfig):
     moments = art.get("moments")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(SEED)
     points = _random_bidisk_points(rng, 100, 4)
     result = subspaces.cd_formula_residual(cfg.polynomial, cfg.deg, moments, points)
     return result["max_residual"], {"points": result["points"]}
@@ -409,7 +353,7 @@ def _suite_verify_cd(art: Artifacts, cfg: RunConfig):
 
 def _suite_verify_kernel(art: Artifacts, cfg: RunConfig):
     moments = art.get("moments")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(SEED)
     functions = subspaces.default_lshape_monomials(cfg.deg, count=10)
     functions.append(BivariateLaurentPoly.monomial(cfg.deg.n, cfg.deg.m))
     points = [
@@ -428,7 +372,7 @@ def _suite_verify_kernel(art: Artifacts, cfg: RunConfig):
 def _suite_parametric(art: Artifacts, cfg: RunConfig):
     n, m = cfg.deg
     T = art.get("matrix")
-    thetas = angle_grid(cfg.theta_grid)
+    thetas = angle_grid(THETA_GRID)
     op = parametric.parametric_polynomials(cfg.polynomial, cfg.deg, thetas, T)
     check = parametric.orthogonality_check(op, art.get("slices"))
     residuals = [*check["offdiag_max"], *check["lu_law_residual"]]
@@ -448,11 +392,8 @@ def _suite_parametric(art: Artifacts, cfg: RunConfig):
         }
         for k, theta in enumerate(thetas)
     ]
-    k_lists = {}
-    for j in range(m):
-        bound = n * (m - j)
-        k_top = cfg.k_max if cfg.k_max is not None else bound + 3
-        k_lists[j] = list(range(bound + 1, max(k_top, bound + 1) + 1))
+    # the first three frequencies past each bound n(m - j)
+    k_lists = {j: [n * (m - j) + d for d in (1, 2, 3)] for j in range(m)}
     result = parametric.moment_vanishing(cfg.polynomial, cfg.deg, k_lists, T)
     vanishing = {}
     for j, entry in result["per_j"].items():
@@ -552,18 +493,12 @@ def report_document(reports: list[SuiteReport]) -> dict:
     return doc
 
 
-def render_report(reports: list[SuiteReport], fmt: str) -> str:
-    if fmt == "json":
-        return _dump_json(report_document(reports)) + "\n"
-    lines = ["suite,status,max_violation,tolerance,wall_time"]
-    for r in sorted(reports, key=lambda r: r.suite):
-        numbers = (r.max_violation, r.tolerance, r.wall_time)
-        lines.append(",".join([r.suite, r.status] + [format(v, ".17g") for v in numbers]))
-    return "\n".join(lines) + "\n"
+def render_report(reports: list[SuiteReport]) -> str:
+    return _dump_json(report_document(reports)) + "\n"
 
 
-def emit_report(reports: list[SuiteReport], fmt: str, path: str | None) -> None:
-    text = render_report(reports, fmt)
+def emit_report(reports: list[SuiteReport], path: str | None) -> None:
+    text = render_report(reports)
     if path is None:
         sys.stdout.write(text)
         return
@@ -575,9 +510,7 @@ def emit_report(reports: list[SuiteReport], fmt: str, path: str | None) -> None:
 
 
 def _suite_payload(report: SuiteReport) -> str:
-    """Suite-specific stdout payload for single-suite invocations."""
-    if report.suite == "schur-cohn" and "rows" in report.details:
-        return "\n".join(_dump_json(row) for row in report.details["rows"]) + "\n"
+    """The stdout payload of a single-suite invocation."""
     body = {
         "status": report.status,
         "max_violation": report.max_violation,
@@ -591,15 +524,11 @@ def _suite_payload(report: SuiteReport) -> str:
 # ----------------------------------------------------------------------
 
 
-def _parse_tol(pairs, default_name=None):
+def _parse_tol(pairs):
     out = {}
     for item in pairs or []:
-        if "=" in item:
-            name, _, value = item.partition("=")
-        elif default_name is not None:
-            # bare value form, e.g. `moments --tol 1e-9`
-            name, value = default_name, item
-        else:
+        name, sep, value = item.partition("=")
+        if not sep:
             raise ConfigInvalid(f"--tol expects NAME=VALUE, got {item!r}")
         try:
             out[name] = float(value)
@@ -617,34 +546,12 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True)
     parser.add_argument("--tol", action="append", metavar="NAME=V")
     parser.add_argument("--out")
-    parser.add_argument("--format", choices=("json", "csv"))
-    parser.add_argument("--window", metavar="A,B")
-    parser.add_argument("--theta-grid", type=int)
-    parser.add_argument("--margin", type=int)
-    parser.add_argument("--shift-max", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--k-max", type=int)
     args = parser.parse_args(argv)
 
     try:
-        overrides = {
-            "format": args.format,
-            "theta_grid": args.theta_grid,
-            "margin": args.margin,
-            "shift_max": args.shift_max,
-            "seed": args.seed,
-            "k_max": args.k_max,
-            "output": args.out,
-        }
-        if args.window is not None:
-            parts = args.window.split(",")
-            if len(parts) != 2:
-                raise ConfigInvalid("--window expects A,B")
-            overrides["window"] = parts
+        overrides = {"output": args.out, "tolerances": _parse_tol(args.tol)}
         if args.suite != "all":
             overrides["suites"] = [args.suite]
-        default_name = SUITE_TOLERANCE_NAME.get(args.suite)
-        overrides["tolerances"] = _parse_tol(args.tol, default_name)
         config = load_config(args.config, overrides)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -653,11 +560,11 @@ def main(argv=None) -> int:
     reports = run(config)
     try:
         if args.suite == "all":
-            emit_report(reports, config.format, config.output)
+            emit_report(reports, config.output)
         else:
             sys.stdout.write(_suite_payload(reports[0]))
             if config.output is not None:
-                emit_report(reports, config.format, config.output)
+                emit_report(reports, config.output)
     except IoFailure as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

@@ -190,19 +190,15 @@ def gram_schmidt_slice_polynomials(sm: SlicedMoments) -> list[np.ndarray]:
     slice, for comparison with the LU route after rescaling to matching
     leading coefficients: at ``K`` angles ``monic[d]`` has shape
     ``(K, d + 1)``, and every step runs over the whole stack of lag matrices
-    at once, ``<v, q> = conj(q) @ M @ v``.
+    at once (:func:`slice_inner_product`).
     """
     m = sm.lag + 1
-    M = sm.lag_matrix(m, m)
-
-    def pair(v, q):
-        return (q.conj()[..., None, :] @ M @ v[..., :, None])[..., 0, 0]
-
     basis: list[np.ndarray] = []
     for d in range(m):
-        v = np.zeros(M.shape[:-1], dtype=complex)
+        v = np.zeros(np.shape(sm.values)[:-1] + (m,), dtype=complex)
         v[..., d] = 1.0
         for q in basis:
-            v = v - (pair(v, q) / pair(q, q))[..., None] * q
+            ratio = np.divide(slice_inner_product(v, q, sm), slice_inner_product(q, q, sm))
+            v = v - ratio[..., None] * q
         basis.append(v)
     return [v[..., : d + 1] for d, v in enumerate(basis)]

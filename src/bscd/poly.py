@@ -14,6 +14,7 @@ between threads.  All arithmetic returns new objects.
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -26,6 +27,13 @@ class DegreePair(NamedTuple):
 
     n: int
     m: int
+
+
+def _real(value) -> float:
+    """``value`` as a float if it is a real number and not a boolean."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"a coefficient part must be a real number, got {value!r}")
 
 
 class BivariateLaurentPoly:
@@ -86,13 +94,16 @@ class BivariateLaurentPoly:
         """Parse the interchange form ``{"n", "m", "coeffs"}``.
 
         ``coeffs[i][j]`` is the ``[re, im]`` pair for the coefficient of
-        ``z^i w^j``; rows are indexed by the z-exponent.
+        ``z^i w^j``; rows are indexed by the z-exponent.  ``n`` and ``m`` must
+        be integers and ``re``, ``im`` real numbers, booleans excluded.
         """
-        n, m = int(doc["n"]), int(doc["m"])
+        n, m = doc["n"], doc["m"]
+        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in (n, m)):
+            raise TypeError(f"'n' and 'm' must be integers, got {n!r} and {m!r}")
         rows = doc["coeffs"]
         if len(rows) != n + 1 or any(len(row) != m + 1 for row in rows):
             raise ValueError(f"coefficient grid must be {n + 1} x {m + 1}")
-        grid = [[complex(float(re), float(im)) for re, im in row] for row in rows]
+        grid = [[complex(_real(re), _real(im)) for re, im in row] for row in rows]
         grid = np.array(grid, dtype=complex).reshape(n + 1, m + 1)
         return cls.from_array(grid), DegreePair(n, m)
 

@@ -1,4 +1,4 @@
-"""Config handling, suite dispatch, report formats and exit codes."""
+"""Config handling, suite dispatch, reports and exit codes."""
 
 import dataclasses
 import json
@@ -98,7 +98,6 @@ def test_tol_flag_sets_names_over_the_config_file(tmp_path):
         "orthogonality": 1e-7,
         "identity": 1e-5,
     }
-    assert config.margin == cli.RunConfig.margin and config.format == "json"
     bad = write_config(tmp_path, tolerances={"identity": "small"})
     with pytest.raises(ConfigInvalid, match="tolerance identity"):
         cli.load_config(bad)
@@ -108,21 +107,25 @@ def test_tol_flag_sets_names_over_the_config_file(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "extra, flags",
+    "extra",
     [
-        ({"window": 5}, []),
-        ({"window": [1]}, []),
-        ({"margin": "x"}, []),
-        ({"theta_grid": "a"}, []),
-        ({"k_max": "q"}, []),
-        ({"seed": [1]}, []),
-        ({"shift_max": None}, []),
-        ({"output": 7}, []),
-        ({"seed": -1}, []),
-        ({"theta_grid": 2.5}, []),
-        ({"margin": 1.9}, []),
-        ({"seed": True}, []),
-        ({}, ["--window", "1,x"]),
+        {"window": 5},
+        {"window": [1]},
+        {"margin": "x"},
+        {"theta_grid": "a"},
+        {"k_max": "q"},
+        {"seed": [1]},
+        {"shift_max": None},
+        {"output": 7},
+        {"seed": -1},
+        {"theta_grid": 2.5},
+        {"margin": 1.9},
+        {"seed": True},
+        {"polynomial": {**WORKED_JSON, "n": 1.7}},
+        {"polynomial": {**WORKED_JSON, "m": True}},
+        {"polynomial": {**WORKED_JSON, "n": "1"}},
+        {"polynomial": {**WORKED_JSON, "coeffs": [[[3, 0], [-1, 0]], [[-1, 0], [True, 0]]]}},
+        {"polynomial": {**WORKED_JSON, "coeffs": [[["3", 0], [-1, 0]], [[-1, 0], [0, 0]]]}},
     ],
     ids=[
         "window-int",
@@ -137,26 +140,71 @@ def test_tol_flag_sets_names_over_the_config_file(tmp_path):
         "theta_grid-float",
         "margin-float",
         "seed-bool",
-        "window-flag",
+        "n-float",
+        "m-bool",
+        "n-string",
+        "coefficient-bool",
+        "coefficient-string",
     ],
 )
-def test_malformed_scalar_is_config_error(tmp_path, capsys, extra, flags):
+def test_malformed_scalar_is_config_error(tmp_path, capsys, extra):
+    # the keys other than output and polynomial are no longer config keys and
+    # are refused as unknown; int() and float() read the polynomial cases as
+    # the worked example or a stable neighbour, which then passed
     path = write_config(tmp_path, suites=["cd-kernel"], **extra)
-    assert cli.main(["cd-kernel", "--config", path] + flags) == 2
+    assert cli.main(["cd-kernel", "--config", path]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
 
 
-def test_window_wider_than_the_grid_cap_is_config_error(tmp_path, capsys):
-    K = measure.GRID_CAP // 2  # 2K + 1 = GRID_CAP + 1
-    assert cli.load_config(write_config(tmp_path, window=[K - 1, 3])).window == (K - 1, 3)
-    path = write_config(tmp_path, suites=["moments"], window=[2, K])
-    assert cli.main(["moments", "--config", path]) == 2
-    assert capsys.readouterr().err == (
-        f"config error: window [2, {K}] needs 2K+1 <= {measure.GRID_CAP}, the torus grid cap\n"
-    )
-    path = write_config(tmp_path, suites=["moments"])
-    assert cli.main(["moments", "--config", path, "--window", f"{K},0"]) == 2
-    assert "the torus grid cap" in capsys.readouterr().err
+REMOVED_KEYS = {
+    "window": [9, 9],
+    "margin": 4,
+    "shift_max": 2,
+    "theta_grid": 32,
+    "seed": 0,
+    "k_max": 4,
+    "format": "json",
+}
+REMOVED_FLAGS = {
+    "--window": "9,9",
+    "--margin": "4",
+    "--shift-max": "2",
+    "--theta-grid": "32",
+    "--seed": "0",
+    "--k-max": "4",
+    "--format": "json",
+}
+
+
+@pytest.mark.parametrize("knob", list(REMOVED_KEYS) + list(REMOVED_FLAGS))
+def test_removed_knob_is_refused(tmp_path, capsys, knob):
+    # each value is the one the worked example took by default, so it loaded before
+    if knob in REMOVED_KEYS:
+        path = write_config(tmp_path, suites=["stability"], **{knob: REMOVED_KEYS[knob]})
+        assert cli.main(["stability", "--config", path]) == 2
+        assert capsys.readouterr().err == f"config error: unknown config keys: ['{knob}']\n"
+    else:
+        path = write_config(tmp_path, suites=["stability"])
+        with pytest.raises(SystemExit) as info:
+            cli.main(["stability", "--config", path, knob, REMOVED_FLAGS[knob]])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "polynomial",
+    [
+        {"n": 1, "m": 0, "coeffs": [[[3, 0]], [[-1, 0]]]},
+        {"n": 0, "m": 1, "coeffs": [[[3, 0], [-1, 0]]]},
+        {"n": 0, "m": 0, "coeffs": [[[3, 0]]]},
+    ],
+    ids=["3-z", "3-w", "constant"],
+)
+def test_degenerate_degree_is_refused_at_the_door(tmp_path, capsys, polynomial):
+    path = write_config(tmp_path, polynomial=polynomial)
+    assert cli.main(["all", "--config", path]) == 2
+    n, m = polynomial["n"], polynomial["m"]
+    assert capsys.readouterr().err == f"config error: degree ({n}, {m}) needs n >= 1 and m >= 1\n"
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +253,12 @@ def test_no_tolerance_loosens_the_stability_verdict(tmp_path, capsys, tolerances
 
 
 def test_near_boundary_is_inconclusive_exit_three(tmp_path, capsys):
-    nearly = {"n": 1, "m": 0, "coeffs": [[[1 + 1e-12, 0]], [[-1, 0]]]}
+    # p = (1 + 1e-12 - z)(2 - w) has the z-root 1 + 1e-12
+    nearly = {
+        "n": 1,
+        "m": 1,
+        "coeffs": [[[2 + 2e-12, 0], [-1 - 1e-12, 0]], [[-2, 0], [1, 0]]],
+    }
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"polynomial": nearly, "suites": ["stability"]}))
     code = cli.main(["stability", "--config", str(path)])
@@ -234,29 +287,33 @@ def test_near_boundary_run_scans_stability_once(tmp_path):
 
 def test_short_window_names_the_window_verify_orthogonality_needs(tmp_path):
     # at degree (2, 2) with margin 4 and shift_max 2 the orthogonality reports
-    # read moments up to |a| <= 12, |b| <= 8
+    # read moments up to |a| <= 12, |b| <= 8; a shorter window cannot be set
     p, deg = measure.random_stable_poly(2, 2, np.random.default_rng(3))
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"polynomial": p.to_json_dict(deg), "window": [5, 4]}))
-    proc = run_python(["-m", "bscd.cli", "verify-orthogonality", "--config", str(path)])
-    assert proc.returncode == 1
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"polynomial": p.to_json_dict(deg), "window": [5, 4]}))
+    proc = run_python(["-m", "bscd.cli", "verify-orthogonality", "--config", str(short)])
+    assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    payload = json.loads(proc.stdout)
-    assert payload["status"] == "fail"
-    assert payload["details"] == {
-        "error": "WindowTooSmall",
-        "message": "moment window |a| <= 12, |b| <= 8 needed, table has |a| <= 5, |b| <= 4",
-    }
+    assert proc.stderr == "config error: unknown config keys: ['window']\n"
+
+    # the derived window holds what verify-orthogonality reads, so it passes
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"polynomial": p.to_json_dict(deg)}))
+    cfg = cli.load_config(str(path))
+    assert cfg.window == (12, 10)
+    proc = run_python(["-m", "bscd.cli", "verify-orthogonality", "--config", str(path)])
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["status"] == "pass"
 
 
 def test_moments_suite_cross_validates(tmp_path, capsys):
-    path = write_config(tmp_path, window=[6, 6])
+    path = write_config(tmp_path)
     code = cli.main(["moments", "--config", path])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["details"]["cross_path_difference"] < 1e-10
     table = payload["details"]["table"]
-    assert table["window"] == [6, 6]
+    assert table["window"] == [9, 9]
     assert any(row[:2] == [0, 0] for row in table["values"])
 
 
@@ -274,13 +331,14 @@ def test_parametric_vanishing_is_relative_to_the_integrand_scale(tmp_path, capsy
     assert zero["scale"] > 1e8
 
 
-def test_schur_cohn_payload_is_json_lines(tmp_path, capsys):
-    path = write_config(tmp_path, theta_grid=4)
+def test_schur_cohn_payload_is_the_suite_body(tmp_path, capsys):
+    path = write_config(tmp_path)
     code = cli.main(["schur-cohn", "--config", path])
-    lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
+    payload = json.loads(capsys.readouterr().out)
     assert code == 0
-    rows = [json.loads(l) for l in lines]
-    assert len(rows) == 4
+    assert list(payload) == ["status", "max_violation", "details"]
+    rows = payload["details"]["rows"]
+    assert len(rows) == cli.THETA_GRID
     assert all({"theta", "D_list", "min_eig"} <= set(row) for row in rows)
     assert rows[0]["D_list"][0] == 1.0
     assert rows[0]["D_list"][1] == pytest.approx(3.0, abs=1e-12)
@@ -456,7 +514,7 @@ def test_one_schur_cohn_matrix_per_run(tmp_path, monkeypatch):
 
     for module in (schur_cohn, cd_kernel, parametric):
         monkeypatch.setattr(module, "schur_cohn_matrix", counted)
-    reports = cli.run(cli.load_config(write_config(tmp_path, theta_grid=4)))
+    reports = cli.run(cli.load_config(write_config(tmp_path)))
     assert [r.status for r in reports] == ["pass"] * len(cli.SUITE_ORDER)
     assert len(calls) == 1
 
@@ -466,7 +524,7 @@ def test_a_suite_blocked_by_a_failed_matrix_names_it(tmp_path, monkeypatch):
         raise NoConvergence("no matrix")
 
     monkeypatch.setattr(cli.schur_cohn, "schur_cohn_matrix", refuse)
-    path = write_config(tmp_path, theta_grid=4)
+    path = write_config(tmp_path)
     reports = {r.suite: r for r in cli.run(cli.load_config(path))}
     # the kernel set is built from the matrix, so its suites name the matrix
     for name in ("schur-cohn", "cd-kernel", "verify-orthogonality", "parametric"):
@@ -475,7 +533,7 @@ def test_a_suite_blocked_by_a_failed_matrix_names_it(tmp_path, monkeypatch):
 
 
 def test_full_run_on_worked_example(tmp_path):
-    path = write_config(tmp_path, theta_grid=8)
+    path = write_config(tmp_path)
     config = cli.load_config(path)
     reports = cli.run(config)
     assert [r.suite for r in reports] == sorted(cli.SUITE_ORDER)
@@ -483,23 +541,36 @@ def test_full_run_on_worked_example(tmp_path):
     assert cli.exit_code(reports) == 0
 
 
+def test_worked_example_pins_the_fixed_extents(tmp_path):
+    # every run verifies 32 angles, frequencies up to bound + 3 and the
+    # moment window of margin 4 and shift_max 2 at degree (1, 1)
+    config = cli.load_config(write_config(tmp_path))
+    doc = cli.report_document(cli.run(config))
+    assert len(doc["schur-cohn"]["details"]["rows"]) == 32
+    assert len(doc["parametric"]["details"]["rows"]) == 32
+    vanishing = doc["parametric"]["details"]["vanishing"]
+    assert {j: entry["k_list"] for j, entry in vanishing.items()} == {"0": [2, 3, 4]}
+    assert config.window == (9, 9)
+    assert doc["moments"]["details"]["table"]["window"] == [9, 9]
+
+
 def test_worked_example_report_shape(tmp_path):
     # a report field leaves or returns only through an edit of this test
-    path = write_config(tmp_path, theta_grid=4, suites=["stability", "parametric"])
-    doc = json.loads(cli.render_report(cli.run(cli.load_config(path)), "json"))
+    path = write_config(tmp_path, suites=["stability", "parametric"])
+    doc = json.loads(cli.render_report(cli.run(cli.load_config(path))))
     assert doc["stability"]["tolerance"] == 1.0
     rows = doc["parametric"]["details"]["rows"]
-    assert len(rows) == 4
+    assert len(rows) == cli.THETA_GRID
     for row in rows:
         assert list(row) == ["theta", "offdiag_max", "lu_law_residual", "gram_schmidt_residual"]
 
 
 def test_reports_are_deterministic(tmp_path):
-    path = write_config(tmp_path, theta_grid=4, suites=["stability", "moments", "cd-kernel"])
+    path = write_config(tmp_path, suites=["stability", "moments", "cd-kernel"])
     outputs = []
     for _ in range(2):
         reports = cli.run(cli.load_config(path))
-        text = cli.render_report(reports, "json")
+        text = cli.render_report(reports)
         doc = json.loads(text)
         for suite in doc.values():
             suite.pop("wall_time")
@@ -507,23 +578,12 @@ def test_reports_are_deterministic(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_csv_report_shape(tmp_path):
-    path = write_config(tmp_path, suites=["stability", "moments"], window=[5, 5])
-    reports = cli.run(cli.load_config(path))
-    text = cli.render_report(reports, "csv")
-    lines = text.strip().splitlines()
-    assert lines[0] == "suite,status,max_violation,tolerance,wall_time"
-    assert len(lines) == 3
-    assert lines[1].startswith("moments,pass,")
-    assert lines[2].startswith("stability,pass,")
-
-
 def test_empty_suite_list(tmp_path):
     path = write_config(tmp_path, suites=[])
     reports = cli.run(cli.load_config(path))
     assert reports == []
     assert cli.exit_code(reports) == 0
-    assert cli.render_report(reports, "json").strip() == "{}"
+    assert cli.render_report(reports).strip() == "{}"
 
 
 def test_report_written_to_file(tmp_path):
@@ -536,16 +596,8 @@ def test_report_written_to_file(tmp_path):
 
 
 def test_tolerance_override_can_force_failure(tmp_path, capsys):
-    path = write_config(tmp_path, suites=["moments"], window=[5, 5])
+    path = write_config(tmp_path, suites=["moments"])
     code = cli.main(["moments", "--config", path, "--tol", "cross-path=1e-30"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert payload["status"] == "fail"
-
-
-def test_bare_tolerance_applies_to_single_suite(tmp_path, capsys):
-    path = write_config(tmp_path, suites=["moments"], window=[5, 5])
-    code = cli.main(["moments", "--config", path, "--tol", "1e-30"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
     assert payload["status"] == "fail"
@@ -579,13 +631,18 @@ def test_unwritable_output_is_io_error(tmp_path):
     assert code == 2
 
 
-def test_suite_error_is_recorded_as_failure(tmp_path):
-    # degree 0 in one variable makes the two-kernel identity undefined;
-    # the suite must fail with a message instead of crashing the run
+def direct_config(polynomial):
+    """A run config that load_config would refuse for its degree."""
+    p, deg = BivariateLaurentPoly.from_json_dict(polynomial)
+    return cli.RunConfig(p, deg, list(cli.SUITE_ORDER), dict(cli.DEFAULT_TOLERANCES))
+
+
+def test_suite_error_is_recorded_as_failure():
+    # degree 0 in one variable makes the two-kernel identity undefined; the
+    # CLI refuses it, and a library caller's run fails each suite with a
+    # message instead of crashing
     univariate = {"n": 1, "m": 0, "coeffs": [[[3, 0]], [[-1, 0]]]}
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"polynomial": univariate}))
-    reports = cli.run(cli.load_config(str(path)))
+    reports = cli.run(direct_config(univariate))
     by_name = {r.suite: r for r in reports}
     assert by_name["stability"].status == "pass"
     # the suites that read the slice moments fetch them only after the matrix
@@ -599,12 +656,12 @@ def test_suite_error_is_recorded_as_failure(tmp_path):
 def test_constant_polynomial_writes_a_report_without_traceback(tmp_path):
     # the L-shaped span of degree (0, 0) is empty: verify-kernel projects onto
     # no monomials, and the suites that need m >= 1 fail with a message
+    # (the CLI refuses the degree; a library caller's run still reports)
     constant = {"n": 0, "m": 0, "coeffs": [[[3.0, 0.0]]]}
-    config, report = tmp_path / "config.json", tmp_path / "report.json"
-    config.write_text(json.dumps({"polynomial": constant}))
-    assert cli.main(["verify-kernel", "--config", str(config), "--out", str(report)]) == 0
-    assert json.loads(report.read_text())["verify-kernel"]["status"] == "pass"
-    assert cli.main(["all", "--config", str(config), "--out", str(report)]) == 1
+    report = tmp_path / "report.json"
+    reports = cli.run(direct_config(constant))
+    cli.emit_report(reports, str(report))
+    assert cli.exit_code(reports) == 1
     doc = json.loads(report.read_text())
     for suite in ("stability", "moments", "verify-kernel"):
         assert doc[suite]["status"] == "pass"
@@ -620,7 +677,7 @@ def test_failed_artifact_is_built_once(tmp_path, monkeypatch):
         raise NoConvergence("moment window not stable")
 
     monkeypatch.setattr(cli.measure, "moments_from_grid", refuse)
-    path = write_config(tmp_path, theta_grid=4)
+    path = write_config(tmp_path)
     reports = {r.suite: r for r in cli.run(cli.load_config(path))}
     assert len(calls) == 1
     for name in ("moments", "verify-orthogonality", "verify-cd", "verify-kernel"):
@@ -636,7 +693,7 @@ def test_failed_artifact_is_built_once(tmp_path, monkeypatch):
 def test_suites_blocked_by_a_failed_artifact_name_it(tmp_path, monkeypatch):
     # a finite moments tolerance no grid up to the cap reaches
     monkeypatch.setattr(cli.measure, "GRID_CAP", 512)
-    path = write_config(tmp_path, theta_grid=4, tolerances={"moments": 1e-300})
+    path = write_config(tmp_path, tolerances={"moments": 1e-300})
     reports = {r.suite: r for r in cli.run(cli.load_config(path))}
     for name in ("moments", "verify-orthogonality", "verify-cd", "verify-kernel"):
         details = reports[name].details

@@ -590,6 +590,10 @@ def test_window_too_small_reports_missing_index(worked_moments):
     with pytest.raises(WindowTooSmall) as info:
         inner_product(Poly.monomial(40, 0), Poly.constant(1), worked_moments)
     assert info.value.index == (40, 0)
+    # a whole computation's need is named as the window it reads
+    with pytest.raises(WindowTooSmall) as info:
+        worked_moments.require((12, 8))
+    assert str(info.value) == "moment window |a| <= 12, |b| <= 8 needed, table has |a| <= 10, |b| <= 8"
 
 
 def scalar_inner_product(f, g, moments):
