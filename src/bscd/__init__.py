@@ -50,7 +50,6 @@ from .schur_cohn import (
     schur_cohn_matrix,
 )
 from .subspaces import (
-    KernelEvaluator,
     OrthReport,
     RelationFamily,
     SubspaceSpec,

@@ -33,7 +33,7 @@ Every published value is immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -331,6 +331,8 @@ def _refine(compute, count: int, start: int, cap: int, tol: float, what: str):
     at the next size.  Returns the windows, the stopping sizes and the last
     changes, one per row.  Raises :class:`NoConvergence` once a row is still
     open at ``cap``, naming ``what``, the size and the largest open change.
+    A change that is not finite raises at once: a doubled resolution keeps
+    every earlier sample or term, so a window that overflowed stays so.
     """
     rows = np.arange(count)
     size = start
@@ -342,6 +344,9 @@ def _refine(compute, count: int, start: int, cap: int, tol: float, what: str):
         size *= 2
         cur = compute(size, rows)
         change = np.max(np.abs(cur - prev).reshape(len(rows), -1), axis=1)
+        if not np.isfinite(change).all():
+            bad = change[~np.isfinite(change)][0]
+            raise NoConvergence(f"{what} {size} not finite (change {bad:.3e})")
         done = change < tol
         values[rows[done]] = cur[done]
         sizes[rows[done]] = size
@@ -595,13 +600,22 @@ class SlicedMoments:
 
         For ascending coefficient vectors ``f`` (length ``cols``) and ``g``
         (length ``rows``), ``<f, g> = conj(g) @ M @ f``.  At an array of
-        angles the result has shape ``(K, rows, cols)``.
+        angles the result has shape ``(K, rows, cols)``.  It is a read-only
+        view of the leading block of :attr:`_toeplitz`, so every pairing on
+        these moments reads the one gather.
         """
         need = max(rows, cols) - 1
         if need > self.lag:
             raise WindowTooSmall((0, need), (0, self.lag))
-        shifts = np.subtract.outer(np.arange(rows), np.arange(cols))
-        return np.asarray(self.values)[..., self.lag - shifts]
+        return self._toeplitz[..., :rows, :cols]
+
+    @cached_property
+    def _toeplitz(self) -> np.ndarray:
+        """The whole lag matrix, ``t, s <= lag``, gathered on first use."""
+        shifts = np.subtract.outer(np.arange(self.lag + 1), np.arange(self.lag + 1))
+        toeplitz = np.asarray(self.values)[..., self.lag - shifts]
+        toeplitz.setflags(write=False)
+        return toeplitz
 
 
 def slice_moments(

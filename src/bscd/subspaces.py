@@ -103,38 +103,6 @@ def _require_conditioned(G: np.ndarray, label: str) -> None:
         raise IllConditionedGram(f"{label} spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}]")
 
 
-def _monomial_values(S, point) -> np.ndarray:
-    """The monomials of ``S`` at ``point = (z, w)``, along the last axis.
-
-    ``z`` and ``w`` may be arrays of one shape; their axes come first.
-    """
-    z = np.asarray(point[0], dtype=complex)[..., None]
-    w = np.asarray(point[1], dtype=complex)[..., None]
-    exponents = np.asarray(S, dtype=int).reshape(-1, 2)
-    return z ** exponents[:, 0] * w ** exponents[:, 1]
-
-
-class KernelEvaluator:
-    """Reproducing kernel of ``span(S1) - span(S2)`` through an orthonormal basis."""
-
-    __slots__ = ("spec", "basis")
-
-    def __init__(self, spec: SubspaceSpec, moments: MomentTable):
-        self.spec = spec
-        self.basis = _complement_coefficients(spec, moments)
-
-    def evaluate(self, x, y):
-        """``K(x; y) = sum_c phi_c(x) conj(phi_c(y))`` at points ``x = (z, w)``, ``y``.
-
-        Coordinates may be arrays of one shape, one pair of points per entry;
-        the basis values at all of them take one matrix product per side.
-        """
-        phi_x = _monomial_values(self.spec.S1, x) @ self.basis
-        phi_y = _monomial_values(self.spec.S1, y) @ self.basis
-        value = np.sum(phi_x * np.conj(phi_y), axis=-1)
-        return complex(value) if value.ndim == 0 else value
-
-
 def _complement_coefficients(spec: SubspaceSpec, moments: MomentTable) -> np.ndarray:
     """Orthonormal basis of ``span(S1) - span(S2)``, one column over ``S1`` each.
 
@@ -350,41 +318,60 @@ def cd_formula_residual(
     p: BivariateLaurentPoly,
     deg: DegreePair,
     moments: MomentTable,
-    points,
 ) -> dict:
-    """Two-sided check of the bivariate Christoffel-Darboux identity.
+    """Coefficient check of the bivariate Christoffel-Darboux identity
 
-    The left side is ``p(x) conj(p(y)) - reflect(p)(x) conj(reflect(p)(y))``;
-    the right side combines the reproducing kernels of the two one-step
-    difference spans, weighted by ``1 - w conj(w1)`` and ``1 - z conj(z1)``.
+        p(x) conj(p(y)) - pr(x) conj(pr(y))
+            = (1 - w conj(w1)) K1(x; y) + (1 - z conj(z1)) K2(x; y)
+
+    with ``x = (z, w)``, ``y = (z1, w1)`` and ``pr`` the reflection of ``p``.
+    Both sides are polynomials in ``x`` and ``conj(y)`` over the box
+    ``[0, n] x [0, m]``, so the identity is one Hermitian equation between
+    coefficient arrays ``[i, j, k, l]``, the coefficient of
+    ``z^i w^j conj(z1^k w1^l)``:
+
+        c c^H - c_r c_r^H = E1 - S_w E1 S_w^H + E2 - S_z E2 S_z^H.
+
+    The left side comes from ``p`` alone.  ``E1`` and ``E2`` are the kernels
+    ``B B^H`` of the two one-step difference spans, placed on the box, and
+    come from the moments alone; a shift ``S`` moves an array one index up
+    in its variable on both sides.  Returns the largest entry difference
+    ``max_residual``, the monomial pair ``argmax`` where it sits (the first
+    one, or the first NaN), and ``E1`` and ``E2``.
     """
     n, m = deg
     if n == 0 or m == 0:
         raise DegenerateDegree("the identity needs degree at least 1 in each variable")
     ensure_stable(p, deg)
-    K1 = KernelEvaluator(
-        SubspaceSpec(
-            monomial_rect(0, n, 0, m - 1), monomial_rect(0, n - 1, 0, m - 1)
-        ),
+    B1 = _complement_coefficients(
+        SubspaceSpec(monomial_rect(0, n, 0, m - 1), monomial_rect(0, n - 1, 0, m - 1)),
         moments,
     )
-    K2 = KernelEvaluator(
-        SubspaceSpec(
-            monomial_rect(0, n - 1, 0, m), monomial_rect(0, n - 1, 1, m)
-        ),
+    B2 = _complement_coefficients(
+        SubspaceSpec(monomial_rect(0, n - 1, 0, m), monomial_rect(0, n - 1, 1, m)),
         moments,
     )
-    pr = p.reflect(deg)
-    z, w, z1, w1 = np.asarray(list(points), dtype=complex).reshape(-1, 4).T
-    # p and its reflection at every x and every y, one array call each
-    count = z.size
-    both = (np.concatenate([z, z1]), np.concatenate([w, w1]))
-    pv, prv = p(*both), pr(*both)
-    lhs = pv[:count] * np.conj(pv[count:]) - prv[:count] * np.conj(prv[count:])
-    rhs = (1 - w * np.conj(w1)) * K1.evaluate((z, w), (z1, w1))
-    rhs += (1 - z * np.conj(z1)) * K2.evaluate((z, w), (z1, w1))
-    worst = float(np.max(np.abs(lhs - rhs), initial=0.0))
-    return {"max_residual": worst, "points": count}
+    # each S1 runs row-major over its rectangle, so B B^H reshapes to [i, j, k, l]
+    K1 = (B1 @ B1.conj().T).reshape(n + 1, m, n + 1, m)
+    K2 = (B2 @ B2.conj().T).reshape(n, m + 1, n, m + 1)
+    E1 = np.zeros((n + 1, m + 1, n + 1, m + 1), dtype=complex)
+    E2 = np.zeros_like(E1)
+    E1[:, :m, :, :m] = K1
+    E2[:n, :, :n, :] = K2
+    rhs = E1 + E2
+    rhs[:, 1:, :, 1:] -= K1
+    rhs[1:, :, 1:, :] -= K2
+    box = (0, n, 0, m)
+    c, cr = p.coefficient_window(box), p.reflect(deg).coefficient_window(box)
+    lhs = np.multiply.outer(c, c.conj()) - np.multiply.outer(cr, cr.conj())
+    gap = np.abs(lhs - rhs)
+    at = np.unravel_index(int(np.argmax(gap)), gap.shape)
+    return {
+        "max_residual": float(gap[at]),
+        "argmax": [[int(at[0]), int(at[1])], [int(at[2]), int(at[3])]],
+        "E1": E1,
+        "E2": E2,
+    }
 
 
 # ----------------------------------------------------------------------

@@ -127,18 +127,10 @@ def test_criterion_4_christoffel_darboux_formula():
         lhs = WORKED(0, 0) * np.conj(WORKED(0, 0)) - pr(0, 0) * np.conj(pr(0, 0))
         assert abs(lhs - 9.0) <= 1e-12
 
-        rng = np.random.default_rng(101)
         cases = [(WORKED, WORKED_DEG, moments_from_grid(WORKED, (6, 6)))]
         cases += [(p, deg, table) for p, deg, table, _ in random_set()]
         for p, deg, table in cases:
-            points = [
-                tuple(
-                    np.sqrt(rng.uniform(size=4))
-                    * np.exp(2j * np.pi * rng.uniform(size=4))
-                )
-                for _ in range(100)
-            ]
-            result = cd_formula_residual(p, deg, table, points)
+            result = cd_formula_residual(p, deg, table)
             assert result["max_residual"] < 1e-9
 
 

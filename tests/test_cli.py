@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
@@ -667,6 +668,36 @@ def test_constant_polynomial_writes_a_report_without_traceback(tmp_path):
         assert doc[suite]["status"] == "pass"
     for suite in ("schur-cohn", "cd-kernel", "verify-orthogonality", "verify-cd", "parametric"):
         assert doc[suite]["details"]["error"] == "DegenerateDegree"
+
+
+def test_overflowing_density_fails_fast(tmp_path):
+    # 1 / |p|^2 overflows: every refinement stops at its first doubling, so the
+    # run ends in a report instead of doubling every grid to its cap
+    overflowing = WORKED.scale(1e-200).to_json_dict(WORKED_DEG)
+    path = write_config(tmp_path, polynomial=overflowing)
+    out = tmp_path / "report.json"
+    started = time.perf_counter()
+    proc = run_python(["-m", "bscd.cli", "all", "--config", path, "--out", str(out)])
+    elapsed = time.perf_counter() - started
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert elapsed < 2.0
+    doc = json.loads(out.read_text())
+    assert doc["stability"]["status"] == "pass"
+    for name in ("moments", "verify-cd", "schur-cohn"):
+        assert doc[name]["status"] == "fail"
+        assert "not finite (change nan)" in doc[name]["details"]["message"]
+
+
+def test_verify_cd_names_the_pair_where_a_foreign_table_fails(tmp_path, monkeypatch):
+    # a planted defect: the moments of another stable polynomial
+    other, deg = measure.random_stable_poly(1, 1, np.random.default_rng(5))
+    foreign = measure.moments_from_grid(other, (9, 9))
+    monkeypatch.setattr(cli.measure, "moments_from_grid", lambda *args: foreign)
+    reports = {r.suite: r for r in cli.run(cli.load_config(write_config(tmp_path)))}
+    report = reports["verify-cd"]
+    assert report.status == "fail" and report.max_violation > 1e-3
+    (i, j), (k, l) = report.details["argmax"]
+    assert 0 <= min(i, j, k, l) and max(i, j, k, l) <= 1
 
 
 def test_failed_artifact_is_built_once(tmp_path, monkeypatch):

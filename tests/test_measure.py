@@ -244,6 +244,48 @@ def test_refine_stops_each_row_on_its_own():
     assert str(caught.value) == f"test window at {1 << 16} not stable (change {change:.3e})"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_refine_raises_at_the_first_non_finite_change():
+    # one row overflows; no later doubling can bring it back, so the loop
+    # stops at the first doubling instead of the cap
+    computed = []
+
+    def compute(size, rows):
+        computed.append(size)
+        return np.array([[1.0 / size], [np.inf]])[rows]
+
+    with pytest.raises(NoConvergence) as caught:
+        measure._refine(compute, 2, 4, 1 << 20, 1e-4, "test window at")
+    assert str(caught.value) == "test window at 8 not finite (change nan)"
+    assert computed == [4, 8]
+
+
+# p scaled so far down that 1 / |p|^2 overflows on the torus
+OVERFLOWING = Poly({(0, 0): 3e-200, (1, 0): -1e-200, (0, 1): -1e-200})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_density_fails_at_the_first_doubling(monkeypatch):
+    computed = []
+    window = measure._density_window
+
+    def counted(values, shape):
+        computed.append(values.shape[-1])
+        return window(values, shape)
+
+    monkeypatch.setattr(measure, "_density_window", counted)
+    with pytest.raises(NoConvergence, match=r"^moment window at grid 512 not finite \(change nan\)$"):
+        moments_from_grid(OVERFLOWING, (9, 9))
+    assert computed == [256, 512]
+    with pytest.raises(NoConvergence, match=r"^series window at order 128 not finite \(change nan\)$"):
+        moments_from_series(OVERFLOWING, WORKED_DEG, (9, 9))
+    for theta in (0.3, np.linspace(0.0, 6.0, 32)):
+        computed.clear()
+        with pytest.raises(NoConvergence, match=r"^slice moments at grid 512 not finite \(change nan\)$"):
+            slice_moments(OVERFLOWING, WORKED_DEG, theta, 0)
+        assert computed == [256, 512]
+
+
 def test_torus_grid_peaks_stay_near_one_complex_grid():
     # a 1024^2 complex grid is 16 MiB; the density adds one real grid of 8 MiB
     p, deg, window = near_boundary_draw()

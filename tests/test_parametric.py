@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bscd.errors import IndexOutOfRange, NotPositiveDefinite
-from bscd import parametric, schur_cohn
+from bscd import measure, parametric, schur_cohn
+from bscd.cd_kernel import cd_kernel_set, slice_gram
 from bscd.measure import random_stable_poly, slice_moments, slice_inner_product
 from bscd.parametric import (
     gram_schmidt_slice_polynomials,
@@ -350,3 +351,49 @@ def test_slice_gram_entries_are_trig_polynomials(random_family, random_kernelset
         shifted = freq if freq <= grid // 2 else freq - grid
         if abs(shifted) > 2 * n:
             assert np.max(np.abs(spectrum[freq])) < 1e-9
+
+
+def fresh_lag_matrix(sm, rows, cols):
+    """The slice lag matrix gathered anew on every call."""
+    shifts = np.subtract.outer(np.arange(rows), np.arange(cols))
+    return np.asarray(sm.values)[..., sm.lag - shifts]
+
+
+def test_one_lag_matrix_gather_per_slice_stack(monkeypatch):
+    p, deg = random_stable_poly(4, 4, np.random.default_rng(11))
+    m = deg.m
+    thetas = angle_grid(32)
+    T = schur_cohn_matrix(p, deg)
+    ks = cd_kernel_set(p, deg, T)
+    k_lists = {j: [deg.n * (m - j) + 1] for j in range(m)}
+
+    def every_slice_pairing(sm):
+        op = parametric_polynomials(p, deg, thetas, T)
+        return [
+            orthogonality_check(op, sm)["gram"],
+            *gram_schmidt_slice_polynomials(sm),
+            slice_gram(ks, sm),
+            sm.lag_matrix(m, m),
+            *(entry["values"] for entry in moment_vanishing(p, deg, k_lists, T)["per_j"].values()),
+        ]
+
+    gathered = []
+    toeplitz = measure.SlicedMoments._toeplitz
+    gather = toeplitz.func
+
+    def counted(sm):
+        gathered.append(sm)
+        return gather(sm)
+
+    monkeypatch.setattr(toeplitz, "func", counted)
+    sm = slice_moments(p, deg, thetas, m - 1)
+    shared = every_slice_pairing(sm)
+    # one gather for the stack every pairing shares, one for the stack of the
+    # vanishing check's own angles; gram-schmidt alone used to take m (m - 1)
+    assert len(gathered) == 2 and gathered[0] is sm
+    # a pure gather: the values are those of a fresh gather per pairing
+    monkeypatch.setattr(measure.SlicedMoments, "lag_matrix", fresh_lag_matrix)
+    fresh = every_slice_pairing(slice_moments(p, deg, thetas, m - 1))
+    assert len(gathered) == 2
+    for a, b in zip(shared, fresh, strict=True):
+        assert np.array_equal(np.asarray(a), np.asarray(b))

@@ -20,7 +20,6 @@ from bscd.measure import (
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair, coefficient_matrix
 from bscd.schur_cohn import diagonal_average, schur_cohn_matrix
 from bscd.subspaces import (
-    KernelEvaluator,
     SubspaceSpec,
     cd_formula_residual,
     closed_form_kernel_pairing,
@@ -46,10 +45,29 @@ def orthonormal_complement_basis(spec, moments):
     return [Poly(dict(zip(spec.S1, column))) for column in basis.T]
 
 
-def kernel_section(K, y):
-    """The polynomial ``K(., y)`` of a kernel evaluator; pairing with it reproduces."""
-    phi_y = subspaces._monomial_values(K.spec.S1, y) @ K.basis
-    return Poly(dict(zip(K.spec.S1, K.basis @ np.conj(phi_y))))
+def monomial_values(S, point):
+    """The monomials of ``S`` at ``point = (z, w)``, along the last axis; ``z``
+    and ``w`` may be arrays of one shape, whose axes come first."""
+    z = np.asarray(point[0], dtype=complex)[..., None]
+    w = np.asarray(point[1], dtype=complex)[..., None]
+    exponents = np.asarray(S, dtype=int).reshape(-1, 2)
+    return z ** exponents[:, 0] * w ** exponents[:, 1]
+
+
+def span_kernel(spec, moments, x, y):
+    """``K(x; y) = v(x) B B^H conj(v(y))``, with ``v`` the monomials of ``S1``
+    and ``B`` the orthonormal basis of ``span(S1) - span(S2)`` over them."""
+    B = subspaces._complement_coefficients(spec, moments)
+    phi_x = monomial_values(spec.S1, x) @ B
+    phi_y = monomial_values(spec.S1, y) @ B
+    return np.sum(phi_x * np.conj(phi_y), axis=-1)
+
+
+def kernel_section(spec, moments, y):
+    """The polynomial ``K(., y)``; pairing with it reproduces."""
+    B = subspaces._complement_coefficients(spec, moments)
+    coeffs = B @ np.conj(monomial_values(spec.S1, y) @ B)
+    return Poly(dict(zip(spec.S1, coeffs)))
 
 
 # ----------------------------------------------------------------------
@@ -72,15 +90,14 @@ def test_gram_for_univariate_geometric_measure():
 
 def test_trivial_kernel_is_constant_one():
     table = moments_from_grid(Poly.constant(1), (3, 3))
-    K = KernelEvaluator(SubspaceSpec(((0, 0),)), table)
     for x in ((0.3, 0.1), (0.9j, -0.4)):
-        assert K.evaluate(x, (0.2, 0.7j)) == pytest.approx(1.0, abs=1e-14)
+        value = span_kernel(SubspaceSpec(((0, 0),)), table, x, (0.2, 0.7j))
+        assert value == pytest.approx(1.0, abs=1e-14)
 
 
 def test_reproducing_property_on_full_and_difference_spans(worked_moments):
     rng = np.random.default_rng(31)
     spec = SubspaceSpec(monomial_rect(0, 2, 0, 1), monomial_rect(0, 0, 0, 1))
-    K = KernelEvaluator(spec, worked_moments)
     basis = orthonormal_complement_basis(spec, worked_moments)
     for _ in range(5):
         coeffs = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
@@ -88,7 +105,7 @@ def test_reproducing_property_on_full_and_difference_spans(worked_moments):
         for c, phi in zip(coeffs, basis):
             f = f + phi.scale(c)
         y = (0.5 * np.exp(2j * np.pi * rng.uniform()), 0.6 * np.exp(2j * np.pi * rng.uniform()))
-        paired = inner_product(f, kernel_section(K, y), worked_moments)
+        paired = inner_product(f, kernel_section(spec, worked_moments, y), worked_moments)
         assert abs(paired - f(*y)) < 1e-9
 
 
@@ -108,12 +125,11 @@ def difference_of_inverses_kernel(spec, moments, x, y):
 def test_kernel_equals_orthonormal_basis_sum(worked_moments):
     rng = np.random.default_rng(32)
     spec = SubspaceSpec(monomial_rect(0, 2, 0, 1), monomial_rect(0, 1, 0, 0))
-    K = KernelEvaluator(spec, worked_moments)
     basis = orthonormal_complement_basis(spec, worked_moments)
     for _ in range(10):
         x = (rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal())
         y = (rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal())
-        direct = K.evaluate(x, y)
+        direct = span_kernel(spec, worked_moments, x, y)
         summed = sum(phi(*x) * np.conj(phi(*y)) for phi in basis)
         reference = difference_of_inverses_kernel(spec, worked_moments, x, y)
         assert abs(direct - summed) < 1e-10 * max(1.0, abs(direct))
@@ -124,12 +140,14 @@ def test_corner_value_of_first_difference_kernel(worked_moments):
     # span{1, z} minus span{1}: exact moments give (9 - 3 sqrt 5) / 2 at the
     # origin; the frequently-guessed value a0(0)^2/9 = 1 is not the kernel
     # of this two-monomial span (it would need a z^2 component).
-    K = KernelEvaluator(
-        SubspaceSpec(monomial_rect(0, 1, 0, 0), monomial_rect(0, 0, 0, 0)),
-        worked_moments,
-    )
+    spec = SubspaceSpec(monomial_rect(0, 1, 0, 0), monomial_rect(0, 0, 0, 0))
     expected = (9 - 3 * np.sqrt(5)) / 2
-    assert K.evaluate((0, 0), (0, 0)) == pytest.approx(expected, abs=1e-9)
+    value = span_kernel(spec, worked_moments, (0, 0), (0, 0))
+    assert value == pytest.approx(expected, abs=1e-9)
+    # the matrix form of the Christoffel-Darboux check holds the same value
+    # as the coefficient of the pair (1, 1) of its first kernel
+    E1 = cd_formula_residual(WORKED, WORKED_DEG, worked_moments)["E1"]
+    assert E1[0, 0, 0, 0] == pytest.approx(expected, abs=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -518,50 +536,91 @@ def test_orthogonality_window_is_what_the_reports_read():
 # ----------------------------------------------------------------------
 
 
+def cd_specs(deg):
+    """The two one-step difference spans of the Christoffel-Darboux identity."""
+    n, m = deg
+    narrow_w = SubspaceSpec(monomial_rect(0, n, 0, m - 1), monomial_rect(0, n - 1, 0, m - 1))
+    narrow_z = SubspaceSpec(monomial_rect(0, n - 1, 0, m), monomial_rect(0, n - 1, 1, m))
+    return narrow_w, narrow_z
+
+
+def sampled_cd_residual(p, deg, moments, points):
+    """The identity at sampled points ``(z, w, z1, w1)``: the largest
+    ``|lhs - rhs|``, with each kernel evaluated as ``v(x) B B^H conj(v(y))``."""
+    z, w, z1, w1 = np.asarray(list(points), dtype=complex).reshape(-1, 4).T
+    x, y = (z, w), (z1, w1)
+    pr = p.reflect(deg)
+    lhs = p(*x) * np.conj(p(*y)) - pr(*x) * np.conj(pr(*y))
+    narrow_w, narrow_z = cd_specs(deg)
+    rhs = (1 - w * np.conj(w1)) * span_kernel(narrow_w, moments, x, y)
+    rhs += (1 - z * np.conj(z1)) * span_kernel(narrow_z, moments, x, y)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def bidisk_points(rng, count):
+    """``count`` points ``(z, w, z1, w1)``, each coordinate uniform on the disk."""
+    radius, turn = rng.uniform(size=(2, count, 4))
+    return np.sqrt(radius) * np.exp(2j * np.pi * turn)
+
+
 def test_cd_formula_origin_value(worked_moments):
     pr = WORKED.reflect(WORKED_DEG)
     lhs = WORKED(0, 0) * np.conj(WORKED(0, 0)) - pr(0, 0) * np.conj(pr(0, 0))
     assert lhs == pytest.approx(9.0, abs=1e-12)
-    result = cd_formula_residual(WORKED, WORKED_DEG, worked_moments, [(0, 0, 0, 0)])
+    result = cd_formula_residual(WORKED, WORKED_DEG, worked_moments)
     assert result["max_residual"] < 1e-10
+    # at the origin each side is its coefficient of the pair (1, 1)
+    origin = result["E1"][0, 0, 0, 0] + result["E2"][0, 0, 0, 0]
+    assert origin == pytest.approx(9.0, abs=1e-10)
+    assert sampled_cd_residual(WORKED, WORKED_DEG, worked_moments, [(0, 0, 0, 0)]) < 1e-10
 
 
 def test_cd_formula_on_random_points(random_family_with_moments):
+    # the acceptance cases: the worked example and the random family; the
+    # sampled identity and the coefficient identity both hold on each
     rng = np.random.default_rng(34)
-    for p, deg, table in random_family_with_moments:
-        points = [
-            tuple(
-                np.sqrt(rng.uniform(size=4)) * np.exp(2j * np.pi * rng.uniform(size=4))
-            )
-            for _ in range(100)
-        ]
-        assert cd_formula_residual(p, deg, table, points)["max_residual"] < 1e-9
+    cases = [(WORKED, WORKED_DEG, moments_from_grid(WORKED, (6, 6)))]
+    cases += random_family_with_moments
+    for p, deg, table in cases:
+        assert sampled_cd_residual(p, deg, table, bidisk_points(rng, 100)) < 1e-9
+        assert cd_formula_residual(p, deg, table)["max_residual"] < 1e-9
 
 
-def test_stacked_kernel_values_are_the_per_point_values(random_family_with_moments):
-    rng = np.random.default_rng(35)
+def test_cd_formula_coefficients_are_the_sampled_identity(random_family_with_moments):
+    # E1 and E2 are the kernels on the box: summing them against monomials
+    # gives the sampled kernels back
+    rng = np.random.default_rng(36)
     for p, deg, table in random_family_with_moments:
         n, m = deg
-        K = KernelEvaluator(
-            SubspaceSpec(monomial_rect(0, n, 0, m - 1), monomial_rect(0, n - 1, 0, m - 1)),
-            table,
-        )
-        z, w, z1, w1 = np.sqrt(rng.uniform(size=(4, 30))) * np.exp(
-            2j * np.pi * rng.uniform(size=(4, 30))
-        )
-        stacked = K.evaluate((z, w), (z1, w1))
-        assert stacked.shape == (30,)
-        for k in range(30):
-            single = K.evaluate((z[k], w[k]), (z1[k], w1[k]))
-            assert type(single) is complex
-            assert abs(stacked[k] - single) <= 1e-12 * max(1.0, abs(single))
+        result = cd_formula_residual(p, deg, table)
+        z, w, z1, w1 = bidisk_points(rng, 20).T
+        box = monomial_rect(0, n, 0, m)
+        vx = monomial_values(box, (z, w))
+        vy = monomial_values(box, (z1, w1))
+        for E, spec in zip((result["E1"], result["E2"]), cd_specs(deg)):
+            summed = np.einsum("ka,ab,kb->k", vx, E.reshape(len(box), len(box)), np.conj(vy))
+            direct = span_kernel(spec, table, (z, w), (z1, w1))
+            assert np.max(np.abs(summed - direct)) < 1e-10 * max(1.0, np.max(np.abs(direct)))
+
+
+def test_cd_formula_fails_on_the_table_of_another_polynomial(random_family):
+    # a planted defect: the kernels of another stable polynomial's measure
+    # against p, at the degree of p
+    rng = np.random.default_rng(37)
+    for p, deg in random_family:
+        n, m = deg
+        other, _ = random_stable_poly(n, m, rng)
+        result = cd_formula_residual(p, deg, moments_from_grid(other, (n + 1, m + 1)))
+        assert result["max_residual"] > 1e-3
+        (i, j), (k, l) = result["argmax"]
+        assert 0 <= i <= n and 0 <= k <= n and 0 <= j <= m and 0 <= l <= m
 
 
 def test_cd_formula_needs_both_degrees(worked_moments):
     p = Poly({(0, 0): 2, (0, 1): -1})
     table = moments_from_grid(p, (2, 3))
     with pytest.raises(DegenerateDegree):
-        cd_formula_residual(p, DegreePair(0, 1), table, [(0, 0, 0, 0)])
+        cd_formula_residual(p, DegreePair(0, 1), table)
 
 
 # ----------------------------------------------------------------------
