@@ -2,7 +2,8 @@
 """Three independent constructions of the parametrized kernel coefficients.
 
 Route 1 reads the family a_0 .. a_{m-1} off the Schur-Cohn matrix.
-Route 2 forms the rational quotient and divides out (1 - w conj(eta)).
+Route 2 divides the Christoffel-Darboux numerator by (1 - w conj(eta)),
+with conj(eta) formal, so one division gives the whole family.
 Route 3 writes each a_j as p * A_j + reflect(p) * B_j from explicit
 cofactor polynomials.  All three agree coefficientwise.
 """
@@ -23,8 +24,8 @@ print(f"  a_0 from the matrix route : {dict(ks.a[0].items())}")
 print(f"  cofactors                 : A_0 = {dict(ks.A[0].items())}, B_0 = {dict(ks.B[0].items())}")
 recombined = p * ks.A[0] + p.reflect(deg) * ks.B[0]
 print(f"  p*A_0 + reflect(p)*B_0    : {dict(recombined.items())}")
-dd = kernel_by_divided_difference(p, deg, 0.3 + 0.4j)
-print(f"  divided-difference route  : {dict(dd.items())}   (parameter drops out, m = 1)")
+(dd,) = kernel_by_divided_difference(p, deg)
+print(f"  divided-difference route  : {dict(dd.items())}")
 print()
 
 rng = np.random.default_rng(11)
@@ -32,12 +33,10 @@ q, qdeg = random_stable_poly(2, 2, rng)
 kq = cd_kernel_set(q, qdeg)
 print(f"random stable polynomial, degree {tuple(qdeg)}")
 print("---------------------------------------")
-worst = 0.0
-for _ in range(20):
-    eta = complex(rng.normal(), rng.normal()) * 0.5
-    direct = kernel_by_divided_difference(q, qdeg, eta)
-    worst = max(worst, (direct - kq.parameter_sum(eta)).max_abs())
-print(f"  20 random parameters, route 1 vs route 2: max coeff diff {worst:.2e}")
+worst = max(
+    (direct - aj).max_abs() for direct, aj in zip(kernel_by_divided_difference(q, qdeg), kq.a)
+)
+print(f"  route 1 vs route 2 on every a_j                : max coeff diff {worst:.2e}")
 
 worst = 0.0
 for j in range(qdeg.m):

@@ -7,8 +7,9 @@ Three independent construction routes are provided, and the ``cd-kernel``
 suite of the command line checks them against each other:
 
 1. :func:`kernel_coefficients` reads the family off the Schur-Cohn matrix.
-2. :func:`kernel_by_divided_difference` forms the rational quotient
-   directly and divides out the parameter factor synthetically.
+2. :func:`kernel_by_divided_difference` divides the numerator of the
+   Christoffel-Darboux formula by the parameter factor, with the parameter
+   formal.
 3. :func:`cofactor_decomposition` produces polynomials A_j, B_j with
    ``a_j = p * A_j + reflect(p) * B_j``.
 
@@ -73,48 +74,43 @@ def kernel_coefficients(
     return tuple(BivariateLaurentPoly.from_array(T.coeffs[:, j].T) for j in range(deg.m))
 
 
+def cd_numerator(p: BivariateLaurentPoly, deg: DegreePair) -> np.ndarray:
+    """Coefficients of ``p(x) conj(p(y)) - pr(x) conj(pr(y))``, ``pr`` the
+    reflection of ``p``, ``x = (z, w)`` and ``y = (z1, w1)``: entry ``[i, j,
+    k, l]`` is the coefficient of ``z^i w^j conj(z1^k w1^l)`` on the box."""
+    box = (0, deg.n, 0, deg.m)
+    c, cr = p.coefficient_window(box), p.reflect(deg).coefficient_window(box)
+    return np.multiply.outer(c, c.conj()) - np.multiply.outer(cr, cr.conj())
+
+
 def kernel_by_divided_difference(
     p: BivariateLaurentPoly,
     deg: DegreePair,
-    eta: complex,
-) -> BivariateLaurentPoly:
-    """Kernel at parameter ``eta`` from the rational quotient route.
+) -> tuple[BivariateLaurentPoly, ...]:
+    """Coefficient family from the rational quotient route.
 
-    Builds the numerator ``p(z,w) * conj(p(1/conj z, eta)) - reflect(p)(z,w)
-    * conj(reflect(p)(1/conj z, eta))`` as a Laurent polynomial in (z, w),
-    divides synthetically by ``1 - w conj(eta)`` and clears ``z^n``.  The
-    division is exact in theory; a remainder above tolerance signals a bug
-    upstream.
+    At ``y = (1/conj z, eta)`` the :func:`cd_numerator` has the coefficient
+    ``N[e + n, t, j]`` at ``z^e w^t conj(eta)^j``: the sum of its entries
+    ``[i1, t, i2, j]`` with ``i1 - i2 = e``.  Dividing by ``1 - w conj(eta)``,
+    ``conj(eta)`` formal, gives ``Q[:, t, j] = N[:, t, j] + Q[:, t-1, j-1]``,
+    and ``Q[:, :m, j]`` is ``a_j``.  The division is exact in theory: the
+    ``w^m`` row and ``conj(eta)^m`` column of ``Q`` are its remainder, and
+    one above tolerance signals a bug upstream.
     """
     n, m = deg
     if m == 0:
         raise DegenerateDegree("kernel needs degree at least 1 in w")
-    p._require_support_in_box(deg)
-    eta_bar = complex(eta).conjugate()
-    pr = p.reflect(deg)
-
-    powers = eta_bar ** np.arange(m + 1)
-
-    # conj(q(1/conj z, eta)) as a z-only Laurent polynomial, for q in {p, pr}:
-    # its coefficient at z^-i is sum_j conj(q[i, j]) eta_bar^j
-    def conjugated_section(q: BivariateLaurentPoly) -> BivariateLaurentPoly:
-        column = q.coefficient_window((0, n, 0, m)).conj() @ powers
-        return BivariateLaurentPoly.from_array(column[::-1, None], (-n, 0))
-
-    numerator = p * conjugated_section(p) - pr * conjugated_section(pr)
-
-    # synthetic division by (1 - w*eta_bar), ascending in the w-degree; the
-    # z-exponents -n .. n of the numerator become 0 .. 2n of the kernel
-    slices = numerator.coefficient_window((-n, n, 0, m))
-    quotient = np.empty((2 * n + 1, m), dtype=complex)
-    quotient[:, 0] = slices[:, 0]
-    for t in range(1, m):
-        quotient[:, t] = slices[:, t] + eta_bar * quotient[:, t - 1]
-    remainder = np.max(np.abs(slices[:, m] + eta_bar * quotient[:, m - 1]))
-    scale = max(numerator.max_abs(), 1.0)
+    L = cd_numerator(p, deg)
+    Q = np.zeros((2 * n + 1, m + 1, m + 1), dtype=complex)
+    for i2 in range(n + 1):
+        Q[n - i2 : 2 * n + 1 - i2] += L[:, :, i2, :]
+    scale = max(float(np.max(np.abs(Q))), 1.0)
+    for t in range(1, m + 1):
+        Q[:, t, 1:] += Q[:, t - 1, :-1]
+    remainder = max(np.max(np.abs(Q[:, m])), np.max(np.abs(Q[:, :, m])))
     if remainder > DIVISION_REMAINDER_TOL * scale:
         raise NonzeroRemainder(f"division remainder {remainder:.3e} (scale {scale:.3e})")
-    return BivariateLaurentPoly.from_array(quotient)
+    return tuple(BivariateLaurentPoly.from_array(Q[:, :m, j]) for j in range(m))
 
 
 def cofactor_decomposition(

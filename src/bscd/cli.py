@@ -283,30 +283,23 @@ def _suite_schur_cohn(art: Artifacts, cfg: RunConfig):
 
 def _suite_cd_kernel(art: Artifacts, cfg: RunConfig):
     ks = art.get("kernelset")
-    n, m = cfg.deg
-    rng = np.random.default_rng(SEED)
-    residuals = []
-    for _ in range(20):
-        eta = complex(rng.normal(), rng.normal()) * 0.5
-        direct = cd_kernel.kernel_by_divided_difference(cfg.polynomial, cfg.deg, eta)
-        residuals.append((direct - ks.parameter_sum(eta)).max_abs())
-    for j in range(m):
-        recombined = cfg.polynomial * ks.A[j] + cfg.polynomial.reflect(cfg.deg) * ks.B[j]
-        residuals.append((recombined - ks.a[j]).max_abs())
-        mirrored = ks.a[m - j - 1].reflect(DegreePair(2 * n, m - 1))
-        residuals.append((mirrored - ks.a[j]).max_abs())
+    p, (n, m) = cfg.polynomial, cfg.deg
+    pr, mirror = p.reflect(cfg.deg), DegreePair(2 * n, m - 1)
+
+    def gap_to_a(family):
+        return _worst((f - aj).max_abs() for f, aj in zip(family, ks.a))
+
     # second route: the sliced Gram of the a_j is T(e^{i theta}) on the grid
-    T = art.get("matrix")
     sl = art.get("slices")
-    Tc = schur_cohn.evaluate_on_circle(T, sl.theta)
+    Tc = schur_cohn.evaluate_on_circle(art.get("matrix"), sl.theta)
     gap = np.max(np.abs(cd_kernel.slice_gram(ks, sl) - Tc))
-    slice_gram_max = float(gap / max(1.0, np.max(np.abs(Tc))))
-    violation = _worst(residuals + [slice_gram_max])
-    details = {
-        "slice_gram_max": slice_gram_max,
-        "a": [aj.to_json_dict(DegreePair(2 * n, m - 1)) for aj in ks.a],
+    checks = {
+        "divided_difference_max": gap_to_a(cd_kernel.kernel_by_divided_difference(p, cfg.deg)),
+        "cofactor_max": gap_to_a(p * A + pr * B for A, B in zip(ks.A, ks.B)),
+        "mirror_max": gap_to_a(aj.reflect(mirror) for aj in reversed(ks.a)),
+        "slice_gram_max": float(gap / max(1.0, np.max(np.abs(Tc)))),
     }
-    return violation, details
+    return _worst(checks.values()), {**checks, "a": [aj.to_json_dict(mirror) for aj in ks.a]}
 
 
 def _suite_verify_orthogonality(art: Artifacts, cfg: RunConfig):

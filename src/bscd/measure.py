@@ -343,7 +343,8 @@ def _refine(compute, count: int, start: int, cap: int, tol: float, what: str):
     while True:
         size *= 2
         cur = compute(size, rows)
-        change = np.max(np.abs(cur - prev).reshape(len(rows), -1), axis=1)
+        with np.errstate(invalid="ignore"):
+            change = np.max(np.abs(cur - prev).reshape(len(rows), -1), axis=1)
         if not np.isfinite(change).all():
             bad = change[~np.isfinite(change)][0]
             raise NoConvergence(f"{what} {size} not finite (change {bad:.3e})")
@@ -370,15 +371,17 @@ def _density_window(values: np.ndarray, window: tuple[int, ...]) -> np.ndarray:
     result keeps the leading axes and holds the frequencies ``|k| <= K`` of
     each transformed axis, ``K`` its entry of ``window``.
     """
-    density = np.abs(values)
-    density **= 2
-    np.divide(1.0, density, out=density)
-    values[...] = density
-    del density
-    axes = range(values.ndim - len(window), values.ndim)
-    for K, axis in zip(reversed(window), reversed(axes)):
-        np.fft.ifft(values, axis=axis, out=values)
-        values = values.take(np.arange(-K, K + 1) % values.shape[axis], axis=axis)
+    # a window that overflowed is reported by _refine, so numpy's warnings are off
+    with np.errstate(all="ignore"):
+        density = np.abs(values)
+        density **= 2
+        np.divide(1.0, density, out=density)
+        values[...] = density
+        del density
+        axes = range(values.ndim - len(window), values.ndim)
+        for K, axis in zip(reversed(window), reversed(axes)):
+            np.fft.ifft(values, axis=axis, out=values)
+            values = values.take(np.arange(-K, K + 1) % values.shape[axis], axis=axis)
     return values
 
 
@@ -500,17 +503,18 @@ def _series_window(d: np.ndarray, A: int, B: int) -> np.ndarray:
     P, Q = d.shape
     # the transform runs in the buffer of d, and its real and imaginary parts
     # are squared there, so |F|^2 is the only other array of that size
-    np.fft.fft(d, axis=1, out=d)
-    np.fft.fft(d, axis=0, out=d)
-    squares = d.view(np.float64)
-    del d
-    squares *= squares
-    power = squares[:, 0::2] + squares[:, 1::2]
-    del squares
-    half = np.fft.rfft(power, axis=1)
-    del power
-    half = np.fft.fft(half[:, : min(B, Q // 2) + 1], axis=0)
-    half /= P * Q
+    with np.errstate(all="ignore"):  # as in _density_window
+        np.fft.fft(d, axis=1, out=d)
+        np.fft.fft(d, axis=0, out=d)
+        squares = d.view(np.float64)
+        del d
+        squares *= squares
+        power = squares[:, 0::2] + squares[:, 1::2]
+        del squares
+        half = np.fft.rfft(power, axis=1)
+        del power
+        half = np.fft.fft(half[:, : min(B, Q // 2) + 1], axis=0)
+        half /= P * Q
     rows = np.arange(-A, A + 1) % P
     cols = np.arange(-B, B + 1) % Q
     folded = cols > Q // 2

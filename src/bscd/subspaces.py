@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cd_kernel import CDKernelSet
+from .cd_kernel import CDKernelSet, cd_numerator
 from .errors import DegenerateDegree, IllConditionedGram
 from .measure import MomentTable, ensure_stable, torus_grid_values
 from .poly import BivariateLaurentPoly, DegreePair, coefficient_matrix
@@ -361,10 +361,7 @@ def cd_formula_residual(
     rhs = E1 + E2
     rhs[:, 1:, :, 1:] -= K1
     rhs[1:, :, 1:, :] -= K2
-    box = (0, n, 0, m)
-    c, cr = p.coefficient_window(box), p.reflect(deg).coefficient_window(box)
-    lhs = np.multiply.outer(c, c.conj()) - np.multiply.outer(cr, cr.conj())
-    gap = np.abs(lhs - rhs)
+    gap = np.abs(cd_numerator(p, deg) - rhs)
     at = np.unravel_index(int(np.argmax(gap)), gap.shape)
     return {
         "max_residual": float(gap[at]),

@@ -74,9 +74,8 @@ def test_criterion_1_worked_example_kernel():
         assert check_stability(WORKED, WORKED_DEG).stable
         from_matrix = kernel_coefficients(WORKED, WORKED_DEG)[0]
         assert (from_matrix - A0_WORKED).max_abs() <= 1e-10
-        for eta in (0.0, 0.3 + 0.4j, -0.8j):
-            from_quotient = kernel_by_divided_difference(WORKED, WORKED_DEG, eta)
-            assert (from_quotient - A0_WORKED).max_abs() <= 1e-10
+        (from_quotient,) = kernel_by_divided_difference(WORKED, WORKED_DEG)
+        assert (from_quotient - A0_WORKED).max_abs() <= 1e-10
         table = moments_from_grid(WORKED, (4, 2))
         (from_orthogonality,) = reconstruct_kernel_coefficients(
             WORKED, WORKED_DEG, table, schur_cohn_matrix(WORKED, WORKED_DEG)

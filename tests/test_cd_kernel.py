@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bscd import cd_kernel
 from bscd.cd_kernel import (
     cd_kernel_set,
     cofactor_decomposition,
@@ -10,7 +11,7 @@ from bscd.cd_kernel import (
     kernel_coefficients,
     slice_gram,
 )
-from bscd.errors import DegenerateDegree
+from bscd.errors import DegenerateDegree, NonzeroRemainder
 from bscd.measure import slice_inner_product, slice_moments, w_slice
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair, angle_grid
 from bscd.schur_cohn import evaluate_on_circle, schur_cohn_matrix
@@ -30,20 +31,70 @@ def test_matrix_route_worked_examples():
     )
 
 
+def divided_difference_at(p, deg, eta):
+    """The kernel at parameter ``eta`` by one synthetic division: the numerator
+    ``p(z,w) conj(p(1/conj z, eta)) - pr(z,w) conj(pr(1/conj z, eta))`` as a
+    Laurent polynomial in (z, w), divided by ``1 - w conj(eta)``."""
+    n, m = deg
+    eta_bar = complex(eta).conjugate()
+    pr = p.reflect(deg)
+    powers = eta_bar ** np.arange(m + 1)
+
+    def conjugated_section(q):
+        column = q.coefficient_window((0, n, 0, m)).conj() @ powers
+        return Poly.from_array(column[::-1, None], (-n, 0))
+
+    numerator = p * conjugated_section(p) - pr * conjugated_section(pr)
+    slices = numerator.coefficient_window((-n, n, 0, m))
+    quotient = np.empty((2 * n + 1, m), dtype=complex)
+    quotient[:, 0] = slices[:, 0]
+    for t in range(1, m):
+        quotient[:, t] = slices[:, t] + eta_bar * quotient[:, t - 1]
+    remainder = np.max(np.abs(slices[:, m] + eta_bar * quotient[:, m - 1]))
+    assert remainder < 1e-11 * max(numerator.max_abs(), 1.0)
+    return Poly.from_array(quotient)
+
+
 def test_divided_difference_is_parameter_free_when_m_is_one():
+    assert kernel_by_divided_difference(WORKED, WORKED_DEG) == (A0_WORKED,)
+    assert kernel_by_divided_difference(UNIV, DegreePair(0, 1)) == (Poly.constant(3),)
+    assert kernel_by_divided_difference(PRODUCT, DegreePair(1, 1)) == (
+        Poly({(0, 0): -6, (1, 0): 15, (2, 0): -6}),
+    )
     for eta in (0.3 + 0.4j, 0.0, -0.9j):
-        result = kernel_by_divided_difference(WORKED, WORKED_DEG, eta)
-        assert (result - A0_WORKED).max_abs() < 1e-12
+        assert (divided_difference_at(WORKED, WORKED_DEG, eta) - A0_WORKED).max_abs() < 1e-12
 
 
 def test_divided_difference_matches_matrix_route(random_family):
-    rng = np.random.default_rng(21)
     for p, deg in random_family:
         ks = cd_kernel_set(p, deg)
+        family = kernel_by_divided_difference(p, deg)
+        assert len(family) == deg.m
+        for direct, aj in zip(family, ks.a):
+            assert (direct - aj).max_abs() < 1e-10
+
+
+def test_family_at_a_parameter_is_the_per_parameter_division(random_family):
+    rng = np.random.default_rng(21)
+    for p, deg in random_family:
+        family = cd_kernel.CDKernelSet(a=kernel_by_divided_difference(p, deg), deg=deg)
         for _ in range(20):
             eta = complex(rng.normal(), rng.normal()) * 0.6
-            direct = kernel_by_divided_difference(p, deg, eta)
-            assert (direct - ks.parameter_sum(eta)).max_abs() < 1e-10
+            reference = divided_difference_at(p, deg, eta)
+            assert (family.parameter_sum(eta) - reference).max_abs() < 1e-10
+
+
+def test_numerator_of_a_wrong_reflection_leaves_a_remainder(random_family, monkeypatch):
+    # reflecting in z alone: the numerator no longer vanishes at w conj(eta) = 1
+    def wrong_numerator(p, deg):
+        c = p.coefficient_window((0, deg.n, 0, deg.m))
+        cr = c[::-1].conj()
+        return np.multiply.outer(c, c.conj()) - np.multiply.outer(cr, cr.conj())
+
+    monkeypatch.setattr(cd_kernel, "cd_numerator", wrong_numerator)
+    for p, deg in [(WORKED, WORKED_DEG)] + random_family:
+        with pytest.raises(NonzeroRemainder):
+            kernel_by_divided_difference(p, deg)
 
 
 def test_cofactor_decomposition_worked_examples():
@@ -126,6 +177,8 @@ def test_degenerate_degree_raises():
         kernel_coefficients(p, DegreePair(1, 0))
     with pytest.raises(DegenerateDegree):
         cofactor_decomposition(p, DegreePair(1, 0))
+    with pytest.raises(DegenerateDegree):
+        kernel_by_divided_difference(p, DegreePair(1, 0))
 
 
 # ----------------------------------------------------------------------

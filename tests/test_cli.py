@@ -379,6 +379,12 @@ def _shift_first_lag(sm):
     [
         ("cd-kernel", "kernelset", _scale_one_coefficient, lambda d: d["slice_gram_max"]),
         (
+            "cd-kernel",
+            "kernelset",
+            _scale_one_coefficient,
+            lambda d: d["divided_difference_max"],
+        ),
+        (
             "verify-orthogonality",
             "kernelset",
             _scale_one_coefficient,
@@ -392,7 +398,13 @@ def _shift_first_lag(sm):
             lambda d: max(row["gram_schmidt_residual"] for row in d["rows"]),
         ),
     ],
-    ids=["slice_gram_max", "reconstruction_max", "pivot_max", "gram_schmidt_residual"],
+    ids=[
+        "slice_gram_max",
+        "divided_difference_max",
+        "reconstruction_max",
+        "pivot_max",
+        "gram_schmidt_residual",
+    ],
 )
 def test_each_second_route_can_fail(tmp_path, capsys, monkeypatch, suite, artifact, perturb, read):
     p, deg = measure.random_stable_poly(2, 2, np.random.default_rng(3))
@@ -542,6 +554,44 @@ def test_full_run_on_worked_example(tmp_path):
     assert cli.exit_code(reports) == 0
 
 
+def _run_all(tmp_path, name, polynomial):
+    """Exit code and report of ``bscd all`` on ``polynomial``."""
+    config, out = tmp_path / f"{name}.json", tmp_path / f"{name}-report.json"
+    config.write_text(json.dumps({"polynomial": polynomial}))
+    code = cli.main(["all", "--config", str(config), "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("degree", [None, (2, 3), (3, 1)], ids=["worked", "2x3", "3x1"])
+def test_swapping_z_and_w_transposes_the_run(tmp_path, degree):
+    # p(w, z) at degree (m, n) has the moments c[b, a] of p at (n, m), so
+    # every suite decides alike and the grid tables agree where both reach
+    if degree is None:
+        p, deg = WORKED, WORKED_DEG
+    else:
+        p, deg = measure.random_stable_poly(*degree, np.random.default_rng(5))
+    polynomial = p.to_json_dict(deg)
+    swapped = {
+        "n": deg.m,
+        "m": deg.n,
+        "coeffs": [list(column) for column in zip(*polynomial["coeffs"])],
+    }
+    code, doc = _run_all(tmp_path, "p", polynomial)
+    swapped_code, swapped_doc = _run_all(tmp_path, "swapped", swapped)
+    assert code == swapped_code
+    assert {k: v["status"] for k, v in doc.items()} == {
+        k: v["status"] for k, v in swapped_doc.items()
+    }
+
+    def table(report):
+        values = report["moments"]["details"]["table"]["values"]
+        return {(a, b): complex(re, im) for a, b, re, im in values}
+
+    grid, swapped_grid = table(doc), table(swapped_doc)
+    common = [(a, b) for a, b in grid if (b, a) in swapped_grid]
+    assert max(abs(grid[a, b] - swapped_grid[b, a]) for a, b in common) <= 1e-15
+
+
 def test_worked_example_pins_the_fixed_extents(tmp_path):
     # every run verifies 32 angles, frequencies up to bound + 3 and the
     # moment window of margin 4 and shift_max 2 at degree (1, 1)
@@ -557,9 +607,14 @@ def test_worked_example_pins_the_fixed_extents(tmp_path):
 
 def test_worked_example_report_shape(tmp_path):
     # a report field leaves or returns only through an edit of this test
-    path = write_config(tmp_path, suites=["stability", "parametric"])
+    path = write_config(tmp_path, suites=["stability", "cd-kernel", "parametric"])
     doc = json.loads(cli.render_report(cli.run(cli.load_config(path))))
     assert doc["stability"]["tolerance"] == 1.0
+    # cd-kernel reports each of its four checks, and fails on the largest
+    details = doc["cd-kernel"]["details"]
+    checks = ["divided_difference_max", "cofactor_max", "mirror_max", "slice_gram_max"]
+    assert list(details) == checks + ["a"]
+    assert doc["cd-kernel"]["max_violation"] == max(details[name] for name in checks)
     rows = doc["parametric"]["details"]["rows"]
     assert len(rows) == cli.THETA_GRID
     for row in rows:

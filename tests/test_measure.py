@@ -264,7 +264,7 @@ def test_refine_raises_at_the_first_non_finite_change():
 OVERFLOWING = Poly({(0, 0): 3e-200, (1, 0): -1e-200, (0, 1): -1e-200})
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_overflowing_density_fails_at_the_first_doubling(monkeypatch):
     computed = []
     window = measure._density_window
