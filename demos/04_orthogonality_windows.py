@@ -4,8 +4,11 @@
 Each a_k annihilates every monomial of an L-shaped index region: the whole
 strip 0 <= j < m except the single monomial z^n w^k, plus two quadrant
 pieces.  The family is also dual to the shifted monomials z^(j+n) w^k (each
-such pairing is a strip pairing, conjugated), and each a_k can be *reconstructed* from those relations alone, up to the norm
-fixed by the circle average of the matching Schur-Cohn diagonal entry.
+such pairing is a strip pairing, conjugated), each z^s a_k stays orthogonal
+to the monomials z^i w^j with i < n, j >= 0 (a strip or quadrant pairing of
+a_k itself), and each a_k can be *reconstructed* from those relations alone,
+up to the norm fixed by the circle average of the matching Schur-Cohn
+diagonal entry.
 """
 
 import numpy as np
@@ -20,7 +23,7 @@ from bscd import (
 )
 from bscd.measure import norm, random_stable_poly
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair
-from bscd.subspaces import in_coefficient_orthogonality_set
+from bscd.subspaces import MARGIN, in_coefficient_orthogonality_set
 
 p = Poly({(0, 0): 3, (1, 0): -1, (0, 1): -1})
 deg = DegreePair(1, 1)
@@ -50,11 +53,11 @@ rng = np.random.default_rng(23)
 q, qdeg = random_stable_poly(2, 2, rng)
 qtable = moments_from_grid(q, (14, 12))
 kq = cd_kernel_set(q, qdeg)
-report = orthogonality_report(q, qdeg, kq, qtable, margin=4)
+report = orthogonality_report(q, qdeg, kq, qtable)
 scale = min(norm(ak, qtable) for ak in kq.a)
 print(f"random stable polynomial, degree {tuple(qdeg)}")
 print("---------------------------------------")
-print("  pairings checked over the margin-4 rectangle, by relation family:")
+print(f"  pairings checked over the margin-{MARGIN} rectangle, by relation family:")
 for name, family in report.families.items():
     print(f"    {name}: {family.values.size}")
 print(f"  max violation: {report.max_violation:.2e}  (relative: {report.max_violation / scale:.2e})")

@@ -6,8 +6,8 @@ Command shape:
 
 The config holds the polynomial and, optionally, the suites, the tolerances
 and the output path.  Everything else is fixed or follows from the degree:
-the moment window, the orthogonality margin and shifts, the theta grid, the
-seed of the sampled points and the vanishing frequencies.
+the moment window, the theta grid, the seed of the sampled points and the
+vanishing frequencies; the orthogonality rectangle is fixed in ``subspaces``.
 
 Exit codes: 0 all pass, 1 any fail, 2 config error, 3 inconclusive (stability
 could not be decided near the boundary).  Suites run one after another in
@@ -67,10 +67,8 @@ SUITE_TOLERANCE_NAME = {
 
 CONFIG_KEYS = {"polynomial", "suites", "tolerances", "output"}
 
-# every run verifies the same extents: the orthogonality rectangle's margin and
-# shifts, the theta grid of the slice suites and the seed of the sampled points
-MARGIN = 4
-SHIFT_MAX = 2
+# every run verifies the same extents: the theta grid of the slice suites and
+# the seed of the sampled points
 THETA_GRID = 32
 SEED = 0
 
@@ -87,8 +85,8 @@ class RunConfig:
     def window(self) -> tuple[int, int]:
         """The moment window: the one verify-orthogonality reads, with ``|b|``
         widened to at least ``m + 2 MARGIN``."""
-        A, B = subspaces.orthogonality_window(self.deg, MARGIN, SHIFT_MAX)
-        return (A, max(B, self.deg.m + 2 * MARGIN))
+        A, B = subspaces.orthogonality_window(self.deg)
+        return (A, max(B, self.deg.m + 2 * subspaces.MARGIN))
 
 
 @dataclass
@@ -306,10 +304,8 @@ def _suite_verify_orthogonality(art: Artifacts, cfg: RunConfig):
     ks = art.get("kernelset")
     moments = art.get("moments")
     scale = min(measure.norm(ak, moments) for ak in ks.a)
-    base = subspaces.orthogonality_report(cfg.polynomial, cfg.deg, ks, moments, MARGIN)
-    shifts = subspaces.shift_orthogonality_report(
-        cfg.polynomial, cfg.deg, ks, moments, SHIFT_MAX, MARGIN
-    )
+    base = subspaces.orthogonality_report(cfg.polynomial, cfg.deg, ks, moments)
+    shifts = subspaces.shift_orthogonality_report(cfg.polynomial, cfg.deg, moments)
     families = {**base.families, **shifts.families}
     families = {name: family.summary(scale) for name, family in families.items()}
     # second route: each a_k recovered from its defining relations alone

@@ -12,12 +12,13 @@ condition-checked Cholesky factor (:func:`_complement_coefficients`), and for
 a whole span ``G^{-1} = B B^H``.
 
 The kernel coefficients ``a_k`` satisfy more orthogonality relations than
-the ones that define them.  :func:`orthogonality_report` and
-:func:`shift_orthogonality_report` check those relations over a window, each
-from one array of pairings, and return them split into relation families:
-the values plus the integer indices that name each pairing, picked by masks
-built from :func:`in_coefficient_orthogonality_set`.  The first report also
-reads the one pairing each ``a_k`` keeps.
+the ones that define them.  :func:`orthogonality_report` checks those
+relations over one rectangle, fixed by ``MARGIN`` and ``SHIFT_MAX``, from one
+array of pairings, and returns them split into relation families: the values
+plus the integer indices that name each pairing, picked by masks built from
+:func:`in_coefficient_orthogonality_set`.  It also reads the one pairing each
+``a_k`` keeps.  :func:`shift_orthogonality_report` checks that the complement
+space behind the span identities is orthogonal to its own z-shifts.
 :func:`reconstruct_kernel_coefficients` runs the converse, recovering every
 ``a_k`` from the defining relations alone.  The ``verify-orthogonality``
 suite of the command line reports all three.
@@ -41,6 +42,10 @@ from .poly import BivariateLaurentPoly, DegreePair, coefficient_matrix
 from .schur_cohn import LaurentMatrixPoly, diagonal_average
 
 GRAM_CONDITION_CAP = 1e12
+# the orthogonality rectangle reaches MARGIN past the index sets it checks,
+# and the shift relations run up to z^SHIFT_MAX
+MARGIN = 4
+SHIFT_MAX = 2
 
 
 # ----------------------------------------------------------------------
@@ -224,13 +229,11 @@ def _window_pairings(polys, moments: MomentTable, i0: int, i1: int, j0: int, j1:
     return R.reshape(i1 - i0 + 1, j1 - j0 + 1, F.shape[1])
 
 
-def orthogonality_window(
-    deg: DegreePair, margin: int = 4, shift_max: int = 2
-) -> tuple[int, int]:
+def orthogonality_window(deg: DegreePair) -> tuple[int, int]:
     """The moment window ``(max |a|, max |b|)`` that :func:`orthogonality_report`
-    and :func:`shift_orthogonality_report` read together."""
+    reads; :func:`shift_orthogonality_report` reads inside it."""
     n, m = deg
-    return (max(3 * n + margin + shift_max, n + 2 * margin), 2 * m + margin)
+    return (max(3 * n + MARGIN + SHIFT_MAX, n + 2 * MARGIN), 2 * m + MARGIN)
 
 
 def orthogonality_report(
@@ -238,21 +241,24 @@ def orthogonality_report(
     deg: DegreePair,
     kernelset: CDKernelSet,
     moments: MomentTable,
-    margin: int = 4,
 ) -> OrthReport:
-    """Check every annihilated monomial of each ``a_k`` over a margin rectangle.
+    """Check every annihilated monomial of each ``a_k`` over one rectangle.
 
-    The rectangle, ``min(-(n+margin), n-2 margin) <= i <= max(2n+margin,
-    n+2 margin)`` by ``-(m+margin) <= j <= 2m+margin``, holds each duality
-    relation ``<z^{j1+n} w^{k1}, z^{j2} a_{k2}> = 0`` with shifts up to the
-    margin, as its conjugate ``<a_{k2}, z^{n+j1-j2} w^{k1}>``: a strip
-    pairing.  The families ``strip`` (``0 <= j < m``), ``lower_quadrant``
-    (``j < 0``) and ``upper_quadrant`` (``j >= m``) are indexed by ``(k, i, j)``.
+    The rectangle, ``min(-(n+MARGIN+SHIFT_MAX), n-2 MARGIN) <= i <=
+    max(2n+MARGIN, n+2 MARGIN)`` by ``-(m+MARGIN) <= j <= 2m+MARGIN``, holds
+    each duality relation ``<z^{j1+n} w^{k1}, z^{j2} a_{k2}> = 0`` with shifts
+    up to the margin, as its conjugate ``<a_{k2}, z^{n+j1-j2} w^{k1}>``: a
+    strip pairing.  It also holds each shift relation ``<z^s a_k, z^i w^j> =
+    <a_k, z^{i-s} w^j> = 0`` with ``s <= SHIFT_MAX``, ``-(n+MARGIN) <= i < n``
+    and ``0 <= j <= m+MARGIN``: a strip or upper-quadrant pairing.  The
+    families ``strip`` (``0 <= j < m``), ``lower_quadrant`` (``j < 0``) and
+    ``upper_quadrant`` (``j >= m``) are indexed by ``(k, i, j)``.
     """
     ensure_stable(p, deg)
     n, m = deg
-    i0, i1 = min(-(n + margin), n - 2 * margin), max(2 * n + margin, n + 2 * margin)
-    j0, j1 = -(m + margin), 2 * m + margin
+    i0 = min(-(n + MARGIN + SHIFT_MAX), n - 2 * MARGIN)
+    i1 = max(2 * n + MARGIN, n + 2 * MARGIN)
+    j0, j1 = -(m + MARGIN), 2 * m + MARGIN
     R = _window_pairings(kernelset.a, moments, i0, i1, j0, j1)
     index = _index_grid(range(m), range(i0, i1 + 1), range(j0, j1 + 1))
     k, i, j = index.T
@@ -270,43 +276,29 @@ def orthogonality_report(
 
 
 def shift_orthogonality_report(
-    p: BivariateLaurentPoly,
-    deg: DegreePair,
-    kernelset: CDKernelSet,
-    moments: MomentTable,
-    shift_max: int = 2,
-    margin: int = 4,
+    p: BivariateLaurentPoly, deg: DegreePair, moments: MomentTable
 ) -> OrthReport:
-    """Shift-invariance checks behind the span identities.
+    """Shift invariance of the complement behind the span identities.
 
-    ``shift``, indexed by ``(s, k, i, j)``: ``z^s a_k`` stays orthogonal to
-    every window monomial ``z^i w^j`` with ``i < n, j >= 0``.
     ``complement_shift``, indexed by ``(s, bi, bj)``: the complement space
     spanned against the one-step-smaller box is orthogonal to its own
-    z-shifts, ``<z^s phi_bi, phi_bj> = 0`` on an orthonormalized basis.
+    z-shifts, ``<z^s phi_bi, phi_bj> = 0`` for ``1 <= s <= SHIFT_MAX`` on an
+    orthonormalized basis.
     """
     ensure_stable(p, deg)
     n, m = deg
-    i0 = -(n + margin + shift_max)
-    R = _window_pairings(kernelset.a, moments, i0, n - 1, 0, m + margin)
-    index = _index_grid(
-        range(shift_max + 1), range(m), range(-(n + margin), n), range(m + margin + 1)
-    )
-    s, k, i, j = index.T
-    # <z^s a_k, z^i w^j> = <a_k, z^(i-s) w^j>
-    shift = RelationFamily(R[i - s - i0, j, k], index, lambda s, k, i, j: [f"z^{s}a_{k}", i, j])
     spec = SubspaceSpec(monomial_rect(0, n, 0, m - 1), monomial_rect(0, n - 1, 0, m - 1))
     basis = _complement_coefficients(spec, moments)
     # P[s - 1, bi, bj] = <z^s phi_bi, phi_bj>
-    shifted = [[(i + s, j) for i, j in spec.S1] for s in range(1, shift_max + 1)]
+    shifted = [[(i + s, j) for i, j in spec.S1] for s in range(1, SHIFT_MAX + 1)]
     P = np.array([(basis.conj().T @ moments.lag_matrix(spec.S1, S) @ basis).T for S in shifted])
     dim = basis.shape[1]
     complement = RelationFamily(
         P.reshape(-1),
-        _index_grid(range(1, shift_max + 1), range(dim), range(dim)),
+        _index_grid(range(1, SHIFT_MAX + 1), range(dim), range(dim)),
         lambda s, bi, bj: [f"z^{s}H[{bi}]|H[{bj}]", s, 0],
     )
-    return OrthReport({"shift": shift, "complement_shift": complement})
+    return OrthReport({"complement_shift": complement})
 
 
 # ----------------------------------------------------------------------

@@ -112,7 +112,7 @@ def test_criterion_3_orthogonality_suite():
         start = time.perf_counter()
         for p, deg, table, ks in random_set():
             scales = np.array([norm(ak, table) for ak in ks.a])
-            report = orthogonality_report(p, deg, ks, table, margin=4)
+            report = orthogonality_report(p, deg, ks, table)
             # each a_k family is indexed by (k, i, j): gate a_k at its own norm
             for family in report.families.values():
                 k = family.index[:, 0]

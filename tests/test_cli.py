@@ -287,7 +287,7 @@ def test_near_boundary_run_scans_stability_once(tmp_path):
 
 
 def test_short_window_names_the_window_verify_orthogonality_needs(tmp_path):
-    # at degree (2, 2) with margin 4 and shift_max 2 the orthogonality reports
+    # at degree (2, 2) with MARGIN 4 and SHIFT_MAX 2 the orthogonality reports
     # read moments up to |a| <= 12, |b| <= 8; a shorter window cannot be set
     p, deg = measure.random_stable_poly(2, 2, np.random.default_rng(3))
     short = tmp_path / "short.json"
@@ -451,9 +451,7 @@ def test_full_report_of_a_degree_four_draw_is_small(tmp_path):
     assert cli.main(["all", "--config", str(config), "--out", str(out)]) == 0
     assert out.stat().st_size < 100_000
     families = json.loads(out.read_text())["verify-orthogonality"]["details"]["families"]
-    assert list(families) == [
-        "strip", "lower_quadrant", "upper_quadrant", "shift", "complement_shift"
-    ]
+    assert list(families) == ["strip", "lower_quadrant", "upper_quadrant", "complement_shift"]
 
 
 # p = 1e160 (3 - z - w): the Schur-Cohn matrix, the kernel set and the LU
@@ -594,7 +592,7 @@ def test_swapping_z_and_w_transposes_the_run(tmp_path, degree):
 
 def test_worked_example_pins_the_fixed_extents(tmp_path):
     # every run verifies 32 angles, frequencies up to bound + 3 and the
-    # moment window of margin 4 and shift_max 2 at degree (1, 1)
+    # moment window of MARGIN 4 and SHIFT_MAX 2 at degree (1, 1)
     config = cli.load_config(write_config(tmp_path))
     doc = cli.report_document(cli.run(config))
     assert len(doc["schur-cohn"]["details"]["rows"]) == 32

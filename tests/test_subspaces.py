@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bscd import measure, subspaces
-from bscd.cd_kernel import cd_kernel_set
+from bscd.cd_kernel import CDKernelSet, cd_kernel_set
+from bscd.cli import DEFAULT_TOLERANCES
 from bscd.errors import (
     DegenerateDegree,
     IllConditionedGram,
@@ -20,6 +21,8 @@ from bscd.measure import (
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair, coefficient_matrix
 from bscd.schur_cohn import diagonal_average, schur_cohn_matrix
 from bscd.subspaces import (
+    MARGIN,
+    SHIFT_MAX,
     SubspaceSpec,
     cd_formula_residual,
     closed_form_kernel_pairing,
@@ -213,7 +216,7 @@ def test_orthogonality_report_on_random_family(
     random_family_with_moments, random_kernelsets
 ):
     for (p, deg, table), ks in zip(random_family_with_moments, random_kernelsets):
-        report = orthogonality_report(p, deg, ks, table, margin=4)
+        report = orthogonality_report(p, deg, ks, table)
         scale = min(norm(ak, table) for ak in ks.a)
         assert report.max_violation < 1e-8 * scale
         assert len(report.pivots) == deg.m
@@ -249,13 +252,11 @@ def test_parameter_sum_orthogonality(random_family_with_moments, random_kernelse
         assert worst < 1e-8 * scale * max(1.0, abs(eta) ** m)
 
 
-def test_shift_orthogonality(random_family_with_moments, random_kernelsets):
-    for (p, deg, table), ks in zip(
-        random_family_with_moments[:3], random_kernelsets[:3]
-    ):
-        report = shift_orthogonality_report(p, deg, ks, table, shift_max=2, margin=4)
-        scale = min(norm(ak, table) for ak in ks.a)
-        assert report.max_violation < 1e-8 * max(1.0, scale)
+def test_shift_orthogonality(random_family_with_moments):
+    for p, deg, table in random_family_with_moments[:3]:
+        report = shift_orthogonality_report(p, deg, table)
+        assert list(report.families) == ["complement_shift"]
+        assert report.max_violation < 1e-8
 
 
 def test_worked_example_shift_values(worked_moments, worked_kernelset):
@@ -290,12 +291,9 @@ def test_shifted_family_spans_complement(random_family_with_moments, random_kern
 # Batched reports against their per-pair definitions, at degree (8, 8)
 # ----------------------------------------------------------------------
 
-MARGIN, SHIFT_MAX = 4, 2
-
-
 def draw(n, m):
     p, deg = random_stable_poly(n, m, np.random.default_rng(1))
-    table = moments_from_grid(p, orthogonality_window(deg, MARGIN, SHIFT_MAX))
+    table = moments_from_grid(p, orthogonality_window(deg))
     return p, deg, cd_kernel_set(p, deg), table
 
 
@@ -312,7 +310,8 @@ def complement_spec(deg):
 def rectangle(deg):
     """The z- and w-ranges :func:`orthogonality_report` checks."""
     n, m = deg
-    i_range = range(min(-(n + MARGIN), n - 2 * MARGIN), max(2 * n + MARGIN, n + 2 * MARGIN) + 1)
+    i_low = min(-(n + MARGIN + SHIFT_MAX), n - 2 * MARGIN)
+    i_range = range(i_low, max(2 * n + MARGIN, n + 2 * MARGIN) + 1)
     return i_range, range(-(m + MARGIN), 2 * m + MARGIN + 1)
 
 
@@ -350,14 +349,20 @@ def reference_duality_pairs(deg, ks, table):
 
 
 def reference_shift_pairs(deg, ks, table):
+    """``(s, k, i, j) -> <z^s a_k, z^i w^j>`` for ``i < n, j >= 0`` and shifts
+    up to ``SHIFT_MAX``."""
     n, m = deg
     pairs = {}
     for s in range(SHIFT_MAX + 1):
         for k, ak in enumerate(ks.a):
             for i in range(-(n + MARGIN), n):
                 for j in range(0, m + MARGIN + 1):
-                    value = inner_product(ak.shift(s, 0), Poly.monomial(i, j), table)
-                    pairs["shift", (s, k, i, j)] = value
+                    pairs[s, k, i, j] = inner_product(ak.shift(s, 0), Poly.monomial(i, j), table)
+    return pairs
+
+
+def reference_complement_pairs(deg, table):
+    pairs = {}
     basis = orthonormal_complement_basis(complement_spec(deg), table)
     for s in range(1, SHIFT_MAX + 1):
         for bi, phi_i in enumerate(basis):
@@ -385,17 +390,17 @@ def assert_same_pairs(report, reference, tol):
 def test_batched_reports_match_per_pair_definitions(degree_eight):
     p, deg, ks, table = degree_eight
     tol = 1e-13 * min(norm(ak, table) for ak in ks.a)
-    report = orthogonality_report(p, deg, ks, table, margin=MARGIN)
+    report = orthogonality_report(p, deg, ks, table)
     assert_same_pairs(report, reference_orthogonality_pairs(deg, ks, table), tol)
-    shifts = shift_orthogonality_report(p, deg, ks, table, shift_max=SHIFT_MAX, margin=MARGIN)
-    assert_same_pairs(shifts, reference_shift_pairs(deg, ks, table), tol)
+    shifts = shift_orthogonality_report(p, deg, table)
+    assert_same_pairs(shifts, reference_complement_pairs(deg, table), tol)
 
 
 @pytest.mark.parametrize("n", [2, 8])
 def test_every_duality_relation_is_a_strip_pairing(n, degree_eight):
     # n = 2 < margin: the duality shifts reach past -(n + margin) <= i <= 2n + margin
     p, deg, ks, table = degree_eight if n == 8 else draw(n, n)
-    strip = orthogonality_report(p, deg, ks, table, margin=MARGIN).families["strip"]
+    strip = orthogonality_report(p, deg, ks, table).families["strip"]
     values = dict(zip(map(tuple, strip.index.tolist()), strip.values))
     tol = 1e-13 * min(norm(ak, table) for ak in ks.a)
     duals = reference_duality_pairs(deg, ks, table)
@@ -405,6 +410,21 @@ def test_every_duality_relation_is_a_strip_pairing(n, degree_eight):
         key = (k2, deg.n + j1 - j2, k1)
         assert key in values
         assert abs(value - np.conj(values[key])) < tol
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_every_shift_relation_is_a_rectangle_pairing(n, degree_eight):
+    # n = 1: the margin already reaches i = -(n + MARGIN + SHIFT_MAX); n = 8:
+    # only the widened lower bound does
+    p, deg, ks, table = degree_eight if n == 8 else draw(n, n)
+    report = orthogonality_report(p, deg, ks, table)
+    values = {key[1]: value for key, value in family_values(report).items()}
+    tol = 1e-13 * min(norm(ak, table) for ak in ks.a)
+    shifts = reference_shift_pairs(deg, ks, table)
+    assert len(shifts) == (SHIFT_MAX + 1) * deg.m * (2 * deg.n + MARGIN) * (deg.m + MARGIN + 1)
+    for (s, k, i, j), value in shifts.items():
+        # <z^s a_k, z^i w^j> = <a_k, z^(i-s) w^j>, a strip or upper-quadrant pairing
+        assert abs(value - values[k, i - s, j]) < tol
 
 
 def test_batched_reports_read_few_lag_matrices(degree_eight, monkeypatch):
@@ -423,7 +443,7 @@ def test_batched_reports_read_few_lag_matrices(degree_eight, monkeypatch):
     for module in (measure, subspaces):
         monkeypatch.setattr(module, "inner_product", counted_pair, raising=False)
     monkeypatch.setattr(MomentTable, "lag_matrix", counted("lag_matrix", lag_matrix))
-    report = orthogonality_report(p, deg, ks, table, margin=MARGIN)
+    report = orthogonality_report(p, deg, ks, table)
     expected = expected_counts(deg)
     assert sum(f.values.size for f in report.families.values()) == sum(
         expected[name] for name in report.families
@@ -432,13 +452,13 @@ def test_batched_reports_read_few_lag_matrices(degree_eight, monkeypatch):
     assert len(report.pivots) == deg.m
     assert calls == {"inner_product": 0, "lag_matrix": 1}
     calls["lag_matrix"] = 0
-    shifts = shift_orthogonality_report(p, deg, ks, table, shift_max=SHIFT_MAX, margin=MARGIN)
+    shifts = shift_orthogonality_report(p, deg, table)
     assert sum(f.values.size for f in shifts.families.values()) == sum(
         expected[name] for name in shifts.families
     )
-    # the window, the nested Gram, the projections, the complement Gram and
-    # one matrix per shift
-    assert calls == {"inner_product": 0, "lag_matrix": 4 + SHIFT_MAX}
+    # the nested Gram, the projections, the complement Gram and one matrix
+    # per shift
+    assert calls == {"inner_product": 0, "lag_matrix": 3 + SHIFT_MAX}
 
 
 def expected_counts(deg):
@@ -454,15 +474,14 @@ def expected_counts(deg):
     ]
     names = ("strip", "lower_quadrant", "upper_quadrant")
     counts = {name: annihilated.count(name) for name in names}
-    counts["shift"] = (SHIFT_MAX + 1) * m * (2 * n + MARGIN) * (m + MARGIN + 1)
     # the complement of the one-step-smaller box has dimension m
     counts["complement_shift"] = SHIFT_MAX * m * m
     return counts
 
 
 def both_reports(p, deg, ks, table):
-    base = orthogonality_report(p, deg, ks, table, margin=MARGIN)
-    shifts = shift_orthogonality_report(p, deg, ks, table, shift_max=SHIFT_MAX, margin=MARGIN)
+    base = orthogonality_report(p, deg, ks, table)
+    shifts = shift_orthogonality_report(p, deg, table)
     return base, shifts, {**base.families, **shifts.families}
 
 
@@ -517,18 +536,84 @@ def test_complement_basis_is_orthonormal_at_degree_eight(degree_eight):
 def test_orthogonality_window_is_what_the_reports_read():
     p, deg = random_stable_poly(2, 2, np.random.default_rng(7))
     ks = cd_kernel_set(p, deg)
-    A, B = orthogonality_window(deg, MARGIN, SHIFT_MAX)
+    A, B = orthogonality_window(deg)
     assert (A, B) == (12, 8)
 
     def run_both(window):
         table = moments_from_grid(p, window)
-        orthogonality_report(p, deg, ks, table, margin=MARGIN)
-        shift_orthogonality_report(p, deg, ks, table, shift_max=SHIFT_MAX, margin=MARGIN)
+        orthogonality_report(p, deg, ks, table)
+        shift_orthogonality_report(p, deg, table)
 
     run_both((A, B))
     for short in ((A - 1, B), (A, B - 1)):
         with pytest.raises(WindowTooSmall, match="needed"):
             run_both(short)
+
+
+# ----------------------------------------------------------------------
+# A weight outside the family, and the corner pairings
+# ----------------------------------------------------------------------
+
+
+CONTROL_DEGREES = [(1, 1), (2, 3), (3, 1), (4, 4)]
+
+
+@pytest.fixture(scope="module")
+def control_inputs():
+    """The worked example and seed-1 draws, each with a grid table one wider
+    in ``a`` than :func:`orthogonality_window`."""
+    polys = [(WORKED, WORKED_DEG)]
+    polys += [random_stable_poly(n, m, np.random.default_rng(1)) for n, m in CONTROL_DEGREES]
+    out = []
+    for p, deg in polys:
+        A, B = orthogonality_window(deg)
+        out.append((p, deg, moments_from_grid(p, (A + 1, B))))
+    return out
+
+
+def tilted_table(table, eps):
+    """The table of the weight ``(1 + eps Re z) / |p|^2``, one narrower in ``a``:
+    ``c'[a, b] = c[a, b] + (eps / 2)(c[a - 1, b] + c[a + 1, b])``."""
+    A, B = table.window
+    c = np.array([[table.get(a, b) for b in range(-B, B + 1)] for a in range(-A, A + 1)])
+    tilted = c[1:-1] + 0.5 * eps * (c[:-2] + c[2:])
+    return MomentTable((A - 1, B), tilted, table.grid_size, table.est_error)
+
+
+def tilted_strip_max(p, deg, table, eps):
+    """The ``strip`` maximum of the ``a_k`` rebuilt from the tilted table,
+    relative to the smallest of their norms, as verify-orthogonality reports it."""
+    tilted = tilted_table(table, eps)
+    rebuilt = reconstruct_kernel_coefficients(p, deg, tilted, schur_cohn_matrix(p, deg))
+    report = orthogonality_report(p, deg, CDKernelSet(rebuilt, deg=deg), tilted)
+    scale = min(norm(ak, tilted) for ak in rebuilt)
+    return report.families["strip"].summary(scale)["max"]
+
+
+def test_a_tilted_weight_fails_the_strip_in_proportion(control_inputs):
+    # (1 + eps Re z) / |p|^2 is not of the form 1/|q|^2: the a_k rebuilt from
+    # its box relations stop annihilating the strip beyond the box, by O(eps)
+    gate = DEFAULT_TOLERANCES["orthogonality"]
+    for p, deg, table in control_inputs:
+        assert tilted_strip_max(p, deg, table, 0.0) < 1e-15
+        assert tilted_strip_max(p, deg, table, 1e-8) < gate
+        once, twice = (tilted_strip_max(p, deg, table, eps) for eps in (1e-4, 2e-4))
+        assert once > gate
+        assert twice / once == pytest.approx(2.0, rel=0.01)
+
+
+def test_corner_pairings_have_closed_forms(control_inputs):
+    # <a_k, z^n w^m> = -p_{0,m-k} / p_00 and <a_k, z^n w^-1> = -conj(p_{0,k+1} / p_00);
+    # neither corner is in a relation family
+    for p, deg, table in control_inputs:
+        n, m = deg
+        k = np.arange(m)
+        assert not np.any(in_coefficient_orthogonality_set(n, np.array([[m], [-1]]), k, deg))
+        coeff = dict(p.items())
+        ratio = np.array([coeff.get((0, j), 0) for j in range(m + 1)]) / coeff[0, 0]
+        R = subspaces._window_pairings(cd_kernel_set(p, deg).a, table, n, n, -1, m)
+        assert np.max(np.abs(R[0, m + 1] + ratio[m - k])) < 1e-13
+        assert np.max(np.abs(R[0, 0] + np.conj(ratio[k + 1]))) < 1e-13
 
 
 # ----------------------------------------------------------------------
