@@ -7,9 +7,10 @@ basis of it.  With ``v(x)`` the monomials of the enclosing span at ``x`` and
 
     K(x; y) = sum_c (v(x) B)_c conj((v(y) B)_c).
 
-Every Gram solve goes through such a basis: ``B`` comes from one
-condition-checked Cholesky factor (:func:`_complement_coefficients`), and for
-a whole span ``G^{-1} = B B^H``.
+Every Gram solve goes through such a basis: ``B`` is the trailing columns of
+``L^{-H}``, with ``L L^H`` the one condition-checked Gram matrix of ``S1``
+ordered with the monomials of ``S2`` first (:func:`_complement_coefficients`),
+and for a whole span ``G^{-1} = B B^H``.
 
 The kernel coefficients ``a_k`` satisfy more orthogonality relations than
 the ones that define them.  :func:`orthogonality_report` checks those
@@ -100,42 +101,36 @@ def gram_matrix(S, moments: MomentTable) -> np.ndarray:
     return 0.5 * (G + G.conj().T)
 
 
-def _require_conditioned(G: np.ndarray, label: str) -> None:
+def _require_conditioned(G: np.ndarray) -> None:
     """Raise :class:`IllConditionedGram` unless ``G`` is positive definite
     within the condition cap."""
     eigs = np.linalg.eigvalsh(G)
     if eigs[0] <= 0 or eigs[-1] / eigs[0] > GRAM_CONDITION_CAP:
-        raise IllConditionedGram(f"{label} spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}]")
+        raise IllConditionedGram(f"Gram spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}]")
 
 
 def _complement_coefficients(spec: SubspaceSpec, moments: MomentTable) -> np.ndarray:
     """Orthonormal basis of ``span(S1) - span(S2)``, one column over ``S1`` each.
 
-    Each monomial of ``S1`` outside ``S2`` minus its projection onto
-    ``span(S2)`` is a residual; the residuals are orthonormalized through the
-    Cholesky factor of their Gram matrix.  With ``S2`` empty the residuals
-    are the monomials themselves, so the basis ``B`` of ``span(S1)`` gives
-    ``G^{-1} = B B^H``.  Both Gram matrices are checked against
-    ``GRAM_CONDITION_CAP`` first.  An empty span has no Gram matrix to check
-    and a basis of no columns, so every projection onto it is zero.
+    With ``L L^H`` the Gram matrix of ``S1`` ordered ``S2`` first, the
+    columns of the triangular ``L^{-H}`` are orthonormal and the first
+    ``len(S2)`` span ``span(S2)``; the rest are the basis.  By block Cholesky
+    they are the residuals of the other monomials against ``span(S2)``,
+    orthonormalized by the Cholesky factor of the residuals' Gram matrix.
+    The one check against ``GRAM_CONDITION_CAP`` bounds that matrix and the
+    nested Gram too, by eigenvalue interlacing.  With ``S2`` empty the basis
+    ``B`` gives ``G^{-1} = B B^H``; an empty complement has no columns.
     """
-    S1 = list(spec.S1)
-    extra = [mu for mu in S1 if mu not in set(spec.S2)]
-    if not extra:
-        return np.zeros((len(S1), 0), dtype=complex)
-    residuals = np.zeros((len(S1), len(extra)), dtype=complex)
-    residuals[[S1.index(mu) for mu in extra], np.arange(len(extra))] = 1.0
-    if spec.S2:
-        G2 = gram_matrix(spec.S2, moments)
-        _require_conditioned(G2, "nested-span Gram")
-        # column c holds <z^mu, z^alpha> over alpha in S2, for mu = extra[c]
-        projection = np.linalg.solve(G2, moments.lag_matrix(spec.S2, extra))
-        residuals[[S1.index(alpha) for alpha in spec.S2]] = -projection
-    Gb = residuals.conj().T @ moments.lag_matrix(S1, S1) @ residuals
-    Gb = 0.5 * (Gb + Gb.conj().T)
-    _require_conditioned(Gb, "complement Gram" if spec.S2 else "Gram")
-    C = np.linalg.inv(np.linalg.cholesky(Gb)).conj().T
-    return residuals @ C
+    nested = set(spec.S2)
+    # positions in S1, S2's first: stable, so each group keeps S1's order
+    rows = sorted(range(len(spec.S1)), key=lambda r: spec.S1[r] not in nested)
+    if len(nested) == len(rows):
+        return np.zeros((len(rows), 0), dtype=complex)
+    G = gram_matrix([spec.S1[r] for r in rows], moments)
+    _require_conditioned(G)
+    C = np.linalg.inv(np.linalg.cholesky(G)).conj().T
+    # argsort inverts the permutation, back to S1's order
+    return C[np.argsort(rows), len(nested) :]
 
 
 # ----------------------------------------------------------------------

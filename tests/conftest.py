@@ -16,6 +16,20 @@ from bscd.poly import BivariateLaurentPoly, DegreePair
 WORKED = BivariateLaurentPoly({(0, 0): 3, (1, 0): -1, (0, 1): -1})
 WORKED_DEG = DegreePair(1, 1)
 
+# the positive control: (3 - z)^n (3 - w)^m, whose measure is a product of
+# one-variable measures
+PRODUCT_DEGREES = [(1, 1), (2, 1), (1, 2)]
+
+
+def product_polynomial(n: int, m: int) -> tuple[BivariateLaurentPoly, DegreePair]:
+    p = BivariateLaurentPoly.constant(1)
+    for _ in range(n):
+        p = p * BivariateLaurentPoly({(0, 0): 3, (1, 0): -1})
+    for _ in range(m):
+        p = p * BivariateLaurentPoly({(0, 0): 3, (0, 1): -1})
+    return p, DegreePair(n, m)
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 

@@ -11,7 +11,7 @@ from bscd import cli, measure
 from bscd.errors import ConfigInvalid, NoConvergence
 from bscd.poly import BivariateLaurentPoly
 
-from conftest import WORKED, WORKED_DEG, run_python
+from conftest import PRODUCT_DEGREES, WORKED, WORKED_DEG, product_polynomial, run_python
 
 WORKED_JSON = WORKED.to_json_dict(WORKED_DEG)
 
@@ -560,6 +560,16 @@ def _run_all(tmp_path, name, polynomial):
     return code, json.loads(out.read_text())
 
 
+def _statuses(report):
+    return {suite: body["status"] for suite, body in report.items()}
+
+
+def _grid_table(report):
+    """The moments ``c[a, b]`` of the report's grid table, by ``(a, b)``."""
+    values = report["moments"]["details"]["table"]["values"]
+    return {(a, b): complex(re, im) for a, b, re, im in values}
+
+
 @pytest.mark.parametrize("degree", [None, (2, 3), (3, 1)], ids=["worked", "2x3", "3x1"])
 def test_swapping_z_and_w_transposes_the_run(tmp_path, degree):
     # p(w, z) at degree (m, n) has the moments c[b, a] of p at (n, m), so
@@ -577,17 +587,54 @@ def test_swapping_z_and_w_transposes_the_run(tmp_path, degree):
     code, doc = _run_all(tmp_path, "p", polynomial)
     swapped_code, swapped_doc = _run_all(tmp_path, "swapped", swapped)
     assert code == swapped_code
-    assert {k: v["status"] for k, v in doc.items()} == {
-        k: v["status"] for k, v in swapped_doc.items()
-    }
-
-    def table(report):
-        values = report["moments"]["details"]["table"]["values"]
-        return {(a, b): complex(re, im) for a, b, re, im in values}
-
-    grid, swapped_grid = table(doc), table(swapped_doc)
+    assert _statuses(doc) == _statuses(swapped_doc)
+    grid, swapped_grid = _grid_table(doc), _grid_table(swapped_doc)
     common = [(a, b) for a, b in grid if (b, a) in swapped_grid]
     assert max(abs(grid[a, b] - swapped_grid[b, a]) for a, b in common) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "degree", [None, (2, 3), (3, 1), (4, 4)], ids=["worked", "2x3", "3x1", "4x4"]
+)
+def test_rotating_z_and_w_rotates_the_moments(tmp_path, degree):
+    # p(e^{i alpha} z, e^{i beta} w) has the moments e^{-i(a alpha + b beta)} c[a, b]
+    # of p, so every suite decides alike; the opposite phase, a conjugation
+    # error, misses by 2e-2 or more on these inputs
+    alpha, beta = 0.7, -1.3
+    if degree is None:
+        p, deg = WORKED, WORKED_DEG
+    else:
+        p, deg = measure.random_stable_poly(*degree, np.random.default_rng(1))
+    rotated = BivariateLaurentPoly(
+        {(i, j): c * np.exp(1j * (i * alpha + j * beta)) for (i, j), c in p.items()}
+    )
+    code, doc = _run_all(tmp_path, "p", p.to_json_dict(deg))
+    rotated_code, rotated_doc = _run_all(tmp_path, "rotated", rotated.to_json_dict(deg))
+    assert code == rotated_code
+    assert _statuses(doc) == _statuses(rotated_doc)
+    grid, rotated_grid = _grid_table(doc), _grid_table(rotated_doc)
+    assert grid.keys() == rotated_grid.keys()
+    gap = max(
+        abs(rotated_grid[a, b] - np.exp(-1j * (a * alpha + b * beta)) * grid[a, b])
+        for a, b in grid
+    )
+    assert gap <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "p, deg",
+    [product_polynomial(*degree) for degree in PRODUCT_DEGREES]
+    + [
+        measure.random_stable_poly(*degree, np.random.default_rng(1))
+        for degree in [(2, 8), (8, 2), (12, 12)]
+    ],
+    ids=["product-1x1", "product-2x1", "product-1x2", "2x8", "8x2", "12x12"],
+)
+def test_every_suite_passes_on_products_and_off_the_ladder(tmp_path, p, deg):
+    # the positive control, and degrees no workload draws: n != m and (12, 12)
+    code, doc = _run_all(tmp_path, "p", p.to_json_dict(deg))
+    assert code == 0
+    assert set(_statuses(doc).values()) == {"pass"}
 
 
 def test_worked_example_pins_the_fixed_extents(tmp_path):

@@ -37,7 +37,7 @@ from bscd.subspaces import (
     shift_orthogonality_report,
 )
 
-from conftest import WORKED, WORKED_DEG
+from conftest import PRODUCT_DEGREES, WORKED, WORKED_DEG, product_polynomial
 
 A0_WORKED = Poly({(0, 0): -3, (1, 0): 9, (2, 0): -3})
 
@@ -456,9 +456,8 @@ def test_batched_reports_read_few_lag_matrices(degree_eight, monkeypatch):
     assert sum(f.values.size for f in shifts.families.values()) == sum(
         expected[name] for name in shifts.families
     )
-    # the nested Gram, the projections, the complement Gram and one matrix
-    # per shift
-    assert calls == {"inner_product": 0, "lag_matrix": 3 + SHIFT_MAX}
+    # the one ordered Gram of the basis and one matrix per shift
+    assert calls == {"inner_product": 0, "lag_matrix": 1 + SHIFT_MAX}
 
 
 def expected_counts(deg):
@@ -616,6 +615,25 @@ def test_corner_pairings_have_closed_forms(control_inputs):
         assert np.max(np.abs(R[0, 0] + np.conj(ratio[k + 1]))) < 1e-13
 
 
+@pytest.mark.parametrize("degree", PRODUCT_DEGREES)
+def test_product_pairings_off_the_set_lie_on_the_line_i_equals_n(degree):
+    # the positive control: over the report's rectangle, the a_k of
+    # (3 - z)^n (3 - w)^m pair to zero with every monomial off i = n, in the
+    # annihilated set or not, and the line i = n keeps every pairing the set
+    # leaves out
+    p, deg = product_polynomial(*degree)
+    table = moments_from_grid(p, orthogonality_window(deg))
+    i_range, j_range = rectangle(deg)
+    R = subspaces._window_pairings(
+        cd_kernel_set(p, deg).a, table, i_range[0], i_range[-1], j_range[0], j_range[-1]
+    )
+    i, j, k = np.meshgrid(i_range, j_range, range(deg.m), indexing="ij")
+    outside = ~in_coefficient_orthogonality_set(i, j, k, deg)
+    scale = np.max(np.abs(R))
+    assert np.max(np.abs(R[outside & (i != deg.n)])) < 1e-12 * scale
+    assert np.min(np.abs(R[outside & (i == deg.n)])) > 1e-3 * scale
+
+
 # ----------------------------------------------------------------------
 # Christoffel-Darboux formula
 # ----------------------------------------------------------------------
@@ -646,6 +664,43 @@ def bidisk_points(rng, count):
     """``count`` points ``(z, w, z1, w1)``, each coordinate uniform on the disk."""
     radius, turn = rng.uniform(size=(2, count, 4))
     return np.sqrt(radius) * np.exp(2j * np.pi * turn)
+
+
+def two_step_complement(spec, moments):
+    """The basis of ``span(S1) - span(S2)`` in two factorizations, with the
+    condition numbers of their two Gram matrices: each monomial outside
+    ``S2`` minus its projection onto ``span(S2)``, by a solve on the nested
+    Gram, then orthonormalized by the Cholesky factor of the residuals' Gram."""
+    S1 = list(spec.S1)
+    extra = [mu for mu in S1 if mu not in spec.S2]
+    residuals = np.zeros((len(S1), len(extra)), dtype=complex)
+    residuals[[S1.index(mu) for mu in extra], np.arange(len(extra))] = 1.0
+    G2 = gram_matrix(spec.S2, moments)
+    projection = np.linalg.solve(G2, moments.lag_matrix(spec.S2, extra))
+    residuals[[S1.index(alpha) for alpha in spec.S2]] = -projection
+    Gb = residuals.conj().T @ gram_matrix(S1, moments) @ residuals
+    Gb = 0.5 * (Gb + Gb.conj().T)
+    basis = residuals @ np.linalg.inv(np.linalg.cholesky(Gb)).conj().T
+    return basis, np.linalg.cond(G2), np.linalg.cond(Gb)
+
+
+def test_one_factor_gives_the_two_step_complement_basis(control_inputs, degree_eight):
+    # block Cholesky: the trailing columns of L^{-H}, for the Gram ordered S2
+    # first, are the two-step basis itself, not only its span.  The shift
+    # report's spec is cd_specs' first; the second is the one whose S2 is
+    # not a prefix of S1.  By interlacing, the one condition check refuses
+    # whatever either of the two would
+    _, deg8, _, table8 = degree_eight
+    for _, deg, table in control_inputs + [(None, deg8, table8)]:
+        assert complement_spec(deg) == cd_specs(deg)[0]
+        for spec in cd_specs(deg):
+            basis = subspaces._complement_coefficients(spec, table)
+            reference, cond_nested, cond_residual = two_step_complement(spec, table)
+            assert np.max(np.abs(basis - reference)) <= 1e-13 * np.max(np.abs(reference))
+            order = [mu for mu in spec.S1 if mu in spec.S2]
+            order += [mu for mu in spec.S1 if mu not in spec.S2]
+            cond = np.linalg.cond(gram_matrix(order, table))
+            assert cond >= (1 - 1e-9) * max(cond_nested, cond_residual)
 
 
 def test_cd_formula_origin_value(worked_moments):
