@@ -51,7 +51,6 @@ DEFAULT_TOLERANCES = {
     "orthogonality": 1e-8,
     "identity": 1e-9,
     "cross-path": 1e-10,
-    "moments": 1e-11,  # the grid moments' stopping rule, not a gate
 }
 
 # the stability verdict is 0 or 1 and has no tolerance; its suite reports 1.0
@@ -170,9 +169,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 # each builder gets the run's Artifacts, so it can build on other artifacts
 ARTIFACT_BUILDERS = {
     "stability": lambda art: measure.check_stability(art.p, art.deg),
-    "moments": lambda art: measure.moments_from_grid(
-        art.p, art.config.window, art.config.tolerances["moments"]
-    ),
+    "moments": lambda art: measure.moments_from_grid(art.p, art.config.window),
     "matrix": lambda art: schur_cohn.schur_cohn_matrix(art.p, art.deg),
     "kernelset": lambda art: cd_kernel.cd_kernel_set(art.p, art.deg, art.get("matrix")),
     # slice moments on the theta grid; unchecked, so a suite fetches it only

@@ -52,11 +52,10 @@ GRID_START = 256
 GRID_CAP = 8192
 SERIES_START = 64
 SERIES_CAP = 4096
-DEFAULT_MOMENT_TOL = 1e-11
+MOMENT_TOL = 1e-11
 DEFAULT_SLICE_TOL = 1e-12
 # angles per batch of slice FFTs; it bounds their memory, not their results
 SLICE_BLOCK = 128
-SERIES_TOL = 1e-11
 # series entries per gather of the recurrence; it bounds its memory, not its results
 SERIES_GATHER = 1 << 16
 STABILITY_GRID = 1024
@@ -137,10 +136,10 @@ def check_stability(
     box = p.support_box
     if box[0] < 0 or box[2] < 0:
         raise SupportOutsideBox("stability requires a genuine polynomial")
-    if deg is None:
-        deg = DegreePair(box[1], box[3])
-    p._require_support_in_box(deg)
-    verdict = _cached_stability(p, deg.n, deg.m)
+    if deg is not None:
+        p._require_support_in_box(deg)
+    # keyed by the support box: the zero rows and columns of a wider deg add no root
+    verdict = _cached_stability(p, box[1], box[3])
     if isinstance(verdict, str):
         raise InconclusiveNearBoundary(verdict)
     return verdict
@@ -327,8 +326,11 @@ def _refine(compute, count: int, start: int, cap: int, tol: float, what: str):
     ``compute(size, rows)`` gives the windows of the rows ``rows`` (an index
     array into ``range(count)``) at resolution ``size``, stacked along the
     first axis.  Each row stops on its own, at the first doubling where its
-    window moves by less than ``tol``; only the rows still open are computed
-    at the next size.  Returns the windows, the stopping sizes and the last
+    window moves by less than ``tol * max(1, max|window|)``, with ``window``
+    its values at the new size: relative for windows above 1, such as the
+    moments of a scaled-down ``p``, which grow as ``1/|c|^2`` for ``c p``,
+    and absolute below.  Only the rows still open are computed at the next
+    size.  Returns the windows, the stopping sizes and the last (absolute)
     changes, one per row.  Raises :class:`NoConvergence` once a row is still
     open at ``cap``, naming ``what``, the size and the largest open change.
     A change that is not finite raises at once: a doubled resolution keeps
@@ -348,7 +350,8 @@ def _refine(compute, count: int, start: int, cap: int, tol: float, what: str):
         if not np.isfinite(change).all():
             bad = change[~np.isfinite(change)][0]
             raise NoConvergence(f"{what} {size} not finite (change {bad:.3e})")
-        done = change < tol
+        scale = np.maximum(1.0, np.max(np.abs(cur).reshape(len(rows), -1), axis=1))
+        done = change < tol * scale
         values[rows[done]] = cur[done]
         sizes[rows[done]] = size
         changes[rows[done]] = change[done]
@@ -385,15 +388,12 @@ def _density_window(values: np.ndarray, window: tuple[int, ...]) -> np.ndarray:
     return values
 
 
-def moments_from_grid(
-    p: BivariateLaurentPoly,
-    window: tuple[int, int],
-    tol: float = DEFAULT_MOMENT_TOL,
-) -> MomentTable:
+def moments_from_grid(p: BivariateLaurentPoly, window: tuple[int, int]) -> MomentTable:
     """Moment window by torus-grid DFT with resolution doubling.
 
     Starts at a 256 x 256 grid and doubles until the window changes by less
-    than ``tol``; raises :class:`NoConvergence` at the 8192 cap.
+    than ``MOMENT_TOL * max(1, max|window|)``; raises :class:`NoConvergence`
+    at the 8192 cap.
     """
     ensure_stable(p)
     A, B = int(window[0]), int(window[1])
@@ -402,7 +402,7 @@ def moments_from_grid(
         return _density_window(torus_grid_values(p, size), (A, B))[None]
 
     values, sizes, changes = _refine(
-        compute, 1, GRID_START, GRID_CAP, tol, "moment window at grid"
+        compute, 1, GRID_START, GRID_CAP, MOMENT_TOL, "moment window at grid"
     )
     return MomentTable((A, B), values[0], sizes[0], changes[0])
 
@@ -539,7 +539,8 @@ def moments_from_series(
     ``c[a, b] = sum_{i,j} d[i, j] * conj(d[i+a, j+b])`` where ``d`` holds the
     series coefficients of ``1/p`` truncated at total order ``T``.  ``T``
     doubles from ``SERIES_START`` until the window moves by less than
-    ``SERIES_TOL``; raises :class:`NoConvergence` at ``SERIES_CAP``.
+    ``MOMENT_TOL * max(1, max|window|)``, the grid route's rule; raises
+    :class:`NoConvergence` at ``SERIES_CAP``.
     """
     ensure_stable(p, deg)
     A, B = int(window[0]), int(window[1])
@@ -548,7 +549,7 @@ def moments_from_series(
         return _series_moments(p, order, A, B)[None]
 
     values, orders, changes = _refine(
-        compute, 1, SERIES_START, SERIES_CAP, SERIES_TOL, "series window at order"
+        compute, 1, SERIES_START, SERIES_CAP, MOMENT_TOL, "series window at order"
     )
     return MomentTable((A, B), values[0], orders[0], changes[0])
 
@@ -639,7 +640,7 @@ def _slice_moments_unchecked(p, deg, theta, lag):
     The circle grid doubles from ``GRID_START``, with row-wise FFTs over the
     angles still open, ``SLICE_BLOCK`` rows at a time; each angle takes its
     values from the first doubling where its own window moves by less than
-    ``DEFAULT_SLICE_TOL``.
+    ``DEFAULT_SLICE_TOL * max(1, max|window|)``.
     """
     theta = as_angles(theta)
     w_coeffs = np.atleast_2d(w_slice(p, np.exp(1j * theta), deg.m + 1).T)

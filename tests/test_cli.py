@@ -9,7 +9,7 @@ import pytest
 
 from bscd import cli, measure
 from bscd.errors import ConfigInvalid, NoConvergence
-from bscd.poly import BivariateLaurentPoly
+from bscd.poly import BivariateLaurentPoly, DegreePair
 
 from conftest import PRODUCT_DEGREES, WORKED, WORKED_DEG, product_polynomial, run_python
 
@@ -79,15 +79,19 @@ def test_boolean_tolerance_is_config_error(tmp_path, capsys):
     assert "positive finite" in capsys.readouterr().err
 
 
-def test_non_finite_moment_tolerance_is_refused_before_any_suite(tmp_path):
-    # only load_config runs here: a suite would refine the torus grid to its
-    # cap chasing an unreachable moments tolerance
-    nan_file = write_config(tmp_path, tolerances={"moments": float("nan")})
+def test_non_finite_moment_tolerance_is_refused_before_any_suite(tmp_path, capsys):
+    # only load_config runs here: a NaN gate would fail every check and an
+    # infinite one pass every check of the moments suite
+    nan_file = write_config(tmp_path, tolerances={"cross-path": float("nan")})
     assert "NaN" in (tmp_path / "config.json").read_text()
-    with pytest.raises(ConfigInvalid, match="tolerance moments must be a positive finite"):
+    with pytest.raises(ConfigInvalid, match="tolerance cross-path must be a positive finite"):
         cli.load_config(nan_file)
-    with pytest.raises(ConfigInvalid, match="tolerance moments must be a positive finite"):
-        cli.load_config(write_config(tmp_path), {"tolerances": {"moments": float("inf")}})
+    with pytest.raises(ConfigInvalid, match="tolerance cross-path must be a positive finite"):
+        cli.load_config(write_config(tmp_path), {"tolerances": {"cross-path": float("inf")}})
+    # the moments' stopping rule is relative to their size, not a setting
+    capsys.readouterr()
+    assert cli.main(["moments", "--config", write_config(tmp_path), "--tol", "moments=1e-9"]) == 2
+    assert capsys.readouterr().err == "config error: unknown tolerance name: moments\n"
 
 
 def test_tol_flag_sets_names_over_the_config_file(tmp_path):
@@ -284,6 +288,29 @@ def test_near_boundary_run_scans_stability_once(tmp_path):
     assert doc["schur-cohn"]["status"] == "inconclusive"
     assert cache.misses == 1 and cache.hits >= 1
     assert doc["stability"]["details"]["message"].startswith("root modulus 1.0000000001 ")
+
+
+@pytest.mark.parametrize("deg", [(2, 1), (1, 2)])
+def test_a_declared_degree_shares_the_support_box_scan(tmp_path, deg):
+    # the zero rows or columns a declared box adds carry no root, so the
+    # stability artifact and every inferred-degree check read one scan
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"polynomial": WORKED.to_json_dict(DegreePair(*deg))}))
+    measure._cached_stability.cache_clear()
+    reports = cli.run(cli.load_config(str(path)))
+    assert measure._cached_stability.cache_info().misses == 1
+    assert [r.status for r in reports] == ["pass"] * 8
+
+
+@pytest.mark.parametrize("scale", [1e-3, 2.0**-10])
+def test_a_scaled_down_worked_example_passes_every_suite(tmp_path, scale):
+    # its moments grow as 1 / scale^2; the refinements stop relative to them
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"polynomial": WORKED.scale(scale).to_json_dict(WORKED_DEG)}))
+    out = tmp_path / "report.json"
+    assert cli.main(["all", "--config", str(path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert [body["status"] for body in doc.values()] == ["pass"] * 8
 
 
 def test_short_window_names_the_window_verify_orthogonality_needs(tmp_path):
@@ -824,7 +851,8 @@ def test_failed_artifact_is_built_once(tmp_path, monkeypatch):
 def test_suites_blocked_by_a_failed_artifact_name_it(tmp_path, monkeypatch):
     # a finite moments tolerance no grid up to the cap reaches
     monkeypatch.setattr(cli.measure, "GRID_CAP", 512)
-    path = write_config(tmp_path, tolerances={"moments": 1e-300})
+    monkeypatch.setattr(cli.measure, "MOMENT_TOL", 1e-300)
+    path = write_config(tmp_path)
     reports = {r.suite: r for r in cli.run(cli.load_config(path))}
     for name in ("moments", "verify-orthogonality", "verify-cd", "verify-kernel"):
         details = reports[name].details

@@ -22,9 +22,9 @@ from bscd.measure import (
     slice_inner_product,
     slice_moments,
 )
-from bscd.poly import BivariateLaurentPoly as Poly, DegreePair
+from bscd.poly import BivariateLaurentPoly as Poly, DegreePair, angle_grid
 
-from conftest import WORKED, WORKED_DEG
+from conftest import WORKED, WORKED_DEG, window_for
 
 MIB = 2**20
 
@@ -192,7 +192,7 @@ def test_in_place_torus_transforms_are_the_ifft2_formulas_to_the_bit(size):
     assert np.array_equal(window, expected)
 
 
-def grid_moments_loop(p, window, tol=measure.DEFAULT_MOMENT_TOL):
+def grid_moments_loop(p, window, tol=measure.MOMENT_TOL):
     """The torus-grid doubling written out for one window, with the ifft2 formulas."""
     A, B = window
     index = np.ix_(np.arange(-A, A + 1), np.arange(-B, B + 1))
@@ -206,7 +206,7 @@ def grid_moments_loop(p, window, tol=measure.DEFAULT_MOMENT_TOL):
         size *= 2
         cur = at(size)
         err = float(np.max(np.abs(cur - prev)))
-        if err < tol:
+        if err < tol * max(1.0, float(np.max(np.abs(cur)))):
             return cur, size, err
         prev = cur
 
@@ -258,6 +258,41 @@ def test_refine_raises_at_the_first_non_finite_change():
         measure._refine(compute, 2, 4, 1 << 20, 1e-4, "test window at")
     assert str(caught.value) == "test window at 8 not finite (change nan)"
     assert computed == [4, 8]
+
+
+def scale_draws():
+    """The worked example, then a ladder (4,4) and a near-boundary (3,3) draw
+    (min |p| = 0.1) on ``default_rng(1)``, made as ``bench/workloads.py`` makes them."""
+    rng = np.random.default_rng(1)
+    keys = [(i, j) for i in range(5) for j in range(5) if (i, j) != (0, 0)]
+    mass = rng.uniform(0.8, 1.6)
+    q = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+    q *= mass / np.abs(q).sum()
+    ladder = Poly({(0, 0): 1.0 + np.abs(q).sum(), **{ij: -c for ij, c in zip(keys, q)}})
+    keys = [(i, j) for i in range(4) for j in range(4) if (i, j) != (0, 0)]
+    q = rng.uniform(0.5, 1.0, size=len(keys))
+    near = Poly({(0, 0): 1.1, **{ij: -c for ij, c in zip(keys, q / q.sum())}})
+    return [(WORKED, WORKED_DEG), (ladder, DegreePair(4, 4)), (near, DegreePair(3, 3))]
+
+
+@pytest.mark.parametrize("k", [-10, -20])
+def test_scaling_p_by_a_power_of_two_scales_every_refinement(k):
+    # 2^k p has the density 2^(-2k) / |p|^2 and the series 2^(-k) / p, both
+    # exact; a stopping rule relative to the window stops where p's does
+    thetas = angle_grid(32)
+    for p, deg in scale_draws():
+        scaled, factor = p.scale(2.0**k), 2.0 ** (-2 * k)
+        window = window_for(deg)
+        grid, scaled_grid = moments_from_grid(p, window), moments_from_grid(scaled, window)
+        series = moments_from_series(p, deg, window)
+        scaled_series = moments_from_series(scaled, deg, window)
+        for table, scaled_table in ((grid, scaled_grid), (series, scaled_series)):
+            assert scaled_table.grid_size == table.grid_size
+            assert np.array_equal(scaled_table._values, factor * table._values)
+        slices = slice_moments(p, deg, thetas, deg.m)
+        scaled_slices = slice_moments(scaled, deg, thetas, deg.m)
+        assert np.array_equal(scaled_slices.grid, slices.grid)
+        assert np.array_equal(scaled_slices.values, factor * slices.values)
 
 
 # p scaled so far down that 1 / |p|^2 overflows on the torus
@@ -792,7 +827,7 @@ def slice_moments_loop(p, deg, theta, lag, tol=measure.DEFAULT_SLICE_TOL):
     while True:
         size *= 2
         cur = window(size)
-        if float(np.max(np.abs(cur - prev))) < tol:
+        if float(np.max(np.abs(cur - prev))) < tol * max(1.0, float(np.max(np.abs(cur)))):
             break
         prev = cur
     sym = 0.5 * (cur + np.conj(cur[::-1]))
