@@ -25,8 +25,9 @@ T = schur_cohn_matrix(p, deg)
 print("p = 3 - z - w")
 print("-------------")
 print(f"  matrix entry (0,0): {dict(T.entry(0, 0).items())}")
-print(f"  value at theta=0  : {evaluate_on_circle(T, 0.0)[0, 0].real:.6f}   (9 - 6 cos 0 = 3)")
-print(f"  value at theta=pi : {evaluate_on_circle(T, np.pi)[0, 0].real:.6f}  (9 - 6 cos pi = 15)")
+at_0, at_pi = evaluate_on_circle(T, [0.0, np.pi])[:, 0, 0].real
+print(f"  value at theta=0  : {at_0:.6f}   (9 - 6 cos 0 = 3)")
+print(f"  value at theta=pi : {at_pi:.6f}  (9 - 6 cos pi = 15)")
 thetas = angle_grid(128)
 eigs = np.linalg.eigvalsh(evaluate_on_circle(T, thetas))[:, 0]
 print(f"  positivity scan   : min eigenvalue {eigs.min():.6f} at theta={thetas[eigs.argmin()]:.3f}")
@@ -40,14 +41,14 @@ print("---------------------------------------")
 min_eig = np.linalg.eigvalsh(evaluate_on_circle(Tq, angle_grid(64)))[:, 0].min()
 print(f"  positive definite on the circle: {min_eig > 0} (min eig {min_eig:.4f})")
 
+# every circle-layer function takes an array of angles; one angle is an array of one
 theta = 1.234
-profile = principal_determinants(Tq, theta)
+profile = principal_determinants(Tq, [theta])
 print(f"  leading principal determinants at theta={theta}: "
-      + ", ".join(f"{d:.4f}" for d in profile.D))
+      + ", ".join(f"{d:.4f}" for d in profile.D[0]))
 
 m = qdeg.m
-sm = slice_moments(q, qdeg, theta, m - 1)
-moment_matrix = np.array([[sm.get(j - i) for j in range(m)] for i in range(m)])
-residual = np.max(np.abs(evaluate_on_circle(Tq, theta) @ moment_matrix - np.eye(m)))
+sm = slice_moments(q, qdeg, [theta], m - 1)
+residual = np.max(np.abs(profile.matrix @ sm.lag_matrix(m, m) - np.eye(m)))
 print(f"  || T(theta) @ sliced-moment-matrix - I ||_max = {residual:.2e}")
 print("  (the matrix inverts the moment matrix of the slice measure)")

@@ -11,7 +11,14 @@ frequency n(m-j), and the bound is sharp.
 
 import numpy as np
 
-from bscd import moment_vanishing, orthogonality_check, parametric_polynomials, slice_moments
+from bscd import (
+    moment_vanishing,
+    orthogonality_check,
+    parametric_polynomials,
+    principal_determinants,
+    schur_cohn_matrix,
+    slice_moments,
+)
 from bscd.measure import random_stable_poly
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair
 
@@ -20,9 +27,11 @@ deg = DegreePair(1, 1)
 
 print("p = 3 - z - w")
 print("-------------")
+# the polynomials factor the circle values of a determinant profile, at an
+# array of angles; one angle is an array of one
 theta = 0.9
-op = parametric_polynomials(p, deg, theta)
-print(f"  phi_0 at theta={theta}: {op.phi[0][0].real:.6f}   (9 - 6 cos theta = {9 - 6 * np.cos(theta):.6f})")
+op = parametric_polynomials(principal_determinants(schur_cohn_matrix(p, deg), [theta]))
+print(f"  phi_0 at theta={theta}: {op.phi[0][0, 0].real:.6f}   (9 - 6 cos theta = {9 - 6 * np.cos(theta):.6f})")
 mv = moment_vanishing(p, deg, {0: [1, 2, 3, 4, 5]})
 print(f"  angle-Fourier values I(k) on {mv['theta_grid']} angles, vanishing bound k > n(m-j) = 1:")
 for k, v in zip(mv["per_j"][0]["k_list"], mv["per_j"][0]["values"]):
@@ -35,14 +44,14 @@ q, qdeg = random_stable_poly(2, 3, rng)
 n, m = qdeg
 print(f"random stable polynomial, degree {tuple(qdeg)}")
 print("---------------------------------------")
-op = parametric_polynomials(q, qdeg, 0.7)
-check = orthogonality_check(op, slice_moments(q, qdeg, 0.7, m - 1))
-print(f"  off-diagonal slice inner products: max {check['offdiag_max']:.2e}")
-print(f"  diagonal law D[m-i]/D[m-i-1]     : residual {check['lu_law_residual']:.2e}")
+op = parametric_polynomials(principal_determinants(schur_cohn_matrix(q, qdeg), [0.7]))
+check = orthogonality_check(op, slice_moments(q, qdeg, [0.7], m - 1))
+print(f"  off-diagonal slice inner products: max {check['offdiag_max'][0]:.2e}")
+print(f"  diagonal law D[m-i]/D[m-i-1]     : residual {check['lu_law_residual'][0]:.2e}")
 # the variant subscripting shifts the denominator index the other way; it
 # misses the norms by far more than roundoff
-D, i = np.asarray(op.D.D), np.arange(1, m)
-variant = np.max(np.abs(np.diagonal(check["gram"])[1:] - D[m - i] / D[m - i + 1]))
+D, i = op.D.D[0], np.arange(1, m)
+variant = np.max(np.abs(np.diagonal(check["gram"][0])[1:] - D[m - i] / D[m - i + 1]))
 print(f"  variant subscript D[m-i]/D[m-i+1]: residual {variant:.2e}")
 mv = moment_vanishing(q, qdeg, {j: [n * (m - j) + 1, n * (m - j) + 2] for j in range(m)})
 print(f"  one sweep of {mv['theta_grid']} angles for every j:")

@@ -164,7 +164,7 @@ def slice_gram(kernelset: CDKernelSet, sm: SlicedMoments) -> np.ndarray:
     lags up to ``m - 1``.
     """
     m = kernelset.deg.m
-    z = np.exp(1j * np.atleast_1d(sm.theta))
+    z = np.exp(1j * sm.theta)
     # sections[k, j] holds the w-coefficients of a_j at the k-th angle
     sections = np.stack([w_slice(aj, z, m) for aj in kernelset.a]).transpose(2, 0, 1)
     # integral of conj(a_i) a_j equals <a_j, a_i> on the slice

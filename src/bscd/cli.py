@@ -166,12 +166,20 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 # ----------------------------------------------------------------------
 
 
+def _circle_values(art) -> schur_cohn.DeterminantProfile:
+    """The Schur-Cohn circle values on the theta grid, for a stable p only;
+    the schur-cohn, cd-kernel and parametric suites all read this one set."""
+    measure.ensure_stable(art.p, art.deg)
+    return schur_cohn.principal_determinants(art.get("matrix"), angle_grid(THETA_GRID))
+
+
 # each builder gets the run's Artifacts, so it can build on other artifacts
 ARTIFACT_BUILDERS = {
     "stability": lambda art: measure.check_stability(art.p, art.deg),
     "moments": lambda art: measure.moments_from_grid(art.p, art.config.window),
     "matrix": lambda art: schur_cohn.schur_cohn_matrix(art.p, art.deg),
     "kernelset": lambda art: cd_kernel.cd_kernel_set(art.p, art.deg, art.get("matrix")),
+    "circle": _circle_values,
     # slice moments on the theta grid; unchecked, so a suite fetches it only
     # after an artifact that refuses an unstable p (load_config refuses m < 1)
     "slices": lambda art: measure._slice_moments_unchecked(
@@ -252,15 +260,11 @@ def _suite_moments(art: Artifacts, cfg: RunConfig):
 
 
 def _suite_schur_cohn(art: Artifacts, cfg: RunConfig):
-    measure.ensure_stable(cfg.polynomial, cfg.deg)
-    T = art.get("matrix")
+    profile = art.get("circle")
     m = cfg.deg.m
-    sl = art.get("slices")
-    thetas = sl.theta
-    profile = schur_cohn.principal_determinants(T, thetas)
     M = profile.matrix
     eigs = np.linalg.eigvalsh(M)[:, 0]
-    residuals = np.max(np.abs(M @ sl.lag_matrix(m, m) - np.eye(m)), axis=(1, 2))
+    residuals = np.max(np.abs(M @ art.get("slices").lag_matrix(m, m) - np.eye(m)), axis=(1, 2))
     rows = [
         {
             "theta": float(theta),
@@ -268,7 +272,7 @@ def _suite_schur_cohn(art: Artifacts, cfg: RunConfig):
             "min_eig": float(eig),
             "inverse_moment_residual": float(residual),
         }
-        for theta, D, eig, residual in zip(thetas, profile.D, eigs, residuals)
+        for theta, D, eig, residual in zip(profile.theta, profile.D, eigs, residuals)
     ]
     min_eig = float(np.min(eigs))
     violation = _worst([*residuals, 1.0 if min_eig <= 0.0 else 0.0])
@@ -285,9 +289,8 @@ def _suite_cd_kernel(art: Artifacts, cfg: RunConfig):
         return _worst((f - aj).max_abs() for f, aj in zip(family, ks.a))
 
     # second route: the sliced Gram of the a_j is T(e^{i theta}) on the grid
-    sl = art.get("slices")
-    Tc = schur_cohn.evaluate_on_circle(art.get("matrix"), sl.theta)
-    gap = np.max(np.abs(cd_kernel.slice_gram(ks, sl) - Tc))
+    Tc = art.get("circle").matrix
+    gap = np.max(np.abs(cd_kernel.slice_gram(ks, art.get("slices")) - Tc))
     checks = {
         "divided_difference_max": gap_to_a(cd_kernel.kernel_by_divided_difference(p, cfg.deg)),
         "cofactor_max": gap_to_a(p * A + pr * B for A, B in zip(ks.A, ks.B)),
@@ -355,9 +358,8 @@ def _suite_verify_kernel(art: Artifacts, cfg: RunConfig):
 
 def _suite_parametric(art: Artifacts, cfg: RunConfig):
     n, m = cfg.deg
-    T = art.get("matrix")
-    thetas = angle_grid(THETA_GRID)
-    op = parametric.parametric_polynomials(cfg.polynomial, cfg.deg, thetas, T)
+    op = parametric.parametric_polynomials(art.get("circle"))
+    thetas = op.D.theta
     check = parametric.orthogonality_check(op, art.get("slices"))
     residuals = [*check["offdiag_max"], *check["lu_law_residual"]]
     # second route: monic Gram-Schmidt on the slices, scaled to the LU leads
@@ -378,7 +380,7 @@ def _suite_parametric(art: Artifacts, cfg: RunConfig):
     ]
     # the first three frequencies past each bound n(m - j)
     k_lists = {j: [n * (m - j) + d for d in (1, 2, 3)] for j in range(m)}
-    result = parametric.moment_vanishing(cfg.polynomial, cfg.deg, k_lists, T)
+    result = parametric.moment_vanishing(cfg.polynomial, cfg.deg, k_lists, art.get("matrix"))
     vanishing = {}
     for j, entry in result["per_j"].items():
         # the values are roundoff of an integrand of modulus up to the scale

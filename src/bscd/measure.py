@@ -582,30 +582,30 @@ def norm(f: BivariateLaurentPoly, moments: MomentTable) -> float:
 
 @dataclass(frozen=True)
 class SlicedMoments:
-    """Trigonometric moments of the circle measure at a fixed first angle.
+    """Trigonometric moments of the circle measures at ``K`` first angles.
 
-    At one angle ``values`` holds the ``2 lag + 1`` moments ``m_{-lag} ..
-    m_lag`` as a tuple and ``grid`` is the circle grid they stopped on.  At a
-    1-D array of ``K`` angles ``values`` has shape ``(K, 2 lag + 1)`` and
-    ``grid`` shape ``(K,)``, angle first.
+    ``theta`` has shape ``(K,)``; row ``k`` of ``values``, shape ``(K, 2 lag +
+    1)``, holds the moments ``m_{-lag} .. m_lag`` at the k-th angle, and
+    ``grid[k]`` the circle grid they stopped on.
     """
 
-    theta: float | np.ndarray
+    theta: np.ndarray
     lag: int
-    values: tuple[complex, ...] | np.ndarray
-    grid: int | np.ndarray
+    values: np.ndarray
+    grid: np.ndarray
 
-    def get(self, k: int):
+    def get(self, k: int) -> np.ndarray:
+        """The moment ``m_k`` at every angle."""
         if abs(k) > self.lag:
             raise WindowTooSmall((0, k), (0, self.lag))
-        return np.asarray(self.values)[..., k + self.lag]
+        return self.values[:, k + self.lag]
 
     def lag_matrix(self, rows: int, cols: int) -> np.ndarray:
         """The moments ``M[t, s] = m_{s-t}`` for ``t < rows`` and ``s < cols``.
 
         For ascending coefficient vectors ``f`` (length ``cols``) and ``g``
-        (length ``rows``), ``<f, g> = conj(g) @ M @ f``.  At an array of
-        angles the result has shape ``(K, rows, cols)``.  It is a read-only
+        (length ``rows``), ``<f, g> = conj(g) @ M @ f``; the result has shape
+        ``(K, rows, cols)``, one matrix per angle.  It is a read-only
         view of the leading block of :attr:`_toeplitz`, so every pairing on
         these moments reads the one gather.
         """
@@ -618,7 +618,7 @@ class SlicedMoments:
     def _toeplitz(self) -> np.ndarray:
         """The whole lag matrix, ``t, s <= lag``, gathered on first use."""
         shifts = np.subtract.outer(np.arange(self.lag + 1), np.arange(self.lag + 1))
-        toeplitz = np.asarray(self.values)[..., self.lag - shifts]
+        toeplitz = self.values[:, self.lag - shifts]
         toeplitz.setflags(write=False)
         return toeplitz
 
@@ -629,13 +629,14 @@ def slice_moments(
     theta,
     lag: int,
 ) -> SlicedMoments:
-    """Moments ``m_k``, ``|k| <= lag``, of ``|dw| / (2 pi |p(e^{i theta}, w)|^2)``."""
+    """Moments ``m_k``, ``|k| <= lag``, of ``|dw| / (2 pi |p(e^{i theta}, w)|^2)``
+    at each of a 1-D array of angles ``theta``."""
     ensure_stable(p, deg)
     return _slice_moments_unchecked(p, deg, theta, lag)
 
 
 def _slice_moments_unchecked(p, deg, theta, lag):
-    """Slice moments at one angle or at a 1-D array of angles.
+    """Slice moments at a 1-D array of angles.
 
     The circle grid doubles from ``GRID_START``, with row-wise FFTs over the
     angles still open, ``SLICE_BLOCK`` rows at a time; each angle takes its
@@ -643,7 +644,7 @@ def _slice_moments_unchecked(p, deg, theta, lag):
     ``DEFAULT_SLICE_TOL * max(1, max|window|)``.
     """
     theta = as_angles(theta)
-    w_coeffs = np.atleast_2d(w_slice(p, np.exp(1j * theta), deg.m + 1).T)
+    w_coeffs = w_slice(p, np.exp(1j * theta), deg.m + 1).T
 
     def compute(size, rows):
         windows = []
@@ -659,31 +660,25 @@ def _slice_moments_unchecked(p, deg, theta, lag):
     values, grids, _ = _refine(
         compute, len(w_coeffs), GRID_START, GRID_CAP, DEFAULT_SLICE_TOL, "slice moments at grid"
     )
-    sym = _hermitianize(values, (1,))
-    if np.ndim(theta) == 0:
-        return SlicedMoments(theta, lag, tuple(complex(v) for v in sym[0]), int(grids[0]))
-    return SlicedMoments(theta, lag, sym, grids)
+    return SlicedMoments(theta, lag, _hermitianize(values, (1,)), grids)
 
 
 def slice_inner_product(f_coeffs, g_coeffs, moments: SlicedMoments):
     """Inner product ``<f, g>`` of w-polynomials on a slice, ``conj(g) · Toep · f``.
 
-    ``Toep[t, s] = m_{s-t}`` is the one-variable lag matrix
+    ``Toep[t, s] = m_{s-t}`` is the one-variable lag matrix at each angle
     (:meth:`SlicedMoments.lag_matrix`).  Coefficients run ascending along the
     last axis and the other axes broadcast, so a Gram matrix is one call on
-    stacked coefficient vectors.  For moments at an array of angles the first
-    axis of ``f`` and ``g`` is the angle axis.  One pair of vectors on a
-    single slice gives a complex number.
+    stacked coefficient vectors.  The first axis of ``f`` and ``g`` is the
+    angle axis, and so is the first axis of the result.
     """
     f = np.asarray(f_coeffs, dtype=complex)
     g = np.asarray(g_coeffs, dtype=complex)
     toep = moments.lag_matrix(g.shape[-1], f.shape[-1])
-    if toep.ndim == 3:
-        # one matrix per angle: line the angle axis up with the first axis of f, g
-        axes = max(f.ndim, g.ndim, 2) - 2
-        toep = toep.reshape(toep.shape[:1] + (1,) * axes + toep.shape[1:])
-    value = (g.conj()[..., None, :] @ toep @ f[..., :, None])[..., 0, 0]
-    return complex(value) if value.ndim == 0 else value
+    # line the angle axis up with the first axis of f and g
+    axes = max(f.ndim, g.ndim, 2) - 2
+    toep = toep.reshape(toep.shape[:1] + (1,) * axes + toep.shape[1:])
+    return (g.conj()[..., None, :] @ toep @ f[..., :, None])[..., 0, 0]
 
 
 # ----------------------------------------------------------------------
@@ -692,20 +687,16 @@ def slice_inner_product(f_coeffs, g_coeffs, moments: SlicedMoments):
 
 
 def random_stable_poly(
-    n: int,
-    m: int,
-    rng: np.random.Generator,
-    mass: float | None = None,
+    n: int, m: int, rng: np.random.Generator
 ) -> tuple[BivariateLaurentPoly, DegreePair]:
     """Random polynomial that is zero-free on the closed bidisk by construction.
 
     Draws a random ``q`` with zero constant term on ``[0, n] x [0, m]`` and
     returns ``p = (1 + sum |q coefficients|) - q``; the triangle inequality
-    gives ``|p| >= 1`` there.  ``mass`` rescales ``q`` so the coefficient sum
-    is controlled, which controls how fast the moments decay.
+    gives ``|p| >= 1`` there.  ``q`` is rescaled to a coefficient sum drawn
+    from ``U(0.8, 1.6)``, which bounds how slowly the moments decay.
     """
-    if mass is None:
-        mass = float(rng.uniform(0.8, 1.6))
+    mass = float(rng.uniform(0.8, 1.6))
     coeffs = {}
     for i in range(n + 1):
         for j in range(m + 1):

@@ -8,6 +8,11 @@ and squared slice norms both equal the pivot ratio ``D[m-i] / D[m-i-1]`` of
 the leading principal determinants.  :func:`orthogonality_check` returns
 the residuals of orthogonality and of that norm law; the ``parametric``
 suite of the CLI gates them under its ``identity`` tolerance.
+
+Every object here lives on an array of ``K`` angles, angle axis first.
+:func:`parametric_polynomials` factors the circle values of a
+:class:`~bscd.schur_cohn.DeterminantProfile` it is given, so a run that
+already holds the profile on its theta grid evaluates the matrix there once.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDegree, IndexOutOfRange, NoConvergence, NotPositiveDefinite
+from .errors import IndexOutOfRange, NoConvergence, NotPositiveDefinite
 from .measure import SlicedMoments, _slice_moments_unchecked, ensure_stable, slice_inner_product
 from .poly import BivariateLaurentPoly, DegreePair, angle_grid
 from .schur_cohn import (
@@ -62,42 +67,27 @@ def lu_no_pivot(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ParametricOPUC:
-    """LU data and degree-graded polynomials at one angle or an array of angles.
+    """LU data and degree-graded polynomials at the ``K`` angles of ``D``.
 
-    ``phi[i]`` holds ascending w-coefficients of the degree-i polynomial;
-    its leading coefficient is the matching diagonal entry of ``U``.  For
-    ``K`` angles every array gains a leading angle axis: ``phi[i]`` has shape
-    ``(K, i + 1)`` and ``U``, ``L_factor`` shape ``(K, m, m)``.
+    ``phi[i]``, shape ``(K, i + 1)``, holds ascending w-coefficients of the
+    degree-i polynomial at each angle; its leading coefficient is the matching
+    diagonal entry of ``U``.  ``U`` and ``L_factor`` have shape ``(K, m, m)``.
     """
 
-    theta: float | np.ndarray
     phi: tuple[np.ndarray, ...]
     U: np.ndarray
     L_factor: np.ndarray
     D: DeterminantProfile
 
 
-def parametric_polynomials(
-    p: BivariateLaurentPoly,
-    deg: DegreePair,
-    theta,
-    T: LaurentMatrixPoly | None = None,
-) -> ParametricOPUC:
-    """Build the slice polynomials at ``z = e^{i theta}``, one angle or many.
-
-    The circle values are computed once, with the determinant profile, and
-    factored as one stack.
-    """
-    n, m = deg
-    if m == 0:
-        raise DegenerateDegree("need degree at least 1 in w")
-    ensure_stable(p, deg)
-    if T is None:
-        T = schur_cohn_matrix(p, deg)
-    profile = principal_determinants(T, theta)
+def parametric_polynomials(profile: DeterminantProfile) -> ParametricOPUC:
+    """Build the slice polynomials at the angles of ``profile``, factoring its
+    circle values as one stack; :func:`lu_no_pivot` refuses a stack that is
+    not positive definite."""
+    m = profile.matrix.shape[-1]
     L, U = lu_no_pivot(profile.matrix)
-    phi = tuple(U[..., m - 1 - i, m - 1 - i :][..., ::-1].copy() for i in range(m))
-    return ParametricOPUC(profile.theta, phi, U, L, profile)
+    phi = tuple(U[:, m - 1 - i, m - 1 - i :][:, ::-1].copy() for i in range(m))
+    return ParametricOPUC(phi, U, L, profile)
 
 
 def _phi_rows(op: ParametricOPUC) -> np.ndarray:
@@ -109,20 +99,19 @@ def orthogonality_check(op: ParametricOPUC, sm: SlicedMoments) -> dict:
     """Sliced inner products of the polynomials and their two residuals.
 
     ``sm`` holds the slice moments at the angles of ``op``, with lags up to
-    ``m - 1``.  Returns the Gram matrix ``gram``, the largest off-diagonal
-    modulus ``offdiag_max`` and the largest distance ``lu_law_residual`` of
-    the diagonal from the pivot ratio ``D[m-i]/D[m-i-1]``.  At an array of
-    angles the Gram has shape ``(K, m, m)`` and both residuals are arrays
-    over the angles.
+    ``m - 1``.  Returns the Gram matrices ``gram``, shape ``(K, m, m)``, and
+    per angle the largest off-diagonal modulus ``offdiag_max`` and the
+    largest distance ``lu_law_residual`` of the diagonal from the pivot ratio
+    ``D[m-i]/D[m-i-1]``.
     """
     m = op.U.shape[-1]
     rows = _phi_rows(op)
-    gram = slice_inner_product(rows[..., :, None, :], rows[..., None, :, :], sm)
-    off = np.max(np.where(np.eye(m, dtype=bool), 0.0, np.abs(gram)), axis=(-2, -1))
-    D = np.asarray(op.D.D)
-    diag = np.diagonal(gram, axis1=-2, axis2=-1)
+    gram = slice_inner_product(rows[:, :, None, :], rows[:, None, :, :], sm)
+    off = np.max(np.where(np.eye(m, dtype=bool), 0.0, np.abs(gram)), axis=(1, 2))
+    D = op.D.D
+    diag = np.diagonal(gram, axis1=1, axis2=2)
     i = np.arange(m)
-    lu_residual = np.max(np.abs(diag - D[..., m - i] / D[..., m - i - 1]), axis=-1)
+    lu_residual = np.max(np.abs(diag - D[:, m - i] / D[:, m - i - 1]), axis=1)
     return {"gram": gram, "offdiag_max": off, "lu_law_residual": lu_residual}
 
 
@@ -158,7 +147,7 @@ def moment_vanishing(
     size = 2 * half
     js = np.array(list(k_lists), dtype=int)
     thetas = angle_grid(size)
-    op = parametric_polynomials(p, deg, thetas, T)
+    op = parametric_polynomials(principal_determinants(T, thetas))
     sm = _slice_moments_unchecked(p, deg, thetas, m - 1)
     rows = _phi_rows(op)[:, js]
     norms = slice_inner_product(rows, rows, sm).real.T
@@ -195,10 +184,10 @@ def gram_schmidt_slice_polynomials(sm: SlicedMoments) -> list[np.ndarray]:
     m = sm.lag + 1
     basis: list[np.ndarray] = []
     for d in range(m):
-        v = np.zeros(np.shape(sm.values)[:-1] + (m,), dtype=complex)
-        v[..., d] = 1.0
+        v = np.zeros((len(sm.theta), m), dtype=complex)
+        v[:, d] = 1.0
         for q in basis:
-            ratio = np.divide(slice_inner_product(v, q, sm), slice_inner_product(q, q, sm))
-            v = v - ratio[..., None] * q
+            ratio = slice_inner_product(v, q, sm) / slice_inner_product(q, q, sm)
+            v = v - ratio[:, None] * q
         basis.append(v)
-    return [v[..., : d + 1] for d, v in enumerate(basis)]
+    return [v[:, : d + 1] for d, v in enumerate(basis)]

@@ -318,13 +318,11 @@ def angle_grid(count: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(count) / count
 
 
-def as_angles(theta):
-    """A scalar angle as a float, an array of angles as a 1-D float array."""
-    if np.ndim(theta) == 0:
-        return float(theta)
+def as_angles(theta) -> np.ndarray:
+    """The angles as a 1-D float array; one angle is an array of one."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1:
-        raise ValueError("angles must be a scalar or a 1-D array")
+        raise ValueError("angles must be a 1-D array")
     return theta
 
 

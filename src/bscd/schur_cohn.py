@@ -19,6 +19,11 @@ tensor: with ``s_j = p_j(z)``, ``pbar_j(1/z) = conj(s_j)``, so the matrix is
 ``A A^H - B^H B`` for the triangular Toeplitz factors ``A[i, l] = s_{i-l}``
 (``l <= i``) and ``B[k, j] = s_{m-j+k}`` (``k <= j``).  Checks that compare a
 circle value with the coefficients therefore also check the convolution.
+
+The circle functions take a 1-D array of ``K`` angles, one angle being an
+array of one, and put the angle axis first in what they return.  A command
+line run builds :func:`principal_determinants` on its theta grid once, and
+every suite on the circle reads that one profile.
 """
 
 from __future__ import annotations
@@ -62,15 +67,12 @@ class LaurentMatrixPoly:
 
 @dataclass(frozen=True)
 class DeterminantProfile:
-    """Leading principal determinants, ``D[..., 0] == 1``, and the circle values.
+    """Leading principal determinants, ``D[:, 0] == 1``, and the circle values
+    at ``K`` angles: ``theta`` has shape ``(K,)``, ``D`` shape ``(K, m + 1)``
+    and ``matrix`` shape ``(K, m, m)``."""
 
-    At one angle ``D`` is a tuple of floats and ``matrix`` the ``(m, m)``
-    value; at an array of ``K`` angles ``D`` has shape ``(K, m + 1)`` and
-    ``matrix`` shape ``(K, m, m)``.
-    """
-
-    theta: float | np.ndarray
-    D: tuple[float, ...] | np.ndarray
+    theta: np.ndarray
+    D: np.ndarray
     matrix: np.ndarray
 
 
@@ -93,10 +95,8 @@ def schur_cohn_matrix(p: BivariateLaurentPoly, deg: DegreePair) -> LaurentMatrix
 
 
 def evaluate_on_circle(T: LaurentMatrixPoly, theta) -> np.ndarray:
-    """Value at ``z = e^{i theta}`` as ``A A^H - B^H B``, symmetrized to exact Hermitian.
-
-    For a 1-D array of angles the result has shape ``(K, m, m)``, angle first.
-    """
+    """Values at ``z = e^{i theta}`` as ``A A^H - B^H B``, symmetrized to exact
+    Hermitian; for ``K`` angles the result has shape ``(K, m, m)``."""
     z = np.exp(1j * as_angles(theta))
     s = np.stack([q(z, 1.0) for q in T.slices], axis=-1)
     lag = np.subtract.outer(np.arange(T.m), np.arange(T.m))
@@ -111,13 +111,13 @@ def _adjoint(X: np.ndarray) -> np.ndarray:
 
 
 def principal_determinants(T: LaurentMatrixPoly, theta) -> DeterminantProfile:
-    """Leading principal determinants of the circle value at one or more angles."""
+    """Leading principal determinants of the circle values at an array of angles."""
     theta = as_angles(theta)
     M = evaluate_on_circle(T, theta)
-    D = np.ones(M.shape[:-2] + (T.m + 1,))
+    D = np.ones((len(theta), T.m + 1))
     for i in range(1, T.m + 1):
-        D[..., i] = np.linalg.det(M[..., :i, :i]).real
-    return DeterminantProfile(theta, tuple(D.tolist()) if M.ndim == 2 else D, M)
+        D[:, i] = np.linalg.det(M[:, :i, :i]).real
+    return DeterminantProfile(theta, D, M)
 
 
 def diagonal_average(T: LaurentMatrixPoly, k: int) -> float:

@@ -47,6 +47,8 @@ GRAM_CONDITION_CAP = 1e12
 # and the shift relations run up to z^SHIFT_MAX
 MARGIN = 4
 SHIFT_MAX = 2
+# the torus grid of the closed-form kernel quadrature
+KERNEL_GRID = 512
 
 
 # ----------------------------------------------------------------------
@@ -373,16 +375,15 @@ class _CornerKernelQuadrature:
     in the same order, so batching changes no bit of it.
     """
 
-    __slots__ = ("grid", "conj_V", "conj_Vr", "weight", "at_points")
+    __slots__ = ("conj_V", "conj_Vr", "weight", "at_points")
 
-    def __init__(self, p: BivariateLaurentPoly, deg: DegreePair, points, grid: int):
+    def __init__(self, p: BivariateLaurentPoly, deg: DegreePair, points):
         pr = p.reflect(deg)
-        V = torus_grid_values(p, grid)
-        self.grid = grid
+        V = torus_grid_values(p, KERNEL_GRID)
         self.conj_V = np.conj(V)
-        self.conj_Vr = np.conj(torus_grid_values(pr, grid))
+        self.conj_Vr = np.conj(torus_grid_values(pr, KERNEL_GRID))
         self.weight = np.abs(V) ** 2
-        conj_circle = np.conj(np.exp(2j * np.pi * np.arange(grid) / grid))
+        conj_circle = np.conj(np.exp(2j * np.pi * np.arange(KERNEL_GRID) / KERNEL_GRID))
         self.at_points = []
         for y in points:
             yz, yw = complex(y[0]), complex(y[1])
@@ -392,7 +393,7 @@ class _CornerKernelQuadrature:
 
     def pairings(self, f: BivariateLaurentPoly) -> list[complex]:
         """``<f, K(., y)>`` at every point ``y``, in order."""
-        f_vals = torus_grid_values(f, self.grid)
+        f_vals = torus_grid_values(f, KERNEL_GRID)
         return [self._pairing(f_vals, *at) for at in self.at_points]
 
     def _pairing(self, f_vals, py, pry, denom_z, denom_w) -> complex:
@@ -407,20 +408,20 @@ def closed_form_kernel_pairing(
     deg: DegreePair,
     f: BivariateLaurentPoly,
     y,
-    grid: int = 512,
 ) -> complex:
     """Quadrature of ``<f, K(., y)>`` for the closed-form corner kernel
 
         K(x; y) = [p(x) conj(p(y)) - refl(x) conj(refl(y))]
                   / [(1 - z conj(yz)) (1 - w conj(yw))]
 
-    on the uniform ``grid x grid`` torus grid.  The integrand is analytic
-    near the torus for ``y`` in the open bidisk, so the grid sum converges
-    spectrally.  One pair builds the grid values of ``p``, its reflection
-    and ``f`` for itself; :func:`closed_form_kernel_residual` builds those
-    of ``p`` once for all its pairs and gets the same values to the bit.
+    on the uniform ``KERNEL_GRID x KERNEL_GRID`` torus grid.  The integrand
+    is analytic near the torus for ``y`` in the open bidisk, so the grid sum
+    converges spectrally.  One pair builds the grid values of ``p``, its
+    reflection and ``f`` for itself; :func:`closed_form_kernel_residual`
+    builds those of ``p`` once for all its pairs and gets the same values to
+    the bit.
     """
-    return _CornerKernelQuadrature(p, deg, [y], grid).pairings(f)[0]
+    return _CornerKernelQuadrature(p, deg, [y]).pairings(f)[0]
 
 
 def closed_form_kernel_residual(
@@ -429,7 +430,6 @@ def closed_form_kernel_residual(
     moments: MomentTable,
     test_functions,
     points,
-    grid: int = 512,
 ) -> dict:
     """Reproducing-property check for the corner-span kernel.
 
@@ -443,7 +443,7 @@ def closed_form_kernel_residual(
     ensure_stable(p, deg)
     n, m = deg
     points = list(points)
-    quadrature = _CornerKernelQuadrature(p, deg, points, grid)
+    quadrature = _CornerKernelQuadrature(p, deg, points)
     reproducing_max = 0.0
     projection_max = 0.0
     for f in test_functions:
@@ -483,16 +483,15 @@ def closed_form_kernel_residual(
     }
 
 
-def default_lshape_monomials(
-    deg: DegreePair, count: int = 10, margin: int = 4
-) -> list[BivariateLaurentPoly]:
-    """A graded list of monomials from the L-shaped span, for kernel tests."""
+def default_lshape_monomials(deg: DegreePair, count: int = 10) -> list[BivariateLaurentPoly]:
+    """A graded list of monomials from the L-shaped span, for kernel tests,
+    reaching at most ``MARGIN`` past the degree in each variable."""
     n, m = deg
     picked = []
-    for total in range(0, 2 * (max(n, m) + margin) + 1):
+    for total in range(0, 2 * (max(n, m) + MARGIN) + 1):
         for i in range(0, total + 1):
             j = total - i
-            if i > n + margin or j > m + margin:
+            if i > n + MARGIN or j > m + MARGIN:
                 continue
             if not (i >= n and j >= m):
                 picked.append(BivariateLaurentPoly.monomial(i, j))

@@ -62,8 +62,8 @@ def variant_law_residual(check, op):
     ``D[m-i] / D[m-i+1]``, which shifts the denominator of the pivot ratio
     ``D[m-i] / D[m-i-1]`` the other way; defined for ``i = 1 .. m-1``, so
     ``m >= 2``.  ``check`` is ``orthogonality_check`` of the polynomials
-    ``op``, at one angle (a float) or at an array of angles (an array)."""
-    D = np.asarray(op.D.D)
+    ``op``; the result has one entry per angle."""
+    D = op.D.D
     m = D.shape[-1] - 1
     i = np.arange(1, m)
     diag = np.diagonal(check["gram"], axis1=-2, axis2=-1)[..., 1:]

@@ -27,7 +27,7 @@ from bscd.measure import (
 )
 from bscd.parametric import moment_vanishing, orthogonality_check, parametric_polynomials
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair
-from bscd.schur_cohn import evaluate_on_circle, schur_cohn_matrix
+from bscd.schur_cohn import evaluate_on_circle, principal_determinants, schur_cohn_matrix
 from bscd.subspaces import (
     cd_formula_residual,
     closed_form_kernel_residual,
@@ -173,10 +173,10 @@ def test_criterion_6_slice_identities():
                 v = np.conj(eta) ** np.arange(m)
                 diagonal = np.conj(z) ** n * sum(aj(z, eta) * vj for aj, vj in zip(ks.a, v))
                 assert abs(np.conj(v) @ G @ v - diagonal) < 1e-9
-                sm = slice_moments(p, deg, theta, m - 1)
-                M = np.array([[sm.get(j - i) for j in range(m)] for i in range(m)])
+                sm = slice_moments(p, deg, [theta], m - 1)
+                M = np.array([[sm.get(j - i)[0] for j in range(m)] for i in range(m)])
                 identity_residual = np.max(
-                    np.abs(evaluate_on_circle(T, theta) @ M - np.eye(m))
+                    np.abs(evaluate_on_circle(T, [theta])[0] @ M - np.eye(m))
                 )
                 assert identity_residual < 1e-8
 
@@ -185,13 +185,14 @@ def test_criterion_7_parametric_polynomials():
     with criterion(7, "parametric slice polynomials"):
         for p, deg, _, _ in random_set():
             n, m = deg
+            T = schur_cohn_matrix(p, deg)
             for theta in (0.0, 0.7, 2.9):
-                op = parametric_polynomials(p, deg, theta)
-                check = orthogonality_check(op, slice_moments(p, deg, theta, m - 1))
-                assert check["offdiag_max"] < 1e-9
-                assert check["lu_law_residual"] < 1e-9
+                op = parametric_polynomials(principal_determinants(T, [theta]))
+                check = orthogonality_check(op, slice_moments(p, deg, [theta], m - 1))
+                assert check["offdiag_max"][0] < 1e-9
+                assert check["lu_law_residual"][0] < 1e-9
                 if m >= 2:
-                    assert variant_law_residual(check, op) > 1e-3
+                    assert variant_law_residual(check, op)[0] > 1e-3
             k_lists = {j: [n * (m - j) + d for d in (1, 2, 3)] for j in range(m)}
             result = moment_vanishing(p, deg, k_lists)
             for entry in result["per_j"].values():

@@ -191,14 +191,13 @@ def slice_gram_loop(p, deg, theta, ks):
     m = deg.m
     z = np.exp(1j * float(theta))
     sections = np.array([w_slice(aj, z, m) for aj in ks.a])
-    sm = slice_moments(p, deg, theta, m - 1)
+    sm = slice_moments(p, deg, [theta], m - 1)
     return slice_inner_product(sections[None, :, :], sections[:, None, :], sm)
 
 
 def slice_gram_gap(p, deg, thetas, ks=None):
     """``G - T(e^{i theta})`` at ``thetas``, shape ``(K, m, m)``."""
     ks = ks if ks is not None else cd_kernel_set(p, deg)
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     G = slice_gram(ks, slice_moments(p, deg, thetas, deg.m - 1))
     return G - evaluate_on_circle(schur_cohn_matrix(p, deg), thetas)
 
@@ -211,7 +210,7 @@ def slice_norm_sides(p, deg, thetas, eta, ks=None):
     ``conj(z)^n L(z, eta; eta)``, read off the ``a_j`` directly.
     """
     ks = ks if ks is not None else cd_kernel_set(p, deg)
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    thetas = np.asarray(thetas, dtype=float)
     G = slice_gram(ks, slice_moments(p, deg, thetas, deg.m - 1))
     v = np.conj(eta) ** np.arange(deg.m)
     lhs = np.einsum("i,kij,j->k", np.conj(v), G, v)
@@ -233,7 +232,7 @@ def test_slice_norm_identity_worked_law():
 
 
 def test_slice_norm_identity_univariate():
-    lhs, rhs = slice_norm_sides(UNIV, DegreePair(0, 1), 1.234, 0.5)
+    lhs, rhs = slice_norm_sides(UNIV, DegreePair(0, 1), [1.234], 0.5)
     assert abs(lhs[0] - 3.0) < 1e-11
     assert abs(lhs[0] - rhs[0]) < 1e-11
 
@@ -245,13 +244,13 @@ def test_slice_norm_identity_random(random_family):
         for _ in range(3):
             theta = rng.uniform(0, 2 * np.pi)
             eta = complex(rng.normal(), rng.normal()) * 0.5
-            lhs, rhs = slice_norm_sides(p, deg, theta, eta, ks)
+            lhs, rhs = slice_norm_sides(p, deg, [theta], eta, ks)
             assert abs(lhs[0] - rhs[0]) < 1e-9
 
 
 def test_slice_gram_matches_matrix(random_family):
-    assert np.max(np.abs(slice_gram_gap(WORKED, WORKED_DEG, 0.6))) < 1e-10
-    assert np.max(np.abs(slice_gram_gap(UNIV, DegreePair(0, 1), 2.2))) < 1e-11
+    assert np.max(np.abs(slice_gram_gap(WORKED, WORKED_DEG, [0.6]))) < 1e-10
+    assert np.max(np.abs(slice_gram_gap(UNIV, DegreePair(0, 1), [2.2]))) < 1e-11
     for p, deg in random_family:
         assert np.max(np.abs(slice_gram_gap(p, deg, [0.5, 3.3]))) < 1e-9
 

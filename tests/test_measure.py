@@ -314,7 +314,7 @@ def test_overflowing_density_fails_at_the_first_doubling(monkeypatch):
     assert computed == [256, 512]
     with pytest.raises(NoConvergence, match=r"^series window at order 128 not finite \(change nan\)$"):
         moments_from_series(OVERFLOWING, WORKED_DEG, (9, 9))
-    for theta in (0.3, np.linspace(0.0, 6.0, 32)):
+    for theta in ([0.3], np.linspace(0.0, 6.0, 32)):
         computed.clear()
         with pytest.raises(NoConvergence, match=r"^slice moments at grid 512 not finite \(change nan\)$"):
             slice_moments(OVERFLOWING, WORKED_DEG, theta, 0)
@@ -780,24 +780,24 @@ def test_w_slice_is_the_term_loop(random_family):
         assert np.array_equal(measure.w_slice(p, z, deg.m + 1), expected)
 
 def test_slice_of_worked_example_at_zero():
-    sm = slice_moments(WORKED, WORKED_DEG, 0.0, 5)
+    sm = slice_moments(WORKED, WORKED_DEG, [0.0], 5)
     for k in range(-5, 6):
-        assert abs(sm.get(k) - 2.0 ** (-abs(k)) / 3.0) < 1e-12
+        assert abs(sm.get(k)[0] - 2.0 ** (-abs(k)) / 3.0) < 1e-12
 
 
 def test_slice_of_univariate_w_polynomial():
     p = Poly({(0, 0): 2, (0, 1): -1})
     for theta in (0.0, 1.3, -2.0):
-        sm = slice_moments(p, DegreePair(0, 1), theta, 2)
-        assert sm.get(0) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        sm = slice_moments(p, DegreePair(0, 1), [theta], 2)
+        assert sm.get(0)[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_slice_conjugate_symmetry(random_family_with_moments):
     p, deg, _ = random_family_with_moments[3]
-    sm = slice_moments(p, deg, 0.77, 4)
+    sm = slice_moments(p, deg, [0.77], 4)
     for k in range(5):
-        assert sm.get(-k) == pytest.approx(np.conj(sm.get(k)), abs=1e-13)
-    assert sm.get(0).imag == 0.0 and sm.get(0).real > 0
+        assert sm.get(-k)[0] == pytest.approx(np.conj(sm.get(k)[0]), abs=1e-13)
+    assert sm.get(0)[0].imag == 0.0 and sm.get(0)[0].real > 0
 
 
 def test_slice_average_reproduces_moment_row(random_family_with_moments):
@@ -808,7 +808,7 @@ def test_slice_average_reproduces_moment_row(random_family_with_moments):
             acc = 0j
             for idx in range(grid):
                 theta = 2 * np.pi * idx / grid
-                acc += slice_moments(p, deg, theta, deg.m).get(k) / grid
+                acc += slice_moments(p, deg, [theta], deg.m).get(k)[0] / grid
             assert abs(acc - table.get(0, k)) < 1e-9
 
 
@@ -849,8 +849,8 @@ def test_batched_slice_moments_are_the_per_angle_ones(monkeypatch):
             values, grid = slice_moments_loop(p, deg, theta, lag)
             assert batch.grid[k] == grid
             assert np.max(np.abs(batch.values[k] - values)) <= 1e-15
-            one = measure._slice_moments_unchecked(p, deg, float(theta), lag)
-            assert one.grid == grid and one.values == tuple(values)
+            one = measure._slice_moments_unchecked(p, deg, [theta], lag)
+            assert one.grid[0] == grid and np.array_equal(one.values[0], values)
     assert len(set(batch.grid.tolist())) >= 3
     # the block size bounds memory only
     monkeypatch.setattr(measure, "SLICE_BLOCK", 5)
@@ -860,12 +860,13 @@ def test_batched_slice_moments_are_the_per_angle_ones(monkeypatch):
 
 
 def slice_inner_product_loop(f_coeffs, g_coeffs, moments):
-    """The definition: sum of f_s conj(g_t) m_{s-t} over the nonzero coefficients."""
+    """The definition: sum of f_s conj(g_t) m_{s-t} over the nonzero
+    coefficients, on moments at one angle."""
     total = 0j
     for s, fc in enumerate(f_coeffs):
         for t, gc in enumerate(g_coeffs):
             if fc != 0 and gc != 0:
-                total += fc * np.conj(gc) * moments.get(s - t)
+                total += fc * np.conj(gc) * moments.get(s - t)[0]
     return complex(total)
 
 
@@ -880,11 +881,10 @@ def test_slice_inner_product_is_the_double_loop(random_family):
         stacked = slice_inner_product(f, g, batch)
         assert stacked.shape == (3, 2)
         for k, theta in enumerate(thetas):
-            one = slice_moments(p, deg, theta, 4)
+            one = slice_moments(p, deg, [theta], 4)
             for r in range(2):
                 expected = slice_inner_product_loop(f[k, r], g[k, r], one)
-                single = slice_inner_product(f[k, r], g[k, r], one)
-                assert type(single) is complex
+                single = slice_inner_product(f[k : k + 1, r], g[k : k + 1, r], one)[0]
                 assert abs(single - expected) <= 1e-14 * (1 + abs(expected))
                 assert abs(stacked[k, r] - expected) <= 1e-14 * (1 + abs(expected))
     with pytest.raises(WindowTooSmall):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bscd.errors import IndexOutOfRange, NotPositiveDefinite
-from bscd import measure, parametric, schur_cohn
+from bscd import cli, measure, parametric, schur_cohn
 from bscd.cd_kernel import cd_kernel_set, slice_gram
 from bscd.measure import random_stable_poly, slice_moments, slice_inner_product
 from bscd.parametric import (
@@ -15,9 +15,16 @@ from bscd.parametric import (
     parametric_polynomials,
 )
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair, angle_grid
-from bscd.schur_cohn import evaluate_on_circle, schur_cohn_matrix
+from bscd.schur_cohn import evaluate_on_circle, principal_determinants, schur_cohn_matrix
 
 from conftest import WORKED, WORKED_DEG, variant_law_residual
+
+
+def polynomials_at(p, deg, thetas, T=None):
+    """The slice polynomials of ``p`` at the angles ``thetas``."""
+    if T is None:
+        T = schur_cohn_matrix(p, deg)
+    return parametric_polynomials(principal_determinants(T, thetas))
 
 
 # ----------------------------------------------------------------------
@@ -99,16 +106,16 @@ def test_one_indefinite_matrix_fails_the_stack():
 
 def test_worked_example_polynomial():
     for theta in (0.0, 0.9, np.pi):
-        op = parametric_polynomials(WORKED, WORKED_DEG, theta)
-        assert op.phi[0].shape == (1,)
-        assert op.phi[0][0] == pytest.approx(9 - 6 * np.cos(theta), abs=1e-12)
+        phi = polynomials_at(WORKED, WORKED_DEG, [theta]).phi[0][0]
+        assert phi.shape == (1,)
+        assert phi[0] == pytest.approx(9 - 6 * np.cos(theta), abs=1e-12)
 
 
 def test_univariate_constant_polynomial():
     p = Poly({(0, 0): 2, (0, 1): -1})
     for theta in (0.0, 2.2):
-        op = parametric_polynomials(p, DegreePair(0, 1), theta)
-        assert op.phi[0][0] == pytest.approx(3.0, abs=1e-13)
+        op = polynomials_at(p, DegreePair(0, 1), [theta])
+        assert op.phi[0][0][0] == pytest.approx(3.0, abs=1e-13)
 
 
 def test_structure_invariants(random_family):
@@ -116,22 +123,22 @@ def test_structure_invariants(random_family):
         m = deg.m
         T = schur_cohn_matrix(p, deg)
         for theta in (0.3, 2.1):
-            op = parametric_polynomials(p, deg, theta, T)
-            M = evaluate_on_circle(T, theta)
-            assert np.max(np.abs(op.L_factor @ op.U - M)) < 1e-10 * max(
+            op = polynomials_at(p, deg, [theta], T)
+            L, U, D, phi = op.L_factor[0], op.U[0], op.D.D[0], [f[0] for f in op.phi]
+            M = evaluate_on_circle(T, [theta])[0]
+            assert np.max(np.abs(L @ U - M)) < 1e-10 * max(
                 1.0, np.max(np.abs(M))
             )
-            assert np.all(np.diag(op.U).real > 0)
-            D = op.D.D
+            assert np.all(np.diag(U).real > 0)
             for k in range(m):
-                assert op.U[k, k].real == pytest.approx(
+                assert U[k, k].real == pytest.approx(
                     D[k + 1] / D[k], rel=1e-9
                 )
             for i in range(m):
-                assert op.phi[i].size == i + 1
-                assert op.phi[i][-1] != 0
-                assert op.phi[i][-1] == pytest.approx(
-                    op.U[m - 1 - i, m - 1 - i], abs=1e-13
+                assert phi[i].size == i + 1
+                assert phi[i][-1] != 0
+                assert phi[i][-1] == pytest.approx(
+                    U[m - 1 - i, m - 1 - i], abs=1e-13
                 )
 
 
@@ -145,16 +152,43 @@ def test_one_circle_evaluation_per_batch(random_family, monkeypatch):
     for p, deg in random_family:
         T = schur_cohn_matrix(p, deg)
         calls.clear()
-        op = parametric_polynomials(p, deg, thetas, T)
+        op = polynomials_at(p, deg, thetas, T)
         assert len(calls) == 1 and np.array_equal(calls[0][1], thetas)
         assert op.U.shape == op.L_factor.shape == (64, deg.m, deg.m)
         assert [phi.shape for phi in op.phi] == [(64, i + 1) for i in range(deg.m)]
+
+    # a run evaluates its theta grid once for every suite on the circle, and
+    # the vanishing check its own grid once
+    profiles = []
+    build = schur_cohn.principal_determinants
+    for module in (schur_cohn, parametric):
+        monkeypatch.setattr(
+            module, "principal_determinants", lambda *a: profiles.append(a) or build(*a)
+        )
+    per_run = {"all": 2, "schur-cohn": 1, "cd-kernel": 1, "parametric": 2}
+    for p, deg in [(WORKED, WORKED_DEG), random_stable_poly(3, 2, np.random.default_rng(1))]:
+        for suite, count in per_run.items():
+            suites = list(cli.SUITE_ORDER) if suite == "all" else [suite]
+            calls.clear()
+            profiles.clear()
+            reports = cli.run(cli.RunConfig(p, deg, suites, dict(cli.DEFAULT_TOLERANCES)))
+            assert [r.status for r in reports] == ["pass"] * len(suites)
+            assert len(calls) == len(profiles) == count, suite
+    # p = 2.0000000001 - z - w stops at the stability verdict, before the circle
+    nearly = Poly({(0, 0): 2.0000000001, (1, 0): -1, (0, 1): -1})
+    calls.clear()
+    tolerances = dict(cli.DEFAULT_TOLERANCES)
+    reports = cli.run(cli.RunConfig(nearly, WORKED_DEG, list(cli.SUITE_ORDER), tolerances))
+    statuses = {r.suite: r.status for r in reports}
+    assert cli.exit_code(reports) == 3 and calls == []
+    for suite in ("schur-cohn", "cd-kernel", "parametric"):
+        assert statuses[suite] == "inconclusive", suite
 
 
 def check_at(p, deg, theta, op=None):
     """``orthogonality_check`` on the slice polynomials of ``p`` at ``theta``."""
     if op is None:
-        op = parametric_polynomials(p, deg, theta)
+        op = polynomials_at(p, deg, theta)
     return orthogonality_check(op, slice_moments(p, deg, theta, deg.m - 1))
 
 
@@ -162,21 +196,21 @@ def test_batched_polynomials_are_the_per_angle_ones(random_family):
     thetas = 2.0 * np.pi * np.arange(16) / 16 + 0.2
     for p, deg in random_family:
         T = schur_cohn_matrix(p, deg)
-        op = parametric_polynomials(p, deg, thetas, T)
+        op = polynomials_at(p, deg, thetas, T)
         check = check_at(p, deg, thetas, op)
         for k, theta in enumerate(thetas):
-            one = parametric_polynomials(p, deg, float(theta), T)
-            assert type(one.theta) is float and type(one.D.D) is tuple
+            one = polynomials_at(p, deg, [theta], T)
             for batched, single in zip(op.phi, one.phi):
-                assert np.max(np.abs(batched[k] - single)) <= 1e-13 * np.max(np.abs(single))
-            single_check = check_at(p, deg, float(theta), one)
-            scale = np.max(np.abs(single_check["gram"]))
-            assert np.max(np.abs(check["gram"][k] - single_check["gram"])) <= 1e-13 * scale
-            assert abs(check["lu_law_residual"][k] - single_check["lu_law_residual"]) <= 1e-13 * scale
-            assert check["lu_law_residual"][k] < 1e-9 and single_check["lu_law_residual"] < 1e-9
+                assert np.max(np.abs(batched[k] - single[0])) <= 1e-13 * np.max(np.abs(single[0]))
+            single_check = check_at(p, deg, [theta], one)
+            gram, residual = single_check["gram"][0], single_check["lu_law_residual"][0]
+            scale = np.max(np.abs(gram))
+            assert np.max(np.abs(check["gram"][k] - gram)) <= 1e-13 * scale
+            assert abs(check["lu_law_residual"][k] - residual) <= 1e-13 * scale
+            assert check["lu_law_residual"][k] < 1e-9 and residual < 1e-9
             if deg.m > 1:
                 assert variant_law_residual(check, op)[k] == pytest.approx(
-                    variant_law_residual(single_check, one), rel=1e-9
+                    variant_law_residual(single_check, one)[0], rel=1e-9
                 )
 
 
@@ -187,33 +221,33 @@ def test_batched_polynomials_are_the_per_angle_ones(random_family):
 
 def test_worked_example_diagonal_law():
     for theta in (0.0, 0.9):
-        check = check_at(WORKED, WORKED_DEG, theta)
+        check = check_at(WORKED, WORKED_DEG, [theta])
         expected = 9 - 6 * np.cos(theta)
-        assert check["gram"][0, 0].real == pytest.approx(expected, abs=1e-10)
-        assert check["lu_law_residual"] < 1e-9
+        assert check["gram"][0, 0, 0].real == pytest.approx(expected, abs=1e-10)
+        assert check["lu_law_residual"][0] < 1e-9
 
 
 def test_univariate_diagonal_law():
     p = Poly({(0, 0): 2, (0, 1): -1})
-    check = check_at(p, DegreePair(0, 1), 0.4)
-    assert check["gram"][0, 0].real == pytest.approx(3.0, abs=1e-11)
+    check = check_at(p, DegreePair(0, 1), [0.4])
+    assert check["gram"][0, 0, 0].real == pytest.approx(3.0, abs=1e-11)
 
 
 def test_orthogonality_and_law_flags(random_family):
     for p, deg in random_family:
-        op = parametric_polynomials(p, deg, 0.7)
-        check = check_at(p, deg, 0.7, op)
-        assert check["offdiag_max"] < 1e-9
-        assert check["lu_law_residual"] < 1e-9
+        op = polynomials_at(p, deg, [0.7])
+        check = check_at(p, deg, [0.7], op)
+        assert check["offdiag_max"][0] < 1e-9
+        assert check["lu_law_residual"][0] < 1e-9
         if deg.m >= 2:
             # the variant subscripting disagrees wherever it is defined
-            assert variant_law_residual(check, op) > 1e-3
+            assert variant_law_residual(check, op)[0] > 1e-3
 
 
 def gram_schmidt_loop(p, deg, theta):
     """The one-angle Gram-Schmidt: monic slice polynomials at ``theta``."""
     m = deg.m
-    M = slice_moments(p, deg, theta, m - 1).lag_matrix(m, m)
+    M = slice_moments(p, deg, [theta], m - 1).lag_matrix(m, m)[0]
     basis = []
     for d in range(m):
         v = np.eye(m, dtype=complex)[d]
@@ -226,7 +260,7 @@ def gram_schmidt_loop(p, deg, theta):
 def test_uniqueness_via_gram_schmidt(random_family):
     thetas = np.array([1.3, 2.0, 5.1])
     for p, deg in random_family[:3]:
-        op = parametric_polynomials(p, deg, thetas)
+        op = polynomials_at(p, deg, thetas)
         monic = gram_schmidt_slice_polynomials(slice_moments(p, deg, thetas, deg.m - 1))
         for i in range(deg.m):
             rescaled = monic[i] * op.phi[i][:, -1:]
@@ -277,7 +311,7 @@ def test_vanishing_beyond_frequency_bound(random_family, monkeypatch):
         while N <= 2 * n * m + 3:
             N *= 2
         # the angles evaluated, over every call: 2N of them, all distinct
-        angles = np.concatenate([np.atleast_1d(a[2]) for a in calls])
+        angles = np.concatenate([profile.theta for (profile,) in calls])
         assert angles.size == result["theta_grid"] == 2 * N
         assert np.unique(angles).size == angles.size
         assert sorted(result["per_j"]) == list(range(m))
@@ -308,7 +342,7 @@ def test_variant_weight_does_not_vanish(random_family):
     j = 1
     k = n * (m - j) + 1
     thetas = angle_grid(moment_vanishing(p, deg, {j: [k]})["theta_grid"])
-    op = parametric_polynomials(p, deg, thetas)
+    op = polynomials_at(p, deg, thetas)
     check = orthogonality_check(op, slice_moments(p, deg, thetas, m - 1))
     weighted = np.asarray(op.D.D)[:, m - j + 1] * check["gram"][:, j, j].real
     assert abs(np.fft.ifft(weighted)[k]) > 1e-4
@@ -333,7 +367,7 @@ def test_slice_gram_entries_are_trig_polynomials(random_family, random_kernelset
     samples = np.zeros((grid, m, m), dtype=complex)
     for idx in range(grid):
         theta = 2 * np.pi * idx / grid
-        sm = slice_moments(p, deg, theta, m - 1)
+        sm = slice_moments(p, deg, [theta], m - 1)
         z = np.exp(1j * theta)
         sections = []
         for a in ks.a:
@@ -345,7 +379,7 @@ def test_slice_gram_entries_are_trig_polynomials(random_family, random_kernelset
             for j in range(m):
                 samples[idx, i, j] = slice_inner_product(
                     sections[j], sections[i], sm
-                )
+                )[0]
     spectrum = np.fft.fft(samples, axis=0) / grid
     for freq in range(grid):
         shifted = freq if freq <= grid // 2 else freq - grid
@@ -368,7 +402,7 @@ def test_one_lag_matrix_gather_per_slice_stack(monkeypatch):
     k_lists = {j: [deg.n * (m - j) + 1] for j in range(m)}
 
     def every_slice_pairing(sm):
-        op = parametric_polynomials(p, deg, thetas, T)
+        op = polynomials_at(p, deg, thetas, T)
         return [
             orthogonality_check(op, sm)["gram"],
             *gram_schmidt_slice_polynomials(sm),

@@ -58,7 +58,7 @@ def test_hermitian_structure_for_random_polynomials(random_family, high_degree_f
         scale = max(1.0, max(T.entry(i, j).max_abs() for i in range(T.m) for j in range(T.m)))
         assert hermitian_structure_defect(T) <= 1e-13 * scale
         for theta in (0.0, 0.4, 2.9):
-            M = evaluate_on_circle(T, theta)
+            M = evaluate_on_circle(T, [theta])[0]
             assert np.max(np.abs(M - M.conj().T)) == 0.0
             # exponents stay within [-n, n]
         for i in range(T.m):
@@ -71,12 +71,12 @@ def test_hermitian_structure_for_random_polynomials(random_family, high_degree_f
 
 def test_circle_evaluation_values():
     T = schur_cohn_matrix(WORKED, WORKED_DEG)
-    assert evaluate_on_circle(T, 0.0)[0, 0] == pytest.approx(3.0, abs=1e-13)
-    assert evaluate_on_circle(T, np.pi)[0, 0] == pytest.approx(15.0, abs=1e-13)
+    assert evaluate_on_circle(T, [0.0])[0, 0, 0] == pytest.approx(3.0, abs=1e-13)
+    assert evaluate_on_circle(T, [np.pi])[0, 0, 0] == pytest.approx(15.0, abs=1e-13)
     # 2 - z - w vanishes at (1, 1); its matrix 4 - 4 cos(theta) is singular at theta = 0
     unstable = Poly({(0, 0): 2, (1, 0): -1, (0, 1): -1})
     T3 = schur_cohn_matrix(unstable, DegreePair(1, 1))
-    assert evaluate_on_circle(T3, 0.0)[0, 0] == pytest.approx(0.0, abs=1e-13)
+    assert evaluate_on_circle(T3, [0.0])[0, 0, 0] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_positive_definite_on_circle_for_stable_inputs(random_family):
@@ -88,10 +88,10 @@ def test_positive_definite_on_circle_for_stable_inputs(random_family):
 def test_principal_determinant_profile():
     T = schur_cohn_matrix(WORKED, WORKED_DEG)
     for theta in (0.0, 0.5, np.pi):
-        profile = principal_determinants(T, theta)
-        assert profile.D[0] == 1.0
-        assert profile.D[1] == pytest.approx(9 - 6 * np.cos(theta), abs=1e-12)
-    assert principal_determinants(T, np.pi).D[1] == pytest.approx(15.0, abs=1e-12)
+        D = principal_determinants(T, [theta]).D[0]
+        assert D[0] == 1.0
+        assert D[1] == pytest.approx(9 - 6 * np.cos(theta), abs=1e-12)
+    assert principal_determinants(T, [np.pi]).D[0, 1] == pytest.approx(15.0, abs=1e-12)
 
 
 def test_matrix_inverts_slice_moment_matrix(random_family, high_degree_family):
@@ -100,9 +100,9 @@ def test_matrix_inverts_slice_moment_matrix(random_family, high_degree_family):
         T = schur_cohn_matrix(p, deg)
         m = deg.m
         for theta in (0.0, 1.1, 4.4):
-            sm = slice_moments(p, deg, theta, m - 1)
-            M = np.array([[sm.get(j - i) for j in range(m)] for i in range(m)])
-            residual = np.max(np.abs(evaluate_on_circle(T, theta) @ M - np.eye(m)))
+            sm = slice_moments(p, deg, [theta], m - 1)
+            M = np.array([[sm.get(j - i)[0] for j in range(m)] for i in range(m)])
+            residual = np.max(np.abs(evaluate_on_circle(T, [theta])[0] @ M - np.eye(m)))
             assert residual < 1e-8
 
 
@@ -111,9 +111,9 @@ def test_reversed_ordering_convention_fails():
     p, deg = make_random_family()[3]
     T = schur_cohn_matrix(p, deg)
     m = deg.m
-    sm = slice_moments(p, deg, 0.9, m - 1)
-    wrong = np.array([[sm.get(i - j) for j in range(m)] for i in range(m)])
-    assert np.max(np.abs(evaluate_on_circle(T, 0.9) @ wrong - np.eye(m))) > 1e-3
+    sm = slice_moments(p, deg, [0.9], m - 1)
+    wrong = np.array([[sm.get(i - j)[0] for j in range(m)] for i in range(m)])
+    assert np.max(np.abs(evaluate_on_circle(T, [0.9])[0] @ wrong - np.eye(m))) > 1e-3
 
 
 def test_diagonal_average_reads_constant_coefficient():
@@ -145,7 +145,7 @@ def test_circle_values_match_the_tensor(random_family, high_degree_family):
         for theta in (0.0, 0.7, 3.5):
             from_tensor = T.coeffs @ np.exp(1j * theta * np.arange(-n, n + 1))
             scale = max(1.0, np.max(np.abs(from_tensor)))
-            assert np.max(np.abs(evaluate_on_circle(T, theta) - from_tensor)) <= 1e-13 * scale
+            assert np.max(np.abs(evaluate_on_circle(T, [theta])[0] - from_tensor)) <= 1e-13 * scale
 
 
 def test_batched_circle_values_are_the_per_angle_values(random_family, high_degree_family):
@@ -157,8 +157,7 @@ def test_batched_circle_values_are_the_per_angle_values(random_family, high_degr
         assert profile.D.shape == (48, deg.m + 1)
         assert np.array_equal(profile.matrix, evaluate_on_circle(T, thetas))
         for k, theta in enumerate(thetas):
-            one = principal_determinants(T, float(theta))
-            assert type(one.theta) is float and type(one.D) is tuple
-            scale = np.max(np.abs(one.matrix))
-            assert np.max(np.abs(profile.matrix[k] - one.matrix)) <= 1e-15 * scale
-            assert np.allclose(profile.D[k], one.D, rtol=1e-12, atol=0)
+            one = principal_determinants(T, [theta])
+            scale = np.max(np.abs(one.matrix[0]))
+            assert np.max(np.abs(profile.matrix[k] - one.matrix[0])) <= 1e-15 * scale
+            assert np.allclose(profile.D[k], one.D[0], rtol=1e-12, atol=0)
