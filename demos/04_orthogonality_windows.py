@@ -53,7 +53,7 @@ rng = np.random.default_rng(23)
 q, qdeg = random_stable_poly(2, 2, rng)
 qtable = moments_from_grid(q, (14, 12))
 kq = cd_kernel_set(q, qdeg)
-report = orthogonality_report(q, qdeg, kq, qtable)
+report = orthogonality_report(kq, qtable)
 scale = min(norm(ak, qtable) for ak in kq.a)
 print(f"random stable polynomial, degree {tuple(qdeg)}")
 print("---------------------------------------")
@@ -62,7 +62,7 @@ for name, family in report.families.items():
     print(f"    {name}: {family.values.size}")
 print(f"  max violation: {report.max_violation:.2e}  (relative: {report.max_violation / scale:.2e})")
 
-rebuilt = reconstruct_kernel_coefficients(q, qdeg, qtable, schur_cohn_matrix(q, qdeg))
+rebuilt = reconstruct_kernel_coefficients(qtable, schur_cohn_matrix(q, qdeg))
 for k, (rec, ak) in enumerate(zip(rebuilt, kq.a)):
     print(f"  reconstruction of a_{k} from orthogonality alone: "
           f"max coeff diff {(rec - ak).max_abs():.2e}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDegree, NonzeroRemainder
-from .measure import SlicedMoments, ensure_stable, slice_inner_product, w_slice
+from .measure import SlicedMoments, slice_inner_product, w_slice
 from .poly import BivariateLaurentPoly, DegreePair
 from .schur_cohn import (
     LaurentMatrixPoly,
@@ -142,9 +142,8 @@ def cofactor_decomposition(
 def cd_kernel_set(
     p: BivariateLaurentPoly, deg: DegreePair, T: LaurentMatrixPoly | None = None
 ) -> CDKernelSet:
-    """Assemble the full kernel family for a stable polynomial, from its
-    Schur-Cohn matrix ``T`` if one is given."""
-    ensure_stable(p, deg)
+    """Assemble the full kernel family of a polynomial taken to be stable,
+    from its Schur-Cohn matrix ``T`` if one is given."""
     a = kernel_coefficients(p, deg, T)
     A, B = cofactor_decomposition(p, deg)
     return CDKernelSet(a=a, A=A, B=B, deg=deg)

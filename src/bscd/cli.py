@@ -141,6 +141,8 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     bad = [s for s in suites if s not in SUITE_ORDER]
     if bad:
         raise ConfigInvalid(f"unknown suites: {bad}")
+    if not suites:
+        raise ConfigInvalid("'suites' names no suite to run, so nothing would be checked")
 
     tolerances = dict(DEFAULT_TOLERANCES)
     for name, value in merged["tolerances"].items():
@@ -166,22 +168,19 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 # ----------------------------------------------------------------------
 
 
-def _circle_values(art) -> schur_cohn.DeterminantProfile:
-    """The Schur-Cohn circle values on the theta grid, for a stable p only;
-    the schur-cohn, cd-kernel and parametric suites all read this one set."""
-    measure.ensure_stable(art.p, art.deg)
-    return schur_cohn.principal_determinants(art.get("matrix"), angle_grid(THETA_GRID))
-
-
 # each builder gets the run's Artifacts, so it can build on other artifacts
 ARTIFACT_BUILDERS = {
     "stability": lambda art: measure.check_stability(art.p, art.deg),
     "moments": lambda art: measure.moments_from_grid(art.p, art.config.window),
     "matrix": lambda art: schur_cohn.schur_cohn_matrix(art.p, art.deg),
     "kernelset": lambda art: cd_kernel.cd_kernel_set(art.p, art.deg, art.get("matrix")),
-    "circle": _circle_values,
-    # slice moments on the theta grid; unchecked, so a suite fetches it only
-    # after an artifact that refuses an unstable p (load_config refuses m < 1)
+    # the Schur-Cohn circle values on the theta grid: the schur-cohn,
+    # cd-kernel and parametric suites all read this one set
+    "circle": lambda art: schur_cohn.principal_determinants(
+        art.get("matrix"), angle_grid(THETA_GRID)
+    ),
+    # slice moments on the theta grid; a suite fetches them only after an
+    # artifact that refuses m < 1 (load_config refuses it too)
     "slices": lambda art: measure._slice_moments_unchecked(
         art.p, art.deg, angle_grid(THETA_GRID), art.deg.m - 1
     ),
@@ -191,10 +190,12 @@ ARTIFACT_BUILDERS = {
 class Artifacts:
     """Lazily built objects shared between suites of one run.
 
-    A build that raises is remembered too: every later request re-raises the
-    same error instead of paying for the failed build again.  The error names
-    the artifact in ``artifact``, which a suite report reads as ``blocked_by``:
-    the first artifact that failed, when one build fails on another.
+    Every other artifact waits on the stability verdict: an unstable or
+    inconclusive one refuses them all with its own error.  A build that raises
+    is remembered too: every later request re-raises the same error instead of
+    paying for the failed build again.  The error names the artifact in
+    ``artifact``, which a suite report reads as ``blocked_by``: the first
+    artifact that failed, when one build fails on another.
     """
 
     def __init__(self, config: RunConfig):
@@ -203,11 +204,16 @@ class Artifacts:
 
     def get(self, name: str):
         if name not in self._cache:
+            # the step that raised names the error: the verdict, then the build
+            step = "stability"
             try:
+                if name != step:
+                    self.get(step).require_stable()
+                    step = name
                 self._cache[name] = ARTIFACT_BUILDERS[name](self)
             except BscdError as exc:
                 if exc.artifact is None:
-                    exc.artifact = name
+                    exc.artifact = step
                 self._cache[name] = exc
         value = self._cache[name]
         if isinstance(value, BscdError):
@@ -304,14 +310,12 @@ def _suite_verify_orthogonality(art: Artifacts, cfg: RunConfig):
     ks = art.get("kernelset")
     moments = art.get("moments")
     scale = min(measure.norm(ak, moments) for ak in ks.a)
-    base = subspaces.orthogonality_report(cfg.polynomial, cfg.deg, ks, moments)
-    shifts = subspaces.shift_orthogonality_report(cfg.polynomial, cfg.deg, moments)
+    base = subspaces.orthogonality_report(ks, moments)
+    shifts = subspaces.shift_orthogonality_report(cfg.deg, moments)
     families = {**base.families, **shifts.families}
     families = {name: family.summary(scale) for name, family in families.items()}
     # second route: each a_k recovered from its defining relations alone
-    rebuilt = subspaces.reconstruct_kernel_coefficients(
-        cfg.polynomial, cfg.deg, moments, art.get("matrix")
-    )
+    rebuilt = subspaces.reconstruct_kernel_coefficients(moments, art.get("matrix"))
     reconstruction_max = _worst(
         (rec - ak).max_abs() / max(1.0, ak.max_abs()) for rec, ak in zip(rebuilt, ks.a)
     )

@@ -79,6 +79,11 @@ class StabilityReport:
     witness: tuple[complex, complex] | None
     min_modulus: float
 
+    def require_stable(self) -> None:
+        """Raise :class:`NotStable` unless the verdict is stable."""
+        if not self.stable:
+            raise NotStable(f"zero of p at {self.witness} inside the closed bidisk")
+
 
 def torus_grid_values(p: BivariateLaurentPoly, size: int) -> np.ndarray:
     """Evaluate ``p`` at ``(e^{2 pi i k / size}, e^{2 pi i l / size})``.
@@ -216,9 +221,7 @@ def _min_w_root(slice_vals: np.ndarray, zs: np.ndarray):
 
 def ensure_stable(p: BivariateLaurentPoly, deg: DegreePair | None = None) -> None:
     """Raise :class:`NotStable` unless the grid test accepts ``p``."""
-    report = check_stability(p, deg)
-    if not report.stable:
-        raise NotStable(f"zero of p at {report.witness} inside the closed bidisk")
+    check_stability(p, deg).require_stable()
 
 
 # ----------------------------------------------------------------------
@@ -339,6 +342,8 @@ def _refine(compute, count: int, start: int, cap: int, tol: float, what: str):
     rows = np.arange(count)
     size = start
     prev = compute(size, rows)
+    # a row's whole window, also when there are no rows
+    window_axes = tuple(range(1, prev.ndim))
     values = np.empty_like(prev)
     sizes = np.empty(count, dtype=int)
     changes = np.empty(count)
@@ -346,11 +351,11 @@ def _refine(compute, count: int, start: int, cap: int, tol: float, what: str):
         size *= 2
         cur = compute(size, rows)
         with np.errstate(invalid="ignore"):
-            change = np.max(np.abs(cur - prev).reshape(len(rows), -1), axis=1)
+            change = np.max(np.abs(cur - prev), axis=window_axes)
         if not np.isfinite(change).all():
             bad = change[~np.isfinite(change)][0]
             raise NoConvergence(f"{what} {size} not finite (change {bad:.3e})")
-        scale = np.maximum(1.0, np.max(np.abs(cur).reshape(len(rows), -1), axis=1))
+        scale = np.maximum(1.0, np.max(np.abs(cur), axis=window_axes))
         done = change < tol * scale
         values[rows[done]] = cur[done]
         sizes[rows[done]] = size
@@ -630,13 +635,13 @@ def slice_moments(
     lag: int,
 ) -> SlicedMoments:
     """Moments ``m_k``, ``|k| <= lag``, of ``|dw| / (2 pi |p(e^{i theta}, w)|^2)``
-    at each of a 1-D array of angles ``theta``."""
+    at each of a 1-D array of angles ``theta``; an empty one gives no rows."""
     ensure_stable(p, deg)
     return _slice_moments_unchecked(p, deg, theta, lag)
 
 
 def _slice_moments_unchecked(p, deg, theta, lag):
-    """Slice moments at a 1-D array of angles.
+    """Slice moments at a 1-D array of angles, for a ``p`` known to be stable.
 
     The circle grid doubles from ``GRID_START``, with row-wise FFTs over the
     angles still open, ``SLICE_BLOCK`` rows at a time; each angle takes its
@@ -647,15 +652,15 @@ def _slice_moments_unchecked(p, deg, theta, lag):
     w_coeffs = w_slice(p, np.exp(1j * theta), deg.m + 1).T
 
     def compute(size, rows):
-        windows = []
+        windows = np.empty((rows.size, 2 * lag + 1), dtype=complex)
         for start in range(0, rows.size, SLICE_BLOCK):
             block = w_coeffs[rows[start : start + SLICE_BLOCK]]
             samples = np.zeros((block.shape[0], size), dtype=complex)
             samples[:, : block.shape[1]] = block
             # unnormalized inverse transform: the slice values on the circle grid
             np.fft.ifft(samples, axis=1, norm="forward", out=samples)
-            windows.append(_density_window(samples, (lag,)))
-        return np.concatenate(windows)
+            windows[start : start + SLICE_BLOCK] = _density_window(samples, (lag,))
+        return windows
 
     values, grids, _ = _refine(
         compute, len(w_coeffs), GRID_START, GRID_CAP, DEFAULT_SLICE_TOL, "slice moments at grid"

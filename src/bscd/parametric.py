@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, NoConvergence, NotPositiveDefinite
-from .measure import SlicedMoments, _slice_moments_unchecked, ensure_stable, slice_inner_product
+from .measure import SlicedMoments, slice_inner_product, slice_moments
 from .poly import BivariateLaurentPoly, DegreePair, angle_grid
 from .schur_cohn import (
     DeterminantProfile,
@@ -133,22 +133,22 @@ def moment_vanishing(
     integrand, else :class:`NoConvergence`.  That largest integrand modulus
     is returned as each ``j``'s ``scale``: the vanishing values are roundoff
     of sums of that size.  ``T`` is the Schur-Cohn matrix of ``p``, built
-    here if not given.
+    here if not given.  The slice moments come first and check stability, so
+    an unstable ``p`` raises :class:`NotStable`, not the LU's error.
     """
     n, m = deg
     k_lists = {int(j): [int(k) for k in ks] for j, ks in sorted(k_lists.items())}
     if any(not 0 <= j <= m - 1 for j in k_lists):
         raise IndexOutOfRange(f"indices {list(k_lists)} not all in 0..{m - 1}")
-    ensure_stable(p, deg)
-    if T is None:
-        T = schur_cohn_matrix(p, deg)
     bands = [n * (m - j) + max(map(abs, ks), default=0) for j, ks in k_lists.items()]
     half = 1 << max(bands, default=0).bit_length()
     size = 2 * half
     js = np.array(list(k_lists), dtype=int)
     thetas = angle_grid(size)
+    sm = slice_moments(p, deg, thetas, m - 1)
+    if T is None:
+        T = schur_cohn_matrix(p, deg)
     op = parametric_polynomials(principal_determinants(T, thetas))
-    sm = _slice_moments_unchecked(p, deg, thetas, m - 1)
     rows = _phi_rows(op)[:, js]
     norms = slice_inner_product(rows, rows, sm).real.T
     D = op.D.D

@@ -141,10 +141,7 @@ def _complement_coefficients(spec: SubspaceSpec, moments: MomentTable) -> np.nda
 
 
 def reconstruct_kernel_coefficients(
-    p: BivariateLaurentPoly,
-    deg: DegreePair,
-    moments: MomentTable,
-    T: LaurentMatrixPoly,
+    moments: MomentTable, T: LaurentMatrixPoly
 ) -> tuple[BivariateLaurentPoly, ...]:
     """Recover every kernel coefficient from its orthogonality relations.
 
@@ -152,11 +149,10 @@ def reconstruct_kernel_coefficients(
     orthogonal to every monomial of the box except ``z^n w^k``, normalized
     so that the pairing against ``z^n w^k`` is real positive and the squared
     norm equals the circle average of the diagonal entry ``(k, k)`` of the
-    Schur-Cohn matrix ``T`` of ``p``.  All ``m`` of them come from one
-    orthonormal basis of the box.
+    Schur-Cohn matrix ``T``, whose size gives the degree ``(n, m)``.  All
+    ``m`` of them come from one orthonormal basis of the box.
     """
-    ensure_stable(p, deg)
-    n, m = deg
+    n, m = T.n, T.m
     S = monomial_rect(0, 2 * n, 0, m - 1)
     B = _complement_coefficients(SubspaceSpec(S), moments)
     pivots = [S.index((n, k)) for k in range(m)]
@@ -233,12 +229,7 @@ def orthogonality_window(deg: DegreePair) -> tuple[int, int]:
     return (max(3 * n + MARGIN + SHIFT_MAX, n + 2 * MARGIN), 2 * m + MARGIN)
 
 
-def orthogonality_report(
-    p: BivariateLaurentPoly,
-    deg: DegreePair,
-    kernelset: CDKernelSet,
-    moments: MomentTable,
-) -> OrthReport:
+def orthogonality_report(kernelset: CDKernelSet, moments: MomentTable) -> OrthReport:
     """Check every annihilated monomial of each ``a_k`` over one rectangle.
 
     The rectangle, ``min(-(n+MARGIN+SHIFT_MAX), n-2 MARGIN) <= i <=
@@ -249,9 +240,10 @@ def orthogonality_report(
     <a_k, z^{i-s} w^j> = 0`` with ``s <= SHIFT_MAX``, ``-(n+MARGIN) <= i < n``
     and ``0 <= j <= m+MARGIN``: a strip or upper-quadrant pairing.  The
     families ``strip`` (``0 <= j < m``), ``lower_quadrant`` (``j < 0``) and
-    ``upper_quadrant`` (``j >= m``) are indexed by ``(k, i, j)``.
+    ``upper_quadrant`` (``j >= m``) are indexed by ``(k, i, j)``; the degree
+    ``(n, m)`` is the kernel set's.
     """
-    ensure_stable(p, deg)
+    deg = kernelset.deg
     n, m = deg
     i0 = min(-(n + MARGIN + SHIFT_MAX), n - 2 * MARGIN)
     i1 = max(2 * n + MARGIN, n + 2 * MARGIN)
@@ -272,9 +264,7 @@ def orthogonality_report(
     return OrthReport(families, pivots=R[n - i0, np.arange(m) - j0, np.arange(m)])
 
 
-def shift_orthogonality_report(
-    p: BivariateLaurentPoly, deg: DegreePair, moments: MomentTable
-) -> OrthReport:
+def shift_orthogonality_report(deg: DegreePair, moments: MomentTable) -> OrthReport:
     """Shift invariance of the complement behind the span identities.
 
     ``complement_shift``, indexed by ``(s, bi, bj)``: the complement space
@@ -282,7 +272,6 @@ def shift_orthogonality_report(
     z-shifts, ``<z^s phi_bi, phi_bj> = 0`` for ``1 <= s <= SHIFT_MAX`` on an
     orthonormalized basis.
     """
-    ensure_stable(p, deg)
     n, m = deg
     spec = SubspaceSpec(monomial_rect(0, n, 0, m - 1), monomial_rect(0, n - 1, 0, m - 1))
     basis = _complement_coefficients(spec, moments)
@@ -331,7 +320,6 @@ def cd_formula_residual(
     n, m = deg
     if n == 0 or m == 0:
         raise DegenerateDegree("the identity needs degree at least 1 in each variable")
-    ensure_stable(p, deg)
     B1 = _complement_coefficients(
         SubspaceSpec(monomial_rect(0, n, 0, m - 1), monomial_rect(0, n - 1, 0, m - 1)),
         moments,

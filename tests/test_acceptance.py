@@ -78,7 +78,7 @@ def test_criterion_1_worked_example_kernel():
         assert (from_quotient - A0_WORKED).max_abs() <= 1e-10
         table = moments_from_grid(WORKED, (4, 2))
         (from_orthogonality,) = reconstruct_kernel_coefficients(
-            WORKED, WORKED_DEG, table, schur_cohn_matrix(WORKED, WORKED_DEG)
+            table, schur_cohn_matrix(WORKED, WORKED_DEG)
         )
         assert (from_orthogonality - A0_WORKED).max_abs() <= 1e-10
         norm2 = inner_product(from_matrix, from_matrix, table)
@@ -112,7 +112,7 @@ def test_criterion_3_orthogonality_suite():
         start = time.perf_counter()
         for p, deg, table, ks in random_set():
             scales = np.array([norm(ak, table) for ak in ks.a])
-            report = orthogonality_report(p, deg, ks, table)
+            report = orthogonality_report(ks, table)
             # each a_k family is indexed by (k, i, j): gate a_k at its own norm
             for family in report.families.values():
                 k = family.index[:, 0]

@@ -39,3 +39,14 @@ def test_every_row_is_the_one_angle_result(n, m, seed):
         check = orthogonality_check(op, sm)
         assert np.max(check["offdiag_max"]) < 1e-9
         assert np.max(check["lu_law_residual"]) < 1e-9
+
+
+def test_no_angles_give_empty_rows():
+    # every function on angles takes an empty array too, and returns no rows
+    p, deg = random_stable_poly(2, 3, np.random.default_rng(4))
+    none = angle_grid(0)
+    profile = principal_determinants(schur_cohn_matrix(p, deg), none)
+    assert profile.D.shape == (0, deg.m + 1) and profile.matrix.shape == (0, deg.m, deg.m)
+    sm = slice_moments(p, deg, none, deg.m - 1)
+    assert sm.values.shape == (0, 2 * deg.m - 1) and sm.grid.shape == (0,)
+    assert sm.lag_matrix(deg.m, deg.m).shape == (0, deg.m, deg.m)

@@ -272,22 +272,67 @@ def test_near_boundary_is_inconclusive_exit_three(tmp_path, capsys):
     assert payload["status"] == "inconclusive"
 
 
-def test_near_boundary_run_scans_stability_once(tmp_path):
-    # p = 2.0000000001 - z - w has a w-root of modulus 1 + 1e-10 at z = 1, too
-    # close for the slice moments to converge: every suite must stop at the
-    # one cached stability verdict
-    nearly = {"n": 1, "m": 1, "coeffs": [[[2.0000000001, 0], [-1, 0]], [[-1, 0], [0, 0]]]}
+def _diagonal_line(constant):
+    """``constant - z - w`` in the config interchange form."""
+    return {"n": 1, "m": 1, "coeffs": [[[constant, 0], [-1, 0]], [[-1, 0], [0, 0]]]}
+
+
+def _run_all_counting_scans(tmp_path, polynomial):
+    """Exit code, report and stability cache counts of one ``bscd all``."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"polynomial": nearly}))
+    path.write_text(json.dumps({"polynomial": polynomial}))
     out = tmp_path / "report.json"
     measure._cached_stability.cache_clear()
     code = cli.main(["all", "--config", str(path), "--out", str(out)])
-    doc = json.loads(out.read_text())
-    cache = measure._cached_stability.cache_info()
+    return code, json.loads(out.read_text()), measure._cached_stability.cache_info()
+
+
+def test_near_boundary_run_scans_stability_once(tmp_path):
+    # p = 2.0000000001 - z - w has a w-root of modulus 1 + 1e-10 at z = 1, too
+    # close for the slice moments to converge: every suite must stop at the
+    # one stability verdict, which no other suite asks for again
+    code, doc, cache = _run_all_counting_scans(tmp_path, _diagonal_line(2.0000000001))
     assert code == 3
     assert doc["schur-cohn"]["status"] == "inconclusive"
-    assert cache.misses == 1 and cache.hits >= 1
+    assert cache.misses == 1 and cache.hits == 0
     assert doc["stability"]["details"]["message"].startswith("root modulus 1.0000000001 ")
+
+
+def _stability_message(stability):
+    """The message a verdict that stops the run gives the other suites."""
+    witness = stability["details"].get("witness")
+    if witness is None:
+        return stability["details"]["message"]
+    return f"zero of p at {tuple(complex(*c) for c in witness)} inside the closed bidisk"
+
+
+@pytest.mark.parametrize(
+    "constant, code, status",
+    [(1.5, 1, "fail"), (2.0000000001, 3, "inconclusive")],
+    ids=["unstable", "inconclusive"],
+)
+def test_a_verdict_that_stops_the_run_blocks_every_other_suite(tmp_path, constant, code, status):
+    got, doc, cache = _run_all_counting_scans(tmp_path, _diagonal_line(constant))
+    assert got == code
+    assert doc["stability"]["status"] == status
+    message = _stability_message(doc["stability"])
+    for name in cli.SUITE_ORDER[1:]:
+        details = doc[name]["details"]
+        assert doc[name]["status"] == status, name
+        assert details["blocked_by"] == "stability", name
+        assert details["message"] == message, name
+        if status == "fail":
+            assert details["error"] == "NotStable", name
+    assert (cache.misses, cache.hits) == (1, 0)
+
+
+def test_a_stable_run_rechecks_only_where_p_becomes_a_density(tmp_path):
+    # one scan, then one cached verdict for each library function that forms
+    # 1/|p|^2 from its own p: moments_from_grid, moments_from_series,
+    # closed_form_kernel_residual, and the slice_moments of moment_vanishing
+    code, doc, cache = _run_all_counting_scans(tmp_path, WORKED_JSON)
+    assert code == 0
+    assert (cache.misses, cache.hits) == (1, 4)
 
 
 @pytest.mark.parametrize("deg", [(2, 1), (1, 2)])
@@ -706,12 +751,14 @@ def test_reports_are_deterministic(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_empty_suite_list(tmp_path):
+def test_empty_suite_list(tmp_path, capsys):
+    # a run of no suite would report {} and exit 0, a pass that checked nothing
     path = write_config(tmp_path, suites=[])
-    reports = cli.run(cli.load_config(path))
-    assert reports == []
-    assert cli.exit_code(reports) == 0
-    assert cli.render_report(reports).strip() == "{}"
+    with pytest.raises(ConfigInvalid, match="no suite"):
+        cli.load_config(path)
+    assert cli.main(["all", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no suite" in captured.err
 
 
 def test_report_written_to_file(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bscd.errors import IndexOutOfRange, NotPositiveDefinite
+from bscd.errors import IndexOutOfRange, NotPositiveDefinite, NotStable
 from bscd import cli, measure, parametric, schur_cohn
 from bscd.cd_kernel import cd_kernel_set, slice_gram
 from bscd.measure import random_stable_poly, slice_moments, slice_inner_product
@@ -351,6 +351,16 @@ def test_variant_weight_does_not_vanish(random_family):
 def test_vanishing_index_validation():
     with pytest.raises(IndexOutOfRange):
         moment_vanishing(WORKED, WORKED_DEG, {1: [2]})
+
+
+def test_vanishing_refuses_an_unstable_polynomial_before_the_lu():
+    # 1.5 - z - w: T(1) = 0.25 - 1 is negative, so the LU alone would blame
+    # a pivot; the slice moments' stability check names the cause first
+    unstable = Poly({(0, 0): 1.5, (1, 0): -1, (0, 1): -1})
+    with pytest.raises(NotPositiveDefinite):
+        polynomials_at(unstable, WORKED_DEG, angle_grid(4))
+    with pytest.raises(NotStable):
+        moment_vanishing(unstable, WORKED_DEG, {0: [2]})
 
 
 # ----------------------------------------------------------------------

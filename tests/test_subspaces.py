@@ -160,7 +160,7 @@ def test_corner_value_of_first_difference_kernel(worked_moments):
 
 def test_reconstruct_worked_example(worked_moments):
     T = schur_cohn_matrix(WORKED, WORKED_DEG)
-    (rec,) = reconstruct_kernel_coefficients(WORKED, WORKED_DEG, worked_moments, T)
+    (rec,) = reconstruct_kernel_coefficients(worked_moments, T)
     assert (rec - A0_WORKED).max_abs() < 1e-9
 
 
@@ -168,14 +168,14 @@ def test_reconstruct_univariate_constant():
     p = Poly({(0, 0): 2, (0, 1): -1})
     table = moments_from_grid(p, (2, 3))
     T = schur_cohn_matrix(p, DegreePair(0, 1))
-    (rec,) = reconstruct_kernel_coefficients(p, DegreePair(0, 1), table, T)
+    (rec,) = reconstruct_kernel_coefficients(table, T)
     assert (rec - Poly.constant(3)).max_abs() < 1e-10
 
 
 def test_reconstruct_matches_matrix_route(random_family_with_moments, random_kernelsets):
     for (p, deg, table), ks in zip(random_family_with_moments, random_kernelsets):
         T = schur_cohn_matrix(p, deg)
-        rebuilt = reconstruct_kernel_coefficients(p, deg, table, T)
+        rebuilt = reconstruct_kernel_coefficients(table, T)
         assert len(rebuilt) == deg.m
         for k, rec in enumerate(rebuilt):
             # both normalizations make <a_k, z^n w^k> real positive, so the
@@ -216,7 +216,7 @@ def test_orthogonality_report_on_random_family(
     random_family_with_moments, random_kernelsets
 ):
     for (p, deg, table), ks in zip(random_family_with_moments, random_kernelsets):
-        report = orthogonality_report(p, deg, ks, table)
+        report = orthogonality_report(ks, table)
         scale = min(norm(ak, table) for ak in ks.a)
         assert report.max_violation < 1e-8 * scale
         assert len(report.pivots) == deg.m
@@ -254,7 +254,7 @@ def test_parameter_sum_orthogonality(random_family_with_moments, random_kernelse
 
 def test_shift_orthogonality(random_family_with_moments):
     for p, deg, table in random_family_with_moments[:3]:
-        report = shift_orthogonality_report(p, deg, table)
+        report = shift_orthogonality_report(deg, table)
         assert list(report.families) == ["complement_shift"]
         assert report.max_violation < 1e-8
 
@@ -390,9 +390,9 @@ def assert_same_pairs(report, reference, tol):
 def test_batched_reports_match_per_pair_definitions(degree_eight):
     p, deg, ks, table = degree_eight
     tol = 1e-13 * min(norm(ak, table) for ak in ks.a)
-    report = orthogonality_report(p, deg, ks, table)
+    report = orthogonality_report(ks, table)
     assert_same_pairs(report, reference_orthogonality_pairs(deg, ks, table), tol)
-    shifts = shift_orthogonality_report(p, deg, table)
+    shifts = shift_orthogonality_report(deg, table)
     assert_same_pairs(shifts, reference_complement_pairs(deg, table), tol)
 
 
@@ -400,7 +400,7 @@ def test_batched_reports_match_per_pair_definitions(degree_eight):
 def test_every_duality_relation_is_a_strip_pairing(n, degree_eight):
     # n = 2 < margin: the duality shifts reach past -(n + margin) <= i <= 2n + margin
     p, deg, ks, table = degree_eight if n == 8 else draw(n, n)
-    strip = orthogonality_report(p, deg, ks, table).families["strip"]
+    strip = orthogonality_report(ks, table).families["strip"]
     values = dict(zip(map(tuple, strip.index.tolist()), strip.values))
     tol = 1e-13 * min(norm(ak, table) for ak in ks.a)
     duals = reference_duality_pairs(deg, ks, table)
@@ -417,7 +417,7 @@ def test_every_shift_relation_is_a_rectangle_pairing(n, degree_eight):
     # n = 1: the margin already reaches i = -(n + MARGIN + SHIFT_MAX); n = 8:
     # only the widened lower bound does
     p, deg, ks, table = degree_eight if n == 8 else draw(n, n)
-    report = orthogonality_report(p, deg, ks, table)
+    report = orthogonality_report(ks, table)
     values = {key[1]: value for key, value in family_values(report).items()}
     tol = 1e-13 * min(norm(ak, table) for ak in ks.a)
     shifts = reference_shift_pairs(deg, ks, table)
@@ -443,7 +443,7 @@ def test_batched_reports_read_few_lag_matrices(degree_eight, monkeypatch):
     for module in (measure, subspaces):
         monkeypatch.setattr(module, "inner_product", counted_pair, raising=False)
     monkeypatch.setattr(MomentTable, "lag_matrix", counted("lag_matrix", lag_matrix))
-    report = orthogonality_report(p, deg, ks, table)
+    report = orthogonality_report(ks, table)
     expected = expected_counts(deg)
     assert sum(f.values.size for f in report.families.values()) == sum(
         expected[name] for name in report.families
@@ -452,7 +452,7 @@ def test_batched_reports_read_few_lag_matrices(degree_eight, monkeypatch):
     assert len(report.pivots) == deg.m
     assert calls == {"inner_product": 0, "lag_matrix": 1}
     calls["lag_matrix"] = 0
-    shifts = shift_orthogonality_report(p, deg, table)
+    shifts = shift_orthogonality_report(deg, table)
     assert sum(f.values.size for f in shifts.families.values()) == sum(
         expected[name] for name in shifts.families
     )
@@ -479,8 +479,8 @@ def expected_counts(deg):
 
 
 def both_reports(p, deg, ks, table):
-    base = orthogonality_report(p, deg, ks, table)
-    shifts = shift_orthogonality_report(p, deg, table)
+    base = orthogonality_report(ks, table)
+    shifts = shift_orthogonality_report(deg, table)
     return base, shifts, {**base.families, **shifts.families}
 
 
@@ -540,8 +540,8 @@ def test_orthogonality_window_is_what_the_reports_read():
 
     def run_both(window):
         table = moments_from_grid(p, window)
-        orthogonality_report(p, deg, ks, table)
-        shift_orthogonality_report(p, deg, table)
+        orthogonality_report(ks, table)
+        shift_orthogonality_report(deg, table)
 
     run_both((A, B))
     for short in ((A - 1, B), (A, B - 1)):
@@ -583,8 +583,8 @@ def tilted_strip_max(p, deg, table, eps):
     """The ``strip`` maximum of the ``a_k`` rebuilt from the tilted table,
     relative to the smallest of their norms, as verify-orthogonality reports it."""
     tilted = tilted_table(table, eps)
-    rebuilt = reconstruct_kernel_coefficients(p, deg, tilted, schur_cohn_matrix(p, deg))
-    report = orthogonality_report(p, deg, CDKernelSet(rebuilt, deg=deg), tilted)
+    rebuilt = reconstruct_kernel_coefficients(tilted, schur_cohn_matrix(p, deg))
+    report = orthogonality_report(CDKernelSet(rebuilt, deg=deg), tilted)
     scale = min(norm(ak, tilted) for ak in rebuilt)
     return report.families["strip"].summary(scale)["max"]
 
