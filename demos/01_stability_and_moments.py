@@ -3,7 +3,8 @@
 
 The measure under study is dsigma / |p|^2 on the torus for a polynomial p
 with no zeros in the closed bidisk.  This script checks stability for a few
-polynomials, then computes the Fourier moments of the measure two ways
+polynomials, each verdict with the smallest root modulus it is decided by,
+then computes the Fourier moments of the measure two ways
 (torus-grid FFT vs. the power series of 1/p) and compares.
 """
 
@@ -11,16 +12,23 @@ from bscd import check_stability, moments_from_grid, moments_from_series
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair
 
 
+VERDICTS = {True: "stable", False: "NOT stable", None: "inconclusive"}
+
+
 def show_stability(label, p, deg=None):
+    # the smallest root modulus decides: at most 1, within 1e-9 above, or more
     report = check_stability(p, deg)
-    verdict = "stable" if report.stable else f"NOT stable, witness {report.witness}"
-    print(f"  {label:<18} -> {verdict}   (min |p| on torus grid: {report.min_modulus:.3g})")
+    verdict = VERDICTS[report.stable]
+    if report.witness is not None:
+        verdict += f", smallest root at {report.witness}"
+    print(f"  {label:<20} -> {verdict}   (min root modulus: {report.min_root_modulus:.12g})")
 
 
 print("Stability on the closed bidisk")
 print("------------------------------")
 show_stability("3 - z - w", Poly({(0, 0): 3, (1, 0): -1, (0, 1): -1}))
 show_stability("2 - z - w", Poly({(0, 0): 2, (1, 0): -1, (0, 1): -1}))
+show_stability("2.0000000001 - z - w", Poly({(0, 0): 2.0000000001, (1, 0): -1, (0, 1): -1}))
 show_stability("1 - 2z", Poly({(0, 0): 1, (1, 0): -2}))
 print()
 

@@ -234,12 +234,13 @@ def _worst(values) -> float:
 
 def _suite_stability(art: Artifacts, cfg: RunConfig):
     report = art.get("stability")
-    witness = report.witness
     details = {
         "stable": report.stable,
-        "witness": None if witness is None else [[c.real, c.imag] for c in witness],
-        "min_modulus": report.min_modulus,
+        "witness": None if report.witness is None else [[c.real, c.imag] for c in report.witness],
+        "min_root_modulus": report.min_root_modulus,
     }
+    if report.stable is None:
+        return None, {**details, "message": report.message}
     return (0.0 if report.stable else 1.0), details
 
 
@@ -416,17 +417,18 @@ def _run_one(name: str, art: Artifacts, cfg: RunConfig) -> SuiteReport:
     start = time.perf_counter()
     try:
         violation, details = SUITE_RUNNERS[name](art, cfg)
-        status = "pass" if violation < tolerance else "fail"
     except BscdError as exc:
         if isinstance(exc, InconclusiveNearBoundary):
-            violation, details, status = 0.0, {"message": str(exc)}, "inconclusive"
+            violation, details = None, {"message": str(exc)}
         else:
-            violation, status = float(tolerance), "fail"
-            details = {"error": type(exc).__name__, "message": str(exc)}
+            violation, details = tolerance, {"error": type(exc).__name__, "message": str(exc)}
         if exc.artifact is not None:
             details["blocked_by"] = exc.artifact
+    # a violation of None: the check could not decide
+    status = "inconclusive" if violation is None else "pass" if violation < tolerance else "fail"
+    violation = 0.0 if violation is None else float(violation)
     elapsed = time.perf_counter() - start
-    return SuiteReport(name, status, float(violation), tolerance, details, elapsed)
+    return SuiteReport(name, status, violation, tolerance, details, elapsed)
 
 
 def run(config: RunConfig) -> list[SuiteReport]:

@@ -20,7 +20,7 @@ class ZeroPolynomial(BscdError):
 
 
 class InconclusiveNearBoundary(BscdError):
-    """A root modulus is too close to 1 for the grid test to decide."""
+    """A root modulus is too close to 1 for the root scan to decide."""
 
 
 class NotStable(BscdError):

@@ -68,21 +68,32 @@ STABILITY_GRID = 1024
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Outcome of the grid stability test.
+    """Outcome of the root scan of :func:`check_stability`, for every verdict.
 
-    ``witness`` is a point of the closed bidisk where ``p`` (numerically)
-    vanishes; it is present exactly when ``stable`` is False.  ``min_modulus``
-    is the smallest ``|p|`` seen on the torus test grid.
+    ``stable`` is True, False, or None when the scan cannot decide.
+    ``min_root_modulus`` is the smallest root modulus found (``inf`` for no
+    root), the number the verdict compares with 1 and ``1 + BOUNDARY_TOL``;
+    ``witness``, that root as ``(z, w)``, is present unless ``stable``.
     """
 
-    stable: bool
+    stable: bool | None
     witness: tuple[complex, complex] | None
-    min_modulus: float
+    min_root_modulus: float
+
+    @property
+    def message(self) -> str:
+        """Why the verdict is not stable."""
+        if self.stable is None:
+            return f"root modulus {self.min_root_modulus!r} within {BOUNDARY_TOL} of the unit circle"
+        return f"zero of p at {self.witness} inside the closed bidisk"
 
     def require_stable(self) -> None:
-        """Raise :class:`NotStable` unless the verdict is stable."""
+        """Raise :class:`NotStable`, or :class:`InconclusiveNearBoundary` when
+        the scan cannot decide; the one place either is raised."""
+        if self.stable is None:
+            raise InconclusiveNearBoundary(self.message)
         if not self.stable:
-            raise NotStable(f"zero of p at {self.witness} inside the closed bidisk")
+            raise NotStable(self.message)
 
 
 def torus_grid_values(p: BivariateLaurentPoly, size: int) -> np.ndarray:
@@ -126,15 +137,15 @@ def w_slice(p: BivariateLaurentPoly, z, size: int) -> np.ndarray:
 def check_stability(
     p: BivariateLaurentPoly, deg: DegreePair | None = None
 ) -> StabilityReport:
-    """Grid-based zero-freeness test on the closed bidisk.
+    """Root-scan zero-freeness test on the closed bidisk.
 
     For every ``z`` on a uniform circle grid of ``STABILITY_GRID`` points the
     roots of ``w -> p(z, w)`` must lie strictly outside the closed unit disk,
-    and so must the roots of ``z -> p(z, 1)``.  A computed root modulus at most 1 yields an unstable
-    verdict with that root as witness; a modulus within ``BOUNDARY_TOL``
-    outside the circle raises :class:`InconclusiveNearBoundary`, since the
-    grid test cannot certify the boundary.  This is a practical test, not an
-    algebraic decision procedure.
+    and so must the roots of ``z -> p(z, 1)``.  The smallest root modulus
+    decides: at most 1 is unstable, within ``BOUNDARY_TOL`` outside the circle
+    inconclusive, since the scan cannot certify the boundary, and larger
+    stable.  Every verdict is returned as a :class:`StabilityReport`.  This is
+    a practical test, not an algebraic decision procedure.
     """
     if p.is_zero:
         raise ZeroPolynomial("stability is undefined for the zero polynomial")
@@ -144,51 +155,37 @@ def check_stability(
     if deg is not None:
         p._require_support_in_box(deg)
     # keyed by the support box: the zero rows and columns of a wider deg add no root
-    verdict = _cached_stability(p, box[1], box[3])
-    if isinstance(verdict, str):
-        raise InconclusiveNearBoundary(verdict)
-    return verdict
+    return _cached_stability(p, box[1], box[3])
 
 
-# an inconclusive verdict is returned as its message, so that the cache keeps it
 @lru_cache(maxsize=128)
 def _cached_stability(p, n, m):
+    # the scan reads 2^e p, max|coeff| in [1, 2): the same roots, and no subnormal
+    # slice coefficient to overflow a complex division; 2^e goes in two halves
+    e = 1 - np.frexp(p.max_abs())[1]
+    halves = np.ldexp(np.ldexp(p.coeffs.view(float), e // 2), e - e // 2)
+    p = BivariateLaurentPoly.from_array(halves.view(complex), p.offset)
+
     zs = np.exp(2j * np.pi * np.arange(STABILITY_GRID) / STABILITY_GRID)
-    slice_vals = w_slice(p, zs, m + 1)
-    zero_slices = np.flatnonzero(~slice_vals.any(axis=0))
-    if zero_slices.size:
-        return StabilityReport(False, (complex(zs[zero_slices[0]]), 0j), 0.0)
-    min_root, witness = _min_w_root(slice_vals, zs)
-
-    # univariate check along w = 1
+    min_root, witness = _min_w_root(w_slice(p, zs, m + 1), zs)
+    # z -> p(z, 1) is one more slice, with the roles of z and w swapped;
+    # a tie goes to the w-slices
     z_coeffs = p.coefficient_window((0, n, 0, m)).sum(axis=1)
-    if not np.any(z_coeffs != 0):
-        min_root, witness = 0.0, (0j, 1 + 0j)
-    else:
-        roots = np.roots(z_coeffs[::-1])
-        if roots.size:
-            moduli = np.abs(roots)
-            idx = int(np.argmin(moduli))
-            if moduli[idx] < min_root:
-                min_root = moduli[idx]
-                witness = (complex(roots[idx]), 1 + 0j)
+    z_root, z_witness = _min_w_root(z_coeffs[:, None], np.ones(1))
+    if z_root < min_root:
+        min_root, witness = z_root, z_witness[::-1]
 
-    min_modulus = float(np.min(np.abs(torus_grid_values(p, STABILITY_GRID))))
-
-    if min_root <= 1.0:
-        min_modulus = min(min_modulus, abs(p(*witness)))
-        return StabilityReport(False, witness, min_modulus)
-    if min_root < 1.0 + BOUNDARY_TOL:
-        return f"root modulus {float(min_root)!r} within {BOUNDARY_TOL} of the unit circle"
-    return StabilityReport(True, None, min_modulus)
+    stable = False if min_root <= 1.0 else None if min_root < 1.0 + BOUNDARY_TOL else True
+    return StabilityReport(stable, None if stable else witness, float(min_root))
 
 
 def _min_w_root(slice_vals: np.ndarray, zs: np.ndarray):
     """Smallest root modulus of ``w -> p(z_k, w)`` over the sampled ``z_k``.
 
     ``slice_vals[:, k]`` holds the ascending w-coefficients at ``zs[k]``.
-    Returns ``(inf, None)`` when no slice has a root, else the modulus and
-    its ``(z, w)``; ties go to the first slice, then to the first root.
+    Returns the modulus and its ``(z, w)``, or ``inf`` and a point that is no
+    root when no slice has one; ties go to the first slice, then to the
+    first root.  A slice that vanishes reports the root ``w = 0``.
     Slices of full degree with a nonzero constant term share one batched
     eigenvalue call on companion matrices built as ``np.roots`` builds them,
     so their roots are the ``np.roots`` roots to the bit; a slice whose
@@ -209,18 +206,16 @@ def _min_w_root(slice_vals: np.ndarray, zs: np.ndarray):
         best_root[full] = roots[rows, idx]
         best[full] = np.abs(best_root[full])
     for k in np.flatnonzero(~full):
-        roots = np.roots(slice_vals[::-1, k])
+        roots = np.roots(slice_vals[::-1, k]) if slice_vals[:, k].any() else np.zeros(1)
         if roots.size:
             idx = int(np.argmin(np.abs(roots)))
             best[k], best_root[k] = np.abs(roots[idx]), roots[idx]
     k = int(np.argmin(best))
-    if best[k] == np.inf:
-        return np.inf, None
     return best[k], (complex(zs[k]), complex(best_root[k]))
 
 
 def ensure_stable(p: BivariateLaurentPoly, deg: DegreePair | None = None) -> None:
-    """Raise :class:`NotStable` unless the grid test accepts ``p``."""
+    """Raise unless the root scan finds ``p`` stable (see ``require_stable``)."""
     check_stability(p, deg).require_stable()
 
 

@@ -360,10 +360,11 @@ class _CornerKernelQuadrature:
     ``|p|^2`` on it) is built once, and what depends on a point alone
     (``p(y)``, ``refl(y)`` and the two denominator factors) once per point.
     Every pairing then evaluates the same expression from the same operands
-    in the same order, so batching changes no bit of it.
+    in the same order, so batching changes no bit of it.  Pairings run in two
+    kept grids, since fresh ones per pair page-fault once the allocator trims.
     """
 
-    __slots__ = ("conj_V", "conj_Vr", "weight", "at_points")
+    __slots__ = ("conj_V", "conj_Vr", "weight", "at_points", "work")
 
     def __init__(self, p: BivariateLaurentPoly, deg: DegreePair, points):
         pr = p.reflect(deg)
@@ -371,6 +372,7 @@ class _CornerKernelQuadrature:
         self.conj_V = np.conj(V)
         self.conj_Vr = np.conj(torus_grid_values(pr, KERNEL_GRID))
         self.weight = np.abs(V) ** 2
+        self.work = np.empty((2, KERNEL_GRID, KERNEL_GRID), dtype=complex)
         conj_circle = np.conj(np.exp(2j * np.pi * np.arange(KERNEL_GRID) / KERNEL_GRID))
         self.at_points = []
         for y in points:
@@ -385,10 +387,13 @@ class _CornerKernelQuadrature:
         return [self._pairing(f_vals, *at) for at in self.at_points]
 
     def _pairing(self, f_vals, py, pry, denom_z, denom_w) -> complex:
-        # the grids of one pair are freed on return, before the next pair's
-        K_conj = (self.conj_V * py - self.conj_Vr * pry) / np.outer(denom_z, denom_w)
-        integrand = f_vals * K_conj / self.weight
-        return complex(integrand.mean())
+        # (conj_V py - conj_Vr pry) / (denom_z ⊗ denom_w) * f_vals / weight, as written
+        K_conj, other = self.work
+        np.multiply(self.conj_V, py, out=K_conj)
+        np.subtract(K_conj, np.multiply(self.conj_Vr, pry, out=other), out=K_conj)
+        np.divide(K_conj, np.multiply.outer(denom_z, denom_w, out=other), out=K_conj)
+        np.multiply(f_vals, K_conj, out=K_conj)
+        return complex(np.divide(K_conj, self.weight, out=K_conj).mean())
 
 
 def closed_form_kernel_pairing(

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bscd import cli, measure
 from bscd.errors import ConfigInvalid, NoConvergence
@@ -300,10 +301,39 @@ def test_near_boundary_run_scans_stability_once(tmp_path):
 
 def _stability_message(stability):
     """The message a verdict that stops the run gives the other suites."""
-    witness = stability["details"].get("witness")
-    if witness is None:
-        return stability["details"]["message"]
-    return f"zero of p at {tuple(complex(*c) for c in witness)} inside the closed bidisk"
+    details = stability["details"]
+    if details["stable"] is None:
+        return details["message"]
+    witness = tuple(complex(*c) for c in details["witness"])
+    return f"zero of p at {witness} inside the closed bidisk"
+
+
+def test_an_inconclusive_verdict_reports_its_root_in_the_stability_entry(tmp_path):
+    # the suite that owns the verdict reports it in the shape of every verdict,
+    # not in the shape of a suite the verdict blocked
+    code, doc, _ = _run_all_counting_scans(tmp_path, _diagonal_line(2.0000000001))
+    assert code == 3
+    entry = doc["stability"]
+    assert entry["status"] == "inconclusive" and entry["max_violation"] == 0.0
+    details = entry["details"]
+    assert list(details) == ["stable", "witness", "min_root_modulus", "message"]
+    assert details["stable"] is None
+    assert details["min_root_modulus"] == 1.0000000001
+    assert details["witness"] == [[1.0, 0.0], [1.0000000001, 0.0]]
+    assert details["message"].startswith("root modulus 1.0000000001 ")
+
+
+@pytest.mark.parametrize("scale", ["1e-308", "1e-320", "5e-324"])
+def test_subnormal_coefficients_end_in_a_report(tmp_path, scale):
+    # the root scan runs on a power-of-two scaling of p, so a subnormal slice
+    # coefficient is never divided into; the suites past it fail cleanly
+    path = write_config(tmp_path, polynomial=WORKED.scale(float(scale)).to_json_dict(WORKED_DEG))
+    out = tmp_path / "report.json"
+    proc = run_python(["-m", "bscd.cli", "all", "--config", path, "--out", str(out)])
+    assert proc.returncode == 1 and proc.stderr == ""
+    doc = json.loads(out.read_text())
+    assert doc["stability"]["status"] == "pass"
+    assert doc["stability"]["details"]["min_root_modulus"] == pytest.approx(2.0, rel=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -707,6 +737,18 @@ def test_every_suite_passes_on_products_and_off_the_ladder(tmp_path, p, deg):
     code, doc = _run_all(tmp_path, "p", p.to_json_dict(deg))
     assert code == 0
     assert set(_statuses(doc).values()) == {"pass"}
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 6), other=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_every_suite_but_the_quadrature_passes_off_the_diagonal(n, other, seed):
+    # no workload draws n != m; verify-kernel's fixed quadrature is left out
+    # for its cost, about 0.7 s a run
+    m = other + (other >= n)  # every degree in 1 .. 6 but n
+    p, deg = measure.random_stable_poly(n, m, np.random.default_rng(seed))
+    suites = [name for name in cli.SUITE_ORDER if name != "verify-kernel"]
+    reports = cli.run(cli.RunConfig(p, deg, suites, dict(cli.DEFAULT_TOLERANCES)))
+    assert {r.suite: r.status for r in reports} == dict.fromkeys(sorted(suites), "pass")
 
 
 def test_worked_example_pins_the_fixed_extents(tmp_path):

@@ -57,9 +57,10 @@ def near_boundary_draw():
 
 
 def test_stable_by_triangle_inequality():
+    # 3 - z - w = 0 needs |w| = |3 - z| >= 2 on the circle, and 2 - w = 0 at z = 1
     report = check_stability(WORKED, WORKED_DEG)
     assert report.stable and report.witness is None
-    assert report.min_modulus == pytest.approx(1.0, abs=1e-12)
+    assert report.min_root_modulus == pytest.approx(2.0, abs=1e-12)
 
 
 def test_boundary_zero_is_unstable_with_witness():
@@ -68,7 +69,7 @@ def test_boundary_zero_is_unstable_with_witness():
     assert not report.stable
     z, w = report.witness
     assert abs(z - 1) < 1e-9 and abs(w - 1) < 1e-9
-    assert report.min_modulus < 1e-9
+    assert report.min_root_modulus == abs(w) <= 1.0
 
 
 def test_interior_zero_is_unstable():
@@ -84,9 +85,16 @@ def test_zero_polynomial_rejected():
 
 
 def test_near_boundary_root_is_inconclusive():
+    # the verdict is a report like the other two; only require_stable raises
     p = Poly({(0, 0): 1 + 1e-12, (1, 0): -1})
+    report = check_stability(p)
+    assert report.stable is None
+    assert report.witness == (1 + 1e-12 + 0j, 1 + 0j)
+    assert report.min_root_modulus == 1 + 1e-12
+    with pytest.raises(InconclusiveNearBoundary, match=r"^root modulus 1\.000000000001 "):
+        report.require_stable()
     with pytest.raises(InconclusiveNearBoundary):
-        check_stability(p)
+        measure.ensure_stable(p)
 
 
 def root_scan_loop(slice_vals, zs):
@@ -131,7 +139,33 @@ def test_zero_slice_is_the_witness():
     p = Poly({(0, 0): 2, (1, 0): -2, (0, 1): -1, (1, 1): 1})
     report = check_stability(p, DegreePair(1, 1))
     assert not report.stable
-    assert report.witness == (1 + 0j, 0j) and report.min_modulus == 0.0
+    assert report.witness == (1 + 0j, 0j) and report.min_root_modulus == 0.0
+
+
+@pytest.mark.parametrize("exponent", [-1074, -1073, -1030, -600, 0, 600, 1020])
+def test_the_scan_reads_every_power_of_two_scaling_alike(exponent):
+    # the scan runs on 2^e p with max|coeff| in [1, 2): scaling p by a power of
+    # two moves no bit of the report, subnormal coefficients included
+    rng = np.random.default_rng(3)
+    unstable = Poly({(0, 0): 1.5, (1, 0): -1, (0, 1): -1})
+    cases = [(WORKED, WORKED_DEG), random_stable_poly(2, 3, rng), (unstable, DegreePair(1, 1))]
+    for p, deg in cases:
+        if exponent < -1000 and p is not WORKED:
+            continue  # its low bits would underflow in the scaling itself
+        scaled = p.scale(2.0 ** (exponent // 2)).scale(2.0 ** (exponent - exponent // 2))
+        assert check_stability(scaled, deg) == check_stability(p, deg)
+
+
+def test_the_line_w_equals_one_is_one_more_slice():
+    # p(z, 1) = 2.5 - 0.9 z has its root at 2.78, while the w-roots
+    # (3 - z) / (0.5 - 0.1 z) stay at modulus 5 or more: the slice z -> p(z, 1)
+    # decides, and its root is the np.roots root to the bit
+    p = Poly({(0, 0): 3, (1, 0): -1, (0, 1): -0.5, (1, 1): 0.1})
+    report = check_stability(p, DegreePair(1, 1))
+    z_coeffs = p.coefficient_window((0, 1, 0, 1)).sum(axis=1)
+    roots = np.roots(z_coeffs[::-1])
+    assert report.stable and report.witness is None
+    assert report.min_root_modulus == np.min(np.abs(roots))
 
 
 # ----------------------------------------------------------------------
