@@ -4,12 +4,14 @@
 For stable p the matrix built from the w-coefficient slices is positive
 definite at every point of the unit circle, and it is the *inverse* of the
 moment matrix of the one-variable slice measure there.  Both facts are
-demonstrated numerically.
+demonstrated numerically.  The slice moments take the report of
+check_stability, which carries p and its degree, and read its verdict.
 """
 
 import numpy as np
 
 from bscd import (
+    check_stability,
     evaluate_on_circle,
     principal_determinants,
     schur_cohn_matrix,
@@ -48,7 +50,7 @@ print(f"  leading principal determinants at theta={theta}: "
       + ", ".join(f"{d:.4f}" for d in profile.D[0]))
 
 m = qdeg.m
-sm = slice_moments(q, qdeg, [theta], m - 1)
+sm = slice_moments(check_stability(q, qdeg), [theta], m - 1)
 residual = np.max(np.abs(profile.matrix @ sm.lag_matrix(m, m) - np.eye(m)))
 print(f"  || T(theta) @ sliced-moment-matrix - I ||_max = {residual:.2e}")
 print("  (the matrix inverts the moment matrix of the slice measure)")

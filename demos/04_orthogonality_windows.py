@@ -8,13 +8,15 @@ such pairing is a strip pairing, conjugated), each z^s a_k stays orthogonal
 to the monomials z^i w^j with i < n, j >= 0 (a strip or quadrant pairing of
 a_k itself), and each a_k can be *reconstructed* from those relations alone,
 up to the norm fixed by the circle average of the matching Schur-Cohn
-diagonal entry.
+diagonal entry.  The moment tables are built from the report of
+check_stability, which carries p and its degree.
 """
 
 import numpy as np
 
 from bscd import (
     cd_kernel_set,
+    check_stability,
     inner_product,
     moments_from_grid,
     orthogonality_report,
@@ -27,7 +29,7 @@ from bscd.subspaces import MARGIN, in_coefficient_orthogonality_set
 
 p = Poly({(0, 0): 3, (1, 0): -1, (0, 1): -1})
 deg = DegreePair(1, 1)
-table = moments_from_grid(p, (10, 8))
+table = moments_from_grid(check_stability(p, deg), (10, 8))
 ks = cd_kernel_set(p, deg)
 a0 = ks.a[0]
 
@@ -51,7 +53,7 @@ print()
 
 rng = np.random.default_rng(23)
 q, qdeg = random_stable_poly(2, 2, rng)
-qtable = moments_from_grid(q, (14, 12))
+qtable = moments_from_grid(check_stability(q, qdeg), (14, 12))
 kq = cd_kernel_set(q, qdeg)
 report = orthogonality_report(kq, qtable)
 scale = min(norm(ak, qtable) for ak in kq.a)

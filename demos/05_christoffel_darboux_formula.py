@@ -13,19 +13,20 @@ Both sides are polynomials in (z, w) and conj(z1, w1) over the box
 The left side comes from p alone; the kernel arrays E_1 and E_2 come from
 the moment data alone, so the two sides are computed by genuinely different
 machinery.  The value of a kernel at the origin 4-tuple is its coefficient
-of the pair (1, 1).
+of the pair (1, 1).  The moment tables are built from the report of
+check_stability, which carries p and its degree.
 """
 
 import numpy as np
 
-from bscd import moments_from_grid
+from bscd import check_stability, moments_from_grid
 from bscd.measure import random_stable_poly
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair
 from bscd.subspaces import cd_formula_residual
 
 p = Poly({(0, 0): 3, (1, 0): -1, (0, 1): -1})
 deg = DegreePair(1, 1)
-table = moments_from_grid(p, (6, 6))
+table = moments_from_grid(check_stability(p, deg), (6, 6))
 result = cd_formula_residual(p, deg, table)
 
 print("p = 3 - z - w at the origin 4-tuple")
@@ -47,7 +48,7 @@ print("--------------------------------------------------------------")
 for trial in range(3):
     n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     q, qdeg = random_stable_poly(n, m, rng)
-    qtable = moments_from_grid(q, (2 * n + 2, 2 * m + 2))
+    qtable = moments_from_grid(check_stability(q, qdeg), (2 * n + 2, 2 * m + 2))
     result = cd_formula_residual(q, qdeg, qtable)
     print(
         f"  degree {(n, m)}: max residual {result['max_residual']:.2e}"

@@ -108,7 +108,9 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bad JSON and bytes that are not UTF-8; RecursionError
+    # nesting past the interpreter's limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigInvalid("config must be a JSON object")
@@ -125,7 +127,8 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     merged["tolerances"] = {**doc.get("tolerances", {}), **overrides.get("tolerances", {})}
     try:
         poly, deg = BivariateLaurentPoly.from_json_dict(merged["polynomial"])
-    except (KeyError, TypeError, ValueError) as exc:
+    # OverflowError: an integer too large for a float
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"bad polynomial: {exc}") from exc
     # the kernel coefficients, the Schur-Cohn matrix and the slices need both
     if deg.n < 1 or deg.m < 1:
@@ -150,7 +153,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
             raise ConfigInvalid(f"unknown tolerance name: {name}")
         try:
             number = float(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigInvalid(f"bad value for tolerance {name}: {value!r}") from exc
         # NaN fails both comparisons; float(true) would be a gate of 1
         if isinstance(value, bool) or not 0.0 < number < float("inf"):
@@ -168,10 +171,11 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 # ----------------------------------------------------------------------
 
 
-# each builder gets the run's Artifacts, so it can build on other artifacts
+# each builder gets the run's Artifacts, so it can build on other artifacts;
+# those that form 1/|p|^2 take the stability verdict as their p
 ARTIFACT_BUILDERS = {
     "stability": lambda art: measure.check_stability(art.p, art.deg),
-    "moments": lambda art: measure.moments_from_grid(art.p, art.config.window),
+    "moments": lambda art: measure.moments_from_grid(art.get("stability"), art.config.window),
     "matrix": lambda art: schur_cohn.schur_cohn_matrix(art.p, art.deg),
     "kernelset": lambda art: cd_kernel.cd_kernel_set(art.p, art.deg, art.get("matrix")),
     # the Schur-Cohn circle values on the theta grid: the schur-cohn,
@@ -181,8 +185,8 @@ ARTIFACT_BUILDERS = {
     ),
     # slice moments on the theta grid; a suite fetches them only after an
     # artifact that refuses m < 1 (load_config refuses it too)
-    "slices": lambda art: measure._slice_moments_unchecked(
-        art.p, art.deg, angle_grid(THETA_GRID), art.deg.m - 1
+    "slices": lambda art: measure.slice_moments(
+        art.get("stability"), angle_grid(THETA_GRID), art.deg.m - 1
     ),
 }
 
@@ -251,9 +255,7 @@ def _suite_moments(art: Artifacts, cfg: RunConfig):
     mass = grid_table.get(0, 0).real
     if not np.finfo(float).tiny <= mass < np.inf:
         raise DegenerateMoments(f"c[0, 0] = {mass!r} is not a positive normal float")
-    series_table = measure.moments_from_series(
-        cfg.polynomial, cfg.deg, cfg.window
-    )
+    series_table = measure.moments_from_series(art.get("stability"), cfg.window)
     violation = grid_table.max_difference(series_table)
     details = {
         "cross_path_difference": violation,
@@ -351,9 +353,7 @@ def _suite_verify_kernel(art: Artifacts, cfg: RunConfig):
     points = [
         (0.9 * z, 0.9 * w) for z, w in _random_bidisk_points(rng, 10, 2)
     ]
-    result = subspaces.closed_form_kernel_residual(
-        cfg.polynomial, cfg.deg, moments, functions, points
-    )
+    result = subspaces.closed_form_kernel_residual(art.get("stability"), moments, functions, points)
     details = {
         "reproducing_max": result["reproducing_max"],
         "projection_max": result["projection_max"],
@@ -385,7 +385,7 @@ def _suite_parametric(art: Artifacts, cfg: RunConfig):
     ]
     # the first three frequencies past each bound n(m - j)
     k_lists = {j: [n * (m - j) + d for d in (1, 2, 3)] for j in range(m)}
-    result = parametric.moment_vanishing(cfg.polynomial, cfg.deg, k_lists, art.get("matrix"))
+    result = parametric.moment_vanishing(art.get("stability"), k_lists, art.get("matrix"))
     vanishing = {}
     for j, entry in result["per_j"].items():
         # the values are roundoff of an integrand of modulus up to the scale

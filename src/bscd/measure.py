@@ -41,7 +41,6 @@ from .errors import (
     InconclusiveNearBoundary,
     NoConvergence,
     NotStable,
-    SupportOutsideBox,
     WindowTooSmall,
     ZeroPolynomial,
 )
@@ -68,14 +67,19 @@ STABILITY_GRID = 1024
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Outcome of the root scan of :func:`check_stability`, for every verdict.
+    """The checked value of :func:`check_stability`: ``p``, its degree ``deg``
+    and the verdict of the root scan, for every verdict.
 
     ``stable`` is True, False, or None when the scan cannot decide.
     ``min_root_modulus`` is the smallest root modulus found (``inf`` for no
     root), the number the verdict compares with 1 and ``1 + BOUNDARY_TOL``;
     ``witness``, that root as ``(z, w)``, is present unless ``stable``.
+    Every function that forms ``1 / |p|^2`` takes this value and reads its
+    verdict through :meth:`require_stable`, so none scans again.
     """
 
+    p: BivariateLaurentPoly
+    deg: DegreePair
     stable: bool | None
     witness: tuple[complex, complex] | None
     min_root_modulus: float
@@ -87,13 +91,15 @@ class StabilityReport:
             return f"root modulus {self.min_root_modulus!r} within {BOUNDARY_TOL} of the unit circle"
         return f"zero of p at {self.witness} inside the closed bidisk"
 
-    def require_stable(self) -> None:
-        """Raise :class:`NotStable`, or :class:`InconclusiveNearBoundary` when
-        the scan cannot decide; the one place either is raised."""
+    def require_stable(self) -> "StabilityReport":
+        """This report if stable; else raise :class:`NotStable`, or
+        :class:`InconclusiveNearBoundary` when the scan cannot decide.  The
+        one place either is raised."""
         if self.stable is None:
             raise InconclusiveNearBoundary(self.message)
         if not self.stable:
             raise NotStable(self.message)
+        return self
 
 
 def torus_grid_values(p: BivariateLaurentPoly, size: int) -> np.ndarray:
@@ -134,33 +140,31 @@ def w_slice(p: BivariateLaurentPoly, z, size: int) -> np.ndarray:
     return out
 
 
-def check_stability(
-    p: BivariateLaurentPoly, deg: DegreePair | None = None
-) -> StabilityReport:
+def check_stability(p: BivariateLaurentPoly, deg: DegreePair) -> StabilityReport:
     """Root-scan zero-freeness test on the closed bidisk.
 
-    For every ``z`` on a uniform circle grid of ``STABILITY_GRID`` points the
-    roots of ``w -> p(z, w)`` must lie strictly outside the closed unit disk,
-    and so must the roots of ``z -> p(z, 1)``.  The smallest root modulus
-    decides: at most 1 is unstable, within ``BOUNDARY_TOL`` outside the circle
+    ``p`` must be nonzero with its support in ``[0, n] x [0, m]``.  For every
+    ``z`` on a uniform circle grid of ``STABILITY_GRID`` points the roots of
+    ``w -> p(z, w)`` must lie strictly outside the closed unit disk, and so
+    must the roots of ``z -> p(z, 1)``.  The smallest root modulus decides:
+    at most 1 is unstable, within ``BOUNDARY_TOL`` outside the circle
     inconclusive, since the scan cannot certify the boundary, and larger
-    stable.  Every verdict is returned as a :class:`StabilityReport`.  This is
-    a practical test, not an algebraic decision procedure.
+    stable.  Every verdict is returned as a :class:`StabilityReport` that
+    carries ``p`` and ``deg``.  This is a practical test, not an algebraic
+    decision procedure.
     """
     if p.is_zero:
         raise ZeroPolynomial("stability is undefined for the zero polynomial")
+    p._require_support_in_box(deg)
     box = p.support_box
-    if box[0] < 0 or box[2] < 0:
-        raise SupportOutsideBox("stability requires a genuine polynomial")
-    if deg is not None:
-        p._require_support_in_box(deg)
     # keyed by the support box: the zero rows and columns of a wider deg add no root
-    return _cached_stability(p, box[1], box[3])
+    return StabilityReport(p, deg, *_cached_stability(p, box[1], box[3]))
 
 
 @lru_cache(maxsize=128)
 def _cached_stability(p, n, m):
-    # the scan reads 2^e p, max|coeff| in [1, 2): the same roots, and no subnormal
+    # the verdict fields of a StabilityReport: stable, witness, min_root_modulus.
+    # The scan reads 2^e p, max|coeff| in [1, 2): the same roots, and no subnormal
     # slice coefficient to overflow a complex division; 2^e goes in two halves
     e = 1 - np.frexp(p.max_abs())[1]
     halves = np.ldexp(np.ldexp(p.coeffs.view(float), e // 2), e - e // 2)
@@ -176,7 +180,7 @@ def _cached_stability(p, n, m):
         min_root, witness = z_root, z_witness[::-1]
 
     stable = False if min_root <= 1.0 else None if min_root < 1.0 + BOUNDARY_TOL else True
-    return StabilityReport(stable, None if stable else witness, float(min_root))
+    return stable, None if stable else witness, float(min_root)
 
 
 def _min_w_root(slice_vals: np.ndarray, zs: np.ndarray):
@@ -212,11 +216,6 @@ def _min_w_root(slice_vals: np.ndarray, zs: np.ndarray):
             best[k], best_root[k] = np.abs(roots[idx]), roots[idx]
     k = int(np.argmin(best))
     return best[k], (complex(zs[k]), complex(best_root[k]))
-
-
-def ensure_stable(p: BivariateLaurentPoly, deg: DegreePair | None = None) -> None:
-    """Raise unless the root scan finds ``p`` stable (see ``require_stable``)."""
-    check_stability(p, deg).require_stable()
 
 
 # ----------------------------------------------------------------------
@@ -388,14 +387,15 @@ def _density_window(values: np.ndarray, window: tuple[int, ...]) -> np.ndarray:
     return values
 
 
-def moments_from_grid(p: BivariateLaurentPoly, window: tuple[int, int]) -> MomentTable:
+def moments_from_grid(stability: StabilityReport, window: tuple[int, int]) -> MomentTable:
     """Moment window by torus-grid DFT with resolution doubling.
 
-    Starts at a 256 x 256 grid and doubles until the window changes by less
-    than ``MOMENT_TOL * max(1, max|window|)``; raises :class:`NoConvergence`
-    at the 8192 cap.
+    ``stability`` carries ``p`` and must be stable (see
+    :meth:`StabilityReport.require_stable`).  Starts at a 256 x 256 grid and
+    doubles until the window changes by less than ``MOMENT_TOL *
+    max(1, max|window|)``; raises :class:`NoConvergence` at the 8192 cap.
     """
-    ensure_stable(p)
+    p = stability.require_stable().p
     A, B = int(window[0]), int(window[1])
 
     def compute(size, rows):
@@ -529,20 +529,17 @@ def _series_moments(p: BivariateLaurentPoly, order: int, A: int, B: int):
     return _series_window(_reciprocal_series(p, order, shape), A, B)
 
 
-def moments_from_series(
-    p: BivariateLaurentPoly,
-    deg: DegreePair,
-    window: tuple[int, int],
-) -> MomentTable:
+def moments_from_series(stability: StabilityReport, window: tuple[int, int]) -> MomentTable:
     """Moment window from the power series of ``1/p`` (grid-free oracle).
 
-    ``c[a, b] = sum_{i,j} d[i, j] * conj(d[i+a, j+b])`` where ``d`` holds the
-    series coefficients of ``1/p`` truncated at total order ``T``.  ``T``
-    doubles from ``SERIES_START`` until the window moves by less than
-    ``MOMENT_TOL * max(1, max|window|)``, the grid route's rule; raises
+    ``stability`` carries ``p`` and must be stable.  ``c[a, b] = sum_{i,j}
+    d[i, j] * conj(d[i+a, j+b])`` where ``d`` holds the series coefficients
+    of ``1/p`` truncated at total order ``T``.  ``T`` doubles from
+    ``SERIES_START`` until the window moves by less than ``MOMENT_TOL *
+    max(1, max|window|)``, the grid route's rule; raises
     :class:`NoConvergence` at ``SERIES_CAP``.
     """
-    ensure_stable(p, deg)
+    p = stability.require_stable().p
     A, B = int(window[0]), int(window[1])
 
     def compute(order, rows):
@@ -623,16 +620,12 @@ class SlicedMoments:
         return toeplitz
 
 
-def slice_moments(
-    p: BivariateLaurentPoly,
-    deg: DegreePair,
-    theta,
-    lag: int,
-) -> SlicedMoments:
+def slice_moments(stability: StabilityReport, theta, lag: int) -> SlicedMoments:
     """Moments ``m_k``, ``|k| <= lag``, of ``|dw| / (2 pi |p(e^{i theta}, w)|^2)``
-    at each of a 1-D array of angles ``theta``; an empty one gives no rows."""
-    ensure_stable(p, deg)
-    return _slice_moments_unchecked(p, deg, theta, lag)
+    at each of a 1-D array of angles ``theta``, for the ``p`` and ``deg`` of
+    a stable ``stability``; an empty array gives no rows."""
+    stability.require_stable()
+    return _slice_moments_unchecked(stability.p, stability.deg, theta, lag)
 
 
 def _slice_moments_unchecked(p, deg, theta, lag):

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, NoConvergence, NotPositiveDefinite
-from .measure import SlicedMoments, slice_inner_product, slice_moments
-from .poly import BivariateLaurentPoly, DegreePair, angle_grid
+from .measure import SlicedMoments, StabilityReport, slice_inner_product, slice_moments
+from .poly import angle_grid
 from .schur_cohn import (
     DeterminantProfile,
     LaurentMatrixPoly,
@@ -116,12 +116,12 @@ def orthogonality_check(op: ParametricOPUC, sm: SlicedMoments) -> dict:
 
 
 def moment_vanishing(
-    p: BivariateLaurentPoly,
-    deg: DegreePair,
+    stability: StabilityReport,
     k_lists,
     T: LaurentMatrixPoly | None = None,
 ) -> dict:
-    """Angle-Fourier coefficients of the weighted squared slice norms.
+    """Angle-Fourier coefficients of the weighted squared slice norms of the
+    ``p`` and ``deg`` of a stable ``stability``.
 
     ``k_lists`` maps each ``j`` to its frequencies ``k``.  Computes ``I_j(k) =
     (1/2pi) int e^{ik theta} D[m-j-1](theta) <phi_j, phi_j>_theta d theta``; the
@@ -133,9 +133,11 @@ def moment_vanishing(
     integrand, else :class:`NoConvergence`.  That largest integrand modulus
     is returned as each ``j``'s ``scale``: the vanishing values are roundoff
     of sums of that size.  ``T`` is the Schur-Cohn matrix of ``p``, built
-    here if not given.  The slice moments come first and check stability, so
-    an unstable ``p`` raises :class:`NotStable`, not the LU's error.
+    here if not given.  The verdict is read first, so an unstable ``p``
+    raises :class:`NotStable`, not the LU's error.
     """
+    stability.require_stable()
+    p, deg = stability.p, stability.deg
     n, m = deg
     k_lists = {int(j): [int(k) for k in ks] for j, ks in sorted(k_lists.items())}
     if any(not 0 <= j <= m - 1 for j in k_lists):
@@ -145,7 +147,7 @@ def moment_vanishing(
     size = 2 * half
     js = np.array(list(k_lists), dtype=int)
     thetas = angle_grid(size)
-    sm = slice_moments(p, deg, thetas, m - 1)
+    sm = slice_moments(stability, thetas, m - 1)
     if T is None:
         T = schur_cohn_matrix(p, deg)
     op = parametric_polynomials(principal_determinants(T, thetas))

@@ -38,7 +38,7 @@ import numpy as np
 
 from .cd_kernel import CDKernelSet, cd_numerator
 from .errors import DegenerateDegree, IllConditionedGram
-from .measure import MomentTable, ensure_stable, torus_grid_values
+from .measure import MomentTable, StabilityReport, torus_grid_values
 from .poly import BivariateLaurentPoly, DegreePair, coefficient_matrix
 from .schur_cohn import LaurentMatrixPoly, diagonal_average
 
@@ -418,13 +418,13 @@ def closed_form_kernel_pairing(
 
 
 def closed_form_kernel_residual(
-    p: BivariateLaurentPoly,
-    deg: DegreePair,
+    stability: StabilityReport,
     moments: MomentTable,
     test_functions,
     points,
 ) -> dict:
-    """Reproducing-property check for the corner-span kernel.
+    """Reproducing-property check for the corner-span kernel of the ``p`` and
+    ``deg`` of a stable ``stability``.
 
     Functions supported on the L-shaped index set must be reproduced at
     every interior point.  Functions with a component in the removed corner
@@ -433,7 +433,8 @@ def closed_form_kernel_residual(
     The quadrature builds the grid values of ``p`` and its reflection once
     per call and those of each function once.
     """
-    ensure_stable(p, deg)
+    stability.require_stable()
+    p, deg = stability.p, stability.deg
     n, m = deg
     points = list(points)
     quadrature = _CornerKernelQuadrature(p, deg, points)

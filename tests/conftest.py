@@ -72,7 +72,7 @@ def variant_law_residual(check, op):
 
 @pytest.fixture(scope="session")
 def worked_moments():
-    return measure.moments_from_grid(WORKED, (10, 8))
+    return measure.moments_from_grid(measure.check_stability(WORKED, WORKED_DEG), (10, 8))
 
 
 @pytest.fixture(scope="session")
@@ -88,7 +88,7 @@ def random_family():
 @pytest.fixture(scope="session")
 def random_family_with_moments(random_family):
     return [
-        (p, deg, measure.moments_from_grid(p, window_for(deg)))
+        (p, deg, measure.moments_from_grid(measure.check_stability(p, deg), window_for(deg)))
         for (p, deg) in random_family
     ]
 

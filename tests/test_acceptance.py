@@ -60,7 +60,7 @@ def random_set():
     if "family" not in _STATE:
         family = []
         for p, deg in make_random_family():
-            table = moments_from_grid(p, window_for(deg))
+            table = moments_from_grid(check_stability(p, deg), window_for(deg))
             family.append((p, deg, table, cd_kernel_set(p, deg)))
         _STATE["family"] = family
     return _STATE["family"]
@@ -71,12 +71,13 @@ def test_criterion_1_worked_example_kernel():
         start = time.perf_counter()
         measure._cached_stability.cache_clear()
 
-        assert check_stability(WORKED, WORKED_DEG).stable
+        stability = check_stability(WORKED, WORKED_DEG)
+        assert stability.stable
         from_matrix = kernel_coefficients(WORKED, WORKED_DEG)[0]
         assert (from_matrix - A0_WORKED).max_abs() <= 1e-10
         (from_quotient,) = kernel_by_divided_difference(WORKED, WORKED_DEG)
         assert (from_quotient - A0_WORKED).max_abs() <= 1e-10
-        table = moments_from_grid(WORKED, (4, 2))
+        table = moments_from_grid(stability, (4, 2))
         (from_orthogonality,) = reconstruct_kernel_coefficients(
             table, schur_cohn_matrix(WORKED, WORKED_DEG)
         )
@@ -96,11 +97,12 @@ def test_criterion_2_moment_oracle_equivalence():
         ]
         cases = named + [(p, deg) for p, deg in make_random_family()]
         for p, deg in cases:
-            grid = moments_from_grid(p, (8, 8))
-            series = moments_from_series(p, deg, (8, 8))
+            stability = check_stability(p, deg)
+            grid = moments_from_grid(stability, (8, 8))
+            series = moments_from_series(stability, (8, 8))
             assert grid.max_difference(series) <= 1e-10
 
-        product_table = moments_from_grid(named[0][0], (8, 8))
+        product_table = moments_from_grid(check_stability(*named[0]), (8, 8))
         for a in range(-8, 9):
             for b in range(-8, 9):
                 expected = 2.0 ** (-abs(a) - abs(b)) / 9.0
@@ -126,7 +128,8 @@ def test_criterion_4_christoffel_darboux_formula():
         lhs = WORKED(0, 0) * np.conj(WORKED(0, 0)) - pr(0, 0) * np.conj(pr(0, 0))
         assert abs(lhs - 9.0) <= 1e-12
 
-        cases = [(WORKED, WORKED_DEG, moments_from_grid(WORKED, (6, 6)))]
+        worked = moments_from_grid(check_stability(WORKED, WORKED_DEG), (6, 6))
+        cases = [(WORKED, WORKED_DEG, worked)]
         cases += [(p, deg, table) for p, deg, table, _ in random_set()]
         for p, deg, table in cases:
             result = cd_formula_residual(p, deg, table)
@@ -136,7 +139,8 @@ def test_criterion_4_christoffel_darboux_formula():
 def test_criterion_5_corner_kernel_reproduces():
     with criterion(5, "closed-form kernel reproducing property"):
         rng = np.random.default_rng(102)
-        cases = [(WORKED, WORKED_DEG, moments_from_grid(WORKED, (8, 8)))]
+        worked = moments_from_grid(check_stability(WORKED, WORKED_DEG), (8, 8))
+        cases = [(WORKED, WORKED_DEG, worked)]
         p4, deg4, table4, _ = random_set()[3]
         cases.append((p4, deg4, table4))
         for p, deg, table in cases:
@@ -148,7 +152,9 @@ def test_criterion_5_corner_kernel_reproduces():
                 )
                 for _ in range(10)
             ]
-            result = closed_form_kernel_residual(p, deg, table, functions, points)
+            result = closed_form_kernel_residual(
+                check_stability(p, deg), table, functions, points
+            )
             assert result["reproducing_max"] < 1e-8
 
 
@@ -161,9 +167,10 @@ def test_criterion_6_slice_identities():
             if ks is None:
                 ks = cd_kernel_set(p, deg)
             T = schur_cohn_matrix(p, deg)
+            stability = check_stability(p, deg)
             n, m = deg
             thetas = 2 * np.pi * np.arange(32) / 32
-            gram = slice_gram(ks, slice_moments(p, deg, thetas, m - 1))
+            gram = slice_gram(ks, slice_moments(stability, thetas, m - 1))
             assert np.max(np.abs(gram - evaluate_on_circle(T, thetas))) < 1e-9
             for theta, G in zip(thetas, gram):
                 # the squared slice norm of the kernel at eta, v^H G v with
@@ -173,7 +180,7 @@ def test_criterion_6_slice_identities():
                 v = np.conj(eta) ** np.arange(m)
                 diagonal = np.conj(z) ** n * sum(aj(z, eta) * vj for aj, vj in zip(ks.a, v))
                 assert abs(np.conj(v) @ G @ v - diagonal) < 1e-9
-                sm = slice_moments(p, deg, [theta], m - 1)
+                sm = slice_moments(stability, [theta], m - 1)
                 M = np.array([[sm.get(j - i)[0] for j in range(m)] for i in range(m)])
                 identity_residual = np.max(
                     np.abs(evaluate_on_circle(T, [theta])[0] @ M - np.eye(m))
@@ -186,19 +193,20 @@ def test_criterion_7_parametric_polynomials():
         for p, deg, _, _ in random_set():
             n, m = deg
             T = schur_cohn_matrix(p, deg)
+            stability = check_stability(p, deg)
             for theta in (0.0, 0.7, 2.9):
                 op = parametric_polynomials(principal_determinants(T, [theta]))
-                check = orthogonality_check(op, slice_moments(p, deg, [theta], m - 1))
+                check = orthogonality_check(op, slice_moments(stability, [theta], m - 1))
                 assert check["offdiag_max"][0] < 1e-9
                 assert check["lu_law_residual"][0] < 1e-9
                 if m >= 2:
                     assert variant_law_residual(check, op)[0] > 1e-3
             k_lists = {j: [n * (m - j) + d for d in (1, 2, 3)] for j in range(m)}
-            result = moment_vanishing(p, deg, k_lists)
+            result = moment_vanishing(stability, k_lists)
             for entry in result["per_j"].values():
                 assert all(abs(v) < 1e-8 for v in entry["values"])
 
-        sharp = moment_vanishing(WORKED, WORKED_DEG, {0: [1]})["per_j"][0]
+        sharp = moment_vanishing(check_stability(WORKED, WORKED_DEG), {0: [1]})["per_j"][0]
         assert abs(sharp["values"][0] - (-3.0)) <= 1e-8
 
 

@@ -12,7 +12,7 @@ from bscd.cd_kernel import (
     slice_gram,
 )
 from bscd.errors import DegenerateDegree, NonzeroRemainder
-from bscd.measure import slice_inner_product, slice_moments, w_slice
+from bscd.measure import check_stability, slice_inner_product, slice_moments, w_slice
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair, angle_grid
 from bscd.schur_cohn import evaluate_on_circle, schur_cohn_matrix
 
@@ -191,14 +191,14 @@ def slice_gram_loop(p, deg, theta, ks):
     m = deg.m
     z = np.exp(1j * float(theta))
     sections = np.array([w_slice(aj, z, m) for aj in ks.a])
-    sm = slice_moments(p, deg, [theta], m - 1)
+    sm = slice_moments(check_stability(p, deg), [theta], m - 1)
     return slice_inner_product(sections[None, :, :], sections[:, None, :], sm)
 
 
 def slice_gram_gap(p, deg, thetas, ks=None):
     """``G - T(e^{i theta})`` at ``thetas``, shape ``(K, m, m)``."""
     ks = ks if ks is not None else cd_kernel_set(p, deg)
-    G = slice_gram(ks, slice_moments(p, deg, thetas, deg.m - 1))
+    G = slice_gram(ks, slice_moments(check_stability(p, deg), thetas, deg.m - 1))
     return G - evaluate_on_circle(schur_cohn_matrix(p, deg), thetas)
 
 
@@ -211,7 +211,7 @@ def slice_norm_sides(p, deg, thetas, eta, ks=None):
     """
     ks = ks if ks is not None else cd_kernel_set(p, deg)
     thetas = np.asarray(thetas, dtype=float)
-    G = slice_gram(ks, slice_moments(p, deg, thetas, deg.m - 1))
+    G = slice_gram(ks, slice_moments(check_stability(p, deg), thetas, deg.m - 1))
     v = np.conj(eta) ** np.arange(deg.m)
     lhs = np.einsum("i,kij,j->k", np.conj(v), G, v)
     rhs = np.array([
@@ -259,7 +259,7 @@ def test_batched_slice_gram_is_the_per_angle_loop(random_family):
     thetas = angle_grid(32)
     for p, deg in [(WORKED, WORKED_DEG)] + random_family:
         ks = cd_kernel_set(p, deg)
-        batched = slice_gram(ks, slice_moments(p, deg, thetas, deg.m - 1))
+        batched = slice_gram(ks, slice_moments(check_stability(p, deg), thetas, deg.m - 1))
         assert batched.shape == (32, deg.m, deg.m)
         for k, theta in enumerate(thetas):
             one = slice_gram_loop(p, deg, theta, ks)

@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from bscd.cd_kernel import cd_kernel_set, slice_gram
-from bscd.measure import random_stable_poly, slice_moments
+from bscd.measure import check_stability, random_stable_poly, slice_moments
 from bscd.parametric import orthogonality_check, parametric_polynomials
 from bscd.poly import angle_grid
 from bscd.schur_cohn import principal_determinants, schur_cohn_matrix
@@ -21,7 +21,7 @@ def test_every_row_is_the_one_angle_result(n, m, seed):
         thetas = angle_grid(K)
         profile = principal_determinants(T, thetas)
         op = parametric_polynomials(profile)
-        sm = slice_moments(p, deg, thetas, m - 1)
+        sm = slice_moments(check_stability(p, deg), thetas, m - 1)
         for k in range(K):
             one = principal_determinants(T, thetas[k : k + 1])
             assert np.array_equal(profile.matrix[k], one.matrix[0])
@@ -30,7 +30,7 @@ def test_every_row_is_the_one_angle_result(n, m, seed):
             assert np.array_equal(op.U[k], one_op.U[0])
             assert np.array_equal(op.L_factor[k], one_op.L_factor[0])
             assert all(np.array_equal(a[k], b[0]) for a, b in zip(op.phi, one_op.phi))
-            one_sm = slice_moments(p, deg, thetas[k : k + 1], m - 1)
+            one_sm = slice_moments(check_stability(p, deg), thetas[k : k + 1], m - 1)
             assert np.array_equal(sm.values[k], one_sm.values[0])
             assert sm.grid[k] == one_sm.grid[0]
         # the second route of the matrix: the slice Gram of the kernel family
@@ -47,6 +47,6 @@ def test_no_angles_give_empty_rows():
     none = angle_grid(0)
     profile = principal_determinants(schur_cohn_matrix(p, deg), none)
     assert profile.D.shape == (0, deg.m + 1) and profile.matrix.shape == (0, deg.m, deg.m)
-    sm = slice_moments(p, deg, none, deg.m - 1)
+    sm = slice_moments(check_stability(p, deg), none, deg.m - 1)
     assert sm.values.shape == (0, 2 * deg.m - 1) and sm.grid.shape == (0,)
     assert sm.lag_matrix(deg.m, deg.m).shape == (0, deg.m, deg.m)

@@ -48,6 +48,30 @@ def test_missing_polynomial_is_config_error(tmp_path):
     assert cli.main(["stability", "--config", str(path)]) == 2
 
 
+UNREADABLE_CONFIGS = {
+    "not-utf-8": b'{"polynomial": "\xff"}',
+    "nested-past-the-recursion-limit": b"[" * 100000,
+    # 10**400 has 401 digits: an exact JSON integer, past the largest float
+    "huge-coefficient": json.dumps(
+        {"polynomial": {"n": 1, "m": 1, "coeffs": [[[10**400, 0], [-1, 0]], [[-1, 0], [0, 0]]]}}
+    ).encode(),
+    "huge-tolerance": json.dumps(
+        {"polynomial": WORKED_JSON, "tolerances": {"identity": 10**400}}
+    ).encode(),
+}
+
+
+@pytest.mark.parametrize("content", UNREADABLE_CONFIGS.values(), ids=UNREADABLE_CONFIGS)
+def test_a_config_python_cannot_read_is_a_config_error(tmp_path, capsys, content):
+    # UnicodeDecodeError, RecursionError and OverflowError each ended in a traceback
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert cli.main(["all", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_coefficient_is_config_error(tmp_path, bad):
     polynomial = json.loads(json.dumps(WORKED_JSON))
@@ -356,19 +380,18 @@ def test_a_verdict_that_stops_the_run_blocks_every_other_suite(tmp_path, constan
     assert (cache.misses, cache.hits) == (1, 0)
 
 
-def test_a_stable_run_rechecks_only_where_p_becomes_a_density(tmp_path):
-    # one scan, then one cached verdict for each library function that forms
-    # 1/|p|^2 from its own p: moments_from_grid, moments_from_series,
-    # closed_form_kernel_residual, and the slice_moments of moment_vanishing
+def test_a_stable_run_scans_once_and_asks_for_the_verdict_never_again(tmp_path):
+    # every function that forms 1/|p|^2 takes the stability artifact and
+    # reads the verdict it carries, so the cache is never asked a second time
     code, doc, cache = _run_all_counting_scans(tmp_path, WORKED_JSON)
     assert code == 0
-    assert (cache.misses, cache.hits) == (1, 4)
+    assert (cache.misses, cache.hits) == (1, 0)
 
 
 @pytest.mark.parametrize("deg", [(2, 1), (1, 2)])
 def test_a_declared_degree_shares_the_support_box_scan(tmp_path, deg):
     # the zero rows or columns a declared box adds carry no root, so the
-    # stability artifact and every inferred-degree check read one scan
+    # scan runs on the support box and decides the run once
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"polynomial": WORKED.to_json_dict(DegreePair(*deg))}))
     measure._cached_stability.cache_clear()
@@ -907,7 +930,7 @@ def test_overflowing_density_fails_fast(tmp_path):
 def test_verify_cd_names_the_pair_where_a_foreign_table_fails(tmp_path, monkeypatch):
     # a planted defect: the moments of another stable polynomial
     other, deg = measure.random_stable_poly(1, 1, np.random.default_rng(5))
-    foreign = measure.moments_from_grid(other, (9, 9))
+    foreign = measure.moments_from_grid(measure.check_stability(other, deg), (9, 9))
     monkeypatch.setattr(cli.measure, "moments_from_grid", lambda *args: foreign)
     reports = {r.suite: r for r in cli.run(cli.load_config(write_config(tmp_path)))}
     report = reports["verify-cd"]

@@ -1,12 +1,16 @@
-"""The defect matrix: which suites catch a defect planted in the moment table.
+"""The defect matrix: which suites catch a defect planted in the moment table
+or in the slice moments.
 
-Each defect rewrites the values every ``MomentTable`` is built from, so the
-grid and the series route carry the same error and only a check against
-something other than a second table can see it.  The tests pin, for each
-defect and input, the set of suites that fail; README publishes the matrix.
-Two gaps are pinned on purpose: ``moments`` compares two tables that share
-the defect and passes every one, and on the worked example, whose measure is
-symmetric in ``z`` and ``w``, ``verify-cd`` passes both flips.
+Each table defect rewrites the values every ``MomentTable`` is built from, so
+the grid and the series route carry the same error and only a check against
+something other than a second table can see it.  Each slice defect rewrites
+the values every ``SlicedMoments`` is built from: the slices of the theta grid
+and those of the vanishing check's own angles.  The tests pin, for each
+defect and input, the suites that fail; README publishes the matrix.  Gaps
+are pinned on purpose: ``moments`` compares two tables that share the defect
+and passes every one; on the worked example, whose measure is symmetric in
+``z`` and ``w``, ``verify-cd`` passes both flips; and its slices (``m = 1``)
+carry only the real ``m_0``, so only the roll of the angles reaches them.
 """
 
 import numpy as np
@@ -21,13 +25,15 @@ DOWNSTREAM = {"verify-orthogonality", "verify-cd", "verify-kernel"}
 TILT = 1e-6
 
 
-def tilt(values):
-    """The moments of the weight ``(1 + TILT Re z)`` times the measure:
-    ``c[a, b] + TILT/2 (c[a - 1, b] + c[a + 1, b])``, zero past the window."""
+def tilt(values, axis=0):
+    """The moments of the weight ``(1 + TILT Re x)`` times the measure, ``x``
+    the variable whose lags run along ``axis``: ``c[a] + TILT/2 (c[a - 1] +
+    c[a + 1])`` along it, zero past the window."""
+    values = np.moveaxis(values, axis, 0)
     tilted = values.copy()
     tilted[1:] += 0.5 * TILT * values[:-1]
     tilted[:-1] += 0.5 * TILT * values[1:]
-    return tilted
+    return np.moveaxis(tilted, 0, axis)
 
 
 # each maps the value array, rows a = -A .. A and columns b = -B .. B
@@ -77,3 +83,48 @@ def test_each_planted_defect_fails_the_suites_of_its_row(monkeypatch, defect, na
     assert failed == CAUGHT[defect, name]
     # a caught defect fails its check, not a build that blocks it
     assert all("error" not in r.details for r in reports)
+
+
+SLICE_SUITES = ["stability", "schur-cohn", "cd-kernel", "parametric"]
+
+# each maps the value array, rows one per angle and columns the lags -lag .. lag
+SLICE_DEFECTS = {
+    "conjugate": np.conj,
+    "tilt": lambda values: tilt(values, axis=1),
+    "roll": lambda values: np.roll(values, 1, axis=0),
+}
+
+# the suites that fail, each with the error it reports (None for a residual
+# over tolerance); a moved slice measure breaks the vanishing check's grid
+# agreement before its values are read
+SLICES_CAUGHT = {"schur-cohn": None, "cd-kernel": None, "parametric": None}
+VANISHING_CAUGHT = {**SLICES_CAUGHT, "parametric": "NoConvergence"}
+SLICE_CAUGHT = {
+    ("conjugate", "worked"): {},
+    ("conjugate", "2x3"): VANISHING_CAUGHT,
+    ("conjugate", "3x3"): VANISHING_CAUGHT,
+    ("tilt", "worked"): {},
+    ("tilt", "2x3"): SLICES_CAUGHT,
+    ("tilt", "3x3"): SLICES_CAUGHT,
+    ("roll", "worked"): VANISHING_CAUGHT,
+    ("roll", "2x3"): VANISHING_CAUGHT,
+    ("roll", "3x3"): VANISHING_CAUGHT,
+}
+
+
+@pytest.mark.parametrize(
+    "defect, name", list(SLICE_CAUGHT), ids=[f"{d}-{n}" for d, n in SLICE_CAUGHT]
+)
+def test_each_planted_slice_defect_fails_the_suites_of_its_row(monkeypatch, defect, name):
+    build = measure.SlicedMoments.__init__
+
+    def planted(self, theta, lag, values, grid):
+        build(self, theta, lag, SLICE_DEFECTS[defect](np.asarray(values, dtype=complex)), grid)
+
+    monkeypatch.setattr(measure.SlicedMoments, "__init__", planted)
+    p, deg = INPUTS[name]()
+    reports = cli.run(cli.RunConfig(p, deg, SLICE_SUITES, dict(cli.DEFAULT_TOLERANCES)))
+    failed = {r.suite: r.details.get("error") for r in reports if r.status != "pass"}
+    assert failed == SLICE_CAUGHT[defect, name]
+    # a caught defect fails a check, not a shared build that blocks it
+    assert all("blocked_by" not in r.details for r in reports)

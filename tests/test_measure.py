@@ -1,5 +1,6 @@
 """Stability testing, moment pipelines, inner products and slices."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from bscd import measure
 from bscd.errors import (
     InconclusiveNearBoundary,
     NoConvergence,
+    NotStable,
     WindowTooSmall,
     ZeroPolynomial,
 )
@@ -22,7 +24,9 @@ from bscd.measure import (
     slice_inner_product,
     slice_moments,
 )
+from bscd.parametric import moment_vanishing
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair, angle_grid
+from bscd.subspaces import closed_form_kernel_residual
 
 from conftest import WORKED, WORKED_DEG, window_for
 
@@ -74,27 +78,56 @@ def test_boundary_zero_is_unstable_with_witness():
 
 def test_interior_zero_is_unstable():
     p = Poly({(0, 0): 1, (1, 0): -2})
-    report = check_stability(p)
+    report = check_stability(p, DegreePair(1, 0))
     assert not report.stable
     assert abs(report.witness[0] - 0.5) < 1e-12
 
 
 def test_zero_polynomial_rejected():
     with pytest.raises(ZeroPolynomial):
-        check_stability(Poly.zero())
+        check_stability(Poly.zero(), DegreePair(0, 0))
 
 
 def test_near_boundary_root_is_inconclusive():
     # the verdict is a report like the other two; only require_stable raises
     p = Poly({(0, 0): 1 + 1e-12, (1, 0): -1})
-    report = check_stability(p)
+    report = check_stability(p, DegreePair(1, 0))
     assert report.stable is None
     assert report.witness == (1 + 1e-12 + 0j, 1 + 0j)
     assert report.min_root_modulus == 1 + 1e-12
     with pytest.raises(InconclusiveNearBoundary, match=r"^root modulus 1\.000000000001 "):
         report.require_stable()
-    with pytest.raises(InconclusiveNearBoundary):
-        measure.ensure_stable(p)
+
+
+# every library function that forms 1/|p|^2, called on the verdict it is given
+DENSITY_FUNCTIONS = {
+    "moments_from_grid": lambda s: moments_from_grid(s, (2, 2)),
+    "moments_from_series": lambda s: moments_from_series(s, (2, 2)),
+    "slice_moments": lambda s: slice_moments(s, [0.0], 0),
+    "closed_form_kernel_residual": lambda s: closed_form_kernel_residual(
+        s, measure.MomentTable((0, 0), [[1.0]], 0, 0.0), [Poly.constant(1)], [(0, 0)]
+    ),
+    "moment_vanishing": lambda s: moment_vanishing(s, {0: [2]}),
+}
+
+
+@pytest.mark.parametrize("name", DENSITY_FUNCTIONS)
+@pytest.mark.parametrize(
+    "constant, error",
+    [(1.5, NotStable), (2.0000000001, InconclusiveNearBoundary)],
+    ids=["unstable", "inconclusive"],
+)
+def test_each_density_function_raises_the_verdict_it_is_given(name, constant, error):
+    # 1.5 - z - w vanishes inside the bidisk; 2.0000000001 - z - w has a root
+    # of modulus 1 + 1e-10.  The function reads the verdict first and scans
+    # nothing; on 1.5 - z - w, T(1) = 0.25 - 1 < 0, so moment_vanishing's LU
+    # alone would blame a pivot
+    measure._cached_stability.cache_clear()
+    stability = check_stability(Poly({(0, 0): constant, (1, 0): -1, (0, 1): -1}), WORKED_DEG)
+    with pytest.raises(error, match=f"^{re.escape(stability.message)}$"):
+        DENSITY_FUNCTIONS[name](stability)
+    info = measure._cached_stability.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
 
 
 def root_scan_loop(slice_vals, zs):
@@ -142,6 +175,10 @@ def test_zero_slice_is_the_witness():
     assert report.witness == (1 + 0j, 0j) and report.min_root_modulus == 0.0
 
 
+def verdict(report):
+    return report.stable, report.witness, report.min_root_modulus
+
+
 @pytest.mark.parametrize("exponent", [-1074, -1073, -1030, -600, 0, 600, 1020])
 def test_the_scan_reads_every_power_of_two_scaling_alike(exponent):
     # the scan runs on 2^e p with max|coeff| in [1, 2): scaling p by a power of
@@ -153,7 +190,7 @@ def test_the_scan_reads_every_power_of_two_scaling_alike(exponent):
         if exponent < -1000 and p is not WORKED:
             continue  # its low bits would underflow in the scaling itself
         scaled = p.scale(2.0 ** (exponent // 2)).scale(2.0 ** (exponent - exponent // 2))
-        assert check_stability(scaled, deg) == check_stability(p, deg)
+        assert verdict(check_stability(scaled, deg)) == verdict(check_stability(p, deg))
 
 
 def test_the_line_w_equals_one_is_one_more_slice():
@@ -174,7 +211,7 @@ def test_the_line_w_equals_one_is_one_more_slice():
 
 
 def test_lebesgue_moments_are_delta():
-    table = moments_from_grid(Poly.constant(1), (3, 3))
+    table = moments_from_grid(check_stability(Poly.constant(1), DegreePair(0, 0)), (3, 3))
     assert table.get(0, 0) == pytest.approx(1.0, abs=1e-14)
     for a in range(-3, 4):
         for b in range(-3, 4):
@@ -184,7 +221,7 @@ def test_lebesgue_moments_are_delta():
 
 def test_product_measure_moments_match_geometric_series():
     p = Poly({(0, 0): 4, (1, 0): -2, (0, 1): -2, (1, 1): 1})  # (2-z)(2-w)
-    table = moments_from_grid(p, (8, 8))
+    table = moments_from_grid(check_stability(p, DegreePair(1, 1)), (8, 8))
     for a in range(-8, 9):
         for b in range(-8, 9):
             expected = 2.0 ** (-abs(a) - abs(b)) / 9.0
@@ -195,7 +232,7 @@ def test_product_measure_moments_match_geometric_series():
 def test_grid_moments_hermitian_symmetry():
     rng = np.random.default_rng(11)
     p, deg = random_stable_poly(2, 2, rng)
-    table = moments_from_grid(p, (5, 5))
+    table = moments_from_grid(check_stability(p, deg), (5, 5))
     for a in range(-5, 6):
         for b in range(-5, 6):
             assert table.get(-a, -b) == pytest.approx(
@@ -248,7 +285,7 @@ def grid_moments_loop(p, window, tol=measure.MOMENT_TOL):
 def test_refine_on_one_row_is_the_grid_loop():
     p, deg, window = near_boundary_draw()
     values, size, err = grid_moments_loop(p, window)
-    table = moments_from_grid(p, window)
+    table = moments_from_grid(check_stability(p, deg), window)
     assert size == 1024
     assert table.grid_size == size and table.est_error == err
     assert table.max_difference(measure.MomentTable(window, values, size, err)) == 0.0
@@ -317,14 +354,16 @@ def test_scaling_p_by_a_power_of_two_scales_every_refinement(k):
     for p, deg in scale_draws():
         scaled, factor = p.scale(2.0**k), 2.0 ** (-2 * k)
         window = window_for(deg)
-        grid, scaled_grid = moments_from_grid(p, window), moments_from_grid(scaled, window)
-        series = moments_from_series(p, deg, window)
-        scaled_series = moments_from_series(scaled, deg, window)
+        stability, scaled_stability = check_stability(p, deg), check_stability(scaled, deg)
+        grid = moments_from_grid(stability, window)
+        scaled_grid = moments_from_grid(scaled_stability, window)
+        series = moments_from_series(stability, window)
+        scaled_series = moments_from_series(scaled_stability, window)
         for table, scaled_table in ((grid, scaled_grid), (series, scaled_series)):
             assert scaled_table.grid_size == table.grid_size
             assert np.array_equal(scaled_table._values, factor * table._values)
-        slices = slice_moments(p, deg, thetas, deg.m)
-        scaled_slices = slice_moments(scaled, deg, thetas, deg.m)
+        slices = slice_moments(stability, thetas, deg.m)
+        scaled_slices = slice_moments(scaled_stability, thetas, deg.m)
         assert np.array_equal(scaled_slices.grid, slices.grid)
         assert np.array_equal(scaled_slices.values, factor * slices.values)
 
@@ -343,24 +382,25 @@ def test_overflowing_density_fails_at_the_first_doubling(monkeypatch):
         return window(values, shape)
 
     monkeypatch.setattr(measure, "_density_window", counted)
+    stability = check_stability(OVERFLOWING, WORKED_DEG)
     with pytest.raises(NoConvergence, match=r"^moment window at grid 512 not finite \(change nan\)$"):
-        moments_from_grid(OVERFLOWING, (9, 9))
+        moments_from_grid(stability, (9, 9))
     assert computed == [256, 512]
     with pytest.raises(NoConvergence, match=r"^series window at order 128 not finite \(change nan\)$"):
-        moments_from_series(OVERFLOWING, WORKED_DEG, (9, 9))
+        moments_from_series(stability, (9, 9))
     for theta in ([0.3], np.linspace(0.0, 6.0, 32)):
         computed.clear()
         with pytest.raises(NoConvergence, match=r"^slice moments at grid 512 not finite \(change nan\)$"):
-            slice_moments(OVERFLOWING, WORKED_DEG, theta, 0)
+            slice_moments(stability, theta, 0)
         assert computed == [256, 512]
 
 
 def test_torus_grid_peaks_stay_near_one_complex_grid():
     # a 1024^2 complex grid is 16 MiB; the density adds one real grid of 8 MiB
     p, deg, window = near_boundary_draw()
-    measure.ensure_stable(p, deg)
+    stability = check_stability(p, deg)
     assert traced_peak(lambda: measure.torus_grid_values(p, 1024))[1] <= 17
-    table, peak = traced_peak(lambda: moments_from_grid(p, window))
+    table, peak = traced_peak(lambda: moments_from_grid(stability, window))
     assert peak <= 26 and table.grid_size == 1024
 
 
@@ -371,20 +411,21 @@ def test_torus_grid_peaks_stay_near_one_complex_grid():
 
 def test_series_univariate_geometric():
     p = Poly({(0, 0): 2, (1, 0): -1})
-    table = moments_from_series(p, DegreePair(1, 0), (6, 0))
+    table = moments_from_series(check_stability(p, DegreePair(1, 0)), (6, 0))
     for k in range(-6, 7):
         assert abs(table.get(k, 0) - 2.0 ** (-abs(k)) / 3.0) < 1e-12
 
 
 def test_series_identity_measure():
-    table = moments_from_series(Poly.constant(1), DegreePair(0, 0), (2, 2))
+    table = moments_from_series(check_stability(Poly.constant(1), DegreePair(0, 0)), (2, 2))
     assert table.get(0, 0) == pytest.approx(1.0, abs=1e-15)
     assert abs(table.get(1, -2)) < 1e-15
 
 
 def test_series_agrees_with_grid_on_worked_example():
-    grid = moments_from_grid(WORKED, (8, 8))
-    series = moments_from_series(WORKED, WORKED_DEG, (8, 8))
+    stability = check_stability(WORKED, WORKED_DEG)
+    grid = moments_from_grid(stability, (8, 8))
+    series = moments_from_series(stability, (8, 8))
     assert grid.max_difference(series) < 1e-10
 
 
@@ -393,7 +434,7 @@ def test_series_cap_raises_no_convergence(monkeypatch):
     p, deg, window = near_boundary_draw()
     monkeypatch.setattr(measure, "SERIES_CAP", 128)
     with pytest.raises(NoConvergence, match=r"series window at order 128 not stable \(change "):
-        moments_from_series(p, deg, window)
+        moments_from_series(check_stability(p, deg), window)
 
 
 def series_window_loop(d, A, B):
@@ -506,8 +547,8 @@ def test_series_moments_peak_at_order_1024():
     # the bound is 10% over the 25.3 MiB peak of the same call with a row-wise
     # IIR filter for the recurrence and scipy's FFTs
     p, deg, window = near_boundary_draw()
-    measure.ensure_stable(p, deg)
-    table, peak = traced_peak(lambda: moments_from_series(p, deg, window))
+    stability = check_stability(p, deg)
+    table, peak = traced_peak(lambda: moments_from_series(stability, window))
     assert peak <= 1.1 * 25.3 and table.grid_size == 1024
 
 
@@ -814,7 +855,7 @@ def test_w_slice_is_the_term_loop(random_family):
         assert np.array_equal(measure.w_slice(p, z, deg.m + 1), expected)
 
 def test_slice_of_worked_example_at_zero():
-    sm = slice_moments(WORKED, WORKED_DEG, [0.0], 5)
+    sm = slice_moments(check_stability(WORKED, WORKED_DEG), [0.0], 5)
     for k in range(-5, 6):
         assert abs(sm.get(k)[0] - 2.0 ** (-abs(k)) / 3.0) < 1e-12
 
@@ -822,13 +863,13 @@ def test_slice_of_worked_example_at_zero():
 def test_slice_of_univariate_w_polynomial():
     p = Poly({(0, 0): 2, (0, 1): -1})
     for theta in (0.0, 1.3, -2.0):
-        sm = slice_moments(p, DegreePair(0, 1), [theta], 2)
+        sm = slice_moments(check_stability(p, DegreePair(0, 1)), [theta], 2)
         assert sm.get(0)[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_slice_conjugate_symmetry(random_family_with_moments):
     p, deg, _ = random_family_with_moments[3]
-    sm = slice_moments(p, deg, [0.77], 4)
+    sm = slice_moments(check_stability(p, deg), [0.77], 4)
     for k in range(5):
         assert sm.get(-k)[0] == pytest.approx(np.conj(sm.get(k)[0]), abs=1e-13)
     assert sm.get(0)[0].imag == 0.0 and sm.get(0)[0].real > 0
@@ -838,11 +879,12 @@ def test_slice_average_reproduces_moment_row(random_family_with_moments):
     # averaging the slice moments over the circle gives the (0, k) moments
     grid = 128
     for p, deg, table in (random_family_with_moments[0], random_family_with_moments[3]):
+        stability = check_stability(p, deg)
         for k in range(deg.m):
             acc = 0j
             for idx in range(grid):
                 theta = 2 * np.pi * idx / grid
-                acc += slice_moments(p, deg, [theta], deg.m).get(k)[0] / grid
+                acc += slice_moments(stability, [theta], deg.m).get(k)[0] / grid
             assert abs(acc - table.get(0, k)) < 1e-9
 
 
@@ -877,18 +919,19 @@ def test_batched_slice_moments_are_the_per_angle_ones(monkeypatch):
     thetas = 2.0 * np.pi * np.arange(64) / 64
     for p, deg in cases:
         lag = deg.m + 1
-        batch = measure._slice_moments_unchecked(p, deg, thetas, lag)
+        stability = check_stability(p, deg)
+        batch = slice_moments(stability, thetas, lag)
         assert batch.values.shape == (64, 2 * lag + 1) and batch.grid.shape == (64,)
         for k, theta in enumerate(thetas):
             values, grid = slice_moments_loop(p, deg, theta, lag)
             assert batch.grid[k] == grid
             assert np.max(np.abs(batch.values[k] - values)) <= 1e-15
-            one = measure._slice_moments_unchecked(p, deg, [theta], lag)
+            one = slice_moments(stability, [theta], lag)
             assert one.grid[0] == grid and np.array_equal(one.values[0], values)
     assert len(set(batch.grid.tolist())) >= 3
     # the block size bounds memory only
     monkeypatch.setattr(measure, "SLICE_BLOCK", 5)
-    blocked = measure._slice_moments_unchecked(p, deg, thetas, lag)
+    blocked = slice_moments(stability, thetas, lag)
     assert np.array_equal(blocked.values, batch.values)
     assert np.array_equal(blocked.grid, batch.grid)
 
@@ -908,14 +951,15 @@ def test_slice_inner_product_is_the_double_loop(random_family):
     rng = np.random.default_rng(7)
     p, deg = random_family[4]
     thetas = np.array([0.3, 1.7, 4.0])
-    batch = slice_moments(p, deg, thetas, 4)
+    stability = check_stability(p, deg)
+    batch = slice_moments(stability, thetas, 4)
     for size_f, size_g in ((1, 1), (3, 5), (5, 2)):
         f = rng.normal(size=(3, 2, size_f)) + 1j * rng.normal(size=(3, 2, size_f))
         g = rng.normal(size=(3, 2, size_g)) + 1j * rng.normal(size=(3, 2, size_g))
         stacked = slice_inner_product(f, g, batch)
         assert stacked.shape == (3, 2)
         for k, theta in enumerate(thetas):
-            one = slice_moments(p, deg, [theta], 4)
+            one = slice_moments(stability, [theta], 4)
             for r in range(2):
                 expected = slice_inner_product_loop(f[k, r], g[k, r], one)
                 single = slice_inner_product(f[k : k + 1, r], g[k : k + 1, r], one)[0]
@@ -926,7 +970,7 @@ def test_slice_inner_product_is_the_double_loop(random_family):
 
 
 def test_moment_table_json_round_trip():
-    table = moments_from_grid(WORKED, (3, 2))
+    table = moments_from_grid(check_stability(WORKED, WORKED_DEG), (3, 2))
     doc = table.to_json_dict()
     assert doc["window"] == [3, 2]
     assert len(doc["values"]) == 7 * 5

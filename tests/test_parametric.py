@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from bscd.errors import IndexOutOfRange, NotPositiveDefinite, NotStable
+from bscd.errors import IndexOutOfRange, NotPositiveDefinite
 from bscd import cli, measure, parametric, schur_cohn
 from bscd.cd_kernel import cd_kernel_set, slice_gram
-from bscd.measure import random_stable_poly, slice_moments, slice_inner_product
+from bscd.measure import check_stability, random_stable_poly, slice_inner_product, slice_moments
 from bscd.parametric import (
     gram_schmidt_slice_polynomials,
     lu_no_pivot,
@@ -189,7 +189,7 @@ def check_at(p, deg, theta, op=None):
     """``orthogonality_check`` on the slice polynomials of ``p`` at ``theta``."""
     if op is None:
         op = polynomials_at(p, deg, theta)
-    return orthogonality_check(op, slice_moments(p, deg, theta, deg.m - 1))
+    return orthogonality_check(op, slice_moments(check_stability(p, deg), theta, deg.m - 1))
 
 
 def test_batched_polynomials_are_the_per_angle_ones(random_family):
@@ -247,7 +247,7 @@ def test_orthogonality_and_law_flags(random_family):
 def gram_schmidt_loop(p, deg, theta):
     """The one-angle Gram-Schmidt: monic slice polynomials at ``theta``."""
     m = deg.m
-    M = slice_moments(p, deg, [theta], m - 1).lag_matrix(m, m)[0]
+    M = slice_moments(check_stability(p, deg), [theta], m - 1).lag_matrix(m, m)[0]
     basis = []
     for d in range(m):
         v = np.eye(m, dtype=complex)[d]
@@ -261,7 +261,8 @@ def test_uniqueness_via_gram_schmidt(random_family):
     thetas = np.array([1.3, 2.0, 5.1])
     for p, deg in random_family[:3]:
         op = polynomials_at(p, deg, thetas)
-        monic = gram_schmidt_slice_polynomials(slice_moments(p, deg, thetas, deg.m - 1))
+        sm = slice_moments(check_stability(p, deg), thetas, deg.m - 1)
+        monic = gram_schmidt_slice_polynomials(sm)
         for i in range(deg.m):
             rescaled = monic[i] * op.phi[i][:, -1:]
             assert np.max(np.abs(rescaled - op.phi[i])) < 1e-8 * max(
@@ -272,7 +273,7 @@ def test_uniqueness_via_gram_schmidt(random_family):
 def test_batched_gram_schmidt_is_the_per_angle_loop(random_family):
     thetas = angle_grid(32)
     for p, deg in random_family:
-        sm = slice_moments(p, deg, thetas, deg.m - 1)
+        sm = slice_moments(check_stability(p, deg), thetas, deg.m - 1)
         monic = gram_schmidt_slice_polynomials(sm)
         assert [q.shape for q in monic] == [(32, d + 1) for d in range(deg.m)]
         for k, theta in enumerate(thetas):
@@ -286,7 +287,7 @@ def test_batched_gram_schmidt_is_the_per_angle_loop(random_family):
 
 
 def test_worked_example_fourier_values():
-    entry = moment_vanishing(WORKED, WORKED_DEG, {0: [1, 2, 5]})["per_j"][0]
+    entry = moment_vanishing(check_stability(WORKED, WORKED_DEG), {0: [1, 2, 5]})["per_j"][0]
     values = dict(zip(entry["k_list"], entry["values"]))
     assert values[1] == pytest.approx(-3.0, abs=1e-10)
     assert abs(values[2]) < 1e-10
@@ -305,7 +306,7 @@ def test_vanishing_beyond_frequency_bound(random_family, monkeypatch):
         n, m = deg
         k_lists = {j: [n * (m - j) + d for d in (1, 2, 3)] for j in range(m)}
         calls.clear()
-        result = moment_vanishing(p, deg, k_lists)
+        result = moment_vanishing(check_stability(p, deg), k_lists)
         # N: the smallest power of two above n m + (n m + 3), the j = 0 band
         N = 1
         while N <= 2 * n * m + 3:
@@ -326,7 +327,7 @@ def test_in_band_coefficients_stay_far_above_the_gate_relative_to_scale():
     p, deg = random_stable_poly(12, 12, np.random.default_rng(1))
     n, m = deg
     k_lists = {j: [0, 1, n * (m - j) + 1] for j in (0, 5, m - 1)}
-    for j, entry in moment_vanishing(p, deg, k_lists)["per_j"].items():
+    for j, entry in moment_vanishing(check_stability(p, deg), k_lists)["per_j"].items():
         *inside, beyond = (abs(v) / max(1.0, entry["scale"]) for v in entry["values"])
         assert min(inside) > 1e-3, j
         assert beyond < 1e-15, j
@@ -341,26 +342,16 @@ def test_variant_weight_does_not_vanish(random_family):
     n, m = deg
     j = 1
     k = n * (m - j) + 1
-    thetas = angle_grid(moment_vanishing(p, deg, {j: [k]})["theta_grid"])
+    thetas = angle_grid(moment_vanishing(check_stability(p, deg), {j: [k]})["theta_grid"])
     op = polynomials_at(p, deg, thetas)
-    check = orthogonality_check(op, slice_moments(p, deg, thetas, m - 1))
+    check = orthogonality_check(op, slice_moments(check_stability(p, deg), thetas, m - 1))
     weighted = np.asarray(op.D.D)[:, m - j + 1] * check["gram"][:, j, j].real
     assert abs(np.fft.ifft(weighted)[k]) > 1e-4
 
 
 def test_vanishing_index_validation():
     with pytest.raises(IndexOutOfRange):
-        moment_vanishing(WORKED, WORKED_DEG, {1: [2]})
-
-
-def test_vanishing_refuses_an_unstable_polynomial_before_the_lu():
-    # 1.5 - z - w: T(1) = 0.25 - 1 is negative, so the LU alone would blame
-    # a pivot; the slice moments' stability check names the cause first
-    unstable = Poly({(0, 0): 1.5, (1, 0): -1, (0, 1): -1})
-    with pytest.raises(NotPositiveDefinite):
-        polynomials_at(unstable, WORKED_DEG, angle_grid(4))
-    with pytest.raises(NotStable):
-        moment_vanishing(unstable, WORKED_DEG, {0: [2]})
+        moment_vanishing(check_stability(WORKED, WORKED_DEG), {1: [2]})
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +368,7 @@ def test_slice_gram_entries_are_trig_polynomials(random_family, random_kernelset
     samples = np.zeros((grid, m, m), dtype=complex)
     for idx in range(grid):
         theta = 2 * np.pi * idx / grid
-        sm = slice_moments(p, deg, [theta], m - 1)
+        sm = slice_moments(check_stability(p, deg), [theta], m - 1)
         z = np.exp(1j * theta)
         sections = []
         for a in ks.a:
@@ -409,6 +400,7 @@ def test_one_lag_matrix_gather_per_slice_stack(monkeypatch):
     thetas = angle_grid(32)
     T = schur_cohn_matrix(p, deg)
     ks = cd_kernel_set(p, deg, T)
+    stability = check_stability(p, deg)
     k_lists = {j: [deg.n * (m - j) + 1] for j in range(m)}
 
     def every_slice_pairing(sm):
@@ -418,7 +410,7 @@ def test_one_lag_matrix_gather_per_slice_stack(monkeypatch):
             *gram_schmidt_slice_polynomials(sm),
             slice_gram(ks, sm),
             sm.lag_matrix(m, m),
-            *(entry["values"] for entry in moment_vanishing(p, deg, k_lists, T)["per_j"].values()),
+            *(entry["values"] for entry in moment_vanishing(stability, k_lists, T)["per_j"].values()),
         ]
 
     gathered = []
@@ -430,14 +422,14 @@ def test_one_lag_matrix_gather_per_slice_stack(monkeypatch):
         return gather(sm)
 
     monkeypatch.setattr(toeplitz, "func", counted)
-    sm = slice_moments(p, deg, thetas, m - 1)
+    sm = slice_moments(stability, thetas, m - 1)
     shared = every_slice_pairing(sm)
     # one gather for the stack every pairing shares, one for the stack of the
     # vanishing check's own angles; gram-schmidt alone used to take m (m - 1)
     assert len(gathered) == 2 and gathered[0] is sm
     # a pure gather: the values are those of a fresh gather per pairing
     monkeypatch.setattr(measure.SlicedMoments, "lag_matrix", fresh_lag_matrix)
-    fresh = every_slice_pairing(slice_moments(p, deg, thetas, m - 1))
+    fresh = every_slice_pairing(slice_moments(stability, thetas, m - 1))
     assert len(gathered) == 2
     for a, b in zip(shared, fresh, strict=True):
         assert np.array_equal(np.asarray(a), np.asarray(b))

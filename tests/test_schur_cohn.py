@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bscd.errors import DegenerateDegree
-from bscd.measure import random_stable_poly, slice_moments
+from bscd.measure import check_stability, random_stable_poly, slice_moments
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair, angle_grid
 from bscd.schur_cohn import (
     diagonal_average,
@@ -100,7 +100,7 @@ def test_matrix_inverts_slice_moment_matrix(random_family, high_degree_family):
         T = schur_cohn_matrix(p, deg)
         m = deg.m
         for theta in (0.0, 1.1, 4.4):
-            sm = slice_moments(p, deg, [theta], m - 1)
+            sm = slice_moments(check_stability(p, deg), [theta], m - 1)
             M = np.array([[sm.get(j - i)[0] for j in range(m)] for i in range(m)])
             residual = np.max(np.abs(evaluate_on_circle(T, [theta])[0] @ M - np.eye(m)))
             assert residual < 1e-8
@@ -111,7 +111,7 @@ def test_reversed_ordering_convention_fails():
     p, deg = make_random_family()[3]
     T = schur_cohn_matrix(p, deg)
     m = deg.m
-    sm = slice_moments(p, deg, [0.9], m - 1)
+    sm = slice_moments(check_stability(p, deg), [0.9], m - 1)
     wrong = np.array([[sm.get(i - j)[0] for j in range(m)] for i in range(m)])
     assert np.max(np.abs(evaluate_on_circle(T, [0.9])[0] @ wrong - np.eye(m))) > 1e-3
 

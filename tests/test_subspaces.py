@@ -13,6 +13,7 @@ from bscd.errors import (
 )
 from bscd.measure import (
     MomentTable,
+    check_stability,
     inner_product,
     moments_from_grid,
     norm,
@@ -40,6 +41,7 @@ from bscd.subspaces import (
 from conftest import PRODUCT_DEGREES, WORKED, WORKED_DEG, product_polynomial
 
 A0_WORKED = Poly({(0, 0): -3, (1, 0): 9, (2, 0): -3})
+WORKED_STABLE = check_stability(WORKED, WORKED_DEG)
 
 
 def orthonormal_complement_basis(spec, moments):
@@ -79,20 +81,21 @@ def kernel_section(spec, moments, y):
 
 
 def test_gram_for_lebesgue_measure_is_identity():
-    table = moments_from_grid(Poly.constant(1), (3, 3))
+    table = moments_from_grid(check_stability(Poly.constant(1), DegreePair(0, 0)), (3, 3))
     G = gram_matrix([(0, 0), (1, 0)], table)
     assert np.max(np.abs(G - np.eye(2))) < 1e-14
 
 
 def test_gram_for_univariate_geometric_measure():
-    table = moments_from_grid(Poly({(0, 0): 2, (1, 0): -1}), (3, 0))
+    p = Poly({(0, 0): 2, (1, 0): -1})
+    table = moments_from_grid(check_stability(p, DegreePair(1, 0)), (3, 0))
     G = gram_matrix([(0, 0), (1, 0)], table)
     expected = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
     assert np.max(np.abs(G - expected)) < 1e-12
 
 
 def test_trivial_kernel_is_constant_one():
-    table = moments_from_grid(Poly.constant(1), (3, 3))
+    table = moments_from_grid(check_stability(Poly.constant(1), DegreePair(0, 0)), (3, 3))
     for x in ((0.3, 0.1), (0.9j, -0.4)):
         value = span_kernel(SubspaceSpec(((0, 0),)), table, x, (0.2, 0.7j))
         assert value == pytest.approx(1.0, abs=1e-14)
@@ -166,7 +169,7 @@ def test_reconstruct_worked_example(worked_moments):
 
 def test_reconstruct_univariate_constant():
     p = Poly({(0, 0): 2, (0, 1): -1})
-    table = moments_from_grid(p, (2, 3))
+    table = moments_from_grid(check_stability(p, DegreePair(0, 1)), (2, 3))
     T = schur_cohn_matrix(p, DegreePair(0, 1))
     (rec,) = reconstruct_kernel_coefficients(table, T)
     assert (rec - Poly.constant(3)).max_abs() < 1e-10
@@ -293,7 +296,7 @@ def test_shifted_family_spans_complement(random_family_with_moments, random_kern
 
 def draw(n, m):
     p, deg = random_stable_poly(n, m, np.random.default_rng(1))
-    table = moments_from_grid(p, orthogonality_window(deg))
+    table = moments_from_grid(check_stability(p, deg), orthogonality_window(deg))
     return p, deg, cd_kernel_set(p, deg), table
 
 
@@ -539,7 +542,7 @@ def test_orthogonality_window_is_what_the_reports_read():
     assert (A, B) == (12, 8)
 
     def run_both(window):
-        table = moments_from_grid(p, window)
+        table = moments_from_grid(check_stability(p, deg), window)
         orthogonality_report(ks, table)
         shift_orthogonality_report(deg, table)
 
@@ -566,7 +569,7 @@ def control_inputs():
     out = []
     for p, deg in polys:
         A, B = orthogonality_window(deg)
-        out.append((p, deg, moments_from_grid(p, (A + 1, B))))
+        out.append((p, deg, moments_from_grid(check_stability(p, deg), (A + 1, B))))
     return out
 
 
@@ -622,7 +625,7 @@ def test_product_pairings_off_the_set_lie_on_the_line_i_equals_n(degree):
     # annihilated set or not, and the line i = n keeps every pairing the set
     # leaves out
     p, deg = product_polynomial(*degree)
-    table = moments_from_grid(p, orthogonality_window(deg))
+    table = moments_from_grid(check_stability(p, deg), orthogonality_window(deg))
     i_range, j_range = rectangle(deg)
     R = subspaces._window_pairings(
         cd_kernel_set(p, deg).a, table, i_range[0], i_range[-1], j_range[0], j_range[-1]
@@ -719,7 +722,7 @@ def test_cd_formula_on_random_points(random_family_with_moments):
     # the acceptance cases: the worked example and the random family; the
     # sampled identity and the coefficient identity both hold on each
     rng = np.random.default_rng(34)
-    cases = [(WORKED, WORKED_DEG, moments_from_grid(WORKED, (6, 6)))]
+    cases = [(WORKED, WORKED_DEG, moments_from_grid(WORKED_STABLE, (6, 6)))]
     cases += random_family_with_moments
     for p, deg, table in cases:
         assert sampled_cd_residual(p, deg, table, bidisk_points(rng, 100)) < 1e-9
@@ -750,7 +753,8 @@ def test_cd_formula_fails_on_the_table_of_another_polynomial(random_family):
     for p, deg in random_family:
         n, m = deg
         other, _ = random_stable_poly(n, m, rng)
-        result = cd_formula_residual(p, deg, moments_from_grid(other, (n + 1, m + 1)))
+        foreign = moments_from_grid(check_stability(other, deg), (n + 1, m + 1))
+        result = cd_formula_residual(p, deg, foreign)
         assert result["max_residual"] > 1e-3
         (i, j), (k, l) = result["argmax"]
         assert 0 <= i <= n and 0 <= k <= n and 0 <= j <= m and 0 <= l <= m
@@ -758,7 +762,7 @@ def test_cd_formula_fails_on_the_table_of_another_polynomial(random_family):
 
 def test_cd_formula_needs_both_degrees(worked_moments):
     p = Poly({(0, 0): 2, (0, 1): -1})
-    table = moments_from_grid(p, (2, 3))
+    table = moments_from_grid(check_stability(p, DegreePair(0, 1)), (2, 3))
     with pytest.raises(DegenerateDegree):
         cd_formula_residual(p, DegreePair(0, 1), table)
 
@@ -790,9 +794,7 @@ def test_closed_form_kernel_residual_suite(worked_moments):
          0.8 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
         for _ in range(10)
     ]
-    result = closed_form_kernel_residual(
-        WORKED, WORKED_DEG, worked_moments, functions, points
-    )
+    result = closed_form_kernel_residual(WORKED_STABLE, worked_moments, functions, points)
     assert result["max_residual"] < 1e-8
 
 
@@ -800,10 +802,10 @@ def test_kernel_projection_checks_the_gram_condition(worked_moments, monkeypatch
     # z w lies in the removed corner, so its projection needs a Gram solve
     functions = [Poly.monomial(1, 1)]
     points = [(0.3, 0.4)]
-    closed_form_kernel_residual(WORKED, WORKED_DEG, worked_moments, functions, points)
+    closed_form_kernel_residual(WORKED_STABLE, worked_moments, functions, points)
     monkeypatch.setattr(subspaces, "GRAM_CONDITION_CAP", 1.0)
     with pytest.raises(IllConditionedGram, match="Gram spectrum"):
-        closed_form_kernel_residual(WORKED, WORKED_DEG, worked_moments, functions, points)
+        closed_form_kernel_residual(WORKED_STABLE, worked_moments, functions, points)
 
 
 def test_corner_adjacent_monomial_is_reproduced(random_family_with_moments):
@@ -826,7 +828,7 @@ def test_closed_form_kernel_residual_random(random_family_with_moments):
          0.7 * np.exp(2j * np.pi * rng.uniform()) * np.sqrt(rng.uniform()))
         for _ in range(6)
     ]
-    result = closed_form_kernel_residual(p, deg, table, functions, points)
+    result = closed_form_kernel_residual(check_stability(p, deg), table, functions, points)
     assert result["max_residual"] < 1e-8
 
 
@@ -879,7 +881,7 @@ def test_batched_kernel_quadrature_matches_one_pair_at_a_time(
          0.7 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
         for _ in range(3)
     ]
-    result = closed_form_kernel_residual(p, deg, table, functions, points)
+    result = closed_form_kernel_residual(check_stability(p, deg), table, functions, points)
     reproducing_max, projection_max = pairwise_kernel_residual(p, deg, table, functions, points)
     assert result["reproducing_max"] == reproducing_max
     assert result["projection_max"] == projection_max
@@ -897,6 +899,6 @@ def test_kernel_residual_builds_each_torus_grid_once(worked_moments, monkeypatch
     monkeypatch.setattr(subspaces, "torus_grid_values", counted)
     functions = default_lshape_monomials(WORKED_DEG, 3) + [Poly.monomial(1, 1)]
     points = [(0.3, 0.4), (-0.2j, 0.1), (0.5, -0.5)]
-    closed_form_kernel_residual(WORKED, WORKED_DEG, worked_moments, functions, points)
+    closed_form_kernel_residual(WORKED_STABLE, worked_moments, functions, points)
     # p and its reflection once per call, each function once: 2 + F, not 2 + F P
     assert len(built) == 2 + len(functions)
