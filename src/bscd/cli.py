@@ -2,10 +2,12 @@
 
 Command shape:
 
-    bscd <suite|all> --config path.json [--tol NAME=V] [--out path]
+    bscd <all | suite [suite ...]> --config path.json [--tol NAME=V ...] [--out path]
 
-The config holds the polynomial and, optionally, the suites, the tolerances
-and the output path.  Everything else is fixed or follows from the degree:
+The config file holds the polynomial and nothing else; the run settings come
+from the command line alone.  One suite name prints that suite's payload;
+several names, or ``all``, write the report document of those suites to
+stdout or to ``--out``.  Everything else is fixed or follows from the degree:
 the moment window, the theta grid, the seed of the sampled points and the
 vanishing frequencies; the orthogonality rectangle is fixed in ``subspaces``.
 
@@ -64,7 +66,7 @@ SUITE_TOLERANCE_NAME = {
     "parametric": "identity",
 }
 
-CONFIG_KEYS = {"polynomial", "suites", "tolerances", "output"}
+CONFIG_KEYS = {"polynomial"}
 
 # every run verifies the same extents: the theta grid of the slice suites and
 # the seed of the sampled points
@@ -78,7 +80,6 @@ class RunConfig:
     deg: DegreePair
     suites: list[str]
     tolerances: dict[str, float]
-    output: str | None = None
 
     @property
     def window(self) -> tuple[int, int]:
@@ -98,12 +99,11 @@ class SuiteReport:
     wall_time: float = 0.0
 
 
-def load_config(path: str, overrides: dict | None = None) -> RunConfig:
-    """Read and validate a config file.
+def load_config(path: str) -> RunConfig:
+    """Read and validate a config file, whose one entry is the polynomial.
 
-    ``overrides`` replaces config entries, except ``tolerances``, whose names
-    are set one by one over those of the file.  Missing entries take the
-    defaults of :class:`RunConfig`.
+    The returned config runs every suite at the default tolerances; on the
+    command line, :func:`main` narrows the suites and sets the gates.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -119,14 +119,8 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
     if "polynomial" not in doc:
         raise ConfigInvalid("config needs a 'polynomial' entry")
-    overrides = overrides or {}
-    merged = dict(doc)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    if not isinstance(doc.get("tolerances", {}), dict):
-        raise ConfigInvalid("'tolerances' must be an object of name: value")
-    merged["tolerances"] = {**doc.get("tolerances", {}), **overrides.get("tolerances", {})}
     try:
-        poly, deg = BivariateLaurentPoly.from_json_dict(merged["polynomial"])
+        poly, deg = BivariateLaurentPoly.from_json_dict(doc["polynomial"])
     # OverflowError: an integer too large for a float
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"bad polynomial: {exc}") from exc
@@ -137,33 +131,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigInvalid("polynomial must be nonzero")
     if not np.isfinite(poly.coeffs).all():
         raise ConfigInvalid("polynomial coefficients must be finite")
-
-    suites = merged.get("suites", list(SUITE_ORDER))
-    if not isinstance(suites, list) or not all(isinstance(s, str) for s in suites):
-        raise ConfigInvalid("'suites' must be a list of names")
-    bad = [s for s in suites if s not in SUITE_ORDER]
-    if bad:
-        raise ConfigInvalid(f"unknown suites: {bad}")
-    if not suites:
-        raise ConfigInvalid("'suites' names no suite to run, so nothing would be checked")
-
-    tolerances = dict(DEFAULT_TOLERANCES)
-    for name, value in merged["tolerances"].items():
-        if name not in tolerances:
-            raise ConfigInvalid(f"unknown tolerance name: {name}")
-        try:
-            number = float(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigInvalid(f"bad value for tolerance {name}: {value!r}") from exc
-        # NaN fails both comparisons; float(true) would be a gate of 1
-        if isinstance(value, bool) or not 0.0 < number < float("inf"):
-            raise ConfigInvalid(f"tolerance {name} must be a positive finite number")
-        tolerances[name] = number
-
-    output = merged.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ConfigInvalid(f"'output' must be a path, got {output!r}")
-    return RunConfig(poly, deg, list(suites), tolerances, output)
+    return RunConfig(poly, deg, list(SUITE_ORDER), dict(DEFAULT_TOLERANCES))
 
 
 # ----------------------------------------------------------------------
@@ -171,11 +139,22 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 # ----------------------------------------------------------------------
 
 
+def _grid_moments(art):
+    """The grid moment table, refused when its mass is degenerate."""
+    table = measure.moments_from_grid(art.get("stability"), art.config.window)
+    # an underflowed (subnormal or zero) mass makes every absolute difference
+    # between two tables tiny, so a cross-path check would pass on it
+    mass = table.get(0, 0).real
+    if not np.finfo(float).tiny <= mass < np.inf:
+        raise DegenerateMoments(f"c[0, 0] = {mass!r} is not a positive normal float")
+    return table
+
+
 # each builder gets the run's Artifacts, so it can build on other artifacts;
 # those that form 1/|p|^2 take the stability verdict as their p
 ARTIFACT_BUILDERS = {
     "stability": lambda art: measure.check_stability(art.p, art.deg),
-    "moments": lambda art: measure.moments_from_grid(art.get("stability"), art.config.window),
+    "moments": _grid_moments,
     "matrix": lambda art: schur_cohn.schur_cohn_matrix(art.p, art.deg),
     "kernelset": lambda art: cd_kernel.cd_kernel_set(art.p, art.deg, art.get("matrix")),
     # the Schur-Cohn circle values on the theta grid: the schur-cohn,
@@ -250,11 +229,6 @@ def _suite_stability(art: Artifacts, cfg: RunConfig):
 
 def _suite_moments(art: Artifacts, cfg: RunConfig):
     grid_table = art.get("moments")
-    # an underflowed (subnormal or zero) mass makes every absolute difference
-    # between the two tables tiny, so the cross-path check would pass on it
-    mass = grid_table.get(0, 0).real
-    if not np.finfo(float).tiny <= mass < np.inf:
-        raise DegenerateMoments(f"c[0, 0] = {mass!r} is not a positive normal float")
     series_table = measure.moments_from_series(art.get("stability"), cfg.window)
     violation = grid_table.max_difference(series_table)
     details = {
@@ -516,17 +490,24 @@ def _suite_payload(report: SuiteReport) -> str:
 # ----------------------------------------------------------------------
 
 
-def _parse_tol(pairs):
-    out = {}
+def _parse_tol(pairs) -> dict[str, float]:
+    """The gates: the defaults, with each ``NAME=V`` of ``--tol`` set over its name."""
+    tolerances = dict(DEFAULT_TOLERANCES)
     for item in pairs or []:
         name, sep, value = item.partition("=")
         if not sep:
             raise ConfigInvalid(f"--tol expects NAME=VALUE, got {item!r}")
+        if name not in tolerances:
+            raise ConfigInvalid(f"unknown tolerance name: {name}")
         try:
-            out[name] = float(value)
+            number = float(value)
         except ValueError as exc:
-            raise ConfigInvalid(f"bad tolerance value in {item!r}") from exc
-    return out
+            raise ConfigInvalid(f"bad value for tolerance {name}: {value!r}") from exc
+        # NaN fails both comparisons, and a value past the float range reads inf
+        if not 0.0 < number < math.inf:
+            raise ConfigInvalid(f"tolerance {name} must be a positive finite number")
+        tolerances[name] = number
+    return tolerances
 
 
 def main(argv=None) -> int:
@@ -534,29 +515,31 @@ def main(argv=None) -> int:
         prog="bscd",
         description="verify kernel and orthogonality identities of a stable polynomial",
     )
-    parser.add_argument("suite", choices=SUITE_ORDER + ("all",))
+    parser.add_argument("suites", nargs="+", metavar="suite", choices=SUITE_ORDER + ("all",))
     parser.add_argument("--config", required=True)
     parser.add_argument("--tol", action="append", metavar="NAME=V")
     parser.add_argument("--out")
     args = parser.parse_args(argv)
+    named = [] if args.suites == ["all"] else args.suites
+    if "all" in named:
+        parser.error("'all' runs every suite and takes no other suite name")
 
     try:
-        overrides = {"output": args.out, "tolerances": _parse_tol(args.tol)}
-        if args.suite != "all":
-            overrides["suites"] = [args.suite]
-        config = load_config(args.config, overrides)
+        tolerances = _parse_tol(args.tol)
+        config = load_config(args.config)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    config.tolerances = tolerances
+    config.suites = named or config.suites
 
     reports = run(config)
     try:
-        if args.suite == "all":
-            emit_report(reports, config.output)
-        else:
+        # one name prints its payload; the document goes to stdout otherwise
+        if len(named) == 1:
             sys.stdout.write(_suite_payload(reports[0]))
-            if config.output is not None:
-                emit_report(reports, config.output)
+        if len(named) != 1 or args.out is not None:
+            emit_report(reports, args.out)
     except IoFailure as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

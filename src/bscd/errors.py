@@ -56,6 +56,10 @@ class DegenerateMoments(BscdError):
     """A moment table's mass ``c[0, 0]`` is not a positive normal float."""
 
 
+class DegenerateMatrix(BscdError):
+    """The Schur-Cohn tensor is not finite or is all zero."""
+
+
 class DegenerateDegree(BscdError):
     """The declared degree is too small for the requested construction."""
 

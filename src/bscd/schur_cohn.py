@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDegree
+from .errors import DegenerateDegree, DegenerateMatrix
 from .poly import BivariateLaurentPoly, DegreePair, as_angles
 
 
@@ -86,11 +86,18 @@ def schur_cohn_matrix(p: BivariateLaurentPoly, deg: DegreePair) -> LaurentMatrix
     slices = p.coefficient_window((0, n, 0, m)).T
     bars = slices[:, ::-1].conj()
     coeffs = np.zeros((m, m, 2 * n + 1), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            for k in range(min(i, j) + 1):
-                coeffs[i, j] += np.convolve(slices[i - k], bars[j - k])
-                coeffs[i, j] -= np.convolve(bars[m - i + k], slices[m - j + k])
+    # the products scale as |p|^2: a scale past the float range overflows or
+    # underflows them, which the check below names in place of numpy's warnings
+    with np.errstate(all="ignore"):
+        for i in range(m):
+            for j in range(m):
+                for k in range(min(i, j) + 1):
+                    coeffs[i, j] += np.convolve(slices[i - k], bars[j - k])
+                    coeffs[i, j] -= np.convolve(bars[m - i + k], slices[m - j + k])
+    finite = np.isfinite(coeffs).all()
+    if not finite or not coeffs.any():
+        state = "all zero" if finite else "not finite"
+        raise DegenerateMatrix(f"Schur-Cohn tensor is {state}: |p|^2 leaves the float range")
     return LaurentMatrixPoly(coeffs, [p.w_coefficient(i) for i in range(m + 1)])
 
 

@@ -30,11 +30,12 @@ def write_config(tmp_path, **extra):
 # ----------------------------------------------------------------------
 
 
-def test_unknown_suite_is_config_error(tmp_path):
-    path = write_config(tmp_path, suites=["no-such-suite"])
-    with pytest.raises(ConfigInvalid):
-        cli.load_config(path)
-    assert cli.main(["all", "--config", path]) == 2
+def test_unknown_suite_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["stability", "no-such-suite", "--config", path])
+    assert info.value.code == 2
+    assert "invalid choice: 'no-such-suite'" in capsys.readouterr().err
 
 
 def test_unknown_key_is_config_error(tmp_path):
@@ -44,7 +45,7 @@ def test_unknown_key_is_config_error(tmp_path):
 
 def test_missing_polynomial_is_config_error(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"suites": ["stability"]}))
+    path.write_text(json.dumps({}))
     assert cli.main(["stability", "--config", str(path)]) == 2
 
 
@@ -54,9 +55,6 @@ UNREADABLE_CONFIGS = {
     # 10**400 has 401 digits: an exact JSON integer, past the largest float
     "huge-coefficient": json.dumps(
         {"polynomial": {"n": 1, "m": 1, "coeffs": [[[10**400, 0], [-1, 0]], [[-1, 0], [0, 0]]]}}
-    ).encode(),
-    "huge-tolerance": json.dumps(
-        {"polynomial": WORKED_JSON, "tolerances": {"identity": 10**400}}
     ).encode(),
 }
 
@@ -83,10 +81,24 @@ def test_non_finite_coefficient_is_config_error(tmp_path, bad):
     assert cli.main(["stability", "--config", str(path)]) == 2
 
 
-def test_nonpositive_tolerance_rejected(tmp_path):
+TOL_REFUSALS = {
+    "nope=1": "unknown tolerance name: nope",
+    "orthogonality": "--tol expects NAME=VALUE, got 'orthogonality'",
+    "orthogonality=small": "bad value for tolerance orthogonality: 'small'",
+    # past the float range float() reads inf
+    "orthogonality=1e400": "tolerance orthogonality must be a positive finite number",
+    "orthogonality=0": "tolerance orthogonality must be a positive finite number",
+    "orthogonality=-1e-8": "tolerance orthogonality must be a positive finite number",
+}
+
+
+@pytest.mark.parametrize("flag", TOL_REFUSALS)
+def test_each_bad_tol_flag_is_one_config_error(tmp_path, capsys, flag):
+    # --tol is the one way to set a gate, so it holds every refusal; NaN and
+    # infinity are refused below
     path = write_config(tmp_path)
-    assert cli.main(["stability", "--config", path, "--tol", "orthogonality=0"]) == 2
-    assert cli.main(["stability", "--config", path, "--tol", "nope=1"]) == 2
+    assert cli.main(["stability", "--config", path, "--tol", flag]) == 2
+    assert capsys.readouterr() == ("", f"config error: {TOL_REFUSALS[flag]}\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -99,41 +111,36 @@ def test_non_finite_tolerance_flag_is_config_error(tmp_path, capsys, value):
 
 
 def test_boolean_tolerance_is_config_error(tmp_path, capsys):
-    path = write_config(tmp_path, tolerances={"orthogonality": True})
-    assert cli.main(["stability", "--config", path]) == 2
-    assert "positive finite" in capsys.readouterr().err
+    # a gate of true is not read as 1
+    path = write_config(tmp_path)
+    for value in ("true", "True"):
+        assert cli.main(["stability", "--config", path, "--tol", f"identity={value}"]) == 2
+        assert "bad value for tolerance identity" in capsys.readouterr().err
 
 
-def test_non_finite_moment_tolerance_is_refused_before_any_suite(tmp_path, capsys):
-    # only load_config runs here: a NaN gate would fail every check and an
-    # infinite one pass every check of the moments suite
-    nan_file = write_config(tmp_path, tolerances={"cross-path": float("nan")})
-    assert "NaN" in (tmp_path / "config.json").read_text()
-    with pytest.raises(ConfigInvalid, match="tolerance cross-path must be a positive finite"):
-        cli.load_config(nan_file)
-    with pytest.raises(ConfigInvalid, match="tolerance cross-path must be a positive finite"):
-        cli.load_config(write_config(tmp_path), {"tolerances": {"cross-path": float("inf")}})
+def test_non_finite_moment_tolerance_is_refused_before_any_suite(tmp_path, capsys, monkeypatch):
+    # a NaN gate would fail every check and an infinite one pass every check
+    # of the moments suite: the flag is refused before any suite runs
+    monkeypatch.setattr(cli, "run", None)
+    for value in ("nan", "inf"):
+        flags = ["--tol", f"cross-path={value}"]
+        assert cli.main(["moments", "--config", write_config(tmp_path)] + flags) == 2
+        message = "config error: tolerance cross-path must be a positive finite number\n"
+        assert capsys.readouterr().err == message
     # the moments' stopping rule is relative to their size, not a setting
-    capsys.readouterr()
     assert cli.main(["moments", "--config", write_config(tmp_path), "--tol", "moments=1e-9"]) == 2
     assert capsys.readouterr().err == "config error: unknown tolerance name: moments\n"
 
 
-def test_tol_flag_sets_names_over_the_config_file(tmp_path):
-    tolerances = {"orthogonality": 1e-7, "identity": 1e-6}
-    path = write_config(tmp_path, tolerances=tolerances)
-    config = cli.load_config(path, {"tolerances": {"identity": 1e-5}})
-    assert config.tolerances == {
-        **cli.DEFAULT_TOLERANCES,
-        "orthogonality": 1e-7,
-        "identity": 1e-5,
-    }
-    bad = write_config(tmp_path, tolerances={"identity": "small"})
-    with pytest.raises(ConfigInvalid, match="tolerance identity"):
-        cli.load_config(bad)
-    bad = write_config(tmp_path, tolerances=[1e-7])
-    with pytest.raises(ConfigInvalid, match="'tolerances' must be an object"):
-        cli.load_config(bad)
+def test_tol_flags_set_their_names_and_leave_the_defaults(tmp_path):
+    path, out = write_config(tmp_path), tmp_path / "report.json"
+    flags = ["--tol", "identity=1e-6", "--tol", "identity=1e-5", "--out", str(out)]
+    assert cli.main(["stability", "verify-cd", "moments", "--config", path] + flags) == 0
+    doc = json.loads(out.read_text())
+    # the last flag of a name wins; the other names keep their defaults
+    assert doc["verify-cd"]["tolerance"] == 1e-5
+    assert doc["moments"]["tolerance"] == cli.DEFAULT_TOLERANCES["cross-path"]
+    assert cli.load_config(path).tolerances == cli.DEFAULT_TOLERANCES
 
 
 @pytest.mark.parametrize(
@@ -178,10 +185,10 @@ def test_tol_flag_sets_names_over_the_config_file(tmp_path):
     ],
 )
 def test_malformed_scalar_is_config_error(tmp_path, capsys, extra):
-    # the keys other than output and polynomial are no longer config keys and
-    # are refused as unknown; int() and float() read the polynomial cases as
-    # the worked example or a stable neighbour, which then passed
-    path = write_config(tmp_path, suites=["cd-kernel"], **extra)
+    # the keys other than polynomial are no longer config keys and are
+    # refused as unknown; int() and float() read the polynomial cases as the
+    # worked example or a stable neighbour, which then passed
+    path = write_config(tmp_path, **extra)
     assert cli.main(["cd-kernel", "--config", path]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
 
@@ -194,6 +201,10 @@ REMOVED_KEYS = {
     "seed": 0,
     "k_max": 4,
     "format": "json",
+    # each run setting has one entry point, on the command line
+    "suites": ["stability"],
+    "tolerances": {"orthogonality": 1e-8},
+    "output": "report.json",
 }
 REMOVED_FLAGS = {
     "--window": "9,9",
@@ -210,11 +221,11 @@ REMOVED_FLAGS = {
 def test_removed_knob_is_refused(tmp_path, capsys, knob):
     # each value is the one the worked example took by default, so it loaded before
     if knob in REMOVED_KEYS:
-        path = write_config(tmp_path, suites=["stability"], **{knob: REMOVED_KEYS[knob]})
+        path = write_config(tmp_path, **{knob: REMOVED_KEYS[knob]})
         assert cli.main(["stability", "--config", path]) == 2
         assert capsys.readouterr().err == f"config error: unknown config keys: ['{knob}']\n"
     else:
-        path = write_config(tmp_path, suites=["stability"])
+        path = write_config(tmp_path)
         with pytest.raises(SystemExit) as info:
             cli.main(["stability", "--config", path, knob, REMOVED_FLAGS[knob]])
         assert info.value.code == 2
@@ -290,7 +301,7 @@ def test_near_boundary_is_inconclusive_exit_three(tmp_path, capsys):
         "coeffs": [[[2 + 2e-12, 0], [-1 - 1e-12, 0]], [[-2, 0], [1, 0]]],
     }
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"polynomial": nearly, "suites": ["stability"]}))
+    path.write_text(json.dumps({"polynomial": nearly}))
     code = cli.main(["stability", "--config", str(path)])
     payload = json.loads(capsys.readouterr().out)
     assert code == 3
@@ -476,7 +487,7 @@ def test_schur_cohn_suite_min_eig_on_worked_examples(tmp_path, capsys):
     product = {"n": 1, "m": 1, "coeffs": [[[4, 0], [-2, 0]], [[-2, 0], [1, 0]]]}
     for polynomial in (WORKED_JSON, product):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"polynomial": polynomial, "suites": ["schur-cohn"]}))
+        path.write_text(json.dumps({"polynomial": polynomial}))
         out = tmp_path / "report.json"
         assert cli.main(["schur-cohn", "--config", str(path), "--out", str(out)]) == 0
         capsys.readouterr()
@@ -534,8 +545,9 @@ def _shift_first_lag(sm):
 def test_each_second_route_can_fail(tmp_path, capsys, monkeypatch, suite, artifact, perturb, read):
     p, deg = measure.random_stable_poly(2, 2, np.random.default_rng(3))
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"polynomial": p.to_json_dict(deg), "suites": [suite]}))
+    path.write_text(json.dumps({"polynomial": p.to_json_dict(deg)}))
     config = cli.load_config(str(path))
+    config.suites = [suite]
     tolerance = config.tolerances[cli.SUITE_TOLERANCE_NAME[suite]]
     (clean,) = cli.run(config)
     assert clean.status == "pass" and read(clean.details) < tolerance
@@ -551,7 +563,8 @@ def test_planted_strip_defect_is_the_strip_argmax(tmp_path, monkeypatch):
     p, deg = measure.random_stable_poly(8, 8, np.random.default_rng(1))
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"polynomial": p.to_json_dict(deg)}))
-    config = cli.load_config(str(path), {"suites": ["verify-orthogonality"]})
+    config = cli.load_config(str(path))
+    config.suites = ["verify-orthogonality"]
     build = cli.ARTIFACT_BUILDERS["kernelset"]
 
     def planted(cfg):
@@ -579,36 +592,38 @@ def test_full_report_of_a_degree_four_draw_is_small(tmp_path):
     assert list(families) == ["strip", "lower_quadrant", "upper_quadrant", "complement_shift"]
 
 
-# p = 1e160 (3 - z - w): the Schur-Cohn matrix, the kernel set and the LU
-# law overflow to NaN, while the polynomial itself is stable and finite
-HUGE_JSON = {
-    "n": 1,
-    "m": 1,
-    "coeffs": [[[3e160, 0.0], [-1e160, 0.0]], [[-1e160, 0.0], [0.0, 0.0]]],
-}
+def _scaled_worked_config(tmp_path, scale):
+    """The run config of ``scale (3 - z - w)``."""
+    polynomial = WORKED.scale(scale).to_json_dict(WORKED_DEG)
+    return cli.load_config(write_config(tmp_path, polynomial=polynomial))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_residuals_fail_their_suites(tmp_path):
-    config, out = tmp_path / "config.json", tmp_path / "report.json"
-    config.write_text(json.dumps({"polynomial": HUGE_JSON}))
-    assert cli.main(["all", "--config", str(config), "--out", str(out)]) == 1
-    doc = json.loads(out.read_text())
-    assert np.isnan(doc["cd-kernel"]["details"]["slice_gram_max"])
-    assert np.isnan(doc["parametric"]["details"]["rows"][0]["lu_law_residual"])
+    # at 4e153 the Schur-Cohn tensor is still finite, but its circle values
+    # overflow, so the slice Gram and the LU law read NaN
+    reports = {r.suite: r for r in cli.run(_scaled_worked_config(tmp_path, 4e153))}
+    assert np.isnan(reports["cd-kernel"].details["slice_gram_max"])
+    rows = reports["parametric"].details["rows"]
+    assert any(np.isnan(row["lu_law_residual"]) for row in rows)
     for suite in ("cd-kernel", "parametric"):
-        assert doc[suite]["status"] == "fail"
-        assert np.isnan(doc[suite]["max_violation"])
+        assert reports[suite].status == "fail"
+        assert np.isnan(reports[suite].max_violation)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_nan_kernel_pairings_fail_verify_kernel(tmp_path):
-    # at 1e154 the Gram solves still run, but the closed-form kernel overflows
-    coeffs = [[[3e154, 0.0], [-1e154, 0.0]], [[-1e154, 0.0], [0.0, 0.0]]]
-    path = tmp_path / "config.json"
-    doc = {"polynomial": {"n": 1, "m": 1, "coeffs": coeffs}, "suites": ["verify-kernel"]}
-    path.write_text(json.dumps(doc))
-    (report,) = cli.run(cli.load_config(str(path)))
+def test_nan_kernel_pairings_fail_verify_kernel(tmp_path, monkeypatch):
+    # at 1e154 the Gram solves still run, but the closed-form kernel
+    # overflows; the moments artifact refuses the subnormal mass, so the suite
+    # reads the unchecked grid table here
+    monkeypatch.setitem(
+        cli.ARTIFACT_BUILDERS,
+        "moments",
+        lambda art: measure.moments_from_grid(art.get("stability"), art.config.window),
+    )
+    config = _scaled_worked_config(tmp_path, 1e154)
+    config.suites = ["verify-kernel"]
+    (report,) = cli.run(config)
     assert report.status == "fail"
     assert np.isnan(report.max_violation) and np.isnan(report.details["reproducing_max"])
 
@@ -616,19 +631,57 @@ def test_nan_kernel_pairings_fail_verify_kernel(tmp_path):
 @pytest.mark.parametrize("scale", [1e154, 1e160])
 def test_underflowed_moment_table_fails_the_moments_suite(tmp_path, scale):
     # c[0, 0] is subnormal at 1e154 and zero at 1e160, so the two tables
-    # differ by less than any gate and the cross-path check alone passed
-    coeffs = [[[3 * scale, 0.0], [-scale, 0.0]], [[-scale, 0.0], [0.0, 0.0]]]
-    path = tmp_path / "config.json"
-    doc = {"polynomial": {"n": 1, "m": 1, "coeffs": coeffs}, "suites": ["moments"]}
-    path.write_text(json.dumps(doc))
-    config = cli.load_config(str(path))
-    mass = cli.Artifacts(config).get("moments").get(0, 0).real
+    # differ by less than any gate and the cross-path check alone passed;
+    # the artifact refuses the table, and every suite that reads it names it
+    config = _scaled_worked_config(tmp_path, scale)
+    stability = measure.check_stability(config.polynomial, config.deg)
+    mass = measure.moments_from_grid(stability, config.window).get(0, 0).real
     assert 0.0 <= mass < np.finfo(float).tiny
-    (report,) = cli.run(config)
-    assert report.status == "fail"
-    assert report.details["error"] == "DegenerateMoments"
-    assert "c[0, 0]" in report.details["message"]
-    assert "blocked_by" not in report.details
+    reports = {r.suite: r for r in cli.run(config)}
+    for name in ("moments", "verify-cd", "verify-kernel"):
+        assert reports[name].status == "fail"
+        assert reports[name].details["error"] == "DegenerateMoments"
+        assert "c[0, 0]" in reports[name].details["message"]
+        assert reports[name].details["blocked_by"] == "moments"
+
+
+SCALE_PAST_THE_FLOAT_RANGE = {
+    # |p|^2 overflows: the tensor reads NaN and c[0, 0] underflows to zero
+    1e300: {"moments": "DegenerateMoments", "matrix": "DegenerateMatrix"},
+    # |p|^2 underflows: the tensor is all zero and the density overflows
+    1e-200: {"moments": "NoConvergence", "matrix": "DegenerateMatrix"},
+}
+
+# the artifact that blocks each suite: every suite that reads the matrix
+# fetches it before the moments
+BLOCKING_ARTIFACT = {
+    "moments": "moments",
+    "schur-cohn": "matrix",
+    "cd-kernel": "matrix",
+    "verify-orthogonality": "matrix",
+    "verify-cd": "moments",
+    "verify-kernel": "moments",
+    "parametric": "matrix",
+}
+
+
+@pytest.mark.parametrize("scale", SCALE_PAST_THE_FLOAT_RANGE)
+def test_a_scale_past_the_float_range_is_blamed_on_the_artifact_it_degenerates(tmp_path, scale):
+    # at 1e300 the schur-cohn, cd-kernel and parametric suites failed on NaN
+    # with no error and numpy warned on stderr; at 1e-200 parametric blamed
+    # its LU for a pivot 0 of the underflowed tensor
+    path = write_config(tmp_path, polynomial=WORKED.scale(scale).to_json_dict(WORKED_DEG))
+    out = tmp_path / "report.json"
+    proc = run_python(["-m", "bscd.cli", "all", "--config", path, "--out", str(out)])
+    assert proc.returncode == 1 and proc.stderr == ""
+    doc = json.loads(out.read_text())
+    assert doc["stability"]["status"] == "pass"
+    errors = SCALE_PAST_THE_FLOAT_RANGE[scale]
+    for name, artifact in BLOCKING_ARTIFACT.items():
+        details = doc[name]["details"]
+        assert doc[name]["status"] == "fail", name
+        assert details["blocked_by"] == artifact, name
+        assert details["error"] == errors[artifact], name
 
 
 def test_non_finite_floats_are_written_as_json_reads_them():
@@ -789,8 +842,9 @@ def test_worked_example_pins_the_fixed_extents(tmp_path):
 
 def test_worked_example_report_shape(tmp_path):
     # a report field leaves or returns only through an edit of this test
-    path = write_config(tmp_path, suites=["stability", "cd-kernel", "parametric"])
-    doc = json.loads(cli.render_report(cli.run(cli.load_config(path))))
+    config = cli.load_config(write_config(tmp_path))
+    config.suites = ["stability", "cd-kernel", "parametric"]
+    doc = json.loads(cli.render_report(cli.run(config)))
     assert doc["stability"]["tolerance"] == 1.0
     # cd-kernel reports each of its four checks, and fails on the largest
     details = doc["cd-kernel"]["details"]
@@ -804,10 +858,12 @@ def test_worked_example_report_shape(tmp_path):
 
 
 def test_reports_are_deterministic(tmp_path):
-    path = write_config(tmp_path, suites=["stability", "moments", "cd-kernel"])
+    path = write_config(tmp_path)
     outputs = []
     for _ in range(2):
-        reports = cli.run(cli.load_config(path))
+        config = cli.load_config(path)
+        config.suites = ["stability", "moments", "cd-kernel"]
+        reports = cli.run(config)
         text = cli.render_report(reports)
         doc = json.loads(text)
         for suite in doc.values():
@@ -818,16 +874,34 @@ def test_reports_are_deterministic(tmp_path):
 
 def test_empty_suite_list(tmp_path, capsys):
     # a run of no suite would report {} and exit 0, a pass that checked nothing
-    path = write_config(tmp_path, suites=[])
-    with pytest.raises(ConfigInvalid, match="no suite"):
-        cli.load_config(path)
-    assert cli.main(["all", "--config", path]) == 2
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--config", write_config(tmp_path)])
+    assert info.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "no suite" in captured.err
+    assert captured.out == "" and "required: suite" in captured.err
+
+
+def test_several_suites_write_the_document_of_those_suites(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert cli.main(["stability", "moments", "--config", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["moments", "stability"]
+    assert [body["status"] for body in doc.values()] == ["pass", "pass"]
+
+
+@pytest.mark.parametrize(
+    "suites", [["all", "stability"], ["moments", "all"]], ids=["all-first", "all-last"]
+)
+def test_all_with_a_suite_name_is_refused(tmp_path, capsys, suites):
+    with pytest.raises(SystemExit) as info:
+        cli.main(suites + ["--config", write_config(tmp_path)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'all' runs every suite" in captured.err
 
 
 def test_report_written_to_file(tmp_path):
-    path = write_config(tmp_path, suites=["stability"])
+    path = write_config(tmp_path)
     out = tmp_path / "report.json"
     code = cli.main(["stability", "--config", path, "--out", str(out)])
     assert code == 0
@@ -836,7 +910,7 @@ def test_report_written_to_file(tmp_path):
 
 
 def test_tolerance_override_can_force_failure(tmp_path, capsys):
-    path = write_config(tmp_path, suites=["moments"])
+    path = write_config(tmp_path)
     code = cli.main(["moments", "--config", path, "--tol", "cross-path=1e-30"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
@@ -844,7 +918,7 @@ def test_tolerance_override_can_force_failure(tmp_path, capsys):
 
 
 def test_console_entry_point(tmp_path):
-    path = write_config(tmp_path, suites=["stability"])
+    path = write_config(tmp_path)
     proc = run_python(["-m", "bscd.cli", "stability", "--config", path])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "pass"
@@ -864,7 +938,7 @@ def test_package_imports_numpy_but_not_scipy():
 
 
 def test_unwritable_output_is_io_error(tmp_path):
-    path = write_config(tmp_path, suites=["stability"])
+    path = write_config(tmp_path)
     code = cli.main(
         ["stability", "--config", path, "--out", "/no/such/dir/report.json"]
     )
@@ -922,7 +996,8 @@ def test_overflowing_density_fails_fast(tmp_path):
     assert elapsed < 2.0
     doc = json.loads(out.read_text())
     assert doc["stability"]["status"] == "pass"
-    for name in ("moments", "verify-cd", "schur-cohn"):
+    # the suites on the circle stop at the underflowed Schur-Cohn tensor
+    for name in ("moments", "verify-cd"):
         assert doc[name]["status"] == "fail"
         assert "not finite (change nan)" in doc[name]["details"]["message"]
 

@@ -1,22 +1,27 @@
-"""The defect matrix: which suites catch a defect planted in the moment table
-or in the slice moments.
+"""The defect matrix: which suites catch a defect planted in the moment table,
+in the slice moments or in one of the algebraic layers built from ``p``.
 
 Each table defect rewrites the values every ``MomentTable`` is built from, so
 the grid and the series route carry the same error and only a check against
 something other than a second table can see it.  Each slice defect rewrites
 the values every ``SlicedMoments`` is built from: the slices of the theta grid
-and those of the vanishing check's own angles.  The tests pin, for each
-defect and input, the suites that fail; README publishes the matrix.  Gaps
-are pinned on purpose: ``moments`` compares two tables that share the defect
-and passes every one; on the worked example, whose measure is symmetric in
-``z`` and ``w``, ``verify-cd`` passes both flips; and its slices (``m = 1``)
-carry only the real ``m_0``, so only the roll of the angles reaches them.
+and those of the vanishing check's own angles.  Each algebraic defect
+rewrites one layer boundary: the degree every reflection is taken at, the
+sign of the cofactors ``B_j``, or the order of the Schur-Cohn tensor's two
+matrix axes.  The tests pin, for each defect and input, the suites that fail;
+README publishes the matrix.  Gaps are pinned on purpose: ``moments``
+compares two tables that share the defect and passes every one; on the
+worked example, whose measure is symmetric in ``z`` and ``w``, ``verify-cd``
+passes both flips; its slices (``m = 1``) carry only the real ``m_0``, so only
+the roll of the angles reaches them; its 1 x 1 tensor is its own transpose;
+and only ``cd-kernel`` reads the cofactors.
 """
 
 import numpy as np
 import pytest
 
-from bscd import cli, measure
+from bscd import cd_kernel, cli, measure, schur_cohn
+from bscd.poly import BivariateLaurentPoly, DegreePair
 
 from conftest import WORKED, WORKED_DEG
 
@@ -126,5 +131,78 @@ def test_each_planted_slice_defect_fails_the_suites_of_its_row(monkeypatch, defe
     reports = cli.run(cli.RunConfig(p, deg, SLICE_SUITES, dict(cli.DEFAULT_TOLERANCES)))
     failed = {r.suite: r.details.get("error") for r in reports if r.status != "pass"}
     assert failed == SLICE_CAUGHT[defect, name]
+    # a caught defect fails a check, not a shared build that blocks it
+    assert all("blocked_by" not in r.details for r in reports)
+
+
+def plant_reflection_degree(monkeypatch):
+    """Every reflection taken at ``(n + 1, m)`` instead of ``(n, m)``."""
+    reflect = BivariateLaurentPoly.reflect
+
+    def planted(self, deg):
+        return reflect(self, DegreePair(deg.n + 1, deg.m))
+
+    monkeypatch.setattr(BivariateLaurentPoly, "reflect", planted)
+
+
+def plant_cofactor_sign(monkeypatch):
+    """The cofactors ``B_j`` with their sign flipped."""
+    decompose = cd_kernel.cofactor_decomposition
+
+    def planted(p, deg):
+        A, B = decompose(p, deg)
+        return A, tuple(b.scale(-1.0) for b in B)
+
+    monkeypatch.setattr(cd_kernel, "cofactor_decomposition", planted)
+
+
+def plant_transposed_tensor(monkeypatch):
+    """The Schur-Cohn tensor with its two matrix axes swapped; the slices the
+    circle values come from stay as they are."""
+    build = schur_cohn.LaurentMatrixPoly.__init__
+
+    def planted(self, coeffs, slices):
+        build(self, np.transpose(coeffs, (1, 0, 2)), slices)
+
+    monkeypatch.setattr(schur_cohn.LaurentMatrixPoly, "__init__", planted)
+
+
+# each defect with the suites that read its layer: the reflection feeds the
+# divided difference, the cofactor check, the mirror images, the numerator of
+# verify-cd and the corner kernel; the cofactors and the tensor the kernel set,
+# which the tensor also rebuilds in verify-orthogonality
+ALGEBRA_DEFECTS = {
+    "reflection-degree": (plant_reflection_degree, ["cd-kernel", "verify-cd", "verify-kernel"]),
+    "cofactor-sign": (plant_cofactor_sign, ["cd-kernel", "verify-orthogonality"]),
+    "transposed-tensor": (plant_transposed_tensor, ["cd-kernel", "verify-orthogonality"]),
+}
+
+# the suites that fail, each with the error it reports (None for a residual
+# over tolerance); the wrong reflection leaves a remainder in the division
+REFLECTION_CAUGHT = {"cd-kernel": "NonzeroRemainder", "verify-cd": None, "verify-kernel": None}
+KERNEL_SET_CAUGHT = {"cd-kernel": None, "verify-orthogonality": None}
+ALGEBRA_CAUGHT = {
+    ("reflection-degree", "worked"): REFLECTION_CAUGHT,
+    ("reflection-degree", "2x3"): REFLECTION_CAUGHT,
+    ("reflection-degree", "3x3"): REFLECTION_CAUGHT,
+    ("cofactor-sign", "worked"): {"cd-kernel": None},
+    ("cofactor-sign", "2x3"): {"cd-kernel": None},
+    ("cofactor-sign", "3x3"): {"cd-kernel": None},
+    ("transposed-tensor", "worked"): {},
+    ("transposed-tensor", "2x3"): KERNEL_SET_CAUGHT,
+    ("transposed-tensor", "3x3"): KERNEL_SET_CAUGHT,
+}
+
+
+@pytest.mark.parametrize(
+    "defect, name", list(ALGEBRA_CAUGHT), ids=[f"{d}-{n}" for d, n in ALGEBRA_CAUGHT]
+)
+def test_each_planted_algebra_defect_fails_the_suites_of_its_row(monkeypatch, defect, name):
+    plant, suites = ALGEBRA_DEFECTS[defect]
+    p, deg = INPUTS[name]()
+    plant(monkeypatch)
+    reports = cli.run(cli.RunConfig(p, deg, suites, dict(cli.DEFAULT_TOLERANCES)))
+    failed = {r.suite: r.details.get("error") for r in reports if r.status != "pass"}
+    assert failed == ALGEBRA_CAUGHT[defect, name]
     # a caught defect fails a check, not a shared build that blocks it
     assert all("blocked_by" not in r.details for r in reports)
