@@ -2,14 +2,15 @@
 
 Command shape:
 
-    bscd <all | suite [suite ...]> --config path.json [--tol NAME=V ...] [--out path]
+    bscd <all | suite [suite ...]> --config path.json [--out path]
 
-The config file holds the polynomial and nothing else; the run settings come
-from the command line alone.  One suite name prints that suite's payload;
-several names, or ``all``, write the report document of those suites to
-stdout or to ``--out``.  Everything else is fixed or follows from the degree:
-the moment window, the theta grid, the seed of the sampled points and the
-vanishing frequencies; the orthogonality rectangle is fixed in ``subspaces``.
+The config file holds the polynomial and nothing else; the suites and the
+output path come from the command line alone.  One suite name prints that
+suite's payload; several names, or ``all``, write the report document of those
+suites to stdout or to ``--out``.  Everything else is fixed or follows from the
+degree: each suite's gate (``TOLERANCES``), the moment window, the theta grid,
+the seed of the sampled points and the vanishing frequencies; the
+orthogonality rectangle is fixed in ``subspaces``.
 
 Exit codes: 0 all pass, 1 any fail, 2 config error, 3 inconclusive (stability
 could not be decided near the boundary).  Suites run one after another in
@@ -49,21 +50,17 @@ SUITE_ORDER = (
     "parametric",
 )
 
-DEFAULT_TOLERANCES = {
-    "orthogonality": 1e-8,
-    "identity": 1e-9,
-    "cross-path": 1e-10,
-}
-
-# the stability verdict is 0 or 1 and has no tolerance; its suite reports 1.0
-SUITE_TOLERANCE_NAME = {
-    "moments": "cross-path",
-    "schur-cohn": "orthogonality",
-    "cd-kernel": "cross-path",
-    "verify-orthogonality": "orthogonality",
-    "verify-cd": "identity",
-    "verify-kernel": "orthogonality",
-    "parametric": "identity",
+# each suite passes when its max_violation is below its gate; the stability
+# verdict is 0 or 1, so its gate of 1.0 passes a stable p alone
+TOLERANCES = {
+    "stability": 1.0,
+    "moments": 1e-10,
+    "schur-cohn": 1e-8,
+    "cd-kernel": 1e-10,
+    "verify-orthogonality": 1e-8,
+    "verify-cd": 1e-9,
+    "verify-kernel": 1e-8,
+    "parametric": 1e-9,
 }
 
 CONFIG_KEYS = {"polynomial"}
@@ -79,7 +76,6 @@ class RunConfig:
     polynomial: BivariateLaurentPoly
     deg: DegreePair
     suites: list[str]
-    tolerances: dict[str, float]
 
     @property
     def window(self) -> tuple[int, int]:
@@ -102,8 +98,8 @@ class SuiteReport:
 def load_config(path: str) -> RunConfig:
     """Read and validate a config file, whose one entry is the polynomial.
 
-    The returned config runs every suite at the default tolerances; on the
-    command line, :func:`main` narrows the suites and sets the gates.
+    The returned config runs every suite; on the command line, :func:`main`
+    narrows the suites.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -131,7 +127,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigInvalid("polynomial must be nonzero")
     if not np.isfinite(poly.coeffs).all():
         raise ConfigInvalid("polynomial coefficients must be finite")
-    return RunConfig(poly, deg, list(SUITE_ORDER), dict(DEFAULT_TOLERANCES))
+    return RunConfig(poly, deg, list(SUITE_ORDER))
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +383,7 @@ SUITE_RUNNERS = {
 
 
 def _run_one(name: str, art: Artifacts, cfg: RunConfig) -> SuiteReport:
-    tolerance = cfg.tolerances.get(SUITE_TOLERANCE_NAME.get(name), 1.0)
+    tolerance = TOLERANCES[name]
     start = time.perf_counter()
     try:
         violation, details = SUITE_RUNNERS[name](art, cfg)
@@ -490,26 +486,6 @@ def _suite_payload(report: SuiteReport) -> str:
 # ----------------------------------------------------------------------
 
 
-def _parse_tol(pairs) -> dict[str, float]:
-    """The gates: the defaults, with each ``NAME=V`` of ``--tol`` set over its name."""
-    tolerances = dict(DEFAULT_TOLERANCES)
-    for item in pairs or []:
-        name, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigInvalid(f"--tol expects NAME=VALUE, got {item!r}")
-        if name not in tolerances:
-            raise ConfigInvalid(f"unknown tolerance name: {name}")
-        try:
-            number = float(value)
-        except ValueError as exc:
-            raise ConfigInvalid(f"bad value for tolerance {name}: {value!r}") from exc
-        # NaN fails both comparisons, and a value past the float range reads inf
-        if not 0.0 < number < math.inf:
-            raise ConfigInvalid(f"tolerance {name} must be a positive finite number")
-        tolerances[name] = number
-    return tolerances
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="bscd",
@@ -517,7 +493,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("suites", nargs="+", metavar="suite", choices=SUITE_ORDER + ("all",))
     parser.add_argument("--config", required=True)
-    parser.add_argument("--tol", action="append", metavar="NAME=V")
     parser.add_argument("--out")
     args = parser.parse_args(argv)
     named = [] if args.suites == ["all"] else args.suites
@@ -525,12 +500,10 @@ def main(argv=None) -> int:
         parser.error("'all' runs every suite and takes no other suite name")
 
     try:
-        tolerances = _parse_tol(args.tol)
         config = load_config(args.config)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    config.tolerances = tolerances
     config.suites = named or config.suites
 
     reports = run(config)

@@ -109,8 +109,13 @@ def evaluate_on_circle(T: LaurentMatrixPoly, theta) -> np.ndarray:
     lag = np.subtract.outer(np.arange(T.m), np.arange(T.m))
     A = np.tril(s[..., lag])
     B = np.triu(s[..., T.m + np.minimum(lag, 0)])
-    M = A @ _adjoint(A) - _adjoint(B) @ B
-    return 0.5 * (M + _adjoint(M))
+    # the values scale as |p|^2, which can overflow where the tensor did not
+    with np.errstate(all="ignore"):
+        M = A @ _adjoint(A) - _adjoint(B) @ B
+        M = 0.5 * (M + _adjoint(M))
+    if not np.isfinite(M).all():
+        raise DegenerateMatrix("circle values are not finite: |p|^2 leaves the float range")
+    return M
 
 
 def _adjoint(X: np.ndarray) -> np.ndarray:

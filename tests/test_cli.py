@@ -81,66 +81,61 @@ def test_non_finite_coefficient_is_config_error(tmp_path, bad):
     assert cli.main(["stability", "--config", str(path)]) == 2
 
 
-TOL_REFUSALS = {
-    "nope=1": "unknown tolerance name: nope",
-    "orthogonality": "--tol expects NAME=VALUE, got 'orthogonality'",
-    "orthogonality=small": "bad value for tolerance orthogonality: 'small'",
-    # past the float range float() reads inf
-    "orthogonality=1e400": "tolerance orthogonality must be a positive finite number",
-    "orthogonality=0": "tolerance orthogonality must be a positive finite number",
-    "orthogonality=-1e-8": "tolerance orthogonality must be a positive finite number",
-}
+def refused_flags_error(capsys, argv):
+    """The one error line of a command line that argparse refuses, exit 2 and no output."""
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = [row for row in captured.err.splitlines() if not row.startswith("usage: ")]
+    return line
+
+
+# the values that --tol refused one by one when it set a gate
+TOL_REFUSALS = [
+    "nope=1",
+    "orthogonality",
+    "orthogonality=small",
+    "orthogonality=1e400",
+    "orthogonality=0",
+    "orthogonality=-1e-8",
+]
 
 
 @pytest.mark.parametrize("flag", TOL_REFUSALS)
 def test_each_bad_tol_flag_is_one_config_error(tmp_path, capsys, flag):
-    # --tol is the one way to set a gate, so it holds every refusal; NaN and
-    # infinity are refused below
+    # each gate is a constant, so --tol is refused whole, whatever its value
     path = write_config(tmp_path)
-    assert cli.main(["stability", "--config", path, "--tol", flag]) == 2
-    assert capsys.readouterr() == ("", f"config error: {TOL_REFUSALS[flag]}\n")
+    line = refused_flags_error(capsys, ["stability", "--config", path, "--tol", flag])
+    assert line == f"bscd: error: unrecognized arguments: --tol {flag}"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_tolerance_flag_is_config_error(tmp_path, capsys, value):
-    # a NaN gate failed every check and an infinite one passed every check
-    path = write_config(tmp_path)
-    flags = ["--tol", f"orthogonality={value}"]
-    assert cli.main(["verify-orthogonality", "--config", path] + flags) == 2
-    assert "positive finite" in capsys.readouterr().err
+    # a NaN gate would fail every check and an infinite one pass every check
+    argv = ["verify-orthogonality", "--config", write_config(tmp_path)]
+    line = refused_flags_error(capsys, argv + ["--tol", f"orthogonality={value}"])
+    assert line.endswith(f"unrecognized arguments: --tol orthogonality={value}")
 
 
 def test_boolean_tolerance_is_config_error(tmp_path, capsys):
     # a gate of true is not read as 1
     path = write_config(tmp_path)
     for value in ("true", "True"):
-        assert cli.main(["stability", "--config", path, "--tol", f"identity={value}"]) == 2
-        assert "bad value for tolerance identity" in capsys.readouterr().err
+        argv = ["stability", "--config", path, "--tol", f"identity={value}"]
+        line = refused_flags_error(capsys, argv)
+        assert line.endswith(f"unrecognized arguments: --tol identity={value}")
 
 
 def test_non_finite_moment_tolerance_is_refused_before_any_suite(tmp_path, capsys, monkeypatch):
     # a NaN gate would fail every check and an infinite one pass every check
-    # of the moments suite: the flag is refused before any suite runs
+    # of the moments suite: the flag is refused before any suite runs, and the
+    # moments' stopping rule is relative to their size, not a setting
     monkeypatch.setattr(cli, "run", None)
-    for value in ("nan", "inf"):
-        flags = ["--tol", f"cross-path={value}"]
-        assert cli.main(["moments", "--config", write_config(tmp_path)] + flags) == 2
-        message = "config error: tolerance cross-path must be a positive finite number\n"
-        assert capsys.readouterr().err == message
-    # the moments' stopping rule is relative to their size, not a setting
-    assert cli.main(["moments", "--config", write_config(tmp_path), "--tol", "moments=1e-9"]) == 2
-    assert capsys.readouterr().err == "config error: unknown tolerance name: moments\n"
-
-
-def test_tol_flags_set_their_names_and_leave_the_defaults(tmp_path):
-    path, out = write_config(tmp_path), tmp_path / "report.json"
-    flags = ["--tol", "identity=1e-6", "--tol", "identity=1e-5", "--out", str(out)]
-    assert cli.main(["stability", "verify-cd", "moments", "--config", path] + flags) == 0
-    doc = json.loads(out.read_text())
-    # the last flag of a name wins; the other names keep their defaults
-    assert doc["verify-cd"]["tolerance"] == 1e-5
-    assert doc["moments"]["tolerance"] == cli.DEFAULT_TOLERANCES["cross-path"]
-    assert cli.load_config(path).tolerances == cli.DEFAULT_TOLERANCES
+    for flag in ("cross-path=nan", "cross-path=inf", "moments=1e-9"):
+        argv = ["moments", "--config", write_config(tmp_path), "--tol", flag]
+        assert refused_flags_error(capsys, argv).endswith(f"unrecognized arguments: --tol {flag}")
 
 
 @pytest.mark.parametrize(
@@ -214,6 +209,8 @@ REMOVED_FLAGS = {
     "--seed": "0",
     "--k-max": "4",
     "--format": "json",
+    # each suite's gate is a constant
+    "--tol": "identity=1e-9",
 }
 
 
@@ -280,17 +277,22 @@ def test_stability_suite_fails_with_witness(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "tolerances, flags",
-    [({}, ["--tol", "2"]), ({}, ["--tol", "stability=2"]), ({"stability": 2}, [])],
+    "extra, flags",
+    [({}, ["--tol", "2"]), ({}, ["--tol", "stability=2"]), ({"tolerances": {"stability": 2}}, [])],
     ids=["bare-flag", "named-flag", "config"],
 )
-def test_no_tolerance_loosens_the_stability_verdict(tmp_path, capsys, tolerances, flags):
-    # 1 - z - w is unstable, a violation of 1: no tolerance may pass it
+def test_no_tolerance_loosens_the_stability_verdict(tmp_path, capsys, extra, flags):
+    # 1 - z - w is unstable, a violation of 1: no tolerance may pass it; the
+    # --tol flag is refused by argparse and the tolerances key as unknown
     unstable = {"n": 1, "m": 1, "coeffs": [[[1, 0], [-1, 0]], [[-1, 0], [0, 0]]]}
-    path = write_config(tmp_path, polynomial=unstable, tolerances=tolerances)
-    assert cli.main(["stability", "--config", path] + flags) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("config error: ")
+    argv = ["stability", "--config", write_config(tmp_path, polynomial=unstable, **extra)] + flags
+    if flags:
+        line = refused_flags_error(capsys, argv)
+        assert line == f"bscd: error: unrecognized arguments: {' '.join(flags)}"
+    else:
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("config error: ")
 
 
 def test_near_boundary_is_inconclusive_exit_three(tmp_path, capsys):
@@ -548,7 +550,7 @@ def test_each_second_route_can_fail(tmp_path, capsys, monkeypatch, suite, artifa
     path.write_text(json.dumps({"polynomial": p.to_json_dict(deg)}))
     config = cli.load_config(str(path))
     config.suites = [suite]
-    tolerance = config.tolerances[cli.SUITE_TOLERANCE_NAME[suite]]
+    tolerance = cli.TOLERANCES[suite]
     (clean,) = cli.run(config)
     assert clean.status == "pass" and read(clean.details) < tolerance
     build = cli.ARTIFACT_BUILDERS[artifact]
@@ -598,15 +600,24 @@ def _scaled_worked_config(tmp_path, scale):
     return cli.load_config(write_config(tmp_path, polynomial=polynomial))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_nan_residuals_fail_their_suites(tmp_path):
-    # at 4e153 the Schur-Cohn tensor is still finite, but its circle values
-    # overflow, so the slice Gram and the LU law read NaN
-    reports = {r.suite: r for r in cli.run(_scaled_worked_config(tmp_path, 4e153))}
+def test_nan_residuals_fail_their_suites(tmp_path, monkeypatch):
+    # a NaN circle value at one angle: the minimum eigenvalue, the slice Gram
+    # and the LU law read NaN, which no gate may pass
+    build = cli.ARTIFACT_BUILDERS["circle"]
+
+    def planted(art):
+        profile = build(art)
+        matrix = profile.matrix.copy()
+        matrix[3, 0, 0] = np.nan
+        return dataclasses.replace(profile, matrix=matrix)
+
+    monkeypatch.setitem(cli.ARTIFACT_BUILDERS, "circle", planted)
+    reports = {r.suite: r for r in cli.run(cli.load_config(write_config(tmp_path)))}
+    assert np.isnan(reports["schur-cohn"].details["min_eig"])
     assert np.isnan(reports["cd-kernel"].details["slice_gram_max"])
     rows = reports["parametric"].details["rows"]
-    assert any(np.isnan(row["lu_law_residual"]) for row in rows)
-    for suite in ("cd-kernel", "parametric"):
+    assert np.isnan(rows[3]["lu_law_residual"])
+    for suite in ("schur-cohn", "cd-kernel", "parametric"):
         assert reports[suite].status == "fail"
         assert np.isnan(reports[suite].max_violation)
 
@@ -645,16 +656,9 @@ def test_underflowed_moment_table_fails_the_moments_suite(tmp_path, scale):
         assert reports[name].details["blocked_by"] == "moments"
 
 
-SCALE_PAST_THE_FLOAT_RANGE = {
-    # |p|^2 overflows: the tensor reads NaN and c[0, 0] underflows to zero
-    1e300: {"moments": "DegenerateMoments", "matrix": "DegenerateMatrix"},
-    # |p|^2 underflows: the tensor is all zero and the density overflows
-    1e-200: {"moments": "NoConvergence", "matrix": "DegenerateMatrix"},
-}
-
-# the artifact that blocks each suite: every suite that reads the matrix
-# fetches it before the moments
-BLOCKING_ARTIFACT = {
+# the artifact that blocks each suite when the matrix degenerates: every
+# suite that reads the matrix fetches it before the moments
+MATRIX_BLOCKS = {
     "moments": "moments",
     "schur-cohn": "matrix",
     "cd-kernel": "matrix",
@@ -664,20 +668,44 @@ BLOCKING_ARTIFACT = {
     "parametric": "matrix",
 }
 
+# the artifact that blocks each suite when the tensor is finite but its
+# circle values are not: the suites on the circle name the circle, and
+# verify-orthogonality, which reads the matrix but not the circle, the moments
+CIRCLE_BLOCKS = {
+    "moments": "moments",
+    "schur-cohn": "circle",
+    "cd-kernel": "circle",
+    "verify-orthogonality": "moments",
+    "verify-cd": "moments",
+    "verify-kernel": "moments",
+    "parametric": "circle",
+}
+
+# each scale with the artifact that blocks each suite and the error of each artifact
+SCALE_PAST_THE_FLOAT_RANGE = {
+    # |p|^2 overflows: the tensor reads NaN and c[0, 0] underflows to zero
+    1e300: (MATRIX_BLOCKS, {"moments": "DegenerateMoments", "matrix": "DegenerateMatrix"}),
+    # |p|^2 underflows: the tensor is all zero and the density overflows
+    1e-200: (MATRIX_BLOCKS, {"moments": "NoConvergence", "matrix": "DegenerateMatrix"}),
+    # the tensor is still finite, but its circle values overflow and c[0, 0]
+    # is subnormal
+    4e153: (CIRCLE_BLOCKS, {"moments": "DegenerateMoments", "circle": "DegenerateMatrix"}),
+}
+
 
 @pytest.mark.parametrize("scale", SCALE_PAST_THE_FLOAT_RANGE)
 def test_a_scale_past_the_float_range_is_blamed_on_the_artifact_it_degenerates(tmp_path, scale):
-    # at 1e300 the schur-cohn, cd-kernel and parametric suites failed on NaN
-    # with no error and numpy warned on stderr; at 1e-200 parametric blamed
-    # its LU for a pivot 0 of the underflowed tensor
+    # at 1e300 and 4e153 the schur-cohn, cd-kernel and parametric suites failed
+    # on NaN with no error and numpy warned on stderr; at 1e-200 parametric
+    # blamed its LU for a pivot 0 of the underflowed tensor
     path = write_config(tmp_path, polynomial=WORKED.scale(scale).to_json_dict(WORKED_DEG))
     out = tmp_path / "report.json"
     proc = run_python(["-m", "bscd.cli", "all", "--config", path, "--out", str(out)])
     assert proc.returncode == 1 and proc.stderr == ""
     doc = json.loads(out.read_text())
     assert doc["stability"]["status"] == "pass"
-    errors = SCALE_PAST_THE_FLOAT_RANGE[scale]
-    for name, artifact in BLOCKING_ARTIFACT.items():
+    blocking, errors = SCALE_PAST_THE_FLOAT_RANGE[scale]
+    for name, artifact in blocking.items():
         details = doc[name]["details"]
         assert doc[name]["status"] == "fail", name
         assert details["blocked_by"] == artifact, name
@@ -816,14 +844,14 @@ def test_every_suite_passes_on_products_and_off_the_ladder(tmp_path, p, deg):
 
 
 @settings(max_examples=20, deadline=None)
-@given(n=st.integers(1, 6), other=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+@given(n=st.integers(1, 8), other=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
 def test_every_suite_but_the_quadrature_passes_off_the_diagonal(n, other, seed):
     # no workload draws n != m; verify-kernel's fixed quadrature is left out
     # for its cost, about 0.7 s a run
-    m = other + (other >= n)  # every degree in 1 .. 6 but n
+    m = other + (other >= n)  # every degree in 1 .. 8 but n
     p, deg = measure.random_stable_poly(n, m, np.random.default_rng(seed))
     suites = [name for name in cli.SUITE_ORDER if name != "verify-kernel"]
-    reports = cli.run(cli.RunConfig(p, deg, suites, dict(cli.DEFAULT_TOLERANCES)))
+    reports = cli.run(cli.RunConfig(p, deg, suites))
     assert {r.suite: r.status for r in reports} == dict.fromkeys(sorted(suites), "pass")
 
 
@@ -909,9 +937,11 @@ def test_report_written_to_file(tmp_path):
     assert doc["stability"]["status"] == "pass"
 
 
-def test_tolerance_override_can_force_failure(tmp_path, capsys):
+def test_tolerance_override_can_force_failure(tmp_path, capsys, monkeypatch):
+    # the worked example's two moment tables differ by roundoff, above 1e-30
+    monkeypatch.setitem(cli.TOLERANCES, "moments", 1e-30)
     path = write_config(tmp_path)
-    code = cli.main(["moments", "--config", path, "--tol", "cross-path=1e-30"])
+    code = cli.main(["moments", "--config", path])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
     assert payload["status"] == "fail"
@@ -948,7 +978,7 @@ def test_unwritable_output_is_io_error(tmp_path):
 def direct_config(polynomial):
     """A run config that load_config would refuse for its degree."""
     p, deg = BivariateLaurentPoly.from_json_dict(polynomial)
-    return cli.RunConfig(p, deg, list(cli.SUITE_ORDER), dict(cli.DEFAULT_TOLERANCES))
+    return cli.RunConfig(p, deg, list(cli.SUITE_ORDER))
 
 
 def test_suite_error_is_recorded_as_failure():

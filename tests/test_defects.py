@@ -1,5 +1,6 @@
 """The defect matrix: which suites catch a defect planted in the moment table,
-in the slice moments or in one of the algebraic layers built from ``p``.
+in the slice moments, in one of the algebraic layers built from ``p`` or in
+one of the two paths that evaluate a slice on the circle.
 
 Each table defect rewrites the values every ``MomentTable`` is built from, so
 the grid and the series route carry the same error and only a check against
@@ -8,13 +9,15 @@ the values every ``SlicedMoments`` is built from: the slices of the theta grid
 and those of the vanishing check's own angles.  Each algebraic defect
 rewrites one layer boundary: the degree every reflection is taken at, the
 sign of the cofactors ``B_j``, or the order of the Schur-Cohn tensor's two
-matrix axes.  The tests pin, for each defect and input, the suites that fail;
-README publishes the matrix.  Gaps are pinned on purpose: ``moments``
-compares two tables that share the defect and passes every one; on the
-worked example, whose measure is symmetric in ``z`` and ``w``, ``verify-cd``
-passes both flips; its slices (``m = 1``) carry only the real ``m_0``, so only
-the roll of the angles reaches them; its 1 x 1 tensor is its own transpose;
-and only ``cd-kernel`` reads the cofactors.
+matrix axes.  Each slice-evaluation defect rewrites either the Horner slices
+the circle values read or the power sums of ``measure.w_slice``.  The tests
+pin, for each defect and input, the suites that fail; README publishes the
+matrix.  Gaps are pinned on purpose: ``moments`` compares two tables that
+share the defect and passes every one; on the worked example, whose measure
+is symmetric in ``z`` and ``w``, ``verify-cd`` passes both flips; its slices
+(``m = 1``) carry only the real ``m_0``, so only the roll of the angles
+reaches them; its 1 x 1 tensor is its own transpose; only ``cd-kernel`` reads
+the cofactors; and ``cd-kernel`` passes a tilt of the power sums.
 """
 
 import numpy as np
@@ -83,7 +86,7 @@ def test_each_planted_defect_fails_the_suites_of_its_row(monkeypatch, defect, na
 
     monkeypatch.setattr(measure.MomentTable, "__init__", planted)
     p, deg = INPUTS[name]()
-    reports = cli.run(cli.RunConfig(p, deg, SUITES, dict(cli.DEFAULT_TOLERANCES)))
+    reports = cli.run(cli.RunConfig(p, deg, SUITES))
     failed = {r.suite for r in reports if r.status != "pass"}
     assert failed == CAUGHT[defect, name]
     # a caught defect fails its check, not a build that blocks it
@@ -128,7 +131,7 @@ def test_each_planted_slice_defect_fails_the_suites_of_its_row(monkeypatch, defe
 
     monkeypatch.setattr(measure.SlicedMoments, "__init__", planted)
     p, deg = INPUTS[name]()
-    reports = cli.run(cli.RunConfig(p, deg, SLICE_SUITES, dict(cli.DEFAULT_TOLERANCES)))
+    reports = cli.run(cli.RunConfig(p, deg, SLICE_SUITES))
     failed = {r.suite: r.details.get("error") for r in reports if r.status != "pass"}
     assert failed == SLICE_CAUGHT[defect, name]
     # a caught defect fails a check, not a shared build that blocks it
@@ -201,8 +204,91 @@ def test_each_planted_algebra_defect_fails_the_suites_of_its_row(monkeypatch, de
     plant, suites = ALGEBRA_DEFECTS[defect]
     p, deg = INPUTS[name]()
     plant(monkeypatch)
-    reports = cli.run(cli.RunConfig(p, deg, suites, dict(cli.DEFAULT_TOLERANCES)))
+    reports = cli.run(cli.RunConfig(p, deg, suites))
     failed = {r.suite: r.details.get("error") for r in reports if r.status != "pass"}
     assert failed == ALGEBRA_CAUGHT[defect, name]
+    # a caught defect fails a check, not a shared build that blocks it
+    assert all("blocked_by" not in r.details for r in reports)
+
+
+def plant_horner_tilt(monkeypatch):
+    """Each slice ``p_i`` the circle values are evaluated from multiplied by
+    ``1 + TILT z``; the tensor stays as it is."""
+    build = schur_cohn.LaurentMatrixPoly.__init__
+    factor = BivariateLaurentPoly({(0, 0): 1.0, (1, 0): TILT})
+
+    def planted(self, coeffs, slices):
+        build(self, coeffs, [q * factor for q in slices])
+
+    monkeypatch.setattr(schur_cohn.LaurentMatrixPoly, "__init__", planted)
+
+
+def plant_power_sum(monkeypatch, evaluate):
+    """``measure.w_slice``, under both names it is read by, replaced by
+    ``evaluate(w_slice, p, z, size)``."""
+    w_slice = measure.w_slice
+
+    def planted(p, z, size):
+        return evaluate(w_slice, p, z, size)
+
+    for module in (measure, cd_kernel):
+        monkeypatch.setattr(module, "w_slice", planted)
+
+
+# each rewrites one of the two paths that evaluate slices at z = e^{i theta}:
+# Horner on the Schur-Cohn slices, which the circle values read, and the power
+# sums of measure.w_slice, which the slice moments and the slice Gram read
+SLICE_EVALUATION_DEFECTS = {
+    "horner-tilt": plant_horner_tilt,
+    "power-sum-tilt": lambda mp: plant_power_sum(
+        mp, lambda w_slice, p, z, size: w_slice(p, z, size) * (1 + TILT * np.asarray(z))
+    ),
+    "power-sum-conjugate": lambda mp: plant_power_sum(
+        mp, lambda w_slice, p, z, size: w_slice(p, np.conj(z), size)
+    ),
+}
+
+# the suites that fail, each with the error it reports (None for a residual
+# over tolerance).  A tilt of the power sums depends on the angle alone, so it
+# cancels between the sections of the a_j and the slice moments, and the slice
+# Gram of cd-kernel passes it; the worked example's slices have real
+# coefficients, so their conjugate is the slice itself
+CIRCLE_CAUGHT = {"schur-cohn": None, "cd-kernel": None, "parametric": None}
+POWER_SUM_CAUGHT = {"schur-cohn": None, "parametric": None}
+SLICE_EVALUATION_CAUGHT = {
+    ("horner-tilt", "worked"): CIRCLE_CAUGHT,
+    ("horner-tilt", "2x3"): {**CIRCLE_CAUGHT, "parametric": "NoConvergence"},
+    ("horner-tilt", "3x3"): CIRCLE_CAUGHT,
+    ("power-sum-tilt", "worked"): POWER_SUM_CAUGHT,
+    ("power-sum-tilt", "2x3"): {**POWER_SUM_CAUGHT, "parametric": "NoConvergence"},
+    ("power-sum-tilt", "3x3"): POWER_SUM_CAUGHT,
+    ("power-sum-conjugate", "worked"): {},
+    ("power-sum-conjugate", "2x3"): VANISHING_CAUGHT,
+    ("power-sum-conjugate", "3x3"): VANISHING_CAUGHT,
+}
+
+
+@pytest.fixture
+def fresh_stability_cache():
+    """The planted w_slice also feeds the root scan: no verdict cached under
+    it outlives the test, and none cached before it serves the test."""
+    measure._cached_stability.cache_clear()
+    yield
+    measure._cached_stability.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "defect, name",
+    list(SLICE_EVALUATION_CAUGHT),
+    ids=[f"{d}-{n}" for d, n in SLICE_EVALUATION_CAUGHT],
+)
+def test_each_planted_slice_evaluation_defect_fails_the_suites_of_its_row(
+    monkeypatch, fresh_stability_cache, defect, name
+):
+    p, deg = INPUTS[name]()
+    SLICE_EVALUATION_DEFECTS[defect](monkeypatch)
+    reports = cli.run(cli.RunConfig(p, deg, SLICE_SUITES))
+    failed = {r.suite: r.details.get("error") for r in reports if r.status != "pass"}
+    assert failed == SLICE_EVALUATION_CAUGHT[defect, name]
     # a caught defect fails a check, not a shared build that blocks it
     assert all("blocked_by" not in r.details for r in reports)

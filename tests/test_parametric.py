@@ -171,14 +171,13 @@ def test_one_circle_evaluation_per_batch(random_family, monkeypatch):
             suites = list(cli.SUITE_ORDER) if suite == "all" else [suite]
             calls.clear()
             profiles.clear()
-            reports = cli.run(cli.RunConfig(p, deg, suites, dict(cli.DEFAULT_TOLERANCES)))
+            reports = cli.run(cli.RunConfig(p, deg, suites))
             assert [r.status for r in reports] == ["pass"] * len(suites)
             assert len(calls) == len(profiles) == count, suite
     # p = 2.0000000001 - z - w stops at the stability verdict, before the circle
     nearly = Poly({(0, 0): 2.0000000001, (1, 0): -1, (0, 1): -1})
     calls.clear()
-    tolerances = dict(cli.DEFAULT_TOLERANCES)
-    reports = cli.run(cli.RunConfig(nearly, WORKED_DEG, list(cli.SUITE_ORDER), tolerances))
+    reports = cli.run(cli.RunConfig(nearly, WORKED_DEG, list(cli.SUITE_ORDER)))
     statuses = {r.suite: r.status for r in reports}
     assert cli.exit_code(reports) == 3 and calls == []
     for suite in ("schur-cohn", "cd-kernel", "parametric"):

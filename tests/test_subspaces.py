@@ -5,7 +5,7 @@ import pytest
 
 from bscd import measure, subspaces
 from bscd.cd_kernel import CDKernelSet, cd_kernel_set
-from bscd.cli import DEFAULT_TOLERANCES
+from bscd.cli import TOLERANCES
 from bscd.errors import (
     DegenerateDegree,
     IllConditionedGram,
@@ -595,7 +595,7 @@ def tilted_strip_max(p, deg, table, eps):
 def test_a_tilted_weight_fails_the_strip_in_proportion(control_inputs):
     # (1 + eps Re z) / |p|^2 is not of the form 1/|q|^2: the a_k rebuilt from
     # its box relations stop annihilating the strip beyond the box, by O(eps)
-    gate = DEFAULT_TOLERANCES["orthogonality"]
+    gate = TOLERANCES["verify-orthogonality"]
     for p, deg, table in control_inputs:
         assert tilted_strip_max(p, deg, table, 0.0) < 1e-15
         assert tilted_strip_max(p, deg, table, 1e-8) < gate
