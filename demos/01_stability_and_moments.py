@@ -4,10 +4,10 @@
 The measure under study is dsigma / |p|^2 on the torus for a polynomial p
 with no zeros in the closed bidisk.  This script checks stability for a few
 polynomials, each verdict with the smallest root modulus it is decided by,
-then computes the Fourier moments of the measure two ways
-(torus-grid FFT vs. the power series of 1/p) and compares.  Both pipelines
-take the report of check_stability, which carries p and its degree, and
-read its verdict instead of testing p again.
+then computes the Fourier moments of the measure two ways (the angle DFT
+of the slice moments vs. the power series of 1/p) and compares.  Both
+pipelines take the report of check_stability, which carries p and its
+degree, and read its verdict instead of testing p again.
 """
 
 from bscd import check_stability, moments_from_grid, moments_from_series
@@ -45,7 +45,7 @@ print("----------------------------------------------")
 stability = check_stability(p, deg)
 grid = moments_from_grid(stability, (4, 4))
 series = moments_from_series(stability, (4, 4))
-print(f"  grid pipeline  : final resolution {grid.grid_size}, est. error {grid.est_error:.2e}")
+print(f"  grid pipeline  : {grid.grid_size} angles, est. error {grid.est_error:.2e}")
 print(f"  series pipeline: truncation order {series.grid_size}, est. error {series.est_error:.2e}")
 print(f"  cross-path difference: {grid.max_difference(series):.2e}")
 print()

@@ -358,8 +358,9 @@ def _suite_parametric(art: Artifacts, cfg: RunConfig):
     result = parametric.moment_vanishing(art.get("stability"), k_lists, art.get("matrix"))
     vanishing = {}
     for j, entry in result["per_j"].items():
-        # the values are roundoff of an integrand of modulus up to the scale
-        residuals.extend(abs(value) / max(1.0, entry["scale"]) for value in entry["values"])
+        # the values are roundoff of an integrand of modulus up to the scale;
+        # np.abs, where Python's abs raises on a modulus past the float range
+        residuals.extend(np.abs(entry["values"]) / max(1.0, entry["scale"]))
         vanishing[str(j)] = {
             "k_list": entry["k_list"],
             "values": [[v.real, v.imag] for v in entry["values"]],

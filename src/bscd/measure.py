@@ -5,9 +5,10 @@ For a polynomial ``p`` that is zero-free on the closed bidisk the density
 coefficients decay geometrically and uniform-grid DFT sums converge
 spectrally.  Two independent moment pipelines are provided:
 
-* :func:`moments_from_grid` samples the density on an N x N torus grid and
-  reads the Fourier window off a 2-D FFT, doubling N until the window is
-  stable.
+* :func:`moments_from_grid` integrates ``1/|p(z, .)|^2`` over ``w`` on each
+  of N circle angles (the slice moments) and takes their inverse DFT over
+  the angles, doubling N until the window is stable; each angle refines its
+  own w-grid.
 * :func:`moments_from_series` expands ``1/p`` as a power series by the
   recursion forced by ``p * (1/p) = 1``, one total degree (anti-diagonal)
   at a time, and correlates the series with itself, doubling the truncation
@@ -18,14 +19,18 @@ spectrally.  Two independent moment pipelines are provided:
   the grid path.
 
 All DFT reductions are ``numpy.fft`` butterflies, numpy pairwise sums or
-left folds, so results are deterministic.  The large transforms run in place
-in the buffer they read, and each one-axis pass covers only the rows or
+left folds, so results are deterministic.  The series transform runs in
+place in the buffer it reads, its power spectrum is formed and reduced a
+block of rows at a time, and each one-axis pass covers only the rows or
 columns that hold a nonzero input or whose output is read; every 1-D
 transform sees the input it would see in the full pass, so the pruning moves
-no bit.  The torus grid, the series order and the slice grids all double
-in one loop (:func:`_refine`), and torus and slice samples become moments
-through one transform (:func:`_density_window`).  Pairings of polynomials
-against a moment table are matrix products with its lag matrix
+no bit.  Neither route holds a torus grid, and the series route holds no
+second array the size of its padded series.
+The angle grid, the series order and the slice grids all double in one
+loop (:func:`_refine`), and slice samples become moments through one
+transform (:func:`_density_window`).  :func:`torus_grid_values` evaluates
+``p`` on the torus for the closed-form kernel quadrature.  Pairings of
+polynomials against a moment table are matrix products with its lag matrix
 (:meth:`MomentTable.lag_matrix`).
 Every published value is immutable after construction.
 """
@@ -44,7 +49,7 @@ from .errors import (
     WindowTooSmall,
     ZeroPolynomial,
 )
-from .poly import BivariateLaurentPoly, DegreePair, as_angles, coefficient_matrix
+from .poly import BivariateLaurentPoly, DegreePair, angle_grid, as_angles, coefficient_matrix
 
 BOUNDARY_TOL = 1e-9
 GRID_START = 256
@@ -53,7 +58,8 @@ SERIES_START = 64
 SERIES_CAP = 4096
 MOMENT_TOL = 1e-11
 DEFAULT_SLICE_TOL = 1e-12
-# angles per batch of slice FFTs; it bounds their memory, not their results
+# angles per batch of slice FFTs, and rows per batch of the series power
+# spectrum; it bounds their memory, not their results
 SLICE_BLOCK = 128
 # series entries per gather of the recurrence; it bounds its memory, not its results
 SERIES_GATHER = 1 << 16
@@ -228,9 +234,9 @@ class MomentTable:
 
     Entries satisfy ``c[-a, -b] == conj(c[a, b])`` (enforced by averaging)
     and ``c[0, 0]`` is real positive.  ``grid_size`` records the resolution
-    of the final refinement step (torus grid size for the grid pipeline,
-    truncation order for the series pipeline) and ``est_error`` the
-    last-doubling discrepancy.
+    of the final refinement step (the number of angles for the grid
+    pipeline, the truncation order for the series pipeline) and
+    ``est_error`` the last-doubling discrepancy.
     """
 
     __slots__ = ("window", "_values", "grid_size", "est_error")
@@ -361,17 +367,13 @@ def _refine(compute, count: int, start: int, cap: int, tol: float, what: str):
             raise NoConvergence(f"{what} {size} not stable (change {change.max():.3e})")
 
 
-def _density_window(values: np.ndarray, window: tuple[int, ...]) -> np.ndarray:
-    """The Fourier window of ``1 / |values|^2`` over the last ``len(window)`` axes.
+def _density_window(values: np.ndarray, lag: int) -> np.ndarray:
+    """The Fourier coefficients ``|k| <= lag`` of ``1 / |values|^2`` along the last axis.
 
-    ``values`` holds samples on a uniform grid along each of those axes (a
-    torus grid, or one circle grid per row of slices); it is overwritten.
-    The density is formed in one real array and its last-axis transform runs
-    in the buffer of the values, so that real array is the only other one of
-    their size.  Each later pass runs over the window's frequencies of the
-    axes already transformed only, since no other output is read.  The
-    result keeps the leading axes and holds the frequencies ``|k| <= K`` of
-    each transformed axis, ``K`` its entry of ``window``.
+    Each row of ``values`` holds samples on a uniform circle grid; it is
+    overwritten.  The density is formed in one real array and the transform
+    runs in the buffer of the values, so that real array is the only other
+    one of their size.
     """
     # a window that overflowed is reported by _refine, so numpy's warnings are off
     with np.errstate(all="ignore"):
@@ -380,26 +382,35 @@ def _density_window(values: np.ndarray, window: tuple[int, ...]) -> np.ndarray:
         np.divide(1.0, density, out=density)
         values[...] = density
         del density
-        axes = range(values.ndim - len(window), values.ndim)
-        for K, axis in zip(reversed(window), reversed(axes)):
-            np.fft.ifft(values, axis=axis, out=values)
-            values = values.take(np.arange(-K, K + 1) % values.shape[axis], axis=axis)
-    return values
+        np.fft.ifft(values, axis=-1, out=values)
+    return values[..., np.arange(-lag, lag + 1) % values.shape[-1]]
 
 
 def moments_from_grid(stability: StabilityReport, window: tuple[int, int]) -> MomentTable:
-    """Moment window by torus-grid DFT with resolution doubling.
+    """Moment window as the inverse angle DFT of the slice moments, with doubling.
 
     ``stability`` carries ``p`` and must be stable (see
-    :meth:`StabilityReport.require_stable`).  Starts at a 256 x 256 grid and
-    doubles until the window changes by less than ``MOMENT_TOL *
-    max(1, max|window|)``; raises :class:`NoConvergence` at the 8192 cap.
+    :meth:`StabilityReport.require_stable`).  On ``N`` angles ``theta_k`` the
+    row ``a`` of the window is the inverse DFT over ``k`` of the slice
+    moments ``m_b(theta_k)``, ``|b| <= window[1]``, each on its own w-grid
+    (:func:`slice_moments`).  ``N`` starts at 256 and doubles until the window
+    changes by less than ``MOMENT_TOL * max(1, max|window|)``; raises
+    :class:`NoConvergence` at the 8192 cap.  The slices of one size sit at
+    the even angles of the next, so each doubling computes the odd ones only.
     """
-    p = stability.require_stable().p
+    p, deg = stability.require_stable().p, stability.deg
     A, B = int(window[0]), int(window[1])
+    slices = np.empty((0, 2 * B + 1), dtype=complex)
 
     def compute(size, rows):
-        return _density_window(torus_grid_values(p, size), (A, B))[None]
+        nonlocal slices
+        thetas = angle_grid(size)
+        if len(slices):
+            odd = _slice_moments_unchecked(p, deg, thetas[1::2], B).values
+            slices = np.stack([slices, odd], axis=1).reshape(size, -1)
+        else:
+            slices = _slice_moments_unchecked(p, deg, thetas, B).values
+        return np.fft.ifft(slices, axis=0)[np.arange(-A, A + 1) % size][None]
 
     values, sizes, changes = _refine(
         compute, 1, GRID_START, GRID_CAP, MOMENT_TOL, "moment window at grid"
@@ -498,22 +509,24 @@ def _series_window(d: np.ndarray, A: int, B: int) -> np.ndarray:
     ``fft2(|F|^2) / (P Q)`` at ``(a, b)`` with ``F = fft2(d)``; the power is
     real, so ``rfft2`` gives the columns ``0 <= b <= Q//2`` and the rest
     are the conjugates of ``(-a, -b)``.  Either way the window reads only the
-    columns ``b <= min(B, Q//2)``, so the last (column) pass runs over those.
+    columns ``b <= min(B, Q//2)``, so the power and its row transform are
+    formed ``SLICE_BLOCK`` rows at a time and only those columns are kept
+    for the last (column) pass.
     """
     P, Q = d.shape
-    # the transform runs in the buffer of d, and its real and imaginary parts
-    # are squared there, so |F|^2 is the only other array of that size
+    kept = min(B, Q // 2) + 1
+    half = np.empty((P, kept), dtype=complex)
+    # the transform runs in the buffer of d, so the blocks are the only
+    # other arrays that grow with Q
     with np.errstate(all="ignore"):  # as in _density_window
         np.fft.fft(d, axis=1, out=d)
         np.fft.fft(d, axis=0, out=d)
-        squares = d.view(np.float64)
-        del d
-        squares *= squares
-        power = squares[:, 0::2] + squares[:, 1::2]
-        del squares
-        half = np.fft.rfft(power, axis=1)
-        del power
-        half = np.fft.fft(half[:, : min(B, Q // 2) + 1], axis=0)
+        for start in range(0, P, SLICE_BLOCK):
+            block = d[start : start + SLICE_BLOCK]
+            power = block.real * block.real
+            power += block.imag * block.imag
+            half[start : start + SLICE_BLOCK] = np.fft.rfft(power, axis=1)[:, :kept]
+        np.fft.fft(half, axis=0, out=half)
         half /= P * Q
     rows = np.arange(-A, A + 1) % P
     cols = np.arange(-B, B + 1) % Q
@@ -647,7 +660,7 @@ def _slice_moments_unchecked(p, deg, theta, lag):
             samples[:, : block.shape[1]] = block
             # unnormalized inverse transform: the slice values on the circle grid
             np.fft.ifft(samples, axis=1, norm="forward", out=samples)
-            windows[start : start + SLICE_BLOCK] = _density_window(samples, (lag,))
+            windows[start : start + SLICE_BLOCK] = _density_window(samples, lag)
         return windows
 
     values, grids, _ = _refine(

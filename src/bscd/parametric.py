@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NoConvergence, NotPositiveDefinite
+from .errors import DegenerateMatrix, IndexOutOfRange, NoConvergence, NotPositiveDefinite
 from .measure import SlicedMoments, StabilityReport, slice_inner_product, slice_moments
 from .poly import angle_grid
 from .schur_cohn import (
@@ -132,7 +132,8 @@ def moment_vanishing(
     grid among them must give the same values to ``1e-11`` of the largest
     integrand, else :class:`NoConvergence`.  That largest integrand modulus
     is returned as each ``j``'s ``scale``: the vanishing values are roundoff
-    of sums of that size.  ``T`` is the Schur-Cohn matrix of ``p``, built
+    of sums of that size.  An integrand that is not finite raises
+    :class:`DegenerateMatrix`.  ``T`` is the Schur-Cohn matrix of ``p``, built
     here if not given.  The verdict is read first, so an unstable ``p``
     raises :class:`NotStable`, not the LU's error.
     """
@@ -154,14 +155,20 @@ def moment_vanishing(
     rows = _phi_rows(op)[:, js]
     norms = slice_inner_product(rows, rows, sm).real.T
     D = op.D.D
-    main = D[:, m - js - 1].T * norms
-    fine, coarse = np.fft.ifft(main), np.fft.ifft(main[:, ::2])
+    # D[m-j-1] scales as |p|^{2(m-j-1)}: past the float range the integrand
+    # is not finite, which is named here in place of numpy's warnings
+    with np.errstate(all="ignore"):
+        main = D[:, m - js - 1].T * norms
+        fine, coarse = np.fft.ifft(main), np.fft.ifft(main[:, ::2])
+    if not np.isfinite(main).all():
+        raise DegenerateMatrix("vanishing integrand is not finite: |p|^2 leaves the float range")
     per_j = {}
     # |k| < N, so a negative k indexes the FFT from the end, as it should
     for row, (j, ks) in enumerate(k_lists.items()):
         change = float(np.max(np.abs(fine[row, ks] - coarse[row, ks]), initial=0.0))
         scale = float(np.max(np.abs(main[row])))
-        if change > 1e-11 * max(1.0, scale):
+        # a NaN change fails the check too
+        if not change <= 1e-11 * max(1.0, scale):
             raise NoConvergence(
                 f"vanishing check for j={j}: grids {half} and {size} differ by "
                 f"{change:.3e} at integrand scale {scale:.3e}"

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -710,6 +711,23 @@ def test_a_scale_past_the_float_range_is_blamed_on_the_artifact_it_degenerates(t
         assert doc[name]["status"] == "fail", name
         assert details["blocked_by"] == artifact, name
         assert details["error"] == errors[artifact], name
+
+
+def test_a_vanishing_integrand_past_the_float_range_fails_parametric_in_process(tmp_path):
+    # the (2,5) draw at 2^110: D[m-j-1] <phi_j, phi_j> overflows at j = 0, and
+    # Python's abs of a vanishing value whose modulus overflowed raised
+    # OverflowError out of cli.main, with numpy's warnings before it
+    p, deg = measure.random_stable_poly(2, 5, np.random.default_rng(1))
+    path = write_config(tmp_path, polynomial=p.scale(2.0**110).to_json_dict(deg))
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["all", "--config", path, "--out", str(out)])
+    assert [str(w.message) for w in caught] == [] and code == 1
+    parametric = json.loads(out.read_text())["parametric"]
+    assert parametric["status"] == "fail"
+    assert parametric["details"]["error"] == "DegenerateMatrix"
+    assert "vanishing integrand is not finite" in parametric["details"]["message"]
 
 
 def test_non_finite_floats_are_written_as_json_reads_them():

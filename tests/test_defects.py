@@ -5,8 +5,9 @@ one of the two paths that evaluate a slice on the circle.
 Each table defect rewrites the values every ``MomentTable`` is built from, so
 the grid and the series route carry the same error and only a check against
 something other than a second table can see it.  Each slice defect rewrites
-the values every ``SlicedMoments`` is built from: the slices of the theta grid
-and those of the vanishing check's own angles.  Each algebraic defect
+the values every ``SlicedMoments`` is built from: the slices of the theta grid,
+those of the vanishing check's own angles and those the grid table is the
+angle DFT of, so ``moments`` sees it against the series table.  Each algebraic defect
 rewrites one layer boundary: the degree every reflection is taken at, the
 sign of the cofactors ``B_j``, or the order of the Schur-Cohn tensor's two
 matrix axes.  Each slice-evaluation defect rewrites either the Horner slices
@@ -15,9 +16,10 @@ pin, for each defect and input, the suites that fail; README publishes the
 matrix.  Gaps are pinned on purpose: ``moments`` compares two tables that
 share the defect and passes every one; on the worked example, whose measure
 is symmetric in ``z`` and ``w``, ``verify-cd`` passes both flips; its slices
-(``m = 1``) carry only the real ``m_0``, so only the roll of the angles
-reaches them; its 1 x 1 tensor is its own transpose; only ``cd-kernel`` reads
-the cofactors; and ``cd-kernel`` passes a tilt of the power sums.
+on the theta grid (``m = 1``) carry only the real ``m_0``, so among the
+suites on that grid only the roll of the angles reaches them; its 1 x 1
+tensor is its own transpose; only ``cd-kernel`` reads the cofactors; and
+``cd-kernel`` passes a tilt of the power sums.
 """
 
 import numpy as np
@@ -93,7 +95,7 @@ def test_each_planted_defect_fails_the_suites_of_its_row(monkeypatch, defect, na
     assert all("error" not in r.details for r in reports)
 
 
-SLICE_SUITES = ["stability", "schur-cohn", "cd-kernel", "parametric"]
+SLICE_SUITES = ["stability", "moments", "schur-cohn", "cd-kernel", "parametric"]
 
 # each maps the value array, rows one per angle and columns the lags -lag .. lag
 SLICE_DEFECTS = {
@@ -104,14 +106,16 @@ SLICE_DEFECTS = {
 
 # the suites that fail, each with the error it reports (None for a residual
 # over tolerance); a moved slice measure breaks the vanishing check's grid
-# agreement before its values are read
-SLICES_CAUGHT = {"schur-cohn": None, "cd-kernel": None, "parametric": None}
+# agreement before its values are read.  The grid table reads the slices at
+# every lag of its window, so moments catches the defects that the worked
+# example's real m_0 hides from the suites on the theta grid
+SLICES_CAUGHT = {"moments": None, "schur-cohn": None, "cd-kernel": None, "parametric": None}
 VANISHING_CAUGHT = {**SLICES_CAUGHT, "parametric": "NoConvergence"}
 SLICE_CAUGHT = {
-    ("conjugate", "worked"): {},
+    ("conjugate", "worked"): {"moments": None},
     ("conjugate", "2x3"): VANISHING_CAUGHT,
     ("conjugate", "3x3"): VANISHING_CAUGHT,
-    ("tilt", "worked"): {},
+    ("tilt", "worked"): {"moments": None},
     ("tilt", "2x3"): SLICES_CAUGHT,
     ("tilt", "3x3"): SLICES_CAUGHT,
     ("roll", "worked"): VANISHING_CAUGHT,
@@ -237,7 +241,8 @@ def plant_power_sum(monkeypatch, evaluate):
 
 # each rewrites one of the two paths that evaluate slices at z = e^{i theta}:
 # Horner on the Schur-Cohn slices, which the circle values read, and the power
-# sums of measure.w_slice, which the slice moments and the slice Gram read
+# sums of measure.w_slice, which the slice moments, and so the grid table, and
+# the slice Gram read
 SLICE_EVALUATION_DEFECTS = {
     "horner-tilt": plant_horner_tilt,
     "power-sum-tilt": lambda mp: plant_power_sum(
@@ -252,9 +257,10 @@ SLICE_EVALUATION_DEFECTS = {
 # over tolerance).  A tilt of the power sums depends on the angle alone, so it
 # cancels between the sections of the a_j and the slice moments, and the slice
 # Gram of cd-kernel passes it; the worked example's slices have real
-# coefficients, so their conjugate is the slice itself
+# coefficients, so at conj(z) each is the conjugate slice, with the same m_0,
+# and only the grid table, which reads every lag, sees the flip
 CIRCLE_CAUGHT = {"schur-cohn": None, "cd-kernel": None, "parametric": None}
-POWER_SUM_CAUGHT = {"schur-cohn": None, "parametric": None}
+POWER_SUM_CAUGHT = {"moments": None, "schur-cohn": None, "parametric": None}
 SLICE_EVALUATION_CAUGHT = {
     ("horner-tilt", "worked"): CIRCLE_CAUGHT,
     ("horner-tilt", "2x3"): {**CIRCLE_CAUGHT, "parametric": "NoConvergence"},
@@ -262,7 +268,7 @@ SLICE_EVALUATION_CAUGHT = {
     ("power-sum-tilt", "worked"): POWER_SUM_CAUGHT,
     ("power-sum-tilt", "2x3"): {**POWER_SUM_CAUGHT, "parametric": "NoConvergence"},
     ("power-sum-tilt", "3x3"): POWER_SUM_CAUGHT,
-    ("power-sum-conjugate", "worked"): {},
+    ("power-sum-conjugate", "worked"): {"moments": None},
     ("power-sum-conjugate", "2x3"): VANISHING_CAUGHT,
     ("power-sum-conjugate", "3x3"): VANISHING_CAUGHT,
 }

@@ -45,8 +45,8 @@ def traced_peak(call):
 
 def near_boundary_draw():
     """The seed-41 (2,2) draw of ``p = 1.1 - q``, ``q > 0`` summing to 1, with
-    its default report window: ``min |p| = 0.1`` at (1, 1), so both moment
-    pipelines refine to 1024."""
+    its default report window: ``min |p| = 0.1`` at (1, 1), so the series
+    refines to order 1024 and the grid route to 512 angles."""
     rng = np.random.default_rng(41)
     q = rng.uniform(0.5, 1.0, size=8)
     q /= q.sum()
@@ -252,24 +252,18 @@ def torus_grid_values_ifft2(p, size):
 
 @pytest.mark.parametrize("size", [256, 512, 1024, 2048])
 def test_in_place_torus_transforms_are_the_ifft2_formulas_to_the_bit(size):
-    p, _, (A, B) = near_boundary_draw()
-    values = torus_grid_values_ifft2(p, size)
-    assert np.array_equal(measure.torus_grid_values(p, size), values)
-    table = np.fft.ifft2(1.0 / np.abs(values) ** 2)
-    del values
-    expected = table[np.ix_(np.arange(-A, A + 1) % size, np.arange(-B, B + 1) % size)]
-    del table
-    window = measure._density_window(measure.torus_grid_values(p, size), (A, B))
-    assert np.array_equal(window, expected)
+    p, _, _ = near_boundary_draw()
+    assert np.array_equal(measure.torus_grid_values(p, size), torus_grid_values_ifft2(p, size))
 
 
-def grid_moments_loop(p, window, tol=measure.MOMENT_TOL):
-    """The torus-grid doubling written out for one window, with the ifft2 formulas."""
+def grid_moments_loop(stability, window, tol=measure.MOMENT_TOL):
+    """The angle doubling written out for one window: at each size every slice
+    is computed afresh, and the window is their inverse DFT over the angles."""
     A, B = window
-    index = np.ix_(np.arange(-A, A + 1), np.arange(-B, B + 1))
 
     def at(size):
-        return np.fft.ifft2(1.0 / np.abs(torus_grid_values_ifft2(p, size)) ** 2)[index]
+        slices = slice_moments(stability, angle_grid(size), B).values
+        return np.fft.ifft(slices, axis=0)[np.arange(-A, A + 1)]
 
     size = measure.GRID_START
     prev = at(size)
@@ -283,12 +277,34 @@ def grid_moments_loop(p, window, tol=measure.MOMENT_TOL):
 
 
 def test_refine_on_one_row_is_the_grid_loop():
+    # the table reuses the slices of each size at the even angles of the next;
+    # the loop computes every slice afresh, and no bit moves
     p, deg, window = near_boundary_draw()
-    values, size, err = grid_moments_loop(p, window)
-    table = moments_from_grid(check_stability(p, deg), window)
-    assert size == 1024
+    stability = check_stability(p, deg)
+    values, size, err = grid_moments_loop(stability, window)
+    table = moments_from_grid(stability, window)
+    assert size == 512
     assert table.grid_size == size and table.est_error == err
     assert table.max_difference(measure.MomentTable(window, values, size, err)) == 0.0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_each_doubling_of_the_angles_computes_the_odd_ones_only(monkeypatch, seed):
+    p, deg = random_stable_poly(3, 2, np.random.default_rng(seed))
+    computed = []
+    slices = measure._slice_moments_unchecked
+
+    def counted(p, deg, theta, lag):
+        computed.append(theta)
+        return slices(p, deg, theta, lag)
+
+    monkeypatch.setattr(measure, "_slice_moments_unchecked", counted)
+    table = moments_from_grid(check_stability(p, deg), (4, 3))
+    sizes = [measure.GRID_START << k for k in range(len(computed))]
+    assert table.grid_size == sizes[-1] and len(computed) >= 2
+    assert np.array_equal(computed[0], angle_grid(sizes[0]))
+    for size, theta in zip(sizes[1:], computed[1:]):
+        assert np.array_equal(theta, angle_grid(size)[1::2])
 
 
 def test_refine_stops_each_row_on_its_own():
@@ -377,15 +393,16 @@ def test_overflowing_density_fails_at_the_first_doubling(monkeypatch):
     computed = []
     window = measure._density_window
 
-    def counted(values, shape):
+    def counted(values, lag):
         computed.append(values.shape[-1])
-        return window(values, shape)
+        return window(values, lag)
 
     monkeypatch.setattr(measure, "_density_window", counted)
     stability = check_stability(OVERFLOWING, WORKED_DEG)
-    with pytest.raises(NoConvergence, match=r"^moment window at grid 512 not finite \(change nan\)$"):
+    # the first 256 angles, two blocks of 128, stop at their first w-doubling
+    with pytest.raises(NoConvergence, match=r"^slice moments at grid 512 not finite \(change nan\)$"):
         moments_from_grid(stability, (9, 9))
-    assert computed == [256, 512]
+    assert computed == [256, 256, 512, 512]
     with pytest.raises(NoConvergence, match=r"^series window at order 128 not finite \(change nan\)$"):
         moments_from_series(stability, (9, 9))
     for theta in ([0.3], np.linspace(0.0, 6.0, 32)):
@@ -396,12 +413,13 @@ def test_overflowing_density_fails_at_the_first_doubling(monkeypatch):
 
 
 def test_torus_grid_peaks_stay_near_one_complex_grid():
-    # a 1024^2 complex grid is 16 MiB; the density adds one real grid of 8 MiB
+    # a 1024^2 complex grid is 16 MiB; the grid moments hold no torus grid,
+    # only SLICE_BLOCK slices at a time and the slice moments of every angle
     p, deg, window = near_boundary_draw()
     stability = check_stability(p, deg)
     assert traced_peak(lambda: measure.torus_grid_values(p, 1024))[1] <= 17
     table, peak = traced_peak(lambda: moments_from_grid(stability, window))
-    assert peak <= 26 and table.grid_size == 1024
+    assert peak <= 4 and table.grid_size == 512
 
 
 # ----------------------------------------------------------------------
@@ -544,12 +562,12 @@ def test_series_solves_p_times_d_equals_one_at_order_1024():
 
 
 def test_series_moments_peak_at_order_1024():
-    # the bound is 10% over the 25.3 MiB peak of the same call with a row-wise
-    # IIR filter for the recurrence and scipy's FFTs
+    # the padded series is 17.8 MiB at order 1024; the power spectrum and its
+    # row transform are formed SLICE_BLOCK rows at a time
     p, deg, window = near_boundary_draw()
     stability = check_stability(p, deg)
     table, peak = traced_peak(lambda: moments_from_series(stability, window))
-    assert peak <= 1.1 * 25.3 and table.grid_size == 1024
+    assert peak <= 21 and table.grid_size == 1024
 
 
 @given(target=st.integers(1, 10_000))
@@ -587,21 +605,15 @@ def full_torus_grid_values(p, size):
     return grid
 
 
-def full_density_window(values, window):
-    """Every pass over every frequency, the window read off at the end."""
-    density = np.abs(values)
-    density **= 2
-    np.divide(1.0, density, out=density)
-    values[...] = density
-    axes = range(values.ndim - len(window), values.ndim)
-    for axis in reversed(axes):
-        np.fft.ifft(values, axis=axis, out=values)
-    index = [np.arange(-K, K + 1) % values.shape[axis] for K, axis in zip(window, axes)]
-    return values[(Ellipsis,) + np.ix_(*index)]
+def full_density_window(values, lag):
+    """The transform out of place, the window read off at the end."""
+    transform = np.fft.ifft(1.0 / np.abs(values) ** 2, axis=-1)
+    return transform[..., np.arange(-lag, lag + 1) % values.shape[-1]]
 
 
 def full_series_window(d, A, B):
-    """The column pass over every column of the half spectrum."""
+    """The power spectrum of every row at once, and the column pass over
+    every column of the half spectrum."""
     P, Q = d.shape
     np.fft.fft(d, axis=1, out=d)
     np.fft.fft(d, axis=0, out=d)
@@ -661,25 +673,25 @@ def test_row_pruned_torus_values_are_the_full_passes_to_the_bit(low, shape, size
     assert_same_bits(measure.torus_grid_values(p, size), full_torus_grid_values(p, size))
 
 
-@pytest.mark.parametrize("size, window", [(16, (3, 2)), (16, (8, 11)), (32, (20, 16)), (256, (12, 10))])
-def test_column_pruned_density_window_is_the_full_transform_to_the_bit(size, window):
-    p = laurent_draw(size, (-1, 2), (3, 4))
-    values = measure.torus_grid_values(p, size)
-    got = measure._density_window(values.copy(), window)
-    assert_same_bits(got, full_density_window(values, window))
-
-
 @pytest.mark.parametrize("size, lag", [(16, 3), (16, 8), (16, 11), (256, 40)])
 def test_one_axis_density_window_is_the_full_transform_to_the_bit(size, lag):
     rng = np.random.default_rng(size + lag)
     samples = rng.normal(size=(5, size)) + 1j * rng.normal(size=(5, size))
-    got = measure._density_window(samples.copy(), (lag,))
-    assert_same_bits(got, full_density_window(samples, (lag,)))
+    got = measure._density_window(samples.copy(), lag)
+    assert_same_bits(got, full_density_window(samples, lag))
 
 
 @pytest.mark.parametrize(
     "T, A, B, beyond_half",
-    [(4, 7, 8, True), (40, 3, 2, False), (64, 0, 0, False), (64, 3, 80, True), (100, 9, 50, False)],
+    [
+        (4, 7, 8, True),
+        (40, 3, 2, False),
+        (64, 0, 0, False),
+        (64, 3, 80, True),
+        (100, 9, 50, False),
+        # 216 rows: the power spectrum is formed in two blocks, the second short
+        (200, 3, 4, False),
+    ],
 )
 def test_column_pruned_series_window_is_the_full_transform_to_the_bit(T, A, B, beyond_half):
     p, _ = random_stable_poly(2, 3, np.random.default_rng(T + A + B))

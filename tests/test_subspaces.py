@@ -503,7 +503,10 @@ def test_relation_families_partition_the_pairs(degree_eight):
     for name, s in summaries.items():
         family = families[name]
         labels = [family.label(*row) for row in family.index.tolist()]
-        assert abs(family.values[labels.index(s["argmax"])]) / scale == s["max"]
+        # np.abs of the whole array, as the summary takes it: Python's abs of
+        # one numpy complex can differ from it in the last bit
+        # (1.71e-18+2.39e-18j is one such value)
+        assert np.abs(family.values)[labels.index(s["argmax"])] / scale == s["max"]
 
 
 def test_small_degrees_check_the_whole_rectangle():
