@@ -10,13 +10,13 @@ cofactor polynomials.  All three agree coefficientwise.
 
 import numpy as np
 
-from bscd import cd_kernel_set, kernel_by_divided_difference
+from bscd import cd_kernel_set, kernel_by_divided_difference, schur_cohn_matrix
 from bscd.measure import random_stable_poly
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair
 
 p = Poly({(0, 0): 3, (1, 0): -1, (0, 1): -1})
 deg = DegreePair(1, 1)
-ks = cd_kernel_set(p, deg)
+ks = cd_kernel_set(p, deg, schur_cohn_matrix(p, deg))
 
 print("p = 3 - z - w")
 print("-------------")
@@ -30,7 +30,7 @@ print()
 
 rng = np.random.default_rng(11)
 q, qdeg = random_stable_poly(2, 2, rng)
-kq = cd_kernel_set(q, qdeg)
+kq = cd_kernel_set(q, qdeg, schur_cohn_matrix(q, qdeg))
 print(f"random stable polynomial, degree {tuple(qdeg)}")
 print("---------------------------------------")
 worst = max(

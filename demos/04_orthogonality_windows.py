@@ -30,7 +30,7 @@ from bscd.subspaces import MARGIN, in_coefficient_orthogonality_set
 p = Poly({(0, 0): 3, (1, 0): -1, (0, 1): -1})
 deg = DegreePair(1, 1)
 table = moments_from_grid(check_stability(p, deg), (10, 8))
-ks = cd_kernel_set(p, deg)
+ks = cd_kernel_set(p, deg, schur_cohn_matrix(p, deg))
 a0 = ks.a[0]
 
 print("p = 3 - z - w, a_0 = -3 + 9z - 3z^2")
@@ -54,7 +54,7 @@ print()
 rng = np.random.default_rng(23)
 q, qdeg = random_stable_poly(2, 2, rng)
 qtable = moments_from_grid(check_stability(q, qdeg), (14, 12))
-kq = cd_kernel_set(q, qdeg)
+kq = cd_kernel_set(q, qdeg, schur_cohn_matrix(q, qdeg))
 report = orthogonality_report(kq, qtable)
 scale = min(norm(ak, qtable) for ak in kq.a)
 print(f"random stable polynomial, degree {tuple(qdeg)}")

@@ -33,9 +33,10 @@ print("-------------")
 # the polynomials factor the circle values of a determinant profile, at an
 # array of angles; one angle is an array of one
 theta = 0.9
-op = parametric_polynomials(principal_determinants(schur_cohn_matrix(p, deg), [theta]))
+T = schur_cohn_matrix(p, deg)
+op = parametric_polynomials(principal_determinants(T, [theta]))
 print(f"  phi_0 at theta={theta}: {op.phi[0][0, 0].real:.6f}   (9 - 6 cos theta = {9 - 6 * np.cos(theta):.6f})")
-mv = moment_vanishing(check_stability(p, deg), {0: [1, 2, 3, 4, 5]})
+mv = moment_vanishing(check_stability(p, deg), {0: [1, 2, 3, 4, 5]}, T)
 print(f"  angle-Fourier values I(k) on {mv['theta_grid']} angles, vanishing bound k > n(m-j) = 1:")
 for k, v in zip(mv["per_j"][0]["k_list"], mv["per_j"][0]["values"]):
     print(f"    I({k}) = {v.real:+.3e} {v.imag:+.3e}i")
@@ -48,7 +49,8 @@ q_stability = check_stability(q, qdeg)
 n, m = qdeg
 print(f"random stable polynomial, degree {tuple(qdeg)}")
 print("---------------------------------------")
-op = parametric_polynomials(principal_determinants(schur_cohn_matrix(q, qdeg), [0.7]))
+Tq = schur_cohn_matrix(q, qdeg)
+op = parametric_polynomials(principal_determinants(Tq, [0.7]))
 check = orthogonality_check(op, slice_moments(q_stability, [0.7], m - 1))
 print(f"  off-diagonal slice inner products: max {check['offdiag_max'][0]:.2e}")
 print(f"  diagonal law D[m-i]/D[m-i-1]     : residual {check['lu_law_residual'][0]:.2e}")
@@ -57,7 +59,8 @@ print(f"  diagonal law D[m-i]/D[m-i-1]     : residual {check['lu_law_residual'][
 D, i = op.D.D[0], np.arange(1, m)
 variant = np.max(np.abs(np.diagonal(check["gram"][0])[1:] - D[m - i] / D[m - i + 1]))
 print(f"  variant subscript D[m-i]/D[m-i+1]: residual {variant:.2e}")
-mv = moment_vanishing(q_stability, {j: [n * (m - j) + 1, n * (m - j) + 2] for j in range(m)})
+k_lists = {j: [n * (m - j) + 1, n * (m - j) + 2] for j in range(m)}
+mv = moment_vanishing(q_stability, k_lists, Tq)
 print(f"  one sweep of {mv['theta_grid']} angles for every j:")
 for j, entry in mv["per_j"].items():
     mags = ", ".join(f"|I({k})|={abs(v):.1e}" for k, v in zip(entry["k_list"], entry["values"]))

@@ -31,7 +31,6 @@ from .poly import BivariateLaurentPoly, DegreePair
 from .schur_cohn import (
     LaurentMatrixPoly,
     evaluate_on_circle,  # unused; bench/test_bench_spans.py asserts this binding (ROADMAP item 6)
-    schur_cohn_matrix,
 )
 
 DIVISION_REMAINDER_TOL = 1e-11
@@ -56,22 +55,16 @@ class CDKernelSet:
         return sum(terms, BivariateLaurentPoly.zero())
 
 
-def kernel_coefficients(
-    p: BivariateLaurentPoly,
-    deg: DegreePair,
-    T: LaurentMatrixPoly | None = None,
-) -> tuple[BivariateLaurentPoly, ...]:
-    """Coefficient family from the Schur-Cohn matrix route.
+def kernel_coefficients(T: LaurentMatrixPoly) -> tuple[BivariateLaurentPoly, ...]:
+    """Coefficient family read off the Schur-Cohn matrix ``T`` of ``p``.
 
     ``a_j(z, w) = z^n * sum_i w^i T[i][j](z)``; the prefactor clears every
     negative z-exponent, so the coefficient of ``z^e w^i`` in ``a_j`` is
     ``T.coeffs[i, j, e]`` and each ``a_j`` lands in [0, 2n] x [0, m-1].
+    The tensor is all it reads: :func:`~bscd.schur_cohn.schur_cohn_matrix`
+    has already refused a degree below 1 in w.
     """
-    if deg.m == 0:
-        raise DegenerateDegree("kernel needs degree at least 1 in w")
-    if T is None:
-        T = schur_cohn_matrix(p, deg)
-    return tuple(BivariateLaurentPoly.from_array(T.coeffs[:, j].T) for j in range(deg.m))
+    return tuple(BivariateLaurentPoly.from_array(T.coeffs[:, j].T) for j in range(T.m))
 
 
 def cd_numerator(p: BivariateLaurentPoly, deg: DegreePair) -> np.ndarray:
@@ -139,12 +132,10 @@ def cofactor_decomposition(
     return A, B
 
 
-def cd_kernel_set(
-    p: BivariateLaurentPoly, deg: DegreePair, T: LaurentMatrixPoly | None = None
-) -> CDKernelSet:
+def cd_kernel_set(p: BivariateLaurentPoly, deg: DegreePair, T: LaurentMatrixPoly) -> CDKernelSet:
     """Assemble the full kernel family of a polynomial taken to be stable,
-    from its Schur-Cohn matrix ``T`` if one is given."""
-    a = kernel_coefficients(p, deg, T)
+    from its Schur-Cohn matrix ``T``."""
+    a = kernel_coefficients(T)
     A, B = cofactor_decomposition(p, deg)
     return CDKernelSet(a=a, A=A, B=B, deg=deg)
 

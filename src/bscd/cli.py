@@ -8,14 +8,19 @@ The config file holds the polynomial and nothing else; the suites and the
 output path come from the command line alone.  One suite name prints that
 suite's payload; several names, or ``all``, write the report document of those
 suites to stdout or to ``--out``.  Everything else is fixed or follows from the
-degree: each suite's gate (``TOLERANCES``), the moment window, the theta grid,
-the seed of the sampled points and the vanishing frequencies; the
-orthogonality rectangle is fixed in ``subspaces``.
+degree: each suite's gate, the moment window, the theta grid, the seed of the
+sampled points and the vanishing frequencies; the orthogonality rectangle is
+fixed in ``subspaces``.
+
+``SUITES`` names each suite once, in dependency order, with its gate and its
+runner; a runner reads what it checks from the run's :class:`Artifacts`.
 
 Exit codes: 0 all pass, 1 any fail, 2 config error, 3 inconclusive (stability
 could not be decided near the boundary).  Suites run one after another in
 dependency order, results are assembled in suite-name order, and identical
-configs produce byte-identical reports apart from wall times.
+configs produce byte-identical reports apart from wall times (at one BLAS
+thread: a thread pool can move roundoff fields; ``tools/report_diff.py``
+compares the reports of two checkouts).
 """
 
 from __future__ import annotations
@@ -33,35 +38,12 @@ from . import cd_kernel, measure, parametric, schur_cohn, subspaces
 from .errors import (
     BscdError,
     ConfigInvalid,
+    DegenerateMatrix,
     DegenerateMoments,
     InconclusiveNearBoundary,
     IoFailure,
 )
 from .poly import BivariateLaurentPoly, DegreePair, angle_grid
-
-SUITE_ORDER = (
-    "stability",
-    "moments",
-    "schur-cohn",
-    "cd-kernel",
-    "verify-orthogonality",
-    "verify-cd",
-    "verify-kernel",
-    "parametric",
-)
-
-# each suite passes when its max_violation is below its gate; the stability
-# verdict is 0 or 1, so its gate of 1.0 passes a stable p alone
-TOLERANCES = {
-    "stability": 1.0,
-    "moments": 1e-10,
-    "schur-cohn": 1e-8,
-    "cd-kernel": 1e-10,
-    "verify-orthogonality": 1e-8,
-    "verify-cd": 1e-9,
-    "verify-kernel": 1e-8,
-    "parametric": 1e-9,
-}
 
 CONFIG_KEYS = {"polynomial"}
 
@@ -127,7 +109,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigInvalid("polynomial must be nonzero")
     if not np.isfinite(poly.coeffs).all():
         raise ConfigInvalid("polynomial coefficients must be finite")
-    return RunConfig(poly, deg, list(SUITE_ORDER))
+    return RunConfig(poly, deg, list(SUITES))
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +193,7 @@ def _worst(values) -> float:
     return float(np.max(np.asarray(list(values), dtype=float), initial=0.0))
 
 
-def _suite_stability(art: Artifacts, cfg: RunConfig):
+def _suite_stability(art: Artifacts):
     report = art.get("stability")
     details = {
         "stable": report.stable,
@@ -223,9 +205,9 @@ def _suite_stability(art: Artifacts, cfg: RunConfig):
     return (0.0 if report.stable else 1.0), details
 
 
-def _suite_moments(art: Artifacts, cfg: RunConfig):
+def _suite_moments(art: Artifacts):
     grid_table = art.get("moments")
-    series_table = measure.moments_from_series(art.get("stability"), cfg.window)
+    series_table = measure.moments_from_series(art.get("stability"), art.config.window)
     violation = grid_table.max_difference(series_table)
     details = {
         "cross_path_difference": violation,
@@ -238,9 +220,13 @@ def _suite_moments(art: Artifacts, cfg: RunConfig):
     return violation, details
 
 
-def _suite_schur_cohn(art: Artifacts, cfg: RunConfig):
+def _suite_schur_cohn(art: Artifacts):
     profile = art.get("circle")
-    m = cfg.deg.m
+    # the rows report D, which scales as |p|^{2i} and can overflow where the
+    # circle values did not
+    if not np.isfinite(profile.D).all():
+        raise DegenerateMatrix("determinants are not finite: |p|^2 leaves the float range")
+    m = art.deg.m
     M = profile.matrix
     eigs = np.linalg.eigvalsh(M)[:, 0]
     residuals = np.max(np.abs(M @ art.get("slices").lag_matrix(m, m) - np.eye(m)), axis=(1, 2))
@@ -259,10 +245,10 @@ def _suite_schur_cohn(art: Artifacts, cfg: RunConfig):
     return violation, details
 
 
-def _suite_cd_kernel(art: Artifacts, cfg: RunConfig):
+def _suite_cd_kernel(art: Artifacts):
     ks = art.get("kernelset")
-    p, (n, m) = cfg.polynomial, cfg.deg
-    pr, mirror = p.reflect(cfg.deg), DegreePair(2 * n, m - 1)
+    p, (n, m) = art.p, art.deg
+    pr, mirror = p.reflect(art.deg), DegreePair(2 * n, m - 1)
 
     def gap_to_a(family):
         return _worst((f - aj).max_abs() for f, aj in zip(family, ks.a))
@@ -271,7 +257,7 @@ def _suite_cd_kernel(art: Artifacts, cfg: RunConfig):
     Tc = art.get("circle").matrix
     gap = np.max(np.abs(cd_kernel.slice_gram(ks, art.get("slices")) - Tc))
     checks = {
-        "divided_difference_max": gap_to_a(cd_kernel.kernel_by_divided_difference(p, cfg.deg)),
+        "divided_difference_max": gap_to_a(cd_kernel.kernel_by_divided_difference(p, art.deg)),
         "cofactor_max": gap_to_a(p * A + pr * B for A, B in zip(ks.A, ks.B)),
         "mirror_max": gap_to_a(aj.reflect(mirror) for aj in reversed(ks.a)),
         "slice_gram_max": float(gap / max(1.0, np.max(np.abs(Tc)))),
@@ -279,12 +265,12 @@ def _suite_cd_kernel(art: Artifacts, cfg: RunConfig):
     return _worst(checks.values()), {**checks, "a": [aj.to_json_dict(mirror) for aj in ks.a]}
 
 
-def _suite_verify_orthogonality(art: Artifacts, cfg: RunConfig):
+def _suite_verify_orthogonality(art: Artifacts):
     ks = art.get("kernelset")
     moments = art.get("moments")
     scale = min(measure.norm(ak, moments) for ak in ks.a)
     base = subspaces.orthogonality_report(ks, moments)
-    shifts = subspaces.shift_orthogonality_report(cfg.deg, moments)
+    shifts = subspaces.shift_orthogonality_report(art.deg, moments)
     families = {**base.families, **shifts.families}
     families = {name: family.summary(scale) for name, family in families.items()}
     # second route: each a_k recovered from its defining relations alone
@@ -309,17 +295,17 @@ def _random_bidisk_points(rng, count, entries):
     return [tuple(row) for row in np.sqrt(radius) * np.exp(1j * (2.0 * np.pi * turn))]
 
 
-def _suite_verify_cd(art: Artifacts, cfg: RunConfig):
+def _suite_verify_cd(art: Artifacts):
     moments = art.get("moments")
-    result = subspaces.cd_formula_residual(cfg.polynomial, cfg.deg, moments)
+    result = subspaces.cd_formula_residual(art.p, art.deg, moments)
     return result["max_residual"], {"argmax": result["argmax"]}
 
 
-def _suite_verify_kernel(art: Artifacts, cfg: RunConfig):
+def _suite_verify_kernel(art: Artifacts):
     moments = art.get("moments")
     rng = np.random.default_rng(SEED)
-    functions = subspaces.default_lshape_monomials(cfg.deg, count=10)
-    functions.append(BivariateLaurentPoly.monomial(cfg.deg.n, cfg.deg.m))
+    functions = subspaces.default_lshape_monomials(art.deg, count=10)
+    functions.append(BivariateLaurentPoly.monomial(art.deg.n, art.deg.m))
     points = [
         (0.9 * z, 0.9 * w) for z, w in _random_bidisk_points(rng, 10, 2)
     ]
@@ -331,8 +317,8 @@ def _suite_verify_kernel(art: Artifacts, cfg: RunConfig):
     return result["max_residual"], details
 
 
-def _suite_parametric(art: Artifacts, cfg: RunConfig):
-    n, m = cfg.deg
+def _suite_parametric(art: Artifacts):
+    n, m = art.deg
     op = parametric.parametric_polynomials(art.get("circle"))
     thetas = op.D.theta
     check = parametric.orthogonality_check(op, art.get("slices"))
@@ -371,23 +357,26 @@ def _suite_parametric(art: Artifacts, cfg: RunConfig):
     return _worst(residuals), details
 
 
-SUITE_RUNNERS = {
-    "stability": _suite_stability,
-    "moments": _suite_moments,
-    "schur-cohn": _suite_schur_cohn,
-    "cd-kernel": _suite_cd_kernel,
-    "verify-orthogonality": _suite_verify_orthogonality,
-    "verify-cd": _suite_verify_cd,
-    "verify-kernel": _suite_verify_kernel,
-    "parametric": _suite_parametric,
+# each suite in dependency order, with its gate and its runner: a suite passes
+# when its max_violation is below its gate; the stability verdict is 0 or 1,
+# so its gate of 1.0 passes a stable p alone
+SUITES = {
+    "stability": (1.0, _suite_stability),
+    "moments": (1e-10, _suite_moments),
+    "schur-cohn": (1e-8, _suite_schur_cohn),
+    "cd-kernel": (1e-10, _suite_cd_kernel),
+    "verify-orthogonality": (1e-8, _suite_verify_orthogonality),
+    "verify-cd": (1e-9, _suite_verify_cd),
+    "verify-kernel": (1e-8, _suite_verify_kernel),
+    "parametric": (1e-9, _suite_parametric),
 }
 
 
-def _run_one(name: str, art: Artifacts, cfg: RunConfig) -> SuiteReport:
-    tolerance = TOLERANCES[name]
+def _run_one(name: str, art: Artifacts) -> SuiteReport:
+    tolerance, runner = SUITES[name]
     start = time.perf_counter()
     try:
-        violation, details = SUITE_RUNNERS[name](art, cfg)
+        violation, details = runner(art)
     except BscdError as exc:
         if isinstance(exc, InconclusiveNearBoundary):
             violation, details = None, {"message": str(exc)}
@@ -405,7 +394,7 @@ def _run_one(name: str, art: Artifacts, cfg: RunConfig) -> SuiteReport:
 def run(config: RunConfig) -> list[SuiteReport]:
     """Execute the configured suites and return their reports, name-ordered."""
     art = Artifacts(config)
-    reports = [_run_one(s, art, config) for s in SUITE_ORDER if s in config.suites]
+    reports = [_run_one(s, art) for s in SUITES if s in config.suites]
     return sorted(reports, key=lambda r: r.suite)
 
 
@@ -492,7 +481,7 @@ def main(argv=None) -> int:
         prog="bscd",
         description="verify kernel and orthogonality identities of a stable polynomial",
     )
-    parser.add_argument("suites", nargs="+", metavar="suite", choices=SUITE_ORDER + ("all",))
+    parser.add_argument("suites", nargs="+", metavar="suite", choices=[*SUITES, "all"])
     parser.add_argument("--config", required=True)
     parser.add_argument("--out")
     args = parser.parse_args(argv)

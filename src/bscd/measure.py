@@ -61,8 +61,6 @@ DEFAULT_SLICE_TOL = 1e-12
 # angles per batch of slice FFTs, and rows per batch of the series power
 # spectrum; it bounds their memory, not their results
 SLICE_BLOCK = 128
-# series entries per gather of the recurrence; it bounds its memory, not its results
-SERIES_GATHER = 1 << 16
 STABILITY_GRID = 1024
 
 
@@ -431,14 +429,15 @@ def _reciprocal_series(
     so the sources of a term are one run of that ring.  Each anti-diagonal
     is then one gather of every term's run, one multiply and one
     ``np.subtract.reduce`` over the terms: a left fold in term order, which
-    rounds as subtracting the terms one by one does.  Every source off the
-    triangle subtracts zero: for ``i < k`` it is one of the zeros in front
-    of a row, for ``i > s - l`` it lies past the end of its anti-diagonal,
-    where the ring has only ever held shorter ones, and for ``k + l > s``
-    its row is not yet written.  The coefficients fill the triangle
-    ``i + j <= order`` of a zero array of the given ``shape``, which needs
-    ``shape >= (order + 1, order + 1)``; the padding the correlation needs
-    costs no copy.
+    rounds as subtracting the terms one by one does.  The gather holds
+    ``s + 1`` entries per term, at (24, 24) and order 512 about the size of
+    the padded series.  Every source off the triangle subtracts zero: for
+    ``i < k`` it is one of the zeros in front of a row, for ``i > s - l``
+    it lies past the end of its anti-diagonal, where the ring has only ever
+    held shorter ones, and for ``k + l > s`` its row is not yet written.
+    The coefficients fill the triangle ``i + j <= order`` of a zero array of
+    the given ``shape``, which needs ``shape >= (order + 1, order + 1)``;
+    the padding the correlation needs costs no copy.
     """
     d = np.zeros(shape, dtype=complex)
     flat = d.reshape(-1)
@@ -457,24 +456,19 @@ def _reciprocal_series(
     runs = np.lib.stride_tricks.sliding_window_view(ring, order + 1)
     # where each term's run starts in the ring, one row per value of s % slots
     offsets = ((np.arange(slots)[:, None] - degrees) % slots) * width + pad - rows
-    # one buffer for every gather: row 0 carries the fold, the rest hold terms
-    room = max(SERIES_GATHER, order + 1)
-    fold_buffer = np.empty(min(room, len(coeffs) * (order + 1)) + order + 1, dtype=complex)
+    # one buffer for every gather: row 0 holds the zero the fold starts
+    # from, the rest hold the terms
+    fold_buffer = np.empty((len(coeffs) + 1) * (order + 1), dtype=complex)
     d[0, 0] = ring[pad] = 1.0 / constant
     for s in range(1, order + 1):
         diag = ring[(s % slots) * width + pad :][: s + 1]
-        diag[...] = 0
-        block = room // (s + 1)
-        for start in range(0, len(coeffs), block):
-            terms = slice(start, start + block)
-            fold = fold_buffer[: (len(coeffs[terms]) + 1) * (s + 1)].reshape(-1, s + 1)
-            fold[0] = diag
-            # d[i - k, s - i - l] for i = 0 .. s, from anti-diagonal s - k - l;
-            # the coefficient is the first factor, as in c * d: numpy's
-            # vectorized complex product can round differently when swapped
-            sources = runs[offsets[s % slots, terms], : s + 1]
-            np.multiply(coeffs[terms], sources, out=fold[1:])
-            np.subtract.reduce(fold, axis=0, out=diag)
+        fold = fold_buffer[: (len(coeffs) + 1) * (s + 1)].reshape(-1, s + 1)
+        fold[0] = 0
+        # d[i - k, s - i - l] for i = 0 .. s, from anti-diagonal s - k - l;
+        # the coefficient is the first factor, as in c * d: numpy's
+        # vectorized complex product can round differently when swapped
+        np.multiply(coeffs, runs[offsets[s % slots], : s + 1], out=fold[1:])
+        np.subtract.reduce(fold, axis=0, out=diag)
         diag /= constant
         flat[s : s * shape[1] + 1 : step] = diag
     return d
@@ -537,11 +531,6 @@ def _series_window(d: np.ndarray, A: int, B: int) -> np.ndarray:
     return out
 
 
-def _series_moments(p: BivariateLaurentPoly, order: int, A: int, B: int):
-    shape = _series_shape(order, A, B)
-    return _series_window(_reciprocal_series(p, order, shape), A, B)
-
-
 def moments_from_series(stability: StabilityReport, window: tuple[int, int]) -> MomentTable:
     """Moment window from the power series of ``1/p`` (grid-free oracle).
 
@@ -556,7 +545,8 @@ def moments_from_series(stability: StabilityReport, window: tuple[int, int]) -> 
     A, B = int(window[0]), int(window[1])
 
     def compute(order, rows):
-        return _series_moments(p, order, A, B)[None]
+        d = _reciprocal_series(p, order, _series_shape(order, A, B))
+        return _series_window(d, A, B)[None]
 
     values, orders, changes = _refine(
         compute, 1, SERIES_START, SERIES_CAP, MOMENT_TOL, "series window at order"

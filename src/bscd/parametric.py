@@ -29,7 +29,6 @@ from .schur_cohn import (
     LaurentMatrixPoly,
     evaluate_on_circle,  # unused; bench/test_bench_spans.py asserts this binding (ROADMAP item 6)
     principal_determinants,
-    schur_cohn_matrix,
 )
 
 PIVOT_TOL = 1e-12
@@ -115,11 +114,7 @@ def orthogonality_check(op: ParametricOPUC, sm: SlicedMoments) -> dict:
     return {"gram": gram, "offdiag_max": off, "lu_law_residual": lu_residual}
 
 
-def moment_vanishing(
-    stability: StabilityReport,
-    k_lists,
-    T: LaurentMatrixPoly | None = None,
-) -> dict:
+def moment_vanishing(stability: StabilityReport, k_lists, T: LaurentMatrixPoly) -> dict:
     """Angle-Fourier coefficients of the weighted squared slice norms of the
     ``p`` and ``deg`` of a stable ``stability``.
 
@@ -133,13 +128,12 @@ def moment_vanishing(
     integrand, else :class:`NoConvergence`.  That largest integrand modulus
     is returned as each ``j``'s ``scale``: the vanishing values are roundoff
     of sums of that size.  An integrand that is not finite raises
-    :class:`DegenerateMatrix`.  ``T`` is the Schur-Cohn matrix of ``p``, built
-    here if not given.  The verdict is read first, so an unstable ``p``
-    raises :class:`NotStable`, not the LU's error.
+    :class:`DegenerateMatrix`.  ``T`` is the Schur-Cohn matrix of ``p``.  The
+    verdict is read first, so an unstable ``p`` raises :class:`NotStable`, not
+    the LU's error.
     """
     stability.require_stable()
-    p, deg = stability.p, stability.deg
-    n, m = deg
+    n, m = stability.deg
     k_lists = {int(j): [int(k) for k in ks] for j, ks in sorted(k_lists.items())}
     if any(not 0 <= j <= m - 1 for j in k_lists):
         raise IndexOutOfRange(f"indices {list(k_lists)} not all in 0..{m - 1}")
@@ -149,8 +143,6 @@ def moment_vanishing(
     js = np.array(list(k_lists), dtype=int)
     thetas = angle_grid(size)
     sm = slice_moments(stability, thetas, m - 1)
-    if T is None:
-        T = schur_cohn_matrix(p, deg)
     op = parametric_polynomials(principal_determinants(T, thetas))
     rows = _phi_rows(op)[:, js]
     norms = slice_inner_product(rows, rows, sm).real.T

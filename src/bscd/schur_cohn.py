@@ -128,7 +128,8 @@ def principal_determinants(T: LaurentMatrixPoly, theta) -> DeterminantProfile:
     M = evaluate_on_circle(T, theta)
     D = np.ones((len(theta), T.m + 1))
     # D[i] scales as |p|^{2i}, which can overflow where the circle values did
-    # not; moment_vanishing names an integrand that is not finite
+    # not; the schur-cohn suite names a D that is not finite, and
+    # moment_vanishing an integrand that is not finite
     with np.errstate(all="ignore"):
         for i in range(1, T.m + 1):
             D[:, i] = np.linalg.det(M[:, :i, :i]).real

@@ -11,6 +11,7 @@ import pytest
 
 from bscd import cd_kernel, measure
 from bscd.poly import BivariateLaurentPoly, DegreePair
+from bscd.schur_cohn import schur_cohn_matrix
 
 # p = 3 - z - w, the polynomial every hand-derived value in the suite uses
 WORKED = BivariateLaurentPoly({(0, 0): 3, (1, 0): -1, (0, 1): -1})
@@ -77,7 +78,7 @@ def worked_moments():
 
 @pytest.fixture(scope="session")
 def worked_kernelset():
-    return cd_kernel.cd_kernel_set(WORKED, WORKED_DEG)
+    return cd_kernel.cd_kernel_set(WORKED, WORKED_DEG, schur_cohn_matrix(WORKED, WORKED_DEG))
 
 
 @pytest.fixture(scope="session")
@@ -95,4 +96,6 @@ def random_family_with_moments(random_family):
 
 @pytest.fixture(scope="session")
 def random_kernelsets(random_family):
-    return [cd_kernel.cd_kernel_set(p, deg) for (p, deg) in random_family]
+    return [
+        cd_kernel.cd_kernel_set(p, deg, schur_cohn_matrix(p, deg)) for (p, deg) in random_family
+    ]

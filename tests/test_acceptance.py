@@ -61,7 +61,7 @@ def random_set():
         family = []
         for p, deg in make_random_family():
             table = moments_from_grid(check_stability(p, deg), window_for(deg))
-            family.append((p, deg, table, cd_kernel_set(p, deg)))
+            family.append((p, deg, table, cd_kernel_set(p, deg, schur_cohn_matrix(p, deg))))
         _STATE["family"] = family
     return _STATE["family"]
 
@@ -73,7 +73,7 @@ def test_criterion_1_worked_example_kernel():
 
         stability = check_stability(WORKED, WORKED_DEG)
         assert stability.stable
-        from_matrix = kernel_coefficients(WORKED, WORKED_DEG)[0]
+        from_matrix = kernel_coefficients(schur_cohn_matrix(WORKED, WORKED_DEG))[0]
         assert (from_matrix - A0_WORKED).max_abs() <= 1e-10
         (from_quotient,) = kernel_by_divided_difference(WORKED, WORKED_DEG)
         assert (from_quotient - A0_WORKED).max_abs() <= 1e-10
@@ -164,9 +164,9 @@ def test_criterion_6_slice_identities():
         cases = [(WORKED, WORKED_DEG, None)]
         cases += [(p, deg, ks) for p, deg, _, ks in random_set()]
         for p, deg, ks in cases:
-            if ks is None:
-                ks = cd_kernel_set(p, deg)
             T = schur_cohn_matrix(p, deg)
+            if ks is None:
+                ks = cd_kernel_set(p, deg, T)
             stability = check_stability(p, deg)
             n, m = deg
             thetas = 2 * np.pi * np.arange(32) / 32
@@ -202,11 +202,13 @@ def test_criterion_7_parametric_polynomials():
                 if m >= 2:
                     assert variant_law_residual(check, op)[0] > 1e-3
             k_lists = {j: [n * (m - j) + d for d in (1, 2, 3)] for j in range(m)}
-            result = moment_vanishing(stability, k_lists)
+            result = moment_vanishing(stability, k_lists, T)
             for entry in result["per_j"].values():
                 assert all(abs(v) < 1e-8 for v in entry["values"])
 
-        sharp = moment_vanishing(check_stability(WORKED, WORKED_DEG), {0: [1]})["per_j"][0]
+        sharp = moment_vanishing(
+            check_stability(WORKED, WORKED_DEG), {0: [1]}, schur_cohn_matrix(WORKED, WORKED_DEG)
+        )["per_j"][0]
         assert abs(sharp["values"][0] - (-3.0)) <= 1e-8
 
 
@@ -221,7 +223,7 @@ def test_criterion_8_full_default_suite_runtime(tmp_path):
         start = time.perf_counter()
         reports = cli.run(cli.load_config(str(config_path)))
         elapsed = time.perf_counter() - start
-        assert len(reports) == len(cli.SUITE_ORDER)
+        assert len(reports) == len(cli.SUITES)
         failures = {r.suite: r.details for r in reports if r.status != "pass"}
         assert not failures, failures
         assert elapsed < 60.0

@@ -24,9 +24,9 @@ PRODUCT = Poly({(0, 0): 4, (1, 0): -2, (0, 1): -2, (1, 1): 1})  # (2-z)(2-w)
 
 
 def test_matrix_route_worked_examples():
-    assert kernel_coefficients(WORKED, WORKED_DEG)[0] == A0_WORKED
-    assert kernel_coefficients(UNIV, DegreePair(0, 1))[0] == Poly.constant(3)
-    assert kernel_coefficients(PRODUCT, DegreePair(1, 1))[0] == Poly(
+    assert kernel_coefficients(schur_cohn_matrix(WORKED, WORKED_DEG))[0] == A0_WORKED
+    assert kernel_coefficients(schur_cohn_matrix(UNIV, DegreePair(0, 1)))[0] == Poly.constant(3)
+    assert kernel_coefficients(schur_cohn_matrix(PRODUCT, DegreePair(1, 1)))[0] == Poly(
         {(0, 0): -6, (1, 0): 15, (2, 0): -6}
     )
 
@@ -67,7 +67,7 @@ def test_divided_difference_is_parameter_free_when_m_is_one():
 
 def test_divided_difference_matches_matrix_route(random_family):
     for p, deg in random_family:
-        ks = cd_kernel_set(p, deg)
+        ks = cd_kernel_set(p, deg, schur_cohn_matrix(p, deg))
         family = kernel_by_divided_difference(p, deg)
         assert len(family) == deg.m
         for direct, aj in zip(family, ks.a):
@@ -111,7 +111,7 @@ def test_cofactor_decomposition_worked_examples():
 def test_cofactor_degree_bounds_and_identity(random_family):
     for p, deg in random_family:
         n, m = deg
-        ks = cd_kernel_set(p, deg)
+        ks = cd_kernel_set(p, deg, schur_cohn_matrix(p, deg))
         pr = p.reflect(deg)
         for j in range(m):
             for poly in (ks.A[j], ks.B[j]):
@@ -149,7 +149,7 @@ def test_cofactor_arrays_are_the_term_sums_to_the_bit(random_family):
 def test_coefficient_support_and_symmetry(random_family):
     for p, deg in random_family:
         n, m = deg
-        ks = cd_kernel_set(p, deg)
+        ks = cd_kernel_set(p, deg, schur_cohn_matrix(p, deg))
         for k in range(m):
             box = ks.a[k].support_box
             assert box[0] >= 0 and box[1] <= 2 * n
@@ -161,7 +161,7 @@ def test_coefficient_support_and_symmetry(random_family):
 def test_coefficient_family_has_full_rank(random_family):
     for p, deg in random_family:
         n, m = deg
-        ks = cd_kernel_set(p, deg)
+        ks = cd_kernel_set(p, deg, schur_cohn_matrix(p, deg))
         rows = np.array(
             [
                 ks.a[k].coefficient_window((0, 2 * n, 0, m - 1)).ravel()
@@ -173,8 +173,9 @@ def test_coefficient_family_has_full_rank(random_family):
 
 def test_degenerate_degree_raises():
     p = Poly({(0, 0): 2, (1, 0): -1})
+    # the matrix route refuses m = 0 where its tensor is built
     with pytest.raises(DegenerateDegree):
-        kernel_coefficients(p, DegreePair(1, 0))
+        kernel_coefficients(schur_cohn_matrix(p, DegreePair(1, 0)))
     with pytest.raises(DegenerateDegree):
         cofactor_decomposition(p, DegreePair(1, 0))
     with pytest.raises(DegenerateDegree):
@@ -197,9 +198,10 @@ def slice_gram_loop(p, deg, theta, ks):
 
 def slice_gram_gap(p, deg, thetas, ks=None):
     """``G - T(e^{i theta})`` at ``thetas``, shape ``(K, m, m)``."""
-    ks = ks if ks is not None else cd_kernel_set(p, deg)
+    T = schur_cohn_matrix(p, deg)
+    ks = ks if ks is not None else cd_kernel_set(p, deg, T)
     G = slice_gram(ks, slice_moments(check_stability(p, deg), thetas, deg.m - 1))
-    return G - evaluate_on_circle(schur_cohn_matrix(p, deg), thetas)
+    return G - evaluate_on_circle(T, thetas)
 
 
 def slice_norm_sides(p, deg, thetas, eta, ks=None):
@@ -209,7 +211,7 @@ def slice_norm_sides(p, deg, thetas, eta, ks=None):
     with ``v_j = conj(eta)^j``; the right side is its diagonal value
     ``conj(z)^n L(z, eta; eta)``, read off the ``a_j`` directly.
     """
-    ks = ks if ks is not None else cd_kernel_set(p, deg)
+    ks = ks if ks is not None else cd_kernel_set(p, deg, schur_cohn_matrix(p, deg))
     thetas = np.asarray(thetas, dtype=float)
     G = slice_gram(ks, slice_moments(check_stability(p, deg), thetas, deg.m - 1))
     v = np.conj(eta) ** np.arange(deg.m)
@@ -240,7 +242,7 @@ def test_slice_norm_identity_univariate():
 def test_slice_norm_identity_random(random_family):
     rng = np.random.default_rng(22)
     for p, deg in random_family:
-        ks = cd_kernel_set(p, deg)
+        ks = cd_kernel_set(p, deg, schur_cohn_matrix(p, deg))
         for _ in range(3):
             theta = rng.uniform(0, 2 * np.pi)
             eta = complex(rng.normal(), rng.normal()) * 0.5
@@ -258,7 +260,7 @@ def test_slice_gram_matches_matrix(random_family):
 def test_batched_slice_gram_is_the_per_angle_loop(random_family):
     thetas = angle_grid(32)
     for p, deg in [(WORKED, WORKED_DEG)] + random_family:
-        ks = cd_kernel_set(p, deg)
+        ks = cd_kernel_set(p, deg, schur_cohn_matrix(p, deg))
         batched = slice_gram(ks, slice_moments(check_stability(p, deg), thetas, deg.m - 1))
         assert batched.shape == (32, deg.m, deg.m)
         for k, theta in enumerate(thetas):

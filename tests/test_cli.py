@@ -384,7 +384,7 @@ def test_a_verdict_that_stops_the_run_blocks_every_other_suite(tmp_path, constan
     assert got == code
     assert doc["stability"]["status"] == status
     message = _stability_message(doc["stability"])
-    for name in cli.SUITE_ORDER[1:]:
+    for name in list(cli.SUITES)[1:]:
         details = doc[name]["details"]
         assert doc[name]["status"] == status, name
         assert details["blocked_by"] == "stability", name
@@ -551,7 +551,7 @@ def test_each_second_route_can_fail(tmp_path, capsys, monkeypatch, suite, artifa
     path.write_text(json.dumps({"polynomial": p.to_json_dict(deg)}))
     config = cli.load_config(str(path))
     config.suites = [suite]
-    tolerance = cli.TOLERANCES[suite]
+    tolerance, _ = cli.SUITES[suite]
     (clean,) = cli.run(config)
     assert clean.status == "pass" and read(clean.details) < tolerance
     build = cli.ARTIFACT_BUILDERS[artifact]
@@ -724,10 +724,19 @@ def test_a_vanishing_integrand_past_the_float_range_fails_parametric_in_process(
         warnings.simplefilter("always")
         code = cli.main(["all", "--config", path, "--out", str(out)])
     assert [str(w.message) for w in caught] == [] and code == 1
-    parametric = json.loads(out.read_text())["parametric"]
+    doc = json.loads(out.read_text())
+    parametric = doc["parametric"]
     assert parametric["status"] == "fail"
     assert parametric["details"]["error"] == "DegenerateMatrix"
     assert "vanishing integrand is not finite" in parametric["details"]["message"]
+    # the circle values are finite, so the circle artifact builds, but D[5]
+    # overflows: schur-cohn fails on the determinants its rows would report,
+    # where it passed at 6.7e-16 with Infinity in every D_list
+    schur_cohn = doc["schur-cohn"]
+    assert schur_cohn["status"] == "fail"
+    assert schur_cohn["details"]["error"] == "DegenerateMatrix"
+    assert "determinants are not finite" in schur_cohn["details"]["message"]
+    assert "blocked_by" not in schur_cohn["details"]
 
 
 def test_non_finite_floats_are_written_as_json_reads_them():
@@ -738,7 +747,7 @@ def test_non_finite_floats_are_written_as_json_reads_them():
 
 
 def test_one_schur_cohn_matrix_per_run(tmp_path, monkeypatch):
-    from bscd import cd_kernel, parametric, schur_cohn
+    from bscd import schur_cohn
 
     calls = []
     build = schur_cohn.schur_cohn_matrix
@@ -747,10 +756,10 @@ def test_one_schur_cohn_matrix_per_run(tmp_path, monkeypatch):
         calls.append(args)
         return build(*args, **kwargs)
 
-    for module in (schur_cohn, cd_kernel, parametric):
-        monkeypatch.setattr(module, "schur_cohn_matrix", counted)
+    # cd_kernel and parametric take the matrix as an argument and never build one
+    monkeypatch.setattr(schur_cohn, "schur_cohn_matrix", counted)
     reports = cli.run(cli.load_config(write_config(tmp_path)))
-    assert [r.status for r in reports] == ["pass"] * len(cli.SUITE_ORDER)
+    assert [r.status for r in reports] == ["pass"] * len(cli.SUITES)
     assert len(calls) == 1
 
 
@@ -771,7 +780,7 @@ def test_full_run_on_worked_example(tmp_path):
     path = write_config(tmp_path)
     config = cli.load_config(path)
     reports = cli.run(config)
-    assert [r.suite for r in reports] == sorted(cli.SUITE_ORDER)
+    assert [r.suite for r in reports] == sorted(cli.SUITES)
     assert all(r.status == "pass" for r in reports)
     assert cli.exit_code(reports) == 0
 
@@ -868,7 +877,7 @@ def test_every_suite_but_the_quadrature_passes_off_the_diagonal(n, other, seed):
     # for its cost, about 0.7 s a run
     m = other + (other >= n)  # every degree in 1 .. 8 but n
     p, deg = measure.random_stable_poly(n, m, np.random.default_rng(seed))
-    suites = [name for name in cli.SUITE_ORDER if name != "verify-kernel"]
+    suites = [name for name in cli.SUITES if name != "verify-kernel"]
     reports = cli.run(cli.RunConfig(p, deg, suites))
     assert {r.suite: r.status for r in reports} == dict.fromkeys(sorted(suites), "pass")
 
@@ -957,7 +966,7 @@ def test_report_written_to_file(tmp_path):
 
 def test_tolerance_override_can_force_failure(tmp_path, capsys, monkeypatch):
     # the worked example's two moment tables differ by roundoff, above 1e-30
-    monkeypatch.setitem(cli.TOLERANCES, "moments", 1e-30)
+    monkeypatch.setitem(cli.SUITES, "moments", (1e-30, cli.SUITES["moments"][1]))
     path = write_config(tmp_path)
     code = cli.main(["moments", "--config", path])
     payload = json.loads(capsys.readouterr().out)
@@ -996,7 +1005,7 @@ def test_unwritable_output_is_io_error(tmp_path):
 def direct_config(polynomial):
     """A run config that load_config would refuse for its degree."""
     p, deg = BivariateLaurentPoly.from_json_dict(polynomial)
-    return cli.RunConfig(p, deg, list(cli.SUITE_ORDER))
+    return cli.RunConfig(p, deg, list(cli.SUITES))
 
 
 def test_suite_error_is_recorded_as_failure():

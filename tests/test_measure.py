@@ -26,6 +26,7 @@ from bscd.measure import (
 )
 from bscd.parametric import moment_vanishing
 from bscd.poly import BivariateLaurentPoly as Poly, DegreePair, angle_grid
+from bscd.schur_cohn import schur_cohn_matrix
 from bscd.subspaces import closed_form_kernel_residual
 
 from conftest import WORKED, WORKED_DEG, window_for
@@ -107,7 +108,7 @@ DENSITY_FUNCTIONS = {
     "closed_form_kernel_residual": lambda s: closed_form_kernel_residual(
         s, measure.MomentTable((0, 0), [[1.0]], 0, 0.0), [Poly.constant(1)], [(0, 0)]
     ),
-    "moment_vanishing": lambda s: moment_vanishing(s, {0: [2]}),
+    "moment_vanishing": lambda s: moment_vanishing(s, {0: [2]}, schur_cohn_matrix(s.p, s.deg)),
 }
 
 

@@ -168,7 +168,7 @@ def test_one_circle_evaluation_per_batch(random_family, monkeypatch):
     per_run = {"all": 2, "schur-cohn": 1, "cd-kernel": 1, "parametric": 2}
     for p, deg in [(WORKED, WORKED_DEG), random_stable_poly(3, 2, np.random.default_rng(1))]:
         for suite, count in per_run.items():
-            suites = list(cli.SUITE_ORDER) if suite == "all" else [suite]
+            suites = list(cli.SUITES) if suite == "all" else [suite]
             calls.clear()
             profiles.clear()
             reports = cli.run(cli.RunConfig(p, deg, suites))
@@ -177,7 +177,7 @@ def test_one_circle_evaluation_per_batch(random_family, monkeypatch):
     # p = 2.0000000001 - z - w stops at the stability verdict, before the circle
     nearly = Poly({(0, 0): 2.0000000001, (1, 0): -1, (0, 1): -1})
     calls.clear()
-    reports = cli.run(cli.RunConfig(nearly, WORKED_DEG, list(cli.SUITE_ORDER)))
+    reports = cli.run(cli.RunConfig(nearly, WORKED_DEG, list(cli.SUITES)))
     statuses = {r.suite: r.status for r in reports}
     assert cli.exit_code(reports) == 3 and calls == []
     for suite in ("schur-cohn", "cd-kernel", "parametric"):
@@ -286,7 +286,9 @@ def test_batched_gram_schmidt_is_the_per_angle_loop(random_family):
 
 
 def test_worked_example_fourier_values():
-    entry = moment_vanishing(check_stability(WORKED, WORKED_DEG), {0: [1, 2, 5]})["per_j"][0]
+    entry = moment_vanishing(
+        check_stability(WORKED, WORKED_DEG), {0: [1, 2, 5]}, schur_cohn_matrix(WORKED, WORKED_DEG)
+    )["per_j"][0]
     values = dict(zip(entry["k_list"], entry["values"]))
     assert values[1] == pytest.approx(-3.0, abs=1e-10)
     assert abs(values[2]) < 1e-10
@@ -305,7 +307,7 @@ def test_vanishing_beyond_frequency_bound(random_family, monkeypatch):
         n, m = deg
         k_lists = {j: [n * (m - j) + d for d in (1, 2, 3)] for j in range(m)}
         calls.clear()
-        result = moment_vanishing(check_stability(p, deg), k_lists)
+        result = moment_vanishing(check_stability(p, deg), k_lists, schur_cohn_matrix(p, deg))
         # N: the smallest power of two above n m + (n m + 3), the j = 0 band
         N = 1
         while N <= 2 * n * m + 3:
@@ -326,7 +328,8 @@ def test_in_band_coefficients_stay_far_above_the_gate_relative_to_scale():
     p, deg = random_stable_poly(12, 12, np.random.default_rng(1))
     n, m = deg
     k_lists = {j: [0, 1, n * (m - j) + 1] for j in (0, 5, m - 1)}
-    for j, entry in moment_vanishing(check_stability(p, deg), k_lists)["per_j"].items():
+    T = schur_cohn_matrix(p, deg)
+    for j, entry in moment_vanishing(check_stability(p, deg), k_lists, T)["per_j"].items():
         *inside, beyond = (abs(v) / max(1.0, entry["scale"]) for v in entry["values"])
         assert min(inside) > 1e-3, j
         assert beyond < 1e-15, j
@@ -341,8 +344,9 @@ def test_variant_weight_does_not_vanish(random_family):
     n, m = deg
     j = 1
     k = n * (m - j) + 1
-    thetas = angle_grid(moment_vanishing(check_stability(p, deg), {j: [k]})["theta_grid"])
-    op = polynomials_at(p, deg, thetas)
+    T = schur_cohn_matrix(p, deg)
+    thetas = angle_grid(moment_vanishing(check_stability(p, deg), {j: [k]}, T)["theta_grid"])
+    op = polynomials_at(p, deg, thetas, T)
     check = orthogonality_check(op, slice_moments(check_stability(p, deg), thetas, m - 1))
     weighted = np.asarray(op.D.D)[:, m - j + 1] * check["gram"][:, j, j].real
     assert abs(np.fft.ifft(weighted)[k]) > 1e-4
@@ -350,7 +354,9 @@ def test_variant_weight_does_not_vanish(random_family):
 
 def test_vanishing_index_validation():
     with pytest.raises(IndexOutOfRange):
-        moment_vanishing(check_stability(WORKED, WORKED_DEG), {1: [2]})
+        moment_vanishing(
+            check_stability(WORKED, WORKED_DEG), {1: [2]}, schur_cohn_matrix(WORKED, WORKED_DEG)
+        )
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from bscd import measure, subspaces
 from bscd.cd_kernel import CDKernelSet, cd_kernel_set
-from bscd.cli import TOLERANCES
+from bscd.cli import SUITES
 from bscd.errors import (
     DegenerateDegree,
     IllConditionedGram,
@@ -297,7 +297,7 @@ def test_shifted_family_spans_complement(random_family_with_moments, random_kern
 def draw(n, m):
     p, deg = random_stable_poly(n, m, np.random.default_rng(1))
     table = moments_from_grid(check_stability(p, deg), orthogonality_window(deg))
-    return p, deg, cd_kernel_set(p, deg), table
+    return p, deg, cd_kernel_set(p, deg, schur_cohn_matrix(p, deg)), table
 
 
 @pytest.fixture(scope="module")
@@ -540,7 +540,7 @@ def test_complement_basis_is_orthonormal_at_degree_eight(degree_eight):
 
 def test_orthogonality_window_is_what_the_reports_read():
     p, deg = random_stable_poly(2, 2, np.random.default_rng(7))
-    ks = cd_kernel_set(p, deg)
+    ks = cd_kernel_set(p, deg, schur_cohn_matrix(p, deg))
     A, B = orthogonality_window(deg)
     assert (A, B) == (12, 8)
 
@@ -598,7 +598,7 @@ def tilted_strip_max(p, deg, table, eps):
 def test_a_tilted_weight_fails_the_strip_in_proportion(control_inputs):
     # (1 + eps Re z) / |p|^2 is not of the form 1/|q|^2: the a_k rebuilt from
     # its box relations stop annihilating the strip beyond the box, by O(eps)
-    gate = TOLERANCES["verify-orthogonality"]
+    gate, _ = SUITES["verify-orthogonality"]
     for p, deg, table in control_inputs:
         assert tilted_strip_max(p, deg, table, 0.0) < 1e-15
         assert tilted_strip_max(p, deg, table, 1e-8) < gate
@@ -616,7 +616,7 @@ def test_corner_pairings_have_closed_forms(control_inputs):
         assert not np.any(in_coefficient_orthogonality_set(n, np.array([[m], [-1]]), k, deg))
         coeff = dict(p.items())
         ratio = np.array([coeff.get((0, j), 0) for j in range(m + 1)]) / coeff[0, 0]
-        R = subspaces._window_pairings(cd_kernel_set(p, deg).a, table, n, n, -1, m)
+        R = subspaces._window_pairings(cd_kernel_set(p, deg, schur_cohn_matrix(p, deg)).a, table, n, n, -1, m)
         assert np.max(np.abs(R[0, m + 1] + ratio[m - k])) < 1e-13
         assert np.max(np.abs(R[0, 0] + np.conj(ratio[k + 1]))) < 1e-13
 
@@ -631,7 +631,7 @@ def test_product_pairings_off_the_set_lie_on_the_line_i_equals_n(degree):
     table = moments_from_grid(check_stability(p, deg), orthogonality_window(deg))
     i_range, j_range = rectangle(deg)
     R = subspaces._window_pairings(
-        cd_kernel_set(p, deg).a, table, i_range[0], i_range[-1], j_range[0], j_range[-1]
+        cd_kernel_set(p, deg, schur_cohn_matrix(p, deg)).a, table, i_range[0], i_range[-1], j_range[0], j_range[-1]
     )
     i, j, k = np.meshgrid(i_range, j_range, range(deg.m), indexing="ij")
     outside = ~in_coefficient_orthogonality_set(i, j, k, deg)
