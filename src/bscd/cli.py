@@ -59,13 +59,6 @@ class RunConfig:
     deg: DegreePair
     suites: list[str]
 
-    @property
-    def window(self) -> tuple[int, int]:
-        """The moment window: the one verify-orthogonality reads, with ``|b|``
-        widened to at least ``m + 2 MARGIN``."""
-        A, B = subspaces.orthogonality_window(self.deg)
-        return (A, max(B, self.deg.m + 2 * subspaces.MARGIN))
-
 
 @dataclass
 class SuiteReport:
@@ -118,8 +111,10 @@ def load_config(path: str) -> RunConfig:
 
 
 def _grid_moments(art):
-    """The grid moment table, refused when its mass is degenerate."""
-    table = measure.moments_from_grid(art.get("stability"), art.config.window)
+    """The grid moment table over the window verify-orthogonality reads,
+    refused when its mass is degenerate."""
+    window = subspaces.orthogonality_window(art.deg)
+    table = measure.moments_from_grid(art.get("stability"), window)
     # an underflowed (subnormal or zero) mass makes every absolute difference
     # between two tables tiny, so a cross-path check would pass on it
     mass = table.get(0, 0).real
@@ -160,7 +155,7 @@ class Artifacts:
     """
 
     def __init__(self, config: RunConfig):
-        self.config, self.p, self.deg = config, config.polynomial, config.deg
+        self.p, self.deg = config.polynomial, config.deg
         self._cache: dict[str, object] = {}
 
     def get(self, name: str):
@@ -207,17 +202,15 @@ def _suite_stability(art: Artifacts):
 
 def _suite_moments(art: Artifacts):
     grid_table = art.get("moments")
-    series_table = measure.moments_from_series(art.get("stability"), art.config.window)
-    violation = grid_table.max_difference(series_table)
+    series_table = measure.moments_from_series(art.get("stability"), grid_table.window)
     details = {
-        "cross_path_difference": violation,
         "grid_size": grid_table.grid_size,
         "grid_est_error": grid_table.est_error,
         "series_order": series_table.grid_size,
         "series_est_error": series_table.est_error,
         "table": grid_table.to_json_dict(),
     }
-    return violation, details
+    return grid_table.max_difference(series_table), details
 
 
 def _suite_schur_cohn(art: Artifacts):
@@ -268,13 +261,15 @@ def _suite_cd_kernel(art: Artifacts):
 def _suite_verify_orthogonality(art: Artifacts):
     ks = art.get("kernelset")
     moments = art.get("moments")
-    scale = min(measure.norm(ak, moments) for ak in ks.a)
+    T = art.get("matrix")
+    # ||a_k||^2 is the constant coefficient of T's diagonal entry (k, k)
+    scale = float(np.sqrt(min(schur_cohn.diagonal_average(T, k) for k in range(T.m))))
     base = subspaces.orthogonality_report(ks, moments)
     shifts = subspaces.shift_orthogonality_report(art.deg, moments)
     families = {**base.families, **shifts.families}
     families = {name: family.summary(scale) for name, family in families.items()}
     # second route: each a_k recovered from its defining relations alone
-    rebuilt = subspaces.reconstruct_kernel_coefficients(moments, art.get("matrix"))
+    rebuilt = subspaces.reconstruct_kernel_coefficients(moments, T)
     reconstruction_max = _worst(
         (rec - ak).max_abs() / max(1.0, ak.max_abs()) for rec, ak in zip(rebuilt, ks.a)
     )

@@ -302,12 +302,7 @@ class MomentTable:
             for b in range(-B, B + 1):
                 c = self._values[a + A, b + B]
                 values.append([a, b, c.real, c.imag])
-        return {
-            "window": [A, B],
-            "values": values,
-            "grid_size": self.grid_size,
-            "est_error": self.est_error,
-        }
+        return {"window": [A, B], "values": values}
 
 
 def _hermitianize(values: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:

@@ -18,8 +18,9 @@ relations over one rectangle, fixed by ``MARGIN`` and ``SHIFT_MAX``, from one
 array of pairings, and returns them split into relation families: the values
 plus the integer indices that name each pairing, picked by masks built from
 :func:`in_coefficient_orthogonality_set`.  It also reads the one pairing each
-``a_k`` keeps.  :func:`shift_orthogonality_report` checks that the complement
-space behind the span identities is orthogonal to its own z-shifts.
+``a_k`` keeps.  :func:`shift_orthogonality_report` checks that the z-shifts
+of the complement space behind the span identities are orthogonal to the
+whole span it lies in.
 :func:`reconstruct_kernel_coefficients` runs the converse, recovering every
 ``a_k`` from the defining relations alone.  The ``verify-orthogonality``
 suite of the command line reports all three.
@@ -267,22 +268,23 @@ def orthogonality_report(kernelset: CDKernelSet, moments: MomentTable) -> OrthRe
 def shift_orthogonality_report(deg: DegreePair, moments: MomentTable) -> OrthReport:
     """Shift invariance of the complement behind the span identities.
 
-    ``complement_shift``, indexed by ``(s, bi, bj)``: the complement space
-    spanned against the one-step-smaller box is orthogonal to its own
-    z-shifts, ``<z^s phi_bi, phi_bj> = 0`` for ``1 <= s <= SHIFT_MAX`` on an
-    orthonormalized basis.
+    ``complement_shift``, indexed by ``(s, c, i, j)``: the complement ``H``
+    spanned against the one-step-smaller box is orthogonal, once shifted, to
+    the whole box ``S1``, ``<z^s phi_c, z^i w^j> = 0`` for ``1 <= s <=
+    SHIFT_MAX`` on an orthonormalized basis.  Each pairing is divided by the
+    monomial's norm ``sqrt(c[0, 0])``, so it is a cosine.
     """
     n, m = deg
     spec = SubspaceSpec(monomial_rect(0, n, 0, m - 1), monomial_rect(0, n - 1, 0, m - 1))
     basis = _complement_coefficients(spec, moments)
-    # P[s - 1, bi, bj] = <z^s phi_bi, phi_bj>
-    shifted = [[(i + s, j) for i, j in spec.S1] for s in range(1, SHIFT_MAX + 1)]
-    P = np.array([(basis.conj().T @ moments.lag_matrix(spec.S1, S) @ basis).T for S in shifted])
+    # <z^s phi_c, z^i w^j> = <phi_c, z^(i-s) w^j>: one lag matrix for every shift
+    targets = [(i - s, j) for s in range(1, SHIFT_MAX + 1) for i, j in spec.S1]
+    R = moments.lag_matrix(targets, spec.S1) @ basis / np.sqrt(moments.get(0, 0).real)
     dim = basis.shape[1]
     complement = RelationFamily(
-        P.reshape(-1),
-        _index_grid(range(1, SHIFT_MAX + 1), range(dim), range(dim)),
-        lambda s, bi, bj: [f"z^{s}H[{bi}]|H[{bj}]", s, 0],
+        R.reshape(SHIFT_MAX, len(spec.S1), dim).transpose(0, 2, 1).reshape(-1),
+        _index_grid(range(1, SHIFT_MAX + 1), range(dim), range(n + 1), range(m)),
+        lambda s, c, i, j: [f"z^{s}H[{c}]", i, j],
     )
     return OrthReport({"complement_shift": complement})
 

@@ -992,8 +992,8 @@ def test_moment_table_json_round_trip():
     ]
     for a, b, re, im in doc["values"]:
         assert complex(re, im) == table.get(a, b)
-    assert doc["grid_size"] == table.grid_size
-    assert doc["est_error"] == table.est_error
+    # the grid size and estimate are the moments suite's details, not the dump's
+    assert list(doc) == ["window", "values"]
 
 
 # ----------------------------------------------------------------------

@@ -262,6 +262,29 @@ def test_shift_orthogonality(random_family_with_moments):
         assert report.max_violation < 1e-8
 
 
+def two_sided_complement_max(deg, table):
+    """``max |<z^s phi_bi, phi_bj>|`` over the shifts: the complement against
+    its own shifts, the relation the one-sided family contains."""
+    spec = complement_spec(deg)
+    B = subspaces._complement_coefficients(spec, table)
+    shifted = [[(i + s, j) for i, j in spec.S1] for s in range(1, SHIFT_MAX + 1)]
+    return max(np.max(np.abs(B.conj().T @ table.lag_matrix(spec.S1, S) @ B)) for S in shifted)
+
+
+@pytest.mark.parametrize("exponent", [-10, 0, 10])
+@pytest.mark.parametrize("deg", [WORKED_DEG, DegreePair(4, 4)], ids=["worked", "(4,4)"])
+def test_one_sided_complement_shift_is_a_cosine(deg, exponent):
+    # each value is divided by the monomial norm sqrt(c[0, 0]), so the family
+    # stays at the two-sided roundoff whatever the scale of p; undivided it
+    # moves by 2^-exponent, a factor of 1024 either way
+    p = WORKED if deg == WORKED_DEG else random_stable_poly(4, 4, np.random.default_rng(1))[0]
+    p = p.scale(2.0**exponent)
+    table = moments_from_grid(check_stability(p, deg), orthogonality_window(deg))
+    family = shift_orthogonality_report(deg, table).families["complement_shift"]
+    ratio = np.max(np.abs(family.values)) / two_sided_complement_max(deg, table)
+    assert 0.25 <= ratio <= 4.0
+
+
 def test_worked_example_shift_values(worked_moments, worked_kernelset):
     a0 = worked_kernelset.a[0]
     for j in range(5):
@@ -365,13 +388,17 @@ def reference_shift_pairs(deg, ks, table):
 
 
 def reference_complement_pairs(deg, table):
+    """``(family, (s, c, i, j)) -> <z^s phi_c, z^i w^j> / sqrt(c[0, 0])`` over
+    the box ``S1``, one ``inner_product`` each."""
+    spec = complement_spec(deg)
+    basis = orthonormal_complement_basis(spec, table)
+    monomial_norm = np.sqrt(table.get(0, 0).real)
     pairs = {}
-    basis = orthonormal_complement_basis(complement_spec(deg), table)
     for s in range(1, SHIFT_MAX + 1):
-        for bi, phi_i in enumerate(basis):
-            for bj, phi_j in enumerate(basis):
-                value = inner_product(phi_i.shift(s, 0), phi_j, table)
-                pairs["complement_shift", (s, bi, bj)] = value
+        for c, phi in enumerate(basis):
+            for i, j in spec.S1:
+                value = inner_product(phi.shift(s, 0), Poly.monomial(i, j), table)
+                pairs["complement_shift", (s, c, i, j)] = value / monomial_norm
     return pairs
 
 
@@ -459,8 +486,8 @@ def test_batched_reports_read_few_lag_matrices(degree_eight, monkeypatch):
     assert sum(f.values.size for f in shifts.families.values()) == sum(
         expected[name] for name in shifts.families
     )
-    # the one ordered Gram of the basis and one matrix per shift
-    assert calls == {"inner_product": 0, "lag_matrix": 1 + SHIFT_MAX}
+    # the one ordered Gram of the basis and one matrix for every shift
+    assert calls == {"inner_product": 0, "lag_matrix": 2}
 
 
 def expected_counts(deg):
@@ -476,8 +503,9 @@ def expected_counts(deg):
     ]
     names = ("strip", "lower_quadrant", "upper_quadrant")
     counts = {name: annihilated.count(name) for name in names}
-    # the complement of the one-step-smaller box has dimension m
-    counts["complement_shift"] = SHIFT_MAX * m * m
+    # the complement of the one-step-smaller box has dimension m, and each
+    # shift of each basis polynomial pairs with the (n + 1) m monomials of the box
+    counts["complement_shift"] = SHIFT_MAX * m * (n + 1) * m
     return counts
 
 
